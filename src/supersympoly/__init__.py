@@ -16,7 +16,6 @@ from .poly_core import (
     constant,
     d_dT,
     exact_monomial_div,
-    extend_with_t,
     homogeneous_components,
     monomial,
     one,
@@ -24,8 +23,6 @@ from .poly_core import (
     poly_to_str,
     psi,
     set_xm_zero,
-    set_yn_zero,
-    substitute,
     t_power,
     t_var,
     x_var,

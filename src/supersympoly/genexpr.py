@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from .errors import PolyParseError
 from .generators import generator_poly
-from .poly_core import Poly, Ring, fp_inv, one, zero, _term_key
+from .poly_core import Poly, Ring, _parse_terms, _term_key, fp_inv, one, zero
 
 _KIND_RANK = {"C": 0, "EX": 1, "EY": 2, "U": 3}
-_KINDS = tuple(_KIND_RANK)
 
 
 def symbol_weight(kind: str, index: int, m: int, n: int, p: int) -> int:
@@ -156,10 +155,6 @@ class GenExpr:
             return NotImplemented
         return (self.m, self.n, self.p, self.terms) == (other.m, other.n, other.p, other.terms)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self):
@@ -211,101 +206,27 @@ def serialize_gen_expr(e: GenExpr) -> str:
     return " + ".join(parts)
 
 
-def _tokenize_gen(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word not in _KINDS:
-                raise PolyParseError(f"unknown symbol kind {word!r}")
-            tokens.append(("kind", word))
-            i = j
-        elif ch in "[]^*+-":
-            tokens.append((ch, None))
-            i += 1
-        else:
-            raise PolyParseError(f"unexpected character {ch!r} at position {i}")
-    return tokens
-
-
 def parse_gen_expr(text: str, m: int, n: int, p: int) -> GenExpr:
-    """Inverse of serialize_gen_expr (also accepts '-' separators)."""
-    tokens = _tokenize_gen(text)
-    pos = 0
+    """Inverse of serialize_gen_expr (also accepts '-' separators).
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
+    The grammar is parse_poly's, with KIND[index] factors.
+    """
 
-    def expect(kind):
-        nonlocal pos
-        k, v = peek()
-        if k != kind:
-            raise PolyParseError(f"expected {kind!r}, found {k!r}")
-        pos += 1
-        return v
+    def read_symbol(tokens, pos):
+        kind, name = tokens[pos]
+        if not (kind == "name" and name[0] in _KIND_RANK and name[1] is None
+                and tokens[pos + 1][0] == "[" and tokens[pos + 2][0] == "int"
+                and tokens[pos + 3][0] == "]"):
+            raise PolyParseError("expected a symbol C[r], EX[i], EY[j] or U[k]")
+        return (name[0], tokens[pos + 2][1]), pos + 4
 
-    def parse_factor(acc: dict):
-        nonlocal pos
-        kind = expect("kind")
-        expect("[")
-        idx = expect("int")
-        expect("]")
-        e = 1
-        if peek()[0] == "^":
-            pos += 1
-            e = expect("int")
-        acc[(kind, idx)] = acc.get((kind, idx), 0) + e
-
-    terms: dict = {}
-    sign = 1
-    k, _ = peek()
-    if k in ("+", "-"):
-        sign = -1 if k == "-" else 1
-        pos += 1
-    if pos >= len(tokens):
-        raise PolyParseError("empty generator expression")
-    while True:
-        coeff = 1
+    def symbols(factors):
         acc: dict = {}
-        k, v = peek()
-        if k == "int":
-            coeff = v
-            pos += 1
-            while peek()[0] == "*":
-                pos += 1
-                parse_factor(acc)
-        elif k == "kind":
-            parse_factor(acc)
-            while peek()[0] == "*":
-                pos += 1
-                parse_factor(acc)
-        else:
-            raise PolyParseError("expected a term")
-        key = tuple(sorted(acc.items(), key=lambda s: (_KIND_RANK[s[0][0]], s[0][1])))
-        terms[key] = (terms.get(key, 0) + sign * coeff) % p
-        k, _ = peek()
-        if k is None:
-            break
-        if k not in ("+", "-"):
-            raise PolyParseError(f"expected '+' or '-', found {k!r}")
-        sign = -1 if k == "-" else 1
-        pos += 1
-        if pos >= len(tokens):
-            raise PolyParseError("dangling sign at end of input")
-    return GenExpr(m, n, p, terms)
+        for sym, e in factors:
+            acc[sym] = acc.get(sym, 0) + e
+        return tuple(sorted(acc.items()))  # kind names sort as _KIND_RANK does
+
+    return GenExpr(m, n, p, _parse_terms(text, read_symbol, symbols))
 
 
 # -- the generated span at one degree ----------------------------------------

@@ -103,10 +103,6 @@ class Poly:
             return None
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def leading(self) -> tuple[tuple, int]:
         """(exponents, coefficient) of the graded-lex largest term."""
         exps = max(self.terms, key=_term_key)
@@ -193,10 +189,6 @@ class Poly:
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self):
@@ -214,9 +206,9 @@ def _small_pow(f: Poly, e: int) -> Poly:
     return result
 
 
-def frobenius(f: Poly, i: int = 1) -> Poly:
-    """Raise to the p^i-th power by scaling exponents (valid over F_p)."""
-    scale = f.ring.p**i
+def frobenius(f: Poly) -> Poly:
+    """Raise to the p-th power by scaling exponents (valid over F_p)."""
+    scale = f.ring.p
     return Poly(f.ring, {tuple(a * scale for a in e): c for e, c in f.terms.items()})
 
 
@@ -274,35 +266,6 @@ def t_power(ring: Ring, e: int) -> Poly:
 # -- structural operations ----------------------------------------------
 
 
-def substitute(f: Poly, target_ring: Ring, images: list[Poly]) -> Poly:
-    """Apply the ring morphism sending each source variable to its image.
-
-    ``images`` lists one target polynomial per source variable, in the
-    flat order x_1..x_m, y_1..y_n, then T if present.
-    """
-    if len(images) != f.ring.nvars:
-        raise ValueError(
-            f"expected {f.ring.nvars} images, got {len(images)}"
-        )
-    for img in images:
-        if img.ring != target_ring:
-            raise RingMismatchError("image polynomial not in the target ring")
-    out = zero(target_ring)
-    power_cache: dict[tuple[int, int], Poly] = {}
-    for exps, c in f.terms.items():
-        term = constant(target_ring, c)
-        for idx, e in enumerate(exps):
-            if e:
-                key = (idx, e)
-                pw = power_cache.get(key)
-                if pw is None:
-                    pw = images[idx] ** e
-                    power_cache[key] = pw
-                term = term * pw
-        out = out + term
-    return out
-
-
 def psi(f: Poly) -> Poly:
     """Substitute x_m = y_n = T, mapping (m, n) into (m-1, n-1, T)."""
     ring = f.ring
@@ -347,29 +310,6 @@ def set_xm_zero(f: Poly) -> Poly:
         if exps[m - 1] == 0:
             out[exps[: m - 1] + exps[m:]] = c
     return Poly(target, out)
-
-
-def set_yn_zero(f: Poly) -> Poly:
-    """Restrict y_n = 0, re-housing the result at (m, n-1)."""
-    ring = f.ring
-    if ring.n < 1:
-        raise ValueError("set_yn_zero needs n >= 1")
-    target = Ring(ring.m, ring.n - 1, ring.has_t, ring.p)
-    slot = ring.m + ring.n - 1
-    out = {}
-    for exps, c in f.terms.items():
-        if exps[slot] == 0:
-            out[exps[:slot] + exps[slot + 1 :]] = c
-    return Poly(target, out)
-
-
-def extend_with_t(f: Poly) -> Poly:
-    """Embed a T-free polynomial into the same ring with T adjoined."""
-    ring = f.ring
-    if ring.has_t:
-        raise ValueError("polynomial already has T")
-    target = Ring(ring.m, ring.n, True, ring.p)
-    return Poly(target, {e + (0,): c for e, c in f.terms.items()})
 
 
 def exact_monomial_div(f: Poly, divisor: Iterable[int]) -> Poly:
@@ -426,116 +366,138 @@ def poly_to_str(f: Poly) -> str:
     return " + ".join(parts)
 
 
-def _tokenize(text: str):
+# -- the term grammar, shared with generator certificates -----------------
+#
+#     text   := [sign] term (sign term)*            sign := '+' | '-'
+#     term   := int ('*' factor)* | factor ('*' factor)*
+#     factor := base ['^' int]
+#
+# The base is x<i>, y<j> or T here and KIND[index] in
+# genexpr.parse_gen_expr.
+
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_END = ("end", None)
+
+
+def _tokenize(text: str) -> list:
+    """Scan the text once into (kind, value) tokens, ending with _END.
+
+    Kinds: "int"; "name" for ASCII letters, valued (letters, the index
+    written right after them or None); and each of + - * ^ [ ].
+    Whitespace separates tokens.  Digits are ASCII only.
+    """
     tokens = []
+    append = tokens.append
+    size = len(text)
     i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch in "xy":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise PolyParseError(f"variable '{ch}' needs an index at position {i}")
-            tokens.append(("var", (ch, int(text[i + 1 : j]))))
-            i = j
-        elif ch == "T":
-            tokens.append(("var", ("T", 0)))
-            i += 1
-        elif ch in "+-*^":
-            tokens.append((ch, None))
-            i += 1
-        else:
-            raise PolyParseError(f"unexpected character {ch!r} at position {i}")
+    try:
+        while i < size:
+            ch = text[i]
+            if ch in _DIGITS:
+                j = i + 1
+                while j < size and text[j] in _DIGITS:
+                    j += 1
+                append(("int", int(text[i:j])))
+                i = j
+            elif ch in _LETTERS:
+                j = i + 1
+                while j < size and text[j] in _LETTERS:
+                    j += 1
+                k = j
+                while k < size and text[k] in _DIGITS:
+                    k += 1
+                append(("name", (text[i:j], int(text[j:k]) if k > j else None)))
+                i = k
+            elif ch in "+-*^[]":
+                append((ch, None))
+                i += 1
+            elif ch.isspace():
+                i += 1
+            else:
+                raise PolyParseError(f"unexpected character {ch!r} at position {i}")
+    except ValueError as exc:  # int() refuses overlong digit strings
+        raise PolyParseError(str(exc)) from None
+    append(_END)
     return tokens
+
+
+def _parse_terms(text: str, read_base, term_key) -> dict:
+    """Parse the term grammar into {term key: integer coefficient}.
+
+    ``read_base(tokens, pos)`` reads one factor's base and returns
+    ``(base, next pos)``; ``term_key`` maps a term's list of (base,
+    exponent) pairs to its key.  The caller reduces coefficients mod p.
+    """
+    tokens = _tokenize(text)
+    terms: dict = {}
+    pos = 0
+    while True:
+        kind = tokens[pos][0]
+        sign = -1 if kind == "-" else 1
+        if kind == "+" or kind == "-":
+            pos += 1
+        elif pos:
+            raise PolyParseError(f"expected '+' or '-', found {kind!r}")
+        kind, coeff = tokens[pos]
+        if kind == "int":
+            pos += 1
+            more = tokens[pos][0] == "*"
+            pos += more
+        elif kind == "name":
+            coeff, more = 1, True
+        elif kind == "end":
+            raise PolyParseError("dangling sign at end of input" if pos else "empty input")
+        else:
+            raise PolyParseError("expected a term")
+        factors = []
+        while more:
+            base, pos = read_base(tokens, pos)
+            e = 1
+            if tokens[pos][0] == "^":
+                kind, e = tokens[pos + 1]
+                if kind != "int":
+                    raise PolyParseError("expected an integer exponent after '^'")
+                pos += 2
+            factors.append((base, e))
+            more = tokens[pos][0] == "*"
+            pos += more
+        key = term_key(factors)
+        terms[key] = terms.get(key, 0) + sign * coeff
+        if tokens[pos] is _END:
+            return terms
 
 
 def parse_poly(text: str, ring: Ring) -> Poly:
     """Parse the CLI polynomial grammar into a Poly of the given ring.
 
     Grammar: terms separated by + or -, each term an optional integer
-    coefficient and '*'-joined factors, each factor a variable with an
-    optional '^' power.  A sign is also allowed before the first term.
+    coefficient and '*'-joined factors, each factor a variable x<i>,
+    y<j> or T with an optional '^' power.  A sign is also allowed before
+    the first term.
     """
-    tokens = _tokenize(text)
-    pos = 0
+    nvars = ring.nvars
+    blocks = {"x": (0, ring.m, "m"), "y": (ring.m, ring.n, "n")}
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
+    def read_var(tokens, pos):
+        kind, name = tokens[pos]
+        if kind == "name":
+            letters, idx = name
+            if letters in blocks and idx is not None:
+                offset, size, count = blocks[letters]
+                if 1 <= idx <= size:
+                    return offset + idx - 1, pos + 1
+                raise PolyParseError(f"{letters}{idx} out of range for {count}={size}")
+            if name == ("T", None):
+                if ring.has_t:
+                    return nvars - 1, pos + 1
+                raise PolyParseError("T is not a variable of this ring")
+        raise PolyParseError("expected a variable x<i>, y<j> or T")
 
-    def var_slot(v):
-        kind, idx = v
-        if kind == "x":
-            if not 1 <= idx <= ring.m:
-                raise PolyParseError(f"x{idx} out of range for m={ring.m}")
-            return idx - 1
-        if kind == "y":
-            if not 1 <= idx <= ring.n:
-                raise PolyParseError(f"y{idx} out of range for n={ring.n}")
-            return ring.m + idx - 1
-        if not ring.has_t:
-            raise PolyParseError("T is not a variable of this ring")
-        return ring.nvars - 1
+    def exponents(factors):
+        exps = [0] * nvars
+        for slot, e in factors:
+            exps[slot] += e
+        return tuple(exps)
 
-    def parse_factor(exps):
-        nonlocal pos
-        kind, val = peek()
-        if kind != "var":
-            raise PolyParseError("expected a variable")
-        slot = var_slot(val)
-        pos += 1
-        e = 1
-        if peek()[0] == "^":
-            pos += 1
-            kind, val = peek()
-            if kind != "int":
-                raise PolyParseError("expected an integer exponent after '^'")
-            e = val
-            pos += 1
-        exps[slot] += e
-
-    terms: dict[tuple, int] = {}
-    sign = 1
-    kind, _ = peek()
-    if kind in ("+", "-"):
-        sign = -1 if kind == "-" else 1
-        pos += 1
-    if pos >= len(tokens):
-        raise PolyParseError("empty polynomial text")
-    while True:
-        coeff = 1
-        exps = [0] * ring.nvars
-        kind, val = peek()
-        if kind == "int":
-            coeff = val
-            pos += 1
-            while peek()[0] == "*":
-                pos += 1
-                parse_factor(exps)
-        elif kind == "var":
-            parse_factor(exps)
-            while peek()[0] == "*":
-                pos += 1
-                parse_factor(exps)
-        else:
-            raise PolyParseError("expected a term")
-        key = tuple(exps)
-        terms[key] = (terms.get(key, 0) + sign * coeff) % ring.p
-        kind, _ = peek()
-        if kind is None:
-            break
-        if kind not in ("+", "-"):
-            raise PolyParseError(f"expected '+' or '-', found {kind!r}")
-        sign = -1 if kind == "-" else 1
-        pos += 1
-        if pos >= len(tokens):
-            raise PolyParseError("dangling sign at end of input")
-    return Poly(ring, terms)
+    return Poly(ring, _parse_terms(text, read_var, exponents))

@@ -131,10 +131,6 @@ def is_symmetric(f: Poly, block: Block) -> bool:
 # indices (a multiset, e.g. (1, 1, 2) for e1^2*e2) to a coefficient.
 
 
-def _fam_scale(expr: dict, c: int) -> dict:
-    return {k: v * c for k, v in expr.items()}
-
-
 def _fam_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, v in b.items():
@@ -219,11 +215,7 @@ def rewrite_symmetric(f: Poly, block: Block, family: Family) -> dict:
 
     result: dict = {}
     work = f
-    guard = 0
     while not work.is_zero:
-        guard += 1
-        if guard > 10000:
-            raise InternalInvariantViolation("rewrite_symmetric failed to terminate")
         exps, c = work.leading()
         lam = list(exps[off : off + size])
         if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -240,6 +232,8 @@ def rewrite_symmetric(f: Poly, block: Block, family: Family) -> dict:
         key_t = tuple(sorted(key))
         result[key_t] = (result.get(key_t, 0) + c) % ring.p
         new_work = work - sub
+        # This check also ends the loop: graded-lex leading terms of
+        # bounded degree cannot decrease forever.
         if not new_work.is_zero and _term_key(new_work.leading()[0]) >= _term_key(exps):
             raise InternalInvariantViolation("leading term did not decrease")
         work = new_work

@@ -34,6 +34,14 @@ class TestCheck:
         assert code == 2
         assert "parse error" in err
 
+    def test_non_ascii_digit_is_parse_error(self, capsys):
+        for text in ("x1^\u00b2", "x\u0661 - y\u0661"):
+            code, _, err = run(
+                capsys, "check", "--m", "1", "--n", "1", "--p", "3", "--poly", text
+            )
+            assert code == 2
+            assert "parse error" in err
+
     def test_out_of_range_variable(self, capsys):
         code, _, _ = run(
             capsys, "check", "--m", "1", "--n", "1", "--p", "3", "--poly", "x2"

@@ -60,6 +60,7 @@ class TestSerialization:
             },
         )
         assert serialize_gen_expr(e) == "EY[2]*U[1] + 2*C[3]*EX[1]^2"
+        assert serialize_gen_expr(parse_gen_expr("C [ 1 ]", 1, 1, 3)) == "C[1]"
 
     def test_zero(self):
         assert serialize_gen_expr(GenExpr.zero(1, 1, 3)) == "0"
@@ -76,7 +77,11 @@ class TestSerialization:
             assert serialize_gen_expr(again) == text
 
     def test_parse_errors(self):
-        for bad in ["C[", "C[1]^", "Q[1]", "C[1] +", "*C[1]"]:
+        for bad in [
+            "C[", "C[1]^", "Q[1]", "C[1] +", "*C[1]",
+            "C[1]C[2]", "C[-1]", "C[1 2]", "2*C[1]*3", "x1",
+            "C[\u0663]", "C[1]^\u00b2", "C[" + "1" * 5000 + "]",
+        ]:
             with pytest.raises(PolyParseError):
                 parse_gen_expr(bad, 1, 1, 3)
 
