@@ -24,7 +24,6 @@ from .poly_core import (
     psi,
     set_xm_zero,
     t_power,
-    t_var,
     x_var,
     y_var,
     zero,

@@ -272,18 +272,18 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
     expr_total = GenExpr.zero(m, n, p)
     for hkey, c in h.terms.items():
         plain = []
-        poly_part = Poly(ring, {(0,) * ring.nvars: c})
+        poly_part = c  # an int until the first factor scales it
         expr_part = GenExpr.const(m, n, p, c)
         for (kind, idx), e in hkey:
             if kind == "U":
                 vk_poly = v_k(kseq(p, idx), ring)
-                poly_part = poly_part * vk_poly**e
+                poly_part = vk_poly**e * poly_part
                 expr_part = expr_part * vk_gen_expr(m, n, p, idx) ** e
             else:
                 plain.append(((kind, idx), e))
         if plain:
             key = tuple(plain)
-            poly_part = poly_part * expand_key(key, ring)
+            poly_part = expand_key(key, ring) * poly_part
             expr_part = expr_part * GenExpr(m, n, p, {key: 1})
         poly_total = poly_total + poly_part
         expr_total = expr_total + expr_part

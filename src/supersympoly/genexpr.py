@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import PolyParseError
 from .generators import generator_poly
-from .poly_core import Poly, Ring, _parse_terms, _term_key, fp_inv, one, zero
+from .poly_core import Poly, Ring, _parse_terms, fp_inv, one, zero
 
 _KIND_RANK = {"C": 0, "EX": 1, "EY": 2, "U": 3}
 
@@ -57,16 +57,14 @@ class GenExpr:
     def __init__(self, m: int, n: int, p: int, terms):
         clean = {}
         for key, c in terms.items():
+            for (kind, idx), e in key:
+                _validate_symbol(kind, idx, m, n, p)
+                if e < 0:
+                    raise ValueError("symbol exponents must be nonnegative")
             c %= p
             if not c:
                 continue
-            parts = []
-            for (kind, idx), e in key:
-                if e < 0:
-                    raise ValueError("symbol exponents must be nonnegative")
-                if e:
-                    _validate_symbol(kind, idx, m, n, p)
-                    parts.append(((kind, idx), e))
+            parts = [(sym, e) for sym, e in key if e]
             parts.sort(key=lambda s: (_KIND_RANK[s[0][0]], s[0][1]))
             clean[tuple(parts)] = (clean.get(tuple(parts), 0) + c) % p
         object.__setattr__(self, "m", m)
@@ -146,8 +144,13 @@ class GenExpr:
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         result = GenExpr.const(self.m, self.n, self.p, 1)
-        for _ in range(e):
-            result = result * self
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -163,10 +166,11 @@ class GenExpr:
 
 def expand_key(key: tuple, ring: Ring) -> Poly:
     """Concrete polynomial of one symbol monomial."""
-    out = one(ring)
+    out = None
     for (kind, idx), e in key:
-        out = out * generator_poly(kind, idx, ring) ** e
-    return out
+        factor = generator_poly(kind, idx, ring) ** e
+        out = factor if out is None else out * factor
+    return one(ring) if out is None else out
 
 
 def expand(e: GenExpr, ring: Ring) -> Poly:
@@ -226,7 +230,11 @@ def parse_gen_expr(text: str, m: int, n: int, p: int) -> GenExpr:
             acc[sym] = acc.get(sym, 0) + e
         return tuple(sorted(acc.items()))  # kind names sort as _KIND_RANK does
 
-    return GenExpr(m, n, p, _parse_terms(text, read_symbol, symbols))
+    terms = _parse_terms(text, read_symbol, symbols)
+    try:
+        return GenExpr(m, n, p, terms)
+    except ValueError as exc:  # a symbol that does not exist at this level
+        raise PolyParseError(str(exc)) from None
 
 
 # -- the generated span at one degree ----------------------------------------
@@ -288,7 +296,7 @@ class GenSpan:
             vec, acc = self._reduce(poly.terms)
             if not vec:
                 continue
-            lead = max(vec, key=_term_key)
+            lead = max(vec)
             inv = fp_inv(vec[lead], p)
             rvec = {e: (inv * c) % p for e, c in vec.items()}
             combo = {key: 1}
@@ -304,7 +312,7 @@ class GenSpan:
         vec = dict(vec)
         acc: dict = {}
         while vec:
-            piv = max(vec, key=_term_key)
+            piv = max(vec)
             row = self.rows.get(piv)
             if row is None:
                 break

@@ -35,7 +35,6 @@ from .poly_core import (
     x_var,
     y_var,
     zero,
-    _term_key,
 )
 from .symfun import Block, orbit_sym
 
@@ -52,7 +51,7 @@ class FpEchelon:
         p = self.p
         vec = {k: v % p for k, v in vec.items() if v % p}
         while vec:
-            piv = max(vec, key=_term_key)
+            piv = max(vec)
             row = self.rows.get(piv)
             if row is None:
                 inv = fp_inv(vec[piv], p)

@@ -84,6 +84,8 @@ class Poly:
                     raise ValueError(
                         f"exponent tuple {exps} does not fit ring with {nvars} variables"
                     )
+                if exps and min(exps) < 0:
+                    raise ValueError(f"exponent tuple {exps} has a negative exponent")
                 clean[tuple(exps)] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
@@ -129,13 +131,13 @@ class Poly:
                 out[exps] = nc
             else:
                 out.pop(exps, None)
-        return Poly(self.ring, out)
+        return _clean(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.ring.p
-        return Poly(self.ring, {e: p - c for e, c in self.terms.items()})
+        return _clean(self.ring, {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -146,17 +148,38 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        ring = self.ring
+        p = ring.p
         if isinstance(other, int):
-            c = other % self.ring.p
-            return Poly(self.ring, {e: v * c for e, v in self.terms.items()})
+            c = other % p
+            if not c:
+                return _clean(ring, {})
+            return _clean(ring, {e: v * c % p for e, v in self.terms.items()})
         self._require_same_ring(other)
-        p = self.ring.p
-        out: dict[tuple, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                out[exps] = (out.get(exps, 0) + c1 * c2) % p
-        return Poly(self.ring, out)
+        if not self.terms or not other.terms:
+            return _clean(ring, {})
+        # Pack each exponent tuple into one int, one bit field per slot,
+        # wide enough that no slot of a product carries into its
+        # neighbour; add packed ints in the pair loop and reduce each
+        # output coefficient mod p once.
+        nvars = ring.nvars
+        top = max(map(max, self.terms)) + max(map(max, other.terms)) if nvars else 0
+        width = top.bit_length() or 1
+        rows, cols = _pack(self.terms, width), _pack(other.terms, width)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k1, c1 in rows:
+            for k2, c2 in cols:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        mask = (1 << width) - 1
+        shifts = range(width * (nvars - 1), -1, -width)
+        out = {}
+        for k, c in acc.items():
+            c %= p
+            if c:
+                out[tuple([(k >> s) & mask for s in shifts])] = c
+        return _clean(ring, out)
 
     __rmul__ = __mul__
 
@@ -170,17 +193,16 @@ class Poly:
         # In characteristic p the p-th power map just scales exponents,
         # so split e into base-p digits and use Frobenius per digit.
         p = self.ring.p
-        result = one(self.ring)
+        result = None
         base = self
-        rem = e
-        while rem:
-            digit = rem % p
+        while True:
+            e, digit = divmod(e, p)
             if digit:
-                result = result * _small_pow(base, digit)
-            rem //= p
-            if rem:
-                base = frobenius(base)
-        return result
+                part = _small_pow(base, digit)
+                result = part if result is None else result * part
+            if not e:
+                return result
+            base = frobenius(base)
 
     # -- comparison / display -------------------------------------------
 
@@ -195,21 +217,42 @@ class Poly:
         return f"Poly({self.ring.m},{self.ring.n},p={self.ring.p}: {poly_to_str(self)})"
 
 
+def _clean(ring: Ring, terms: dict) -> Poly:
+    """Trusted constructor: ``terms`` already has tuple keys of the ring's
+    length, nonnegative exponents and residues in [1, p)."""
+    f = object.__new__(Poly)
+    object.__setattr__(f, "ring", ring)
+    object.__setattr__(f, "terms", terms)
+    return f
+
+
+def _pack(terms: dict, width: int) -> list[tuple[int, int]]:
+    """(packed exponents, coefficient) pairs, first slot in the top field."""
+    packed = []
+    for exps, c in terms.items():
+        key = 0
+        for a in exps:
+            key = (key << width) | a
+        packed.append((key, c))
+    return packed
+
+
 def _small_pow(f: Poly, e: int) -> Poly:
-    result = one(f.ring)
-    base = f
-    while e:
+    """f^e for e >= 1 by repeated squaring."""
+    result = None
+    while True:
         if e & 1:
-            result = result * base
-        base = base * base if e > 1 else base
+            result = f if result is None else result * f
         e >>= 1
-    return result
+        if not e:
+            return result
+        f = f * f
 
 
 def frobenius(f: Poly) -> Poly:
     """Raise to the p-th power by scaling exponents (valid over F_p)."""
     scale = f.ring.p
-    return Poly(f.ring, {tuple(a * scale for a in e): c for e, c in f.terms.items()})
+    return _clean(f.ring, {tuple(a * scale for a in e): c for e, c in f.terms.items()})
 
 
 # -- constructors -------------------------------------------------------
@@ -251,12 +294,6 @@ def y_var(ring: Ring, j: int) -> Poly:
     return Poly(ring, {_unit_exps(ring, ring.m + j - 1): 1})
 
 
-def t_var(ring: Ring) -> Poly:
-    if not ring.has_t:
-        raise ValueError(f"{ring} has no T variable")
-    return Poly(ring, {_unit_exps(ring, ring.nvars - 1): 1})
-
-
 def t_power(ring: Ring, e: int) -> Poly:
     if not ring.has_t:
         raise ValueError(f"{ring} has no T variable")
@@ -295,7 +332,7 @@ def d_dT(g: Poly) -> Poly:
             nc = (c * e) % p
             if nc:
                 out[exps[:-1] + (e - 1,)] = nc
-    return Poly(ring, out)
+    return _clean(ring, out)
 
 
 def set_xm_zero(f: Poly) -> Poly:
@@ -309,7 +346,7 @@ def set_xm_zero(f: Poly) -> Poly:
     for exps, c in f.terms.items():
         if exps[m - 1] == 0:
             out[exps[: m - 1] + exps[m:]] = c
-    return Poly(target, out)
+    return _clean(target, out)
 
 
 def exact_monomial_div(f: Poly, divisor: Iterable[int]) -> Poly:
@@ -324,7 +361,7 @@ def exact_monomial_div(f: Poly, divisor: Iterable[int]) -> Poly:
                 f"term with exponents {exps} is not divisible by {d}"
             )
         out[tuple(a - b for a, b in zip(exps, d))] = c
-    return Poly(f.ring, out)
+    return _clean(f.ring, out)
 
 
 def homogeneous_components(f: Poly) -> list[tuple[int, Poly]]:
@@ -332,7 +369,7 @@ def homogeneous_components(f: Poly) -> list[tuple[int, Poly]]:
     buckets: dict[int, dict] = {}
     for exps, c in f.terms.items():
         buckets.setdefault(sum(exps), {})[exps] = c
-    return [(d, Poly(f.ring, t)) for d, t in sorted(buckets.items())]
+    return [(d, _clean(f.ring, t)) for d, t in sorted(buckets.items())]
 
 
 # -- text form -----------------------------------------------------------

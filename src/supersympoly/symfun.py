@@ -184,13 +184,13 @@ def expand_family_expr(expr: dict, family: Family, block: Block, ring: Ring) -> 
     out = zero(ring)
     cache: dict[int, Poly] = {}
     for key, c in expr.items():
-        term = Poly(ring, {(0,) * ring.nvars: c})
+        term = c  # an int until the first factor scales it
         for idx in key:
             g = cache.get(idx)
             if g is None:
                 g = family_poly(idx, family, block, ring)
                 cache[idx] = g
-            term = term * g
+            term = g * term
         out = out + term
     return out
 
@@ -223,12 +223,12 @@ def rewrite_symmetric(f: Poly, block: Block, family: Family) -> dict:
                 "leading exponent of a symmetric polynomial is not a partition"
             )
         key = []
-        sub = Poly(ring, {(0,) * ring.nvars: c})
+        sub = c  # an int until the first factor scales it
         for i in range(size):
             d = lam[i] - (lam[i + 1] if i + 1 < size else 0)
             if d:
                 key.extend([i + 1] * d)
-                sub = sub * elementary(i + 1, block, ring) ** d
+                sub = elementary(i + 1, block, ring) ** d * sub
         key_t = tuple(sorted(key))
         result[key_t] = (result.get(key_t, 0) + c) % ring.p
         new_work = work - sub

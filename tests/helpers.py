@@ -37,3 +37,49 @@ def ring_and_polys(
         for _ in range(count)
     ]
     return (ring, *polys)
+
+
+def reference_mul(f, g):
+    """Product by the plain loop over exponent tuples, the reference for
+    the packed-exponent kernel behind ``Poly.__mul__``."""
+    p = f.ring.p
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            out[exps] = (out.get(exps, 0) + c1 * c2) % p
+    return Poly(f.ring, out)
+
+
+def reference_pow(f, e):
+    out = Poly(f.ring, {(0,) * f.ring.nvars: 1})
+    for _ in range(e):
+        out = reference_mul(out, f)
+    return out
+
+
+@st.composite
+def wide_operands(draw, max_terms=4):
+    """A ring with up to five variables (T included or not) and two
+    polynomials with exponents up to 2^20.  The exponent bounds of f and
+    g add up to 2^w - 1, 2^w or 2^20, and each polynomial may get a term
+    at its bound, so the largest exponent sum of a product lands on the
+    edges of a w-bit field."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    has_t = draw(st.booleans())
+    m = draw(st.integers(0, 5 - has_t))
+    n = draw(st.integers(0, 5 - has_t - m))
+    ring = Ring(m, n, has_t, p)
+    nvars = ring.nvars
+    w = draw(st.integers(1, 20))
+    top = draw(st.sampled_from(((1 << w) - 1, 1 << w, 1 << 20)))
+    split = draw(st.integers(0, top))
+    polys = []
+    for bound in (split, top - split):
+        exps = st.tuples(*([st.integers(0, bound)] * nvars))
+        pairs = draw(st.lists(st.tuples(exps, st.integers(1, p - 1)), max_size=max_terms))
+        if nvars and draw(st.booleans()):
+            slot = draw(st.integers(0, nvars - 1))
+            pairs.append((tuple(bound if i == slot else 0 for i in range(nvars)), 1))
+        polys.append(build_poly(ring, pairs))
+    return (ring, *polys)

@@ -34,6 +34,8 @@ class TestGenExpr:
         a = GenExpr.symbol(1, 1, 3, "C", 1)
         assert (a + a + a).is_zero
         assert (a * a) == GenExpr(1, 1, 3, {((("C", 1), 2),): 1})
+        b = a + GenExpr.symbol(1, 1, 3, "U", 1)
+        assert b**5 == b * b * b * b * b
 
     def test_expand_examples(self):
         e = GenExpr.symbol(1, 1, 3, "C", 1)
@@ -81,6 +83,8 @@ class TestSerialization:
             "C[", "C[1]^", "Q[1]", "C[1] +", "*C[1]",
             "C[1]C[2]", "C[-1]", "C[1 2]", "2*C[1]*3", "x1",
             "C[\u0663]", "C[1]^\u00b2", "C[" + "1" * 5000 + "]",
+            # symbols that do not exist at level (1, 1), even in a zero term
+            "3*EX[5]", "EY[2] - EY[2]", "C[0]",
         ]:
             with pytest.raises(PolyParseError):
                 parse_gen_expr(bad, 1, 1, 3)

@@ -21,7 +21,7 @@ from supersympoly import (
     x_var,
     zero,
 )
-from helpers import ring_and_polys
+from helpers import reference_mul, reference_pow, ring_and_polys, wide_operands
 
 R11 = Ring(1, 1, False, 3)
 R21 = Ring(2, 1, False, 3)
@@ -36,6 +36,12 @@ class TestRing:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             Ring(-1, 0, False, 3)
+        # negative exponents are refused too (a packed product would
+        # borrow from the neighbouring slot)
+        with pytest.raises(ValueError):
+            Poly(R11, {(-1, 2): 1})
+        with pytest.raises(ValueError):
+            monomial(R11, (0, -1))
 
     def test_var_names(self):
         assert Ring(2, 1, True, 3).var_names() == ["x1", "x2", "y1", "T"]
@@ -224,6 +230,22 @@ def test_commutative_associative_distributive(data):
     assert (f + g) + h == f + (g + h)
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_operands())
+def test_mul_matches_reference(data):
+    ring, f, g = data
+    assert f * g == reference_mul(f, g)
+    assert g * f == reference_mul(g, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_operands(max_terms=2), st.data())
+def test_pow_matches_reference(data, draw):
+    ring, f, _ = data
+    e = draw.draw(st.integers(0, 3 * ring.p))
+    assert f**e == reference_pow(f, e)
 
 
 @settings(max_examples=40, deadline=None)
