@@ -107,16 +107,20 @@ def core_to_generators(a: int, b: int, p: int, m: int, n: int) -> GenExpr:
 
 # -- v_k certificates ---------------------------------------------------------
 
-_VK_CACHE: dict[tuple, GenExpr] = {}
+_VK_CACHE: dict[tuple, tuple[Poly, GenExpr]] = {}
 _VK_LOCK = threading.Lock()
 
 
 def vk_gen_expr(m: int, n: int, p: int, k: int) -> GenExpr:
-    """GenExpr certificate for v_k at level (m, n), solved once and cached."""
+    """GenExpr certificate for v_k at level (m, n), solved once.
+
+    ``_VK_CACHE`` keeps the pair (v_k, certificate), so ``_lift`` reads
+    the polynomial from there instead of rebuilding it.
+    """
     key = (m, n, p, k)
     cached = _VK_CACHE.get(key)
     if cached is not None:
-        return cached
+        return cached[1]
     ring = Ring(m, n, False, p)
     v = v_k(kseq(p, k), ring)
     degree = v.degree()
@@ -126,8 +130,7 @@ def vk_gen_expr(m: int, n: int, p: int, k: int) -> GenExpr:
             f"lift v_{k} at level ({m},{n}), p={p} is outside the generator span"
         )
     with _VK_LOCK:
-        _VK_CACHE.setdefault(key, expr)
-    return expr
+        return _VK_CACHE.setdefault(key, (v, expr))[1]
 
 
 # -- decomposition trace ------------------------------------------------------
@@ -276,9 +279,10 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
         expr_part = GenExpr.const(m, n, p, c)
         for (kind, idx), e in hkey:
             if kind == "U":
-                vk_poly = v_k(kseq(p, idx), ring)
+                vk_expr = vk_gen_expr(m, n, p, idx)
+                vk_poly = _VK_CACHE[(m, n, p, idx)][0]
                 poly_part = vk_poly**e * poly_part
-                expr_part = expr_part * vk_gen_expr(m, n, p, idx) ** e
+                expr_part = expr_part * vk_expr**e
             else:
                 plain.append(((kind, idx), e))
         if plain:

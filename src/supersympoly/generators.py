@@ -205,7 +205,13 @@ def c_r(r: int, ring: Ring) -> Poly:
     out = zero(ring)
     for i in range(0, min(r, ring.m) + 1):
         sign = 1 if (r - i) % 2 == 0 else -1
-        out = out + sign * (elementary(i, Block.X, ring) * complete(r - i, Block.Y, ring))
+        if i == 0:  # sigma_0 = h_0 = 1
+            term = complete(r, Block.Y, ring)
+        elif i == r:
+            term = elementary(r, Block.X, ring)
+        else:
+            term = elementary(i, Block.X, ring) * complete(r - i, Block.Y, ring)
+        out = out + sign * term
     return out
 
 

@@ -14,9 +14,23 @@ GenExpr, tracking the combination exactly over F_p.
 
 from __future__ import annotations
 
+import threading
+
 from .errors import PolyParseError
 from .generators import generator_poly
-from .poly_core import Poly, Ring, _parse_terms, fp_inv, one, zero
+from .poly_core import (
+    Poly,
+    Ring,
+    _clean,
+    _pack,
+    _packed_mul,
+    _parse_terms,
+    _reduce_mod,
+    _unpack,
+    fp_inv,
+    one,
+    zero,
+)
 
 _KIND_RANK = {"C": 0, "EX": 1, "EY": 2, "U": 3}
 
@@ -166,11 +180,35 @@ class GenExpr:
 
 def expand_key(key: tuple, ring: Ring) -> Poly:
     """Concrete polynomial of one symbol monomial."""
+    if len(key) < 2:
+        if not key:
+            return one(ring)
+        (kind, idx), e = key[0]
+        return generator_poly(kind, idx, ring) ** e
+    # Every symbol is homogeneous of its weight, so no exponent of the
+    # product exceeds the key's weight.
+    width = _key_weight(key, ring.m, ring.n, ring.p).bit_length()
+    powers: dict = {}
+    head = _expand_packed(key[:-1], ring, width, powers)
+    acc = _packed_mul(head, _expand_packed(key[-1:], ring, width, powers))
+    return _clean(ring, _unpack(acc, width, ring.nvars, ring.p))
+
+
+def _expand_packed(key: tuple, ring: Ring, width: int, powers: dict) -> dict[int, int]:
+    """Packed expansion of a symbol monomial, reduced mod p.
+
+    ``width`` must hold the key's weight; ``powers`` memoizes the packed
+    symbol powers of that width.  The empty key packs to {0: 1}.
+    """
+    p = ring.p
     out = None
-    for (kind, idx), e in key:
-        factor = generator_poly(kind, idx, ring) ** e
-        out = factor if out is None else out * factor
-    return one(ring) if out is None else out
+    for factor in key:
+        packed = powers.get(factor)
+        if packed is None:
+            (kind, idx), e = factor
+            packed = powers[factor] = _pack((generator_poly(kind, idx, ring) ** e).terms, width)
+        out = packed if out is None else _reduce_mod(_packed_mul(out, packed), p)
+    return {0: 1} if out is None else out
 
 
 def expand(e: GenExpr, ring: Ring) -> Poly:
@@ -280,6 +318,13 @@ def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
 class GenSpan:
     """Row-reduced span of the symbol monomial expansions at one degree.
 
+    Every expansion is homogeneous of the span's degree, so no exponent
+    exceeds it and one bit field width, ``degree.bit_length()``, packs
+    every term (see ``poly_core._pack``).  The span packs each symbol
+    power once, multiplies, stores and row-reduces packed keys, and
+    packs a polynomial to solve once.  Packed order is lexicographic
+    tuple order, so the pivots are the lexicographically largest terms.
+
     Rows keep the exact combination of generator monomials they came
     from, so solve() returns a GenExpr certificate for any member of
     the span.  The construction is deterministic.
@@ -288,12 +333,11 @@ class GenSpan:
     def __init__(self, m: int, n: int, p: int, degree: int):
         self.m, self.n, self.p, self.degree = m, n, p, degree
         self.ring = Ring(m, n, False, p)
-        self.rows: dict[tuple, tuple[dict, dict]] = {}
+        self.width = degree.bit_length() or 1
+        self.rows: dict[int, tuple[dict, dict]] = {}
+        powers: dict = {}
         for key in enumerate_gen_monomials(m, n, p, degree):
-            poly = expand_key(key, self.ring)
-            if poly.is_zero:
-                continue
-            vec, acc = self._reduce(poly.terms)
+            vec, acc = self._reduce(_expand_packed(key, self.ring, self.width, powers))
             if not vec:
                 continue
             lead = max(vec)
@@ -306,8 +350,8 @@ class GenSpan:
             self.rows[lead] = (rvec, rcombo)
 
     def _reduce(self, vec: dict) -> tuple[dict, dict]:
-        """Reduce against stored rows.  Returns (residue, acc) with
-        input = residue + sum(acc[key] * expansion(key))."""
+        """Reduce packed terms against stored rows.  Returns (residue, acc)
+        with input = residue + sum(acc[key] * expansion(key))."""
         p = self.p
         vec = dict(vec)
         acc: dict = {}
@@ -340,20 +384,26 @@ class GenSpan:
         """GenExpr with expand == f, or None when f is outside the span."""
         if f.ring != self.ring:
             raise ValueError("polynomial ring does not match the span")
-        vec, acc = self._reduce(f.terms)
+        degree = self.degree
+        if any(sum(exps) != degree for exps in f.terms):
+            return None
+        vec, acc = self._reduce(_pack(f.terms, self.width))
         if vec:
             return None
         return GenExpr(self.m, self.n, self.p, acc)
 
 
 _SPAN_CACHE: dict[tuple, GenSpan] = {}
+_SPAN_LOCK = threading.Lock()
 
 
 def gen_span(m: int, n: int, p: int, degree: int) -> GenSpan:
-    """Memoized GenSpan; the cache is read-mostly and safe to share."""
+    """Memoized GenSpan, built once per key even under concurrent calls."""
     key = (m, n, p, degree)
     span = _SPAN_CACHE.get(key)
     if span is None:
-        span = GenSpan(m, n, p, degree)
-        _SPAN_CACHE[key] = span
+        with _SPAN_LOCK:
+            span = _SPAN_CACHE.get(key)
+            if span is None:
+                span = _SPAN_CACHE[key] = GenSpan(m, n, p, degree)
     return span

@@ -94,7 +94,13 @@ def symmetric_basis(m: int, n: int, p: int, d: int) -> list[Poly]:
     for dx in range(d + 1):
         for lam in partitions_max_parts(dx, m):
             for mu in partitions_max_parts(d - dx, n):
-                basis.append(orbit_sym(lam, Block.X, ring) * orbit_sym(mu, Block.Y, ring))
+                # the orbit sum of the empty partition is 1
+                if not mu:
+                    basis.append(orbit_sym(lam, Block.X, ring))
+                elif not lam:
+                    basis.append(orbit_sym(mu, Block.Y, ring))
+                else:
+                    basis.append(orbit_sym(lam, Block.X, ring) * orbit_sym(mu, Block.Y, ring))
     return basis
 
 

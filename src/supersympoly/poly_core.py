@@ -160,26 +160,12 @@ class Poly:
             return _clean(ring, {})
         # Pack each exponent tuple into one int, one bit field per slot,
         # wide enough that no slot of a product carries into its
-        # neighbour; add packed ints in the pair loop and reduce each
-        # output coefficient mod p once.
+        # neighbour.
         nvars = ring.nvars
         top = max(map(max, self.terms)) + max(map(max, other.terms)) if nvars else 0
         width = top.bit_length() or 1
-        rows, cols = _pack(self.terms, width), _pack(other.terms, width)
-        acc: dict[int, int] = {}
-        get = acc.get
-        for k1, c1 in rows:
-            for k2, c2 in cols:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-        mask = (1 << width) - 1
-        shifts = range(width * (nvars - 1), -1, -width)
-        out = {}
-        for k, c in acc.items():
-            c %= p
-            if c:
-                out[tuple([(k >> s) & mask for s in shifts])] = c
-        return _clean(ring, out)
+        acc = _packed_mul(_pack(self.terms, width), _pack(other.terms, width))
+        return _clean(ring, _unpack(acc, width, nvars, p))
 
     __rmul__ = __mul__
 
@@ -226,15 +212,54 @@ def _clean(ring: Ring, terms: dict) -> Poly:
     return f
 
 
-def _pack(terms: dict, width: int) -> list[tuple[int, int]]:
-    """(packed exponents, coefficient) pairs, first slot in the top field."""
-    packed = []
+# -- packed exponents ----------------------------------------------------
+#
+# A packed key holds an exponent tuple in one int, one bit field of
+# ``width`` bits per slot with the first slot in the top field.  While
+# every field stays below 2^width, adding keys multiplies monomials and
+# comparing keys compares the tuples lexicographically.
+
+
+def _pack(terms: Mapping[tuple, int], width: int) -> dict[int, int]:
+    """{packed exponents: coefficient} of a tuple-keyed term dict."""
+    packed = {}
     for exps, c in terms.items():
         key = 0
         for a in exps:
             key = (key << width) | a
-        packed.append((key, c))
+        packed[key] = c
     return packed
+
+
+def _packed_mul(a: dict, b: dict) -> dict[int, int]:
+    """The pair loop of every product: packed ``a`` times packed ``b``,
+    with coefficients summed but not reduced mod p.  The caller makes
+    the fields wide enough for every exponent sum."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def _reduce_mod(acc: dict, p: int) -> dict[int, int]:
+    """Packed terms with coefficients reduced mod p, zeros dropped."""
+    return {k: r for k, c in acc.items() if (r := c % p)}
+
+
+def _unpack(acc: dict, width: int, nvars: int, p: int) -> dict[tuple, int]:
+    """Reduce packed coefficients mod p and unpack the nonzero terms to
+    exponent tuples, in one pass."""
+    mask = (1 << width) - 1
+    shifts = range(width * (nvars - 1), -1, -width)
+    out = {}
+    for k, c in acc.items():
+        c %= p
+        if c:
+            out[tuple([(k >> s) & mask for s in shifts])] = c
+    return out
 
 
 def _small_pow(f: Poly, e: int) -> Poly:

@@ -2,7 +2,9 @@
 
 import hypothesis.strategies as st
 
-from supersympoly import Poly, Ring
+from supersympoly import GenExpr, Poly, Ring, enumerate_gen_monomials
+from supersympoly.generators import generator_poly
+from supersympoly.poly_core import fp_inv
 
 
 def build_poly(ring, pairs):
@@ -56,6 +58,65 @@ def reference_pow(f, e):
     for _ in range(e):
         out = reference_mul(out, f)
     return out
+
+
+def reference_expand_key(key, ring):
+    """Expansion of a symbol monomial by ``reference_mul`` products."""
+    out = Poly(ring, {(0,) * ring.nvars: 1})
+    for (kind, idx), e in key:
+        out = reference_mul(out, reference_pow(generator_poly(kind, idx, ring), e))
+    return out
+
+
+class ReferenceSpan:
+    """The generated span with tuple keys: ``reference_mul`` expansions and
+    the row reduction GenSpan used before it packed exponents."""
+
+    def __init__(self, m, n, p, degree):
+        self.m, self.n, self.p = m, n, p
+        ring = Ring(m, n, False, p)
+        self.rows = {}
+        for key in enumerate_gen_monomials(m, n, p, degree):
+            vec, acc = self._reduce(reference_expand_key(key, ring).terms)
+            if not vec:
+                continue
+            lead = max(vec)
+            inv = fp_inv(vec[lead], p)
+            rvec = {e: (inv * c) % p for e, c in vec.items()}
+            combo = {key: 1}
+            for k2, c2 in acc.items():
+                combo[k2] = (combo.get(k2, 0) - c2) % p
+            rcombo = {k2: (inv * c2) % p for k2, c2 in combo.items() if (inv * c2) % p}
+            self.rows[lead] = (rvec, rcombo)
+
+    def _reduce(self, vec):
+        p = self.p
+        vec = dict(vec)
+        acc = {}
+        while vec:
+            piv = max(vec)
+            row = self.rows.get(piv)
+            if row is None:
+                break
+            rvec, rcombo = row
+            c = vec[piv]
+            for e, v in rvec.items():
+                nv = (vec.get(e, 0) - c * v) % p
+                if nv:
+                    vec[e] = nv
+                else:
+                    vec.pop(e, None)
+            for k2, v in rcombo.items():
+                nv = (acc.get(k2, 0) + c * v) % p
+                if nv:
+                    acc[k2] = nv
+                else:
+                    acc.pop(k2, None)
+        return vec, acc
+
+    def solve(self, f):
+        vec, acc = self._reduce(f.terms)
+        return None if vec else GenExpr(self.m, self.n, self.p, acc)
 
 
 @st.composite

@@ -1,6 +1,13 @@
+import collections
+import os
 import random
+import sys
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from supersympoly import (
     GenExpr,
@@ -14,7 +21,12 @@ from supersympoly import (
     parse_poly,
     serialize_gen_expr,
 )
+from supersympoly import genexpr
+from supersympoly.genexpr import expand_key
+from supersympoly.poly_core import _unpack
 from supersympoly.selfcheck import random_gen_expr
+
+from helpers import ReferenceSpan, reference_expand_key
 
 R11 = Ring(1, 1, False, 3)
 
@@ -122,3 +134,134 @@ class TestGenSpan:
     def test_dimension_matches_row_count(self):
         span = GenSpan(1, 1, 3, 3)
         assert span.dimension == len(span.rows) > 0
+
+    def test_degree_zero(self):
+        for m, n, p in [(1, 1, 3), (2, 0, 5), (0, 2, 3)]:
+            span = GenSpan(m, n, p, 0)
+            assert span.dimension == 1
+            ring = Ring(m, n, False, p)
+            for c in range(p):
+                f = parse_poly(str(c), ring)
+                assert span.solve(f) == GenExpr.const(m, n, p, c)
+
+    def test_solve_wrong_degree_is_none(self):
+        span = GenSpan(1, 1, 3, 3)
+        assert span.solve(c_r(2, R11)) is None
+        assert span.solve(parse_poly("1", R11)) is None
+        # inhomogeneous, and one part has an exponent too wide for the span
+        assert span.solve(c_r(3, R11) + c_r(2, R11)) is None
+        assert span.solve(c_r(3, R11) + parse_poly("x1^9", R11)) is None
+        # x1^2*y1^4 packs with the span's 2-bit fields to the key of
+        # x1^3 = EX[1], a member; only the degree check refuses it
+        assert span.solve(parse_poly("x1^2*y1^4", R11)) is None
+        assert span.solve(c_r(3, R11)) is not None
+
+    def test_ring_mismatch(self):
+        with pytest.raises(ValueError):
+            GenSpan(1, 1, 3, 2).solve(parse_poly("x1^2", Ring(1, 1, True, 3)))
+
+
+def _tuple_rows(span):
+    """A packed span's rows, unpacked to exponent tuples, in row order."""
+    width, nvars, p = span.width, span.ring.nvars, span.p
+    return [
+        (next(iter(_unpack({lead: 1}, width, nvars, p))), _unpack(rvec, width, nvars, p), rcombo)
+        for lead, (rvec, rcombo) in span.rows.items()
+    ]
+
+
+def _assert_matches_reference(m, n, p, d):
+    span, ref = GenSpan(m, n, p, d), ReferenceSpan(m, n, p, d)
+    assert _tuple_rows(span) == [(lead, rvec, rcombo) for lead, (rvec, rcombo) in ref.rows.items()]
+    ring = span.ring
+    rng = random.Random(d)
+    members = [reference_expand_key(key, ring) for key in enumerate_gen_monomials(m, n, p, d)]
+    members += [sum((rng.randrange(p) * f for f in members), parse_poly("0", ring))]
+    members += [f + parse_poly("x1^%d" % d, ring) for f in members[:3] if m]
+    for f in members:
+        cert = span.solve(f)
+        assert cert == ref.solve(f)
+        if cert is not None:
+            assert expand(cert, ring) == f
+
+
+class TestPackedSpan:
+    @pytest.mark.parametrize("m,n,p,dmax", [
+        (1, 1, 3, 9), (2, 1, 3, 7), (1, 2, 3, 7), (2, 2, 3, 6),
+        (1, 1, 5, 9), (2, 0, 3, 6), (0, 2, 5, 6),
+    ])
+    def test_matches_tuple_reference(self, m, n, p, dmax):
+        for d in range(dmax + 1):
+            _assert_matches_reference(m, n, p, d)
+
+    @pytest.mark.parametrize("d", [7, 8, 15, 16])
+    def test_width_edges(self, d):
+        # d = 2^w - 1 fills a w-bit field; d = 2^w needs one more bit.
+        span = GenSpan(1, 1, 3, d)
+        assert span.width == d.bit_length()
+        _assert_matches_reference(1, 1, 3, d)
+        f = c_r(d, R11)  # has the term y1^d
+        assert expand(span.solve(f), R11) == f
+
+    def test_expand_key_matches_reference(self):
+        for m, n, p in [(1, 1, 3), (2, 1, 3), (2, 2, 5), (0, 2, 3), (2, 0, 3)]:
+            ring = Ring(m, n, False, p)
+            for d in range(0, 8):
+                for key in enumerate_gen_monomials(m, n, p, d):
+                    assert expand_key(key, ring) == reference_expand_key(key, ring)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_solve_recovers_expansion(self, data):
+        m, n, p = data.draw(st.sampled_from([(1, 1, 3), (2, 1, 3), (1, 2, 3), (2, 2, 3), (1, 1, 5)]))
+        d = data.draw(st.integers(0, 7))
+        keys = enumerate_gen_monomials(m, n, p, d)
+        chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=5))
+        coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(chosen), max_size=len(chosen)))
+        e = GenExpr(m, n, p, dict(zip(chosen, coeffs)))
+        ring = Ring(m, n, False, p)
+        f = expand(e, ring)
+        cert = genexpr.gen_span(m, n, p, d).solve(f)
+        assert cert is not None
+        assert expand(cert, ring) == f
+
+
+def test_gen_span_single_flight(monkeypatch):
+    """Concurrent first calls build each span once and share the object."""
+    monkeypatch.setattr(genexpr, "_SPAN_CACHE", {})
+    builds = collections.Counter()
+    count_lock = threading.Lock()
+    original_init = genexpr.GenSpan.__init__
+
+    def counting_init(self, m, n, p, degree):
+        with count_lock:
+            builds[(m, n, p, degree)] += 1
+        original_init(self, m, n, p, degree)
+
+    monkeypatch.setattr(genexpr.GenSpan, "__init__", counting_init)
+    keys = [(1, 1, 3, d) for d in range(1, 9)] + [(2, 1, 3, d) for d in range(1, 6)]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    nthreads = min(2 * (cores or 1) + 2, 64)
+    barrier = threading.Barrier(nthreads)
+    results = [None] * nthreads
+
+    def run(i):
+        barrier.wait()
+        order = keys[i % len(keys):] + keys[: i % len(keys)]
+        results[i] = {key: genexpr.gen_span(*key) for key in order}
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(nthreads)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads), "gen_span calls did not finish in time"
+    assert builds == {key: 1 for key in keys}
+    for got in results:
+        assert all(got[key] is results[0][key] for key in keys)
