@@ -30,10 +30,8 @@ from .poly_core import (
 )
 from .symfun import (
     Block,
-    Family,
     complete,
     elementary,
-    expand_family_expr,
     is_symmetric,
     orbit_sym,
     rewrite_symmetric,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .errors import (
     InternalInvariantViolation,
@@ -47,7 +48,7 @@ from .poly_core import (
     set_xm_zero,
 )
 from .supersym import is_supersymmetric
-from .symfun import Block, Family, rewrite_symmetric
+from .symfun import Block, rewrite_symmetric
 
 
 @dataclass(frozen=True)
@@ -212,10 +213,8 @@ def _decompose_homogeneous(f: Poly, parent: tuple | None) -> GenExpr:
 
     if degree == 0:
         return GenExpr.const(m, n, p, next(iter(f.terms.values())))
-    if m == 0:
-        return _base_no_x(f)
-    if n == 0:
-        return _base_no_y(f)
+    if m == 0 or n == 0:
+        return _base_one_block(f)
 
     f0 = set_xm_zero(f)
     if f0.is_zero:
@@ -294,37 +293,32 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
     return poly_total, expr_total
 
 
-def _base_no_x(f: Poly) -> GenExpr:
-    """Level (0, n): rewrite over complete symmetric functions of y.
+def _base_one_block(f: Poly) -> GenExpr:
+    """Levels (m, 0) and (0, n): rewrite over e_r of the one block, then
+    substitute C symbols.
 
-    At this level c_r reduces to (-1)^r h_r(y), so a monomial
-    h_{r_1}...h_{r_t} maps to (-1)^(r_1+...+r_t) C[r_1]...C[r_t].
+    At (m, 0), c_r equals e_r(x), so e_r(x) = C[r].  At (0, n), the
+    generating function sum_r c_r t^r * prod_j (1 + y_j t) = 1 gives
+    e_r(y) = -sum_{i=1..r} C[i] e_{r-i}(y).
     """
     ring = f.ring
     m, n, p = ring.m, ring.n, ring.p
-    hexpr = rewrite_symmetric(f, Block.Y, Family.COMPLETE)
-    terms = {}
-    for key, c in hexpr.items():
-        sign = 1 if sum(key) % 2 == 0 else -1
-        gkey = _indices_to_c_key(key)
-        terms[gkey] = (terms.get(gkey, 0) + sign * c) % p
-    return GenExpr(m, n, p, terms)
-
-
-def _base_no_y(f: Poly) -> GenExpr:
-    """Level (m, 0): rewrite over elementary symmetric functions of x.
-
-    Here c_r equals sigma_r(x), so the elementary rewrite maps straight
-    onto C symbols.
-    """
-    ring = f.ring
-    m, n, p = ring.m, ring.n, ring.p
-    eexpr = rewrite_symmetric(f, Block.X, Family.ELEMENTARY)
-    return GenExpr(m, n, p, {_indices_to_c_key(key): c for key, c in eexpr.items()})
-
-
-def _indices_to_c_key(indices: tuple) -> tuple:
-    counts: dict[int, int] = {}
-    for r in indices:
-        counts[r] = counts.get(r, 0) + 1
-    return tuple((("C", r), e) for r, e in sorted(counts.items()))
+    block = Block.X if n == 0 else Block.Y
+    expr = rewrite_symmetric(f, block)
+    top = max(map(max, expr))
+    elem = [None]  # elem[r] is e_r of the block, for r >= 1
+    for r in range(1, top + 1):
+        if block is Block.X:
+            elem.append(GenExpr.symbol(m, n, p, "C", r))
+            continue
+        acc = GenExpr(m, n, p, {((("C", r), 1),): -1})  # the term i = r, as e_0 = 1
+        for i in range(1, r):
+            acc = acc - GenExpr.symbol(m, n, p, "C", i) * elem[r - i]
+        elem.append(acc)
+    total = GenExpr.zero(m, n, p)
+    for key, c in expr.items():
+        term = c  # an int until the first factor scales it
+        for r, run in groupby(key):
+            term = elem[r] ** len(list(run)) * term
+        total = total + term
+    return total

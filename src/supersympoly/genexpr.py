@@ -19,6 +19,7 @@ import threading
 from .errors import PolyParseError
 from .generators import generator_poly
 from .poly_core import (
+    FpEchelon,
     Poly,
     Ring,
     _clean,
@@ -27,7 +28,6 @@ from .poly_core import (
     _parse_terms,
     _reduce_mod,
     _unpack,
-    fp_inv,
     one,
     zero,
 )
@@ -78,9 +78,9 @@ class GenExpr:
             c %= p
             if not c:
                 continue
-            parts = [(sym, e) for sym, e in key if e]
-            parts.sort(key=lambda s: (_KIND_RANK[s[0][0]], s[0][1]))
-            clean[tuple(parts)] = (clean.get(tuple(parts), 0) + c) % p
+            # kind names sort as _KIND_RANK does, so plain order is canonical
+            parts = tuple(sorted((sym, e) for sym, e in key if e))
+            clean[parts] = (clean.get(parts, 0) + c) % p
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
@@ -105,10 +105,6 @@ class GenExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def level(self) -> tuple[int, int]:
-        return (self.m, self.n)
-
     def weighted_degree(self):
         if not self.terms:
             return None
@@ -125,7 +121,7 @@ class GenExpr:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = (out.get(k, 0) + c) % self.p
-        return GenExpr(self.m, self.n, self.p, out)
+        return _trusted(self.m, self.n, self.p, out)
 
     __radd__ = __add__
 
@@ -138,8 +134,9 @@ class GenExpr:
         return self + (-other)
 
     def __mul__(self, other):
+        p = self.p
         if isinstance(other, int):
-            return GenExpr(self.m, self.n, self.p, {k: c * other for k, c in self.terms.items()})
+            return _trusted(self.m, self.n, p, {k: c * other % p for k, c in self.terms.items()})
         self._require_compatible(other)
         out: dict = {}
         for k1, c1 in self.terms.items():
@@ -148,24 +145,26 @@ class GenExpr:
                 merged = dict(d1)
                 for sym, e in k2:
                     merged[sym] = merged.get(sym, 0) + e
-                key = tuple(sorted(merged.items(), key=lambda s: (_KIND_RANK[s[0][0]], s[0][1])))
-                out[key] = (out.get(key, 0) + c1 * c2) % self.p
-        return GenExpr(self.m, self.n, self.p, out)
+                key = tuple(sorted(merged.items()))
+                out[key] = (out.get(key, 0) + c1 * c2) % p
+        return _trusted(self.m, self.n, p, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        result = GenExpr.const(self.m, self.n, self.p, 1)
+        if e == 0:
+            return GenExpr.const(self.m, self.n, self.p, 1)
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, GenExpr):
@@ -176,6 +175,17 @@ class GenExpr:
 
     def __repr__(self):
         return f"GenExpr({self.m},{self.n},p={self.p}: {serialize_gen_expr(self)})"
+
+
+def _trusted(m: int, n: int, p: int, terms: dict) -> GenExpr:
+    """Trusted constructor: ``terms`` already has canonical keys of
+    symbols valid at the level and residues in [0, p); zeros are dropped."""
+    e = object.__new__(GenExpr)
+    object.__setattr__(e, "m", m)
+    object.__setattr__(e, "n", n)
+    object.__setattr__(e, "p", p)
+    object.__setattr__(e, "terms", {k: c for k, c in terms.items() if c})
+    return e
 
 
 def expand_key(key: tuple, ring: Ring) -> Poly:
@@ -312,7 +322,7 @@ def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
             e += 1
 
     rec(0, degree, [])
-    return [tuple(sorted(key, key=lambda s: (_KIND_RANK[s[0][0]], s[0][1]))) for key in found]
+    return [tuple(sorted(key)) for key in found]
 
 
 class GenSpan:
@@ -326,59 +336,31 @@ class GenSpan:
     tuple order, so the pivots are the lexicographically largest terms.
 
     Rows keep the exact combination of generator monomials they came
-    from, so solve() returns a GenExpr certificate for any member of
-    the span.  The construction is deterministic.
+    from: the i-th monomial enters the echelon as its packed expansion
+    plus the label coordinate ``-1 - i`` with coefficient 1 (the
+    augmented-matrix trick).  Labels sort below every packed key, which
+    is at least 0, so pivots are always terms, and a residue whose
+    largest key is a label is a member; its labels give the certificate.
+    The construction is deterministic.
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
         self.m, self.n, self.p, self.degree = m, n, p, degree
         self.ring = Ring(m, n, False, p)
         self.width = degree.bit_length() or 1
-        self.rows: dict[int, tuple[dict, dict]] = {}
+        self.monomials = enumerate_gen_monomials(m, n, p, degree)
+        self.echelon = FpEchelon(p)
         powers: dict = {}
-        for key in enumerate_gen_monomials(m, n, p, degree):
-            vec, acc = self._reduce(_expand_packed(key, self.ring, self.width, powers))
-            if not vec:
-                continue
-            lead = max(vec)
-            inv = fp_inv(vec[lead], p)
-            rvec = {e: (inv * c) % p for e, c in vec.items()}
-            combo = {key: 1}
-            for k2, c2 in acc.items():
-                combo[k2] = (combo.get(k2, 0) - c2) % p
-            rcombo = {k2: (inv * c2) % p for k2, c2 in combo.items() if (inv * c2) % p}
-            self.rows[lead] = (rvec, rcombo)
-
-    def _reduce(self, vec: dict) -> tuple[dict, dict]:
-        """Reduce packed terms against stored rows.  Returns (residue, acc)
-        with input = residue + sum(acc[key] * expansion(key))."""
-        p = self.p
-        vec = dict(vec)
-        acc: dict = {}
-        while vec:
-            piv = max(vec)
-            row = self.rows.get(piv)
-            if row is None:
-                break
-            rvec, rcombo = row
-            c = vec[piv]
-            for e, v in rvec.items():
-                nv = (vec.get(e, 0) - c * v) % p
-                if nv:
-                    vec[e] = nv
-                else:
-                    vec.pop(e, None)
-            for k2, v in rcombo.items():
-                nv = (acc.get(k2, 0) + c * v) % p
-                if nv:
-                    acc[k2] = nv
-                else:
-                    acc.pop(k2, None)
-        return vec, acc
+        for i, key in enumerate(self.monomials):
+            # a fresh dict: a one-symbol expansion is the memoized power itself
+            vec = {**_expand_packed(key, self.ring, self.width, powers), -1 - i: 1}
+            residue = self.echelon.reduce(vec)
+            if max(residue) >= 0:
+                self.echelon.insert(residue)
 
     @property
     def dimension(self) -> int:
-        return len(self.rows)
+        return self.echelon.rank
 
     def solve(self, f: Poly):
         """GenExpr with expand == f, or None when f is outside the span."""
@@ -387,10 +369,12 @@ class GenSpan:
         degree = self.degree
         if any(sum(exps) != degree for exps in f.terms):
             return None
-        vec, acc = self._reduce(_pack(f.terms, self.width))
-        if vec:
+        residue = self.echelon.reduce(_pack(f.terms, self.width))
+        if residue and max(residue) >= 0:
             return None
-        return GenExpr(self.m, self.n, self.p, acc)
+        # the residue's labels hold minus the combination of monomials
+        p, monomials = self.p, self.monomials
+        return _trusted(self.m, self.n, p, {monomials[-1 - i]: p - c for i, c in residue.items()})
 
 
 _SPAN_CACHE: dict[tuple, GenSpan] = {}

@@ -6,8 +6,10 @@ space of one degree is spanned by products of monomial symmetric
 functions, and the surviving subspace is the kernel of the linear map
 f -> d/dT f(x_m = y_n = T).  ``generated_dimension`` measures the span
 of all generator monomials of the same degree by row reduction.  The
-generator property predicts the two numbers agree everywhere; the two
-computations share no code path beyond basic polynomial arithmetic.
+generator property predicts the two numbers agree everywhere.  The two
+computations share polynomial arithmetic and the row reduction
+``poly_core.FpEchelon``, but not their inputs: one reduces derivative
+images of orbit sum products, the other generator monomial expansions.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from .generators import (
 )
 from .genexpr import gen_span
 from .poly_core import (
+    FpEchelon,
     Poly,
     Ring,
     d_dT,
-    fp_inv,
     one,
     psi,
     t_power,
@@ -37,38 +39,6 @@ from .poly_core import (
     zero,
 )
 from .symfun import Block, orbit_sym
-
-
-class FpEchelon:
-    """Incremental row echelon form over F_p for sparse vectors."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: dict[tuple, dict] = {}
-
-    def add(self, vec: dict) -> bool:
-        """Reduce and insert; True when the vector was independent."""
-        p = self.p
-        vec = {k: v % p for k, v in vec.items() if v % p}
-        while vec:
-            piv = max(vec)
-            row = self.rows.get(piv)
-            if row is None:
-                inv = fp_inv(vec[piv], p)
-                self.rows[piv] = {k: (inv * v) % p for k, v in vec.items()}
-                return True
-            c = vec[piv]
-            for k, v in row.items():
-                nv = (vec.get(k, 0) - c * v) % p
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def partitions_max_parts(total: int, max_parts: int):
@@ -112,11 +82,11 @@ def as_dimension(m: int, n: int, p: int, d: int) -> int:
     if m == 0 or n == 0:
         return len(basis)
     ech = FpEchelon(p)
-    rank = 0
     for f in basis:
-        if ech.add(d_dT(psi(f)).terms):
-            rank += 1
-    return len(basis) - rank
+        residue = ech.reduce(d_dT(psi(f)).terms)
+        if residue:
+            ech.insert(residue)
+    return len(basis) - ech.rank
 
 
 def generated_dimension(m: int, n: int, p: int, d: int) -> int:

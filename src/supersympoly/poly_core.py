@@ -262,6 +262,53 @@ def _unpack(acc: dict, width: int, nvars: int, p: int) -> dict[tuple, int]:
     return out
 
 
+# -- sparse row reduction -----------------------------------------------
+
+
+class FpEchelon:
+    """Incremental row echelon form over F_p for sparse vectors.
+
+    A vector maps totally ordered keys to coefficients.  A row's pivot
+    is its largest key, and a stored row has pivot coefficient 1.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: dict = {}
+
+    def reduce(self, vec: Mapping) -> dict:
+        """Copy of ``vec``, whose coefficients are residues in [1, p),
+        reduced until its largest key is not a pivot; empty when ``vec``
+        lies in the row space."""
+        p = self.p
+        rows = self.rows
+        vec = dict(vec)
+        while vec:
+            piv = max(vec)
+            row = rows.get(piv)
+            if row is None:
+                break
+            c = vec[piv]
+            for k, v in row.items():
+                nv = (vec.get(k, 0) - c * v) % p
+                if nv:
+                    vec[k] = nv
+                else:
+                    vec.pop(k, None)
+        return vec
+
+    def insert(self, residue: dict) -> None:
+        """Store a nonempty residue of ``reduce`` as a row."""
+        p = self.p
+        piv = max(residue)
+        inv = fp_inv(residue[piv], p)
+        self.rows[piv] = {k: (inv * c) % p for k, c in residue.items()}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
 def _small_pow(f: Poly, e: int) -> Poly:
     """f^e for e >= 1 by repeated squaring."""
     result = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .decompose import decompose, trace_decomposition, verify_decomposition
 from .generators import enumerate_deltas, kseq, make_v, sigma_x_p, sigma_y_p, u_k
-from .genexpr import GenExpr, expand, symbol_weight, _KIND_RANK
+from .genexpr import GenExpr, expand, symbol_weight
 from .oracle import as_dimension, cr_generating_check, generated_dimension, bracket_identity_check, psi_w_check
 from .poly_core import Ring, d_dT, psi, set_xm_zero
 from .supersym import is_p_balanced, is_strictly_supersymmetric, is_supersymmetric
@@ -135,7 +135,7 @@ def random_gen_expr(rng: random.Random, m: int, n: int, p: int,
             sym = rng.choice(options)
             acc[sym] = acc.get(sym, 0) + 1
             budget -= symbol_weight(sym[0], sym[1], m, n, p)
-        key = tuple(sorted(acc.items(), key=lambda kv: (_KIND_RANK[kv[0][0]], kv[0][1])))
+        key = tuple(sorted(acc.items()))
         terms[key] = (terms.get(key, 0) + rng.randint(1, p - 1)) % p
     return GenExpr(m, n, p, terms)
 

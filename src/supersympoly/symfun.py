@@ -4,15 +4,14 @@ Everything here acts on one variable block (X or Y) of a ring.  The
 orbit sum ``orbit_sym`` is the monomial symmetric function: each
 distinct monomial of the exponent orbit appears once with coefficient
 one.  ``rewrite_symmetric`` expresses a block-symmetric polynomial as a
-formal polynomial in either the elementary or the complete homogeneous
-family, by leading-term elimination.
+polynomial in the elementary symmetric functions of the block, by
+leading-term elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from functools import lru_cache
 
 from .errors import InternalInvariantViolation, NotSymmetricError
 from .poly_core import Poly, Ring, one, zero, _term_key
@@ -21,11 +20,6 @@ from .poly_core import Poly, Ring, one, zero, _term_key
 class Block(Enum):
     X = "x"
     Y = "y"
-
-
-class Family(Enum):
-    ELEMENTARY = "elementary"
-    COMPLETE = "complete"
 
 
 def block_span(ring: Ring, block: Block) -> tuple[int, int]:
@@ -125,85 +119,15 @@ def is_symmetric(f: Poly, block: Block) -> bool:
     return True
 
 
-# -- formal polynomials in family symbols --------------------------------
-#
-# A family expression is a dict mapping a sorted tuple of generator
-# indices (a multiset, e.g. (1, 1, 2) for e1^2*e2) to a coefficient.
+def rewrite_symmetric(f: Poly, block: Block) -> dict:
+    """Express a block-symmetric polynomial over the elementary family.
 
-
-def _fam_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, 0) + v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _fam_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = tuple(sorted(k1 + k2))
-            nv = out.get(k, 0) + v1 * v2
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _elementary_in_complete(r: int) -> tuple:
-    """e_r as an integer polynomial in h_1..h_r, as frozen dict items.
-
-    Uses the convolution identity sum_{i=0..r} (-1)^i e_i h_{r-i} = 0,
-    valid in any number of variables.
-    """
-    if r == 0:
-        return (((), 1),)
-    acc: dict = {}
-    for i in range(1, r + 1):
-        sign = 1 if (i - 1) % 2 == 0 else -1
-        prev = dict(_elementary_in_complete(r - i))
-        term = _fam_mul({(i,): sign}, prev)
-        acc = _fam_add(acc, term)
-    return tuple(sorted(acc.items()))
-
-
-def family_poly(index: int, family: Family, block: Block, ring: Ring) -> Poly:
-    if family is Family.ELEMENTARY:
-        return elementary(index, block, ring)
-    return complete(index, block, ring)
-
-
-def expand_family_expr(expr: dict, family: Family, block: Block, ring: Ring) -> Poly:
-    """Evaluate a family expression back to a concrete polynomial."""
-    out = zero(ring)
-    cache: dict[int, Poly] = {}
-    for key, c in expr.items():
-        term = c  # an int until the first factor scales it
-        for idx in key:
-            g = cache.get(idx)
-            if g is None:
-                g = family_poly(idx, family, block, ring)
-                cache[idx] = g
-            term = g * term
-        out = out + term
-    return out
-
-
-def rewrite_symmetric(f: Poly, block: Block, family: Family) -> dict:
-    """Express a block-symmetric polynomial over a generating family.
-
-    Returns a family expression E with expand_family_expr(E) == f.  The
-    input must involve only the block's variables.  Elimination works in
-    the elementary family, where the graded-lex leading exponent of a
-    symmetric polynomial is a partition and the classical exponent
-    difference rule strictly lowers it; the complete family is reached
-    by substituting each e_r with its h-expansion afterwards.
+    Returns {sorted index tuple: coefficient mod p}, where (1, 1, 2)
+    stands for e_1^2 e_2, so that f is the sum of coefficient times
+    product of ``elementary`` over the terms.  The input must involve
+    only the block's variables.  Elimination uses that the graded-lex
+    leading exponent of a symmetric polynomial is a partition and that
+    the classical exponent difference rule strictly lowers it.
     """
     ring = f.ring
     off, size = block_span(ring, block)
@@ -237,16 +161,4 @@ def rewrite_symmetric(f: Poly, block: Block, family: Family) -> dict:
         if not new_work.is_zero and _term_key(new_work.leading()[0]) >= _term_key(exps):
             raise InternalInvariantViolation("leading term did not decrease")
         work = new_work
-    result = {k: v for k, v in result.items() if v}
-
-    if family is Family.ELEMENTARY:
-        return result
-
-    # substitute e_r -> polynomial in h_1..h_r
-    out: dict = {}
-    for key, c in result.items():
-        term = {(): c}
-        for idx in key:
-            term = _fam_mul(term, dict(_elementary_in_complete(idx)))
-        out = _fam_add(out, term)
-    return {k: v % ring.p for k, v in out.items() if v % ring.p}
+    return {k: v for k, v in result.items() if v}

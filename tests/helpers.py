@@ -119,6 +119,39 @@ class ReferenceSpan:
         return None if vec else GenExpr(self.m, self.n, self.p, acc)
 
 
+class ReferenceEchelon:
+    """The echelon the oracle used before it shared ``poly_core.FpEchelon``:
+    one ``add`` that reduces a vector and stores it when independent."""
+
+    def __init__(self, p):
+        self.p = p
+        self.rows = {}
+
+    def add(self, vec):
+        """Reduce and insert; True when the vector was independent."""
+        p = self.p
+        vec = {k: v % p for k, v in vec.items() if v % p}
+        while vec:
+            piv = max(vec)
+            row = self.rows.get(piv)
+            if row is None:
+                inv = fp_inv(vec[piv], p)
+                self.rows[piv] = {k: (inv * v) % p for k, v in vec.items()}
+                return True
+            c = vec[piv]
+            for k, v in row.items():
+                nv = (vec.get(k, 0) - c * v) % p
+                if nv:
+                    vec[k] = nv
+                else:
+                    vec.pop(k, None)
+        return False
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+
 @st.composite
 def wide_operands(draw, max_terms=4):
     """A ring with up to five variables (T included or not) and two

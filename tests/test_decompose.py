@@ -1,20 +1,27 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from supersympoly import (
+    Block,
     GenExpr,
     NotSupersymmetricError,
     Ring,
     ZeroPolynomialError,
     c_r,
+    complete,
     core_to_generators,
     decompose,
+    elementary,
     expand,
     factor_core,
     make_v,
     monomial,
+    one,
     parse_poly,
+    parse_gen_expr,
     serialize_gen_expr,
     u_k,
     verify_decomposition,
@@ -163,6 +170,48 @@ class TestBaseLevels:
         e = decompose(f)
         assert verify_decomposition(f, e)
         assert all(kind == "C" for key in e.terms for (kind, _), _ in key)
+
+    def test_complete_is_signed_c(self):
+        # at (0, n), c_r = (-1)^r h_r(y)
+        r = Ring(0, 2, False, 3)
+        e = decompose(parse_poly("y1^2 + y1*y2 + y2^2", r))
+        assert serialize_gen_expr(e) == "C[2]"
+
+    def test_elementary_y_over_c(self):
+        r = Ring(0, 2, False, 3)
+        e = decompose(elementary(2, Block.Y, r))
+        assert e == parse_gen_expr("C[1]^2 - C[2]", 0, 2, 3)
+
+
+@st.composite
+def one_block_inputs(draw):
+    """A level (m, 0) or (0, n) and a sum of products of elementary and
+    complete symmetric functions of its one block, degree <= 8."""
+    p = draw(st.sampled_from((3, 5)))
+    size = draw(st.integers(1, 3))
+    block = draw(st.sampled_from((Block.X, Block.Y)))
+    ring = Ring(size, 0, False, p) if block is Block.X else Ring(0, size, False, p)
+    f = zero(ring)
+    for _ in range(draw(st.integers(1, 3))):
+        term = draw(st.integers(1, p - 1)) * one(ring)
+        budget = 8
+        for _ in range(draw(st.integers(1, 3))):
+            family = draw(st.sampled_from((elementary, complete)))
+            idx = draw(st.integers(1, min(size + 1, budget)))
+            term = term * family(idx, block, ring)
+            budget -= idx
+            if budget == 0:
+                break
+        f = f + term
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_block_inputs())
+def test_one_block_round_trip(f):
+    e = decompose(f)
+    assert all(kind == "C" for key in e.terms for (kind, _), _ in key)
+    assert expand(e, f.ring) == f
 
 
 class TestVkCertificates:

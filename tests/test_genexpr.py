@@ -61,6 +61,34 @@ class TestGenExpr:
         with pytest.raises(ValueError):
             expand(e, R11)
 
+    def test_kind_names_sort_in_rank_order(self):
+        # keys are canonical under plain tuple order only because of this
+        rank = genexpr._KIND_RANK
+        assert sorted(rank) == sorted(rank, key=rank.get) == ["C", "EX", "EY", "U"]
+        e = GenExpr(2, 2, 3, {((("U", 1), 1), (("EY", 2), 1), (("EX", 1), 1), (("C", 3), 1)): 1})
+        assert list(e.terms) == [((("C", 3), 1), (("EX", 1), 1), (("EY", 2), 1), (("U", 1), 1))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(1, 1, 3), (2, 1, 3), (1, 2, 5), (2, 2, 3)]),
+    st.integers(0, 2**32 - 1),
+    st.integers(-6, 10),
+    st.integers(0, 3),
+)
+def test_arithmetic_results_are_canonical(level, seed, c, e):
+    """Sums and products skip symbol validation; their terms must still
+    be what the validating constructor makes of them, with no zeros."""
+    m, n, p = level
+    rng = random.Random(seed)
+    a = random_gen_expr(rng, m, n, p, max_weight=6, max_terms=3)
+    b = random_gen_expr(rng, m, n, p, max_weight=6, max_terms=3)
+    # share some of a's terms with opposite sign, so that a + b cancels
+    b = b + GenExpr(m, n, p, {k: -v for k, v in a.terms.items() if rng.random() < 0.5})
+    for result in (a + b, a - b, a * b, a * c, c * a, -a, a ** e, a + c):
+        assert result == GenExpr(m, n, p, result.terms)
+        assert all(0 < v < p for v in result.terms.values())
+
 
 class TestSerialization:
     def test_frozen_string(self):
@@ -133,7 +161,10 @@ class TestGenSpan:
 
     def test_dimension_matches_row_count(self):
         span = GenSpan(1, 1, 3, 3)
-        assert span.dimension == len(span.rows) > 0
+        rows = _tuple_rows(span)
+        ref = ReferenceSpan(1, 1, 3, 3)
+        assert span.dimension == len(rows) == len(ref.rows) > 0
+        assert rows == [(lead, rvec, rcombo) for lead, (rvec, rcombo) in ref.rows.items()]
 
     def test_degree_zero(self):
         for m, n, p in [(1, 1, 3), (2, 0, 5), (0, 2, 3)]:
@@ -162,12 +193,17 @@ class TestGenSpan:
 
 
 def _tuple_rows(span):
-    """A packed span's rows, unpacked to exponent tuples, in row order."""
+    """A span's echelon rows in row order, each split into its pivot and
+    terms unpacked to exponent tuples and its label coordinates read as
+    the combination of generator monomials."""
     width, nvars, p = span.width, span.ring.nvars, span.p
-    return [
-        (next(iter(_unpack({lead: 1}, width, nvars, p))), _unpack(rvec, width, nvars, p), rcombo)
-        for lead, (rvec, rcombo) in span.rows.items()
-    ]
+    out = []
+    for lead, row in span.echelon.rows.items():
+        assert lead >= 0  # a pivot is always a term, never a label
+        terms = {k: c for k, c in row.items() if k >= 0}
+        combo = {span.monomials[-1 - k]: c for k, c in row.items() if k < 0}
+        out.append((next(iter(_unpack({lead: 1}, width, nvars, p))), _unpack(terms, width, nvars, p), combo))
+    return out
 
 
 def _assert_matches_reference(m, n, p, d):

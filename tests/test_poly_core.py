@@ -21,7 +21,8 @@ from supersympoly import (
     x_var,
     zero,
 )
-from helpers import reference_mul, reference_pow, ring_and_polys, wide_operands
+from supersympoly.poly_core import FpEchelon
+from helpers import ReferenceEchelon, reference_mul, reference_pow, ring_and_polys, wide_operands
 
 R11 = Ring(1, 1, False, 3)
 R21 = Ring(2, 1, False, 3)
@@ -295,3 +296,35 @@ def test_text_round_trip(data):
     again = parse_poly(text, ring)
     assert again == f
     assert poly_to_str(again) == text
+
+
+@st.composite
+def sparse_systems(draw):
+    """A prime and a list of sparse vectors with tuple keys and residues
+    in [1, p); a vector may repeat an earlier one."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    vec = st.dictionaries(keys, st.integers(1, p - 1), max_size=6)
+    vecs = draw(st.lists(vec, max_size=14))
+    if vecs and draw(st.booleans()):
+        vecs.append(dict(draw(st.sampled_from(vecs))))
+    return p, vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_echelon_matches_reference(system):
+    p, vecs = system
+    ech, ref = FpEchelon(p), ReferenceEchelon(p)
+    for vec in vecs:
+        before = dict(vec)
+        residue = ech.reduce(vec)
+        assert vec == before  # reduce works on a copy
+        assert all(0 < c < p for c in residue.values())
+        if residue:
+            ech.insert(residue)
+        assert bool(residue) == ref.add(vec)
+    assert ech.rank == ref.rank
+    assert list(ech.rows.items()) == list(ref.rows.items())
+    for row in ech.rows.values():
+        assert row[max(row)] == 1

@@ -7,12 +7,10 @@ import hypothesis.strategies as st
 
 from supersympoly import (
     Block,
-    Family,
     NotSymmetricError,
     Ring,
     complete,
     elementary,
-    expand_family_expr,
     is_symmetric,
     one,
     orbit_sym,
@@ -23,6 +21,17 @@ from supersympoly import (
 
 R20 = Ring(2, 0, False, 3)
 R22 = Ring(2, 2, False, 3)
+
+
+def expand_elementary(expr, block, ring):
+    """Evaluate a rewrite_symmetric result through products of elementary."""
+    out = zero(ring)
+    for key, c in expr.items():
+        term = c * one(ring)
+        for r in key:
+            term = term * elementary(r, block, ring)
+        out = out + term
+    return out
 
 
 class TestElementary:
@@ -100,27 +109,30 @@ class TestIsSymmetric:
 class TestRewriteSymmetric:
     def test_power_sum_over_elementary(self):
         f = parse_poly("x1^2 + x2^2", R20)
-        expr = rewrite_symmetric(f, Block.X, Family.ELEMENTARY)
+        expr = rewrite_symmetric(f, Block.X)
         # e1^2 - 2 e2, with -2 reduced mod 3
         assert expr == {(1, 1): 1, (2,): 1}
-        assert expand_family_expr(expr, Family.ELEMENTARY, Block.X, R20) == f
+        assert expand_elementary(expr, Block.X, R20) == f
 
     def test_elementary_is_itself(self):
         f = elementary(2, Block.X, R20)
-        assert rewrite_symmetric(f, Block.X, Family.ELEMENTARY) == {(2,): 1}
+        assert rewrite_symmetric(f, Block.X) == {(2,): 1}
 
     def test_complete_basis_case(self):
+        # h_2 = e_1^2 - e_2; the complete family in C symbols is
+        # covered in test_decompose
         f = parse_poly("y1^2 + y1*y2 + y2^2", R22)
-        expr = rewrite_symmetric(f, Block.Y, Family.COMPLETE)
-        assert expr == {(2,): 1}
+        expr = rewrite_symmetric(f, Block.Y)
+        assert expr == {(1, 1): 1, (2,): 2}
+        assert expand_elementary(expr, Block.Y, R22) == f
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetricError):
-            rewrite_symmetric(parse_poly("x1", R20), Block.X, Family.ELEMENTARY)
+            rewrite_symmetric(parse_poly("x1", R20), Block.X)
 
     def test_rejects_foreign_variables(self):
         with pytest.raises(NotSymmetricError):
-            rewrite_symmetric(parse_poly("x1*y1 + x2*y1", R22), Block.X, Family.ELEMENTARY)
+            rewrite_symmetric(parse_poly("x1*y1 + x2*y1", R22), Block.X)
 
 
 def test_newton_style_convolution():
@@ -143,7 +155,7 @@ def symmetric_inputs(draw):
     p = draw(st.sampled_from((3, 5)))
     size = draw(st.integers(1, 3))
     ring = Ring(size, 0, False, p)
-    family = draw(st.sampled_from((Family.ELEMENTARY, Family.COMPLETE)))
+    family = draw(st.sampled_from((elementary, complete)))
     # random product combinations of the family generators, degree <= 8
     f = zero(ring)
     for _ in range(draw(st.integers(1, 3))):
@@ -154,20 +166,16 @@ def symmetric_inputs(draw):
             idx = draw(st.integers(1, size))
             if idx > budget:
                 break
-            g = (
-                elementary(idx, Block.X, ring)
-                if family is Family.ELEMENTARY
-                else complete(idx, Block.X, ring)
-            )
-            term = term * g
+            term = term * family(idx, Block.X, ring)
             budget -= idx
         f = f + term
-    return ring, family, f
+    return ring, f
 
 
 @settings(max_examples=40, deadline=None)
 @given(symmetric_inputs())
 def test_rewrite_round_trip(data):
-    ring, family, f = data
-    expr = rewrite_symmetric(f, Block.X, family)
-    assert expand_family_expr(expr, family, Block.X, ring) == f
+    ring, f = data
+    expr = rewrite_symmetric(f, Block.X)
+    assert all(0 < c < ring.p for c in expr.values())
+    assert expand_elementary(expr, Block.X, ring) == f
