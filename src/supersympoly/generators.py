@@ -14,9 +14,9 @@ u_k(m-1|n) to a supersymmetric polynomial v_k at level (m, n): exponent
 sequences (KSeq), nondecreasing index sequences (DeltaSeq), and three
 bracket families built from placed symmetrizations.
 
-A bracket is a product of two "placed" symmetric sums.  Each placed sum
-is described by slot families (value, count): monomials are obtained by
-assigning all slots to distinct variables of the block, where slots of
+A bracket is one "placed" symmetric sum over both blocks, described by
+slot families (value, count) for each block.  Its monomials are obtained
+by assigning all slots to distinct variables of their block, where slots of
 the same family are interchangeable but slots of different families are
 distinguished even when their exponent values happen to coincide.  In
 the generic case this is exactly the monomial symmetric function; when
@@ -30,13 +30,12 @@ exponent k_p vanishes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalInvariantViolation
-from .poly_core import Poly, Ring, fp_inv, monomial, zero
-from .symfun import Block, block_span, complete, elementary
+from .poly_core import Poly, Ring, _clean, fp_inv, monomial, zero
+from .symfun import Block, _placements, complete, elementary
 
 
 # -- exponent bookkeeping -------------------------------------------------
@@ -159,40 +158,27 @@ def enumerate_deltas(s: int, max_weight: int | None = None) -> list[DeltaSeq]:
 # -- placed symmetrization -------------------------------------------------
 
 
-def placed_sym(families, block: Block, ring: Ring) -> Poly:
+def placed_sym(xfams, yfams, ring: Ring) -> Poly:
     """Sum over assignments of slot families to distinct block variables.
 
-    ``families`` is a sequence of (value, count) pairs.  Families with
-    count 0 are skipped; if the remaining slots outnumber the block's
-    variables the sum is empty.  Families are never merged, so equal
-    values in different families contribute multiplicities, and a
-    zero-valued slot still occupies a variable.
+    ``xfams`` and ``yfams`` are sequences of (value, count) pairs placed
+    on the x and the y block.  Families with count 0 are skipped; if a
+    block's slots outnumber its variables the sum is empty.  Families
+    are never merged, so equal values in different families contribute
+    multiplicities, and a zero-valued slot still occupies a variable.
+    The T slot, if any, is zero.
     """
-    off, size = block_span(ring, block)
-    fams = [(v, c) for v, c in families if c > 0]
-    if any(v < 0 for v, _ in fams):
-        raise ValueError("slot values must be nonnegative")
-    if sum(c for _, c in fams) > size:
-        return zero(ring)
-    terms: dict[tuple, int] = {}
-    nvars = ring.nvars
+    xs = _placements(xfams, ring.m)
+    ys = _placements(yfams, ring.n)
+    pad = (0,) if ring.has_t else ()
     p = ring.p
-
-    def rec(fi: int, free: tuple, exps: list):
-        if fi == len(fams):
-            key = tuple(exps)
-            terms[key] = (terms.get(key, 0) + 1) % p
-            return
-        value, count = fams[fi]
-        for combo in itertools.combinations(free, count):
-            chosen = set(combo)
-            for v in combo:
-                exps[off + v] += value
-            rec(fi + 1, tuple(v for v in free if v not in chosen), exps)
-            for v in combo:
-                exps[off + v] -= value
-    rec(0, tuple(range(size)), [0] * nvars)
-    return Poly(ring, terms)
+    terms = {}
+    for xe, a in xs.items():
+        for ye, b in ys.items():
+            c = a * b % p
+            if c:
+                terms[xe + ye + pad] = c
+    return _clean(ring, terms)
 
 
 # -- the generator families ------------------------------------------------
@@ -264,9 +250,8 @@ def bracket_round(delta: DeltaSeq, j: int, ks: KSeq, ring: Ring) -> Poly:
     t = delta.size
     if not (0 <= t <= M and 0 <= j < N):
         return zero(ring)
-    xpart = placed_sym([(ks.k, M - t)] + _delta_x_families(delta, ks), Block.X, ring)
-    ypart = placed_sym([(ks.p - ks.k, N - j - 1), (ks.kp, 1)], Block.Y, ring)
-    return xpart * ypart
+    xfams = [(ks.k, M - t)] + _delta_x_families(delta, ks)
+    return placed_sym(xfams, [(ks.p - ks.k, N - j - 1), (ks.kp, 1)], ring)
 
 
 def bracket_square(delta: DeltaSeq, j: int, ks: KSeq, ring: Ring) -> Poly:
@@ -276,9 +261,8 @@ def bracket_square(delta: DeltaSeq, j: int, ks: KSeq, ring: Ring) -> Poly:
     t = delta.size
     if not (0 <= t <= M and 0 <= j <= N):
         return zero(ring)
-    xpart = placed_sym([(ks.k, M - t)] + _delta_x_families(delta, ks), Block.X, ring)
-    ypart = placed_sym([(ks.p - ks.k, N - j)], Block.Y, ring)
-    return xpart * ypart
+    xfams = [(ks.k, M - t)] + _delta_x_families(delta, ks)
+    return placed_sym(xfams, [(ks.p - ks.k, N - j)], ring)
 
 
 def bracket_brace(delta: DeltaSeq, l: int, j: int, ks: KSeq, ring: Ring) -> Poly:
@@ -292,9 +276,7 @@ def bracket_brace(delta: DeltaSeq, l: int, j: int, ks: KSeq, ring: Ring) -> Poly
     if not (0 <= t < M and 0 <= j <= N):
         return zero(ring)
     xfams = [(ks.k, M - t - 1), (l * (ks.p - ks.k), 1)] + _delta_x_families(delta, ks)
-    xpart = placed_sym(xfams, Block.X, ring)
-    ypart = placed_sym([(ks.p - ks.k, N - j)], Block.Y, ring)
-    return xpart * ypart
+    return placed_sym(xfams, [(ks.p - ks.k, N - j)], ring)
 
 
 # -- the lift ---------------------------------------------------------------
@@ -336,12 +318,7 @@ def v_k(ks: KSeq, ring: Ring) -> Poly:
     p = ring.p
     sign = 1 if ks.s % 2 == 0 else -1
     scalar = (sign * fp_inv(ks.s, p)) % p
-    head = scalar * w_poly(ks, ring)
-    yexps = [0] * ring.m + [p - ks.k] * ring.n
-    if ring.has_t:
-        yexps.append(0)
-    tail = placed_sym([(ks.k, ring.m - 1)], Block.X, ring) * monomial(ring, yexps)
-    return head + tail
+    return scalar * w_poly(ks, ring) + placed_sym([(ks.k, ring.m - 1)], [(p - ks.k, ring.n)], ring)
 
 
 def make_v(p: int, k: int, m: int, n: int) -> Poly:

@@ -71,15 +71,18 @@ class GenExpr:
     def __init__(self, m: int, n: int, p: int, terms):
         clean = {}
         for key, c in terms.items():
+            merged: dict = {}
             for (kind, idx), e in key:
                 _validate_symbol(kind, idx, m, n, p)
                 if e < 0:
                     raise ValueError("symbol exponents must be nonnegative")
+                if e:
+                    merged[kind, idx] = merged.get((kind, idx), 0) + e
             c %= p
             if not c:
                 continue
             # kind names sort as _KIND_RANK does, so plain order is canonical
-            parts = tuple(sorted((sym, e) for sym, e in key if e))
+            parts = tuple(sorted(merged.items()))
             clean[parts] = (clean.get(parts, 0) + c) % p
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -272,13 +275,7 @@ def parse_gen_expr(text: str, m: int, n: int, p: int) -> GenExpr:
             raise PolyParseError("expected a symbol C[r], EX[i], EY[j] or U[k]")
         return (name[0], tokens[pos + 2][1]), pos + 4
 
-    def symbols(factors):
-        acc: dict = {}
-        for sym, e in factors:
-            acc[sym] = acc.get(sym, 0) + e
-        return tuple(sorted(acc.items()))  # kind names sort as _KIND_RANK does
-
-    terms = _parse_terms(text, read_symbol, symbols)
+    terms = _parse_terms(text, read_symbol, tuple)  # GenExpr merges repeats
     try:
         return GenExpr(m, n, p, terms)
     except ValueError as exc:  # a symbol that does not exist at this level

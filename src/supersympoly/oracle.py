@@ -10,10 +10,18 @@ generator property predicts the two numbers agree everywhere.  The two
 computations share polynomial arithmetic and the row reduction
 ``poly_core.FpEchelon``, but not their inputs: one reduces derivative
 images of orbit sum products, the other generator monomial expansions.
+
+Each product m_lambda(x) m_mu(y) is one ``generators.placed_sym`` call
+(one slot family per distinct part), the routine that also builds the
+brackets and the tail of v_k.  The generators keep their own
+constructors (``elementary``, ``complete``, ``u_k``), so the two sides
+share none; ``elementary`` also sits in ``rewrite_symmetric``'s inner
+loop, where a direct enumeration beats the generic placement.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .generators import (
@@ -23,6 +31,7 @@ from .generators import (
     bracket_round,
     bracket_square,
     c_r,
+    placed_sym,
     w_poly,
 )
 from .genexpr import gen_span
@@ -38,7 +47,6 @@ from .poly_core import (
     y_var,
     zero,
 )
-from .symfun import Block, orbit_sym
 
 
 def partitions_max_parts(total: int, max_parts: int):
@@ -63,14 +71,9 @@ def symmetric_basis(m: int, n: int, p: int, d: int) -> list[Poly]:
     basis = []
     for dx in range(d + 1):
         for lam in partitions_max_parts(dx, m):
+            xfams = Counter(lam).items()
             for mu in partitions_max_parts(d - dx, n):
-                # the orbit sum of the empty partition is 1
-                if not mu:
-                    basis.append(orbit_sym(lam, Block.X, ring))
-                elif not lam:
-                    basis.append(orbit_sym(mu, Block.Y, ring))
-                else:
-                    basis.append(orbit_sym(lam, Block.X, ring) * orbit_sym(mu, Block.Y, ring))
+                basis.append(placed_sym(xfams, Counter(mu).items(), ring))
     return basis
 
 

@@ -446,17 +446,11 @@ def homogeneous_components(f: Poly) -> list[tuple[int, Poly]]:
 
 # -- text form -----------------------------------------------------------
 
-_SLOT_NAME_CACHE: dict[Ring, list[str]] = {}
-
-
 def poly_to_str(f: Poly) -> str:
     """Canonical text form: graded-lex descending, residues in [0, p)."""
     if f.is_zero:
         return "0"
-    names = _SLOT_NAME_CACHE.get(f.ring)
-    if names is None:
-        names = f.ring.var_names()
-        _SLOT_NAME_CACHE[f.ring] = names
+    names = f.ring.var_names()
     parts = []
     for exps in sorted(f.terms, key=_term_key, reverse=True):
         c = f.terms[exps]

@@ -122,7 +122,8 @@ def random_gen_expr(rng: random.Random, m: int, n: int, p: int,
     symbols = [("C", r) for r in range(1, max_weight + 1)]
     symbols += [("EX", i) for i in range(1, m + 1)]
     symbols += [("EY", j) for j in range(1, n + 1)]
-    symbols += [("U", k) for k in range(1, p)]
+    if n >= 1:
+        symbols += [("U", k) for k in range(1, p)]
     symbols = [s for s in symbols if symbol_weight(s[0], s[1], m, n, p) <= max_weight]
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):

@@ -3,7 +3,9 @@
 Everything here acts on one variable block (X or Y) of a ring.  The
 orbit sum ``orbit_sym`` is the monomial symmetric function: each
 distinct monomial of the exponent orbit appears once with coefficient
-one.  ``rewrite_symmetric`` expresses a block-symmetric polynomial as a
+one.  It is built on ``_placements``, the block-local placement of slot
+families that ``generators.placed_sym`` runs on both blocks.
+``rewrite_symmetric`` expresses a block-symmetric polynomial as a
 polynomial in the elementary symmetric functions of the block, by
 leading-term elimination.
 """
@@ -11,10 +13,11 @@ leading-term elimination.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from enum import Enum
 
 from .errors import InternalInvariantViolation, NotSymmetricError
-from .poly_core import Poly, Ring, one, zero, _term_key
+from .poly_core import Poly, Ring, _clean, _term_key, one, zero
 
 
 class Block(Enum):
@@ -65,43 +68,47 @@ def complete(j: int, block: Block, ring: Ring) -> Poly:
     return Poly(ring, terms)
 
 
-def _distinct_permutations(values: tuple):
-    """Yield the distinct orderings of a multiset, lexicographically."""
-    pool = sorted(values)
-    size = len(pool)
+def _placements(families, size: int) -> dict[tuple, int]:
+    """{block exponent tuple: multiplicity} of the ways to put the slots
+    of the (value, count) ``families`` on distinct variables of a block
+    of ``size``.  Slots of one family are interchangeable, slots of
+    different families are not, even when their values coincide.
+    """
+    fams = [(v, c) for v, c in families if c > 0]
+    if any(v < 0 for v, _ in fams):
+        raise ValueError("slot values must be nonnegative")
+    out: dict[tuple, int] = {}
+    if sum(c for _, c in fams) > size:
+        return out
+    exps = [0] * size
 
-    def rec(remaining: list, prefix: list):
-        if len(prefix) == size:
-            yield tuple(prefix)
+    def rec(fi: int, free: tuple):
+        if fi == len(fams):
+            key = tuple(exps)
+            out[key] = out.get(key, 0) + 1
             return
-        seen = set()
-        for idx, v in enumerate(remaining):
-            if v in seen:
-                continue
-            seen.add(v)
-            yield from rec(remaining[:idx] + remaining[idx + 1 :], prefix + [v])
+        value, count = fams[fi]
+        for combo in itertools.combinations(free, count):
+            for v in combo:
+                exps[v] = value
+            rec(fi + 1, tuple(v for v in free if v not in combo))
+            for v in combo:
+                exps[v] = 0
 
-    yield from rec(pool, [])
+    rec(0, tuple(range(size)))
+    return out
 
 
 def orbit_sym(exponents, block: Block, ring: Ring) -> Poly:
     """Monomial symmetric function of an exponent multiset (zeros dropped)."""
     off, size = block_span(ring, block)
-    exps = tuple(e for e in exponents if e > 0)
     if any(e < 0 for e in exponents):
         raise ValueError("exponents must be natural numbers")
-    if len(exps) > size:
-        raise ValueError(
-            f"{len(exps)} nonzero exponents do not fit in a block of size {size}"
-        )
-    padded = exps + (0,) * (size - len(exps))
-    terms = {}
-    for arrangement in _distinct_permutations(padded):
-        full = [0] * ring.nvars
-        for v, e in enumerate(arrangement):
-            full[off + v] = e
-        terms[tuple(full)] = 1
-    return Poly(ring, terms)
+    fams = Counter(e for e in exponents if e)
+    if fams.total() > size:
+        raise ValueError(f"{fams.total()} nonzero exponents do not fit in a block of size {size}")
+    before, after = (0,) * off, (0,) * (ring.nvars - off - size)
+    return _clean(ring, {before + e + after: 1 for e in _placements(fams.items(), size)})
 
 
 def is_symmetric(f: Poly, block: Block) -> bool:

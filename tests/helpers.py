@@ -1,10 +1,14 @@
 """Shared strategies and small builders for the test suite."""
 
+import itertools
+import math
+
 import hypothesis.strategies as st
 
 from supersympoly import GenExpr, Poly, Ring, enumerate_gen_monomials
 from supersympoly.generators import generator_poly
 from supersympoly.poly_core import fp_inv
+from supersympoly.symfun import block_span
 
 
 def build_poly(ring, pairs):
@@ -51,6 +55,22 @@ def reference_mul(f, g):
             exps = tuple(a + b for a, b in zip(e1, e2))
             out[exps] = (out.get(exps, 0) + c1 * c2) % p
     return Poly(f.ring, out)
+
+
+def reference_placed(families, block, ring):
+    """One-block placed sum by brute force: every injective map of the
+    slots to the block's variables, with each family's slots labeled,
+    then divided by the relabelings inside each family."""
+    off, size = block_span(ring, block)
+    slots = [v for v, c in families for _ in range(c)]
+    relabelings = math.prod(math.factorial(c) for _, c in families)
+    counts = {}
+    for chosen in itertools.permutations(range(size), len(slots)):
+        exps = [0] * ring.nvars
+        for value, var in zip(slots, chosen):
+            exps[off + var] = value
+        counts[tuple(exps)] = counts.get(tuple(exps), 0) + 1
+    return Poly(ring, {e: c // relabelings for e, c in counts.items()})
 
 
 def reference_pow(f, e):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from supersympoly import (
     Block,
@@ -24,6 +26,8 @@ from supersympoly import (
     w_poly,
 )
 from supersympoly.generators import placed_sym
+
+from helpers import reference_mul, reference_placed
 
 EMPTY = DeltaSeq(())
 
@@ -174,19 +178,45 @@ class TestBrackets:
 class TestPlacedSym:
     def test_single_family_is_orbit(self):
         r = Ring(2, 0, False, 3)
-        assert placed_sym([(1, 2)], Block.X, r) == parse_poly("x1*x2", r)
+        assert placed_sym([(1, 2)], [], r) == parse_poly("x1*x2", r)
 
     def test_distinct_families_with_equal_values(self):
         r = Ring(2, 0, False, 3)
-        assert placed_sym([(1, 1), (1, 1)], Block.X, r) == parse_poly("2*x1*x2", r)
+        assert placed_sym([(1, 1), (1, 1)], [], r) == parse_poly("2*x1*x2", r)
 
     def test_zero_valued_slot_occupies_a_variable(self):
         r = Ring(0, 2, False, 3)
-        assert placed_sym([(0, 1)], Block.Y, r) == parse_poly("2", r)
+        assert placed_sym([], [(0, 1)], r) == parse_poly("2", r)
 
     def test_overfull_is_zero(self):
         r = Ring(1, 0, False, 3)
-        assert placed_sym([(1, 2)], Block.X, r).is_zero
+        assert placed_sym([(1, 2)], [], r).is_zero
+
+
+_families = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.booleans(),
+    _families,
+    _families,
+)
+# equal values across families, zero-valued slots, an overfull block
+@example(3, 3, 2, False, [(1, 1), (1, 2)], [(0, 1)])
+@example(5, 2, 2, True, [(2, 1), (2, 1)], [(0, 2)])
+@example(3, 2, 3, True, [(1, 3)], [(2, 1), (2, 1), (2, 1)])
+@example(7, 3, 1, False, [(0, 1), (3, 1)], [(1, 2)])
+def test_placed_sym_matches_product_of_blocks(p, m, n, has_t, xfams, yfams):
+    """The two-block placement is the product of the one-block ones."""
+    ring = Ring(m, n, has_t, p)
+    expected = reference_mul(
+        reference_placed(xfams, Block.X, ring), reference_placed(yfams, Block.Y, ring)
+    )
+    assert placed_sym(xfams, yfams, ring) == expected
 
 
 class TestW:

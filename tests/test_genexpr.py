@@ -61,6 +61,15 @@ class TestGenExpr:
         with pytest.raises(ValueError):
             expand(e, R11)
 
+    def test_repeated_symbol_in_a_key_is_merged(self):
+        e = GenExpr(1, 1, 3, {((("C", 1), 1), (("C", 1), 1)): 1})
+        assert e == GenExpr.symbol(1, 1, 3, "C", 1, 2)
+        assert serialize_gen_expr(e) == "C[1]^2"
+        assert parse_gen_expr(serialize_gen_expr(e), 1, 1, 3) == e
+        # spellings of one term that differ only in order or repetition
+        e = parse_gen_expr("C[1]*C[2]*C[1] + 2*C[2]*C[1]^2", 1, 1, 5)
+        assert e == GenExpr(1, 1, 5, {((("C", 1), 2), (("C", 2), 1)): 3})
+
     def test_kind_names_sort_in_rank_order(self):
         # keys are canonical under plain tuple order only because of this
         rank = genexpr._KIND_RANK
@@ -88,6 +97,13 @@ def test_arithmetic_results_are_canonical(level, seed, c, e):
     for result in (a + b, a - b, a * b, a * c, c * a, -a, a ** e, a + c):
         assert result == GenExpr(m, n, p, result.terms)
         assert all(0 < v < p for v in result.terms.values())
+
+
+def test_random_gen_expr_without_y_block():
+    # U[k] needs a y variable, so it must not be drawn at n = 0
+    for seed in range(20):
+        e = random_gen_expr(random.Random(seed), 2, 0, 3)
+        assert all(kind != "U" for key in e.terms for (kind, _), _ in key)
 
 
 class TestSerialization:

@@ -1,7 +1,9 @@
 import pytest
 
 from supersympoly import (
+    Block,
     DeltaSeq,
+    Ring,
     as_dimension,
     cr_generating_check,
     dim_grid,
@@ -9,6 +11,7 @@ from supersympoly import (
     generated_dimension,
     kseq,
     bracket_identity_check,
+    orbit_sym,
 )
 from supersympoly.oracle import partitions_max_parts, symmetric_basis
 
@@ -40,6 +43,17 @@ class TestAsDimension:
             for dx in range(d + 1)
         )
         assert len(symmetric_basis(m, n, 3, d)) == count
+
+    def test_basis_elements_are_orbit_sum_products(self):
+        for m, n, p, d in [(2, 2, 3, 5), (1, 2, 5, 4), (3, 1, 3, 6), (0, 2, 3, 3), (2, 0, 5, 3)]:
+            ring = Ring(m, n, False, p)
+            expected = [
+                orbit_sym(lam, Block.X, ring) * orbit_sym(mu, Block.Y, ring)
+                for dx in range(d + 1)
+                for lam in partitions_max_parts(dx, m)
+                for mu in partitions_max_parts(d - dx, n)
+            ]
+            assert symmetric_basis(m, n, p, d) == expected
 
 
 class TestGeneratedDimension:
