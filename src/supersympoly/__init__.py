@@ -33,7 +33,6 @@ from .symfun import (
     complete,
     elementary,
     is_symmetric,
-    orbit_sym,
     rewrite_symmetric,
 )
 from .supersym import (

@@ -8,15 +8,17 @@ certificate, not a normal form: the generator algebra has relations, so
 different expressions may expand to the same polynomial.
 
 GenSpan row-reduces the expansions of all symbol monomials of one
-weighted degree and can write any polynomial of the spanned space as a
-GenExpr, tracking the combination exactly over F_p.
+weighted degree, in orbit-leader coordinates, and can write any
+polynomial of the spanned space as a GenExpr, tracking the combination
+exactly over F_p.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
-from .errors import PolyParseError
+from .errors import InternalInvariantViolation, PolyParseError
 from .generators import generator_poly
 from .poly_core import (
     FpEchelon,
@@ -327,18 +329,39 @@ class GenSpan:
 
     Every expansion is homogeneous of the span's degree, so no exponent
     exceeds it and one bit field width, ``degree.bit_length()``, packs
-    every term (see ``poly_core._pack``).  The span packs each symbol
-    power once, multiplies, stores and row-reduces packed keys, and
-    packs a polynomial to solve once.  Packed order is lexicographic
-    tuple order, so the pivots are the lexicographically largest terms.
+    every term (see ``poly_core._pack``).  Packed order is lexicographic
+    tuple order.
+
+    Every generator is supersymmetric, so every expansion is invariant
+    under S_m x S_n and is fixed by its coefficients on orbit leaders,
+    the exponent tuples sorted nonincreasing inside each block.  The
+    span keeps expansions in leader coordinates only.  It packs each
+    symbol power in full once and checks that it is block-symmetric.  A
+    key's product starts from the leader terms of its largest factor;
+    each other factor multiplies the leader terms, weighted by their
+    orbit sizes, into the factor's full expansion, and the products are
+    summed on the leaders of their keys.  Over Z that sum is
+    orbit_size(e) times the product's coefficient at the leader e, so it
+    is divided exactly before it is reduced mod p (m! n! may be 0 mod
+    p).  At levels with m, n <= 1 every key is its own leader, and keys
+    are expanded by plain products, as in ``expand_key``.
+
+    Projection to leaders is injective on block-symmetric polynomials,
+    and a leader is the lexicographic maximum of its orbit.  So each row
+    is the full-coordinate row restricted to leaders, with the same
+    pivot, in the same order, and the rank and certificates are
+    unchanged.  ``solve`` refuses a polynomial that is not
+    block-symmetric before it projects.  The leader memos fill during
+    ``solve`` too; every write stores the one value a key has, so
+    concurrent solves on a shared span are safe.
 
     Rows keep the exact combination of generator monomials they came
-    from: the i-th monomial enters the echelon as its packed expansion
-    plus the label coordinate ``-1 - i`` with coefficient 1 (the
-    augmented-matrix trick).  Labels sort below every packed key, which
-    is at least 0, so pivots are always terms, and a residue whose
-    largest key is a label is a member; its labels give the certificate.
-    The construction is deterministic.
+    from: the i-th monomial enters the echelon as its expansion plus the
+    label coordinate ``-1 - i`` with coefficient 1 (the augmented-matrix
+    trick).  Labels sort below every packed key, which is at least 0, so
+    pivots are always terms, and a residue whose largest key is a label
+    is a member; its labels give the certificate.  The construction is
+    deterministic.
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
@@ -347,10 +370,20 @@ class GenSpan:
         self.width = degree.bit_length() or 1
         self.monomials = enumerate_gen_monomials(m, n, p, degree)
         self.echelon = FpEchelon(p)
+        self._trivial = m <= 1 and n <= 1
+        self._leader: dict[int, int] = {}  # packed key -> its orbit leader
+        self._orbit: dict[int, int] = {}  # leader -> orbit size
+        # packed x or y block -> (its fields sorted, their orbit size)
+        self._xblocks: dict[int, tuple] = {}
+        self._yblocks: dict[int, tuple] = {}
         powers: dict = {}
         for i, key in enumerate(self.monomials):
+            if self._trivial:
+                vec = _expand_packed(key, self.ring, self.width, powers)
+            else:
+                vec = self._expand(key, powers)
             # a fresh dict: a one-symbol expansion is the memoized power itself
-            vec = {**_expand_packed(key, self.ring, self.width, powers), -1 - i: 1}
+            vec = {**vec, -1 - i: 1}
             residue = self.echelon.reduce(vec)
             if max(residue) >= 0:
                 self.echelon.insert(residue)
@@ -366,12 +399,117 @@ class GenSpan:
         degree = self.degree
         if any(sum(exps) != degree for exps in f.terms):
             return None
-        residue = self.echelon.reduce(_pack(f.terms, self.width))
+        leaders = self._leader_terms(_pack(f.terms, self.width))
+        if leaders is None:
+            return None
+        residue = self.echelon.reduce(leaders)
         if residue and max(residue) >= 0:
             return None
         # the residue's labels hold minus the combination of monomials
         p, monomials = self.p, self.monomials
         return _trusted(self.m, self.n, p, {monomials[-1 - i]: p - c for i, c in residue.items()})
+
+    def _expand(self, key: tuple, powers: dict) -> dict[int, int]:
+        """Leader coordinates of a symbol monomial's expansion, mod p.
+
+        ``powers`` memoizes each symbol power as (full packed terms,
+        leader terms).  The empty key is {0: 1}.
+        """
+        if not key:
+            return {0: 1}
+        # Only the first factor's leaders enter the pair loops, so start
+        # from the largest expansion and apply the others largest first.
+        entries = sorted((powers.get(f) or self._power(f, powers) for f in key),
+                         key=lambda entry: -len(entry[0]))
+        out = entries[0][1]
+        for full, _ in entries[1:]:
+            out = self._mul(out, full)
+        return out
+
+    def _power(self, factor: tuple, powers: dict) -> tuple[dict, dict]:
+        """Pack a symbol power in full, check that it is block-symmetric
+        and memoize it with its leader terms in ``powers``."""
+        (kind, idx), e = factor
+        full = _pack((generator_poly(kind, idx, self.ring) ** e).terms, self.width)
+        leaders = self._leader_terms(full)
+        if leaders is None:
+            raise InternalInvariantViolation(
+                f"{kind}[{idx}]^{e} at level ({self.m},{self.n}), p={self.p} "
+                "is not block-symmetric"
+            )
+        entry = powers[factor] = (full, leaders)
+        return entry
+
+    def _mul(self, leaders: dict, full: dict) -> dict[int, int]:
+        """Leader terms of the product of a block-symmetric polynomial,
+        given by its leader terms, and one given in full."""
+        p = self.p
+        orbit, leader_of, find = self._orbit, self._leader, self._find_leader
+        acc = _packed_mul({k: c * orbit[k] for k, c in leaders.items()}, full)
+        sums: dict[int, int] = {}
+        get = sums.get
+        for k, c in acc.items():
+            lead = leader_of.get(k)
+            if lead is None:
+                lead = find(k)
+            sums[lead] = get(lead, 0) + c
+        return {k: r for k, c in sums.items() if (r := c // orbit[k] % p)}
+
+    def _leader_terms(self, packed: dict) -> dict | None:
+        """The terms of ``packed`` at orbit leaders, or None unless it is
+        block-symmetric: constant on each orbit, with every orbit point
+        present."""
+        if self._trivial:
+            return packed
+        leader_of, find = self._leader, self._find_leader
+        out = {}
+        for k, c in packed.items():
+            lead = leader_of.get(k)
+            if lead is None:
+                lead = find(k)
+            if lead == k:
+                out[k] = c
+            elif packed.get(lead) != c:
+                return None
+        # every key lies in the orbit of a leader in ``out``, so the keys
+        # fill those orbits exactly when their sizes add up to the count
+        orbit = self._orbit
+        if sum(orbit[k] for k in out) != len(packed):
+            return None
+        return out
+
+    def _find_leader(self, k: int) -> int:
+        """Orbit leader of packed key ``k``, memoized with the leader's
+        orbit size."""
+        shift = self.width * self.n
+        xblock, yblock = k >> shift, k & ((1 << shift) - 1)
+        xlead, xsize = self._xblocks.get(xblock) or self._sort_block(xblock, self.m, self._xblocks)
+        ylead, ysize = self._yblocks.get(yblock) or self._sort_block(yblock, self.n, self._yblocks)
+        lead = self._leader[k] = (xlead << shift) | ylead
+        self._orbit[lead] = xsize * ysize
+        return lead
+
+    def _sort_block(self, block: int, size: int, memo: dict) -> tuple[int, int]:
+        """(fields sorted nonincreasing, number of distinct orderings) of
+        the ``size`` packed fields of one block, memoized in ``memo``."""
+        w = self.width
+        mask = (1 << w) - 1
+        fields = [(block >> s) & mask for s in range(0, w * size, w)]
+        fields.sort(reverse=True)
+        lead = 0
+        for a in fields:
+            lead = (lead << w) | a
+        found = memo[block] = (lead, _orbit_size(fields))
+        return found
+
+
+def _orbit_size(parts: list) -> int:
+    """Number of distinct orderings of the sorted list ``parts``."""
+    size, run = math.factorial(len(parts)), 1
+    for a, b in zip(parts, parts[1:]):
+        run = run + 1 if a == b else 1
+        size //= run
+    return size
 
 
 _SPAN_CACHE: dict[tuple, GenSpan] = {}

@@ -11,6 +11,14 @@ computations share polynomial arithmetic and the row reduction
 ``poly_core.FpEchelon``, but not their inputs: one reduces derivative
 images of orbit sum products, the other generator monomial expansions.
 
+``GenSpan`` reduces the expansions on orbit-leader coordinates only.
+That keeps its rank, because projection to leaders is injective on
+block-symmetric polynomials, and it first checks that every generator
+power it expands is block-symmetric, raising
+``InternalInvariantViolation`` otherwise.  So a generator that lost its
+symmetry cannot hide behind the projection, and the agreement stays a
+check of the generators rather than of the projection.
+
 Each product m_lambda(x) m_mu(y) is one ``generators.placed_sym`` call
 (one slot family per distinct part), the routine that also builds the
 brackets and the tail of v_k.  The generators keep their own

@@ -1,23 +1,20 @@
 """Symmetric function constructors and the classical generator rewrite.
 
-Everything here acts on one variable block (X or Y) of a ring.  The
-orbit sum ``orbit_sym`` is the monomial symmetric function: each
-distinct monomial of the exponent orbit appears once with coefficient
-one.  It is built on ``_placements``, the block-local placement of slot
-families that ``generators.placed_sym`` runs on both blocks.
-``rewrite_symmetric`` expresses a block-symmetric polynomial as a
-polynomial in the elementary symmetric functions of the block, by
-leading-term elimination.
+Everything here acts on one variable block (X or Y) of a ring.
+``_placements`` is the block-local placement of slot families that
+``generators.placed_sym`` runs on both blocks.  ``rewrite_symmetric``
+expresses a block-symmetric polynomial as a polynomial in the
+elementary symmetric functions of the block, by leading-term
+elimination.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from enum import Enum
 
 from .errors import InternalInvariantViolation, NotSymmetricError
-from .poly_core import Poly, Ring, _clean, _term_key, one, zero
+from .poly_core import Poly, Ring, _term_key, one, zero
 
 
 class Block(Enum):
@@ -97,18 +94,6 @@ def _placements(families, size: int) -> dict[tuple, int]:
 
     rec(0, tuple(range(size)))
     return out
-
-
-def orbit_sym(exponents, block: Block, ring: Ring) -> Poly:
-    """Monomial symmetric function of an exponent multiset (zeros dropped)."""
-    off, size = block_span(ring, block)
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be natural numbers")
-    fams = Counter(e for e in exponents if e)
-    if fams.total() > size:
-        raise ValueError(f"{fams.total()} nonzero exponents do not fit in a block of size {size}")
-    before, after = (0,) * off, (0,) * (ring.nvars - off - size)
-    return _clean(ring, {before + e + after: 1 for e in _placements(fams.items(), size)})
 
 
 def is_symmetric(f: Poly, block: Block) -> bool:

@@ -73,6 +73,25 @@ def reference_placed(families, block, ring):
     return Poly(ring, {e: c // relabelings for e, c in counts.items()})
 
 
+def orbit_sym(exponents, block, ring):
+    """Monomial symmetric function of an exponent multiset (zeros
+    dropped): every distinct arrangement of the exponents on the block's
+    variables, with coefficient one.  Built from permutations, so it is
+    independent of the placement routine behind the oracle's basis."""
+    off, size = block_span(ring, block)
+    if any(e < 0 for e in exponents):
+        raise ValueError("exponents must be natural numbers")
+    parts = [e for e in exponents if e]
+    if len(parts) > size:
+        raise ValueError(f"{len(parts)} nonzero exponents do not fit in a block of size {size}")
+    terms = {}
+    for arrangement in set(itertools.permutations(parts + [0] * (size - len(parts)))):
+        exps = [0] * ring.nvars
+        exps[off:off + size] = arrangement
+        terms[tuple(exps)] = 1
+    return Poly(ring, terms)
+
+
 def reference_pow(f, e):
     out = Poly(f.ring, {(0,) * f.ring.nvars: 1})
     for _ in range(e):

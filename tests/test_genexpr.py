@@ -6,17 +6,21 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from supersympoly import (
+    Block,
     GenExpr,
     GenSpan,
+    InternalInvariantViolation,
+    Poly,
     PolyParseError,
     Ring,
     c_r,
     enumerate_gen_monomials,
     expand,
+    is_symmetric,
     parse_gen_expr,
     parse_poly,
     serialize_gen_expr,
@@ -180,7 +184,7 @@ class TestGenSpan:
         rows = _tuple_rows(span)
         ref = ReferenceSpan(1, 1, 3, 3)
         assert span.dimension == len(rows) == len(ref.rows) > 0
-        assert rows == [(lead, rvec, rcombo) for lead, (rvec, rcombo) in ref.rows.items()]
+        assert rows == _leader_rows(ref, span.ring)
 
     def test_degree_zero(self):
         for m, n, p in [(1, 1, 3), (2, 0, 5), (0, 2, 3)]:
@@ -207,11 +211,56 @@ class TestGenSpan:
         with pytest.raises(ValueError):
             GenSpan(1, 1, 3, 2).solve(parse_poly("x1^2", Ring(1, 1, True, 3)))
 
+    def test_solve_refuses_leader_aliases(self):
+        # both agree with c_1 = x1 + x2 - y1 on the orbit leaders x1 and
+        # y1, but neither is block-symmetric
+        ring = Ring(2, 1, False, 3)
+        span = GenSpan(2, 1, 3, 1)
+        assert span.solve(c_r(1, ring)) is not None
+        for text in ["x1 - y1", "x1 + 2*x2 - y1"]:
+            assert span.solve(parse_poly(text, ring)) is None
+
+    def test_non_symmetric_generator_is_refused(self, monkeypatch):
+        # an orbit point missing, then every point present with unequal
+        # coefficients
+        ring = Ring(2, 1, False, 3)
+        for text in ["x1", "x1 + 2*x2"]:
+            bad = parse_poly(text, ring)
+            monkeypatch.setattr(genexpr, "generator_poly", lambda kind, idx, ring: bad)
+            with pytest.raises(InternalInvariantViolation):
+                GenSpan(2, 1, 3, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_refuses_a_broken_orbit(data):
+    """A member with one term off the orbit leaders deleted or changed
+    keeps a member's leader terms, but it is not block-symmetric, so it
+    is outside the span."""
+    m, n, p = data.draw(st.sampled_from([(2, 1, 3), (1, 2, 3), (2, 2, 3), (2, 2, 5), (3, 1, 3), (2, 0, 3)]))
+    d = data.draw(st.integers(1, 6))
+    keys = enumerate_gen_monomials(m, n, p, d)
+    chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4))
+    coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(chosen), max_size=len(chosen)))
+    ring = Ring(m, n, False, p)
+    f = expand(GenExpr(m, n, p, dict(zip(chosen, coeffs))), ring)
+    off_leader = sorted(e for e in f.terms if not _is_leader(e, m))
+    assume(off_leader)
+    terms = dict(f.terms)
+    e = data.draw(st.sampled_from(off_leader))
+    if data.draw(st.booleans(), label="delete"):
+        del terms[e]
+    else:
+        terms[e] += data.draw(st.integers(1, p - 1))  # may reach 0, a deletion
+    span = genexpr.gen_span(m, n, p, d)
+    assert span.solve(f) is not None
+    assert span.solve(Poly(ring, terms)) is None
+
 
 def _tuple_rows(span):
     """A span's echelon rows in row order, each split into its pivot and
-    terms unpacked to exponent tuples and its label coordinates read as
-    the combination of generator monomials."""
+    leader terms unpacked to exponent tuples and its label coordinates
+    read as the combination of generator monomials."""
     width, nvars, p = span.width, span.ring.nvars, span.p
     out = []
     for lead, row in span.echelon.rows.items():
@@ -222,9 +271,27 @@ def _tuple_rows(span):
     return out
 
 
+def _is_leader(exps, m):
+    """Exponents sorted nonincreasing inside each block."""
+    x, y = list(exps[:m]), list(exps[m:])
+    return x == sorted(x, reverse=True) and y == sorted(y, reverse=True)
+
+
+def _leader_rows(ref, ring):
+    """ReferenceSpan rows in row order, each restricted to orbit leaders.
+    Every reference row must be block-symmetric, so the restriction
+    loses nothing."""
+    out = []
+    for lead, (rvec, rcombo) in ref.rows.items():
+        row = Poly(ring, rvec)
+        assert is_symmetric(row, Block.X) and is_symmetric(row, Block.Y)
+        out.append((lead, {e: c for e, c in rvec.items() if _is_leader(e, ring.m)}, rcombo))
+    return out
+
+
 def _assert_matches_reference(m, n, p, d):
     span, ref = GenSpan(m, n, p, d), ReferenceSpan(m, n, p, d)
-    assert _tuple_rows(span) == [(lead, rvec, rcombo) for lead, (rvec, rcombo) in ref.rows.items()]
+    assert _tuple_rows(span) == _leader_rows(ref, span.ring)
     ring = span.ring
     rng = random.Random(d)
     members = [reference_expand_key(key, ring) for key in enumerate_gen_monomials(m, n, p, d)]
@@ -240,7 +307,7 @@ def _assert_matches_reference(m, n, p, d):
 class TestPackedSpan:
     @pytest.mark.parametrize("m,n,p,dmax", [
         (1, 1, 3, 9), (2, 1, 3, 7), (1, 2, 3, 7), (2, 2, 3, 6),
-        (1, 1, 5, 9), (2, 0, 3, 6), (0, 2, 5, 6),
+        (1, 1, 5, 9), (2, 0, 3, 6), (0, 2, 5, 6), (3, 3, 3, 6), (2, 3, 5, 8),
     ])
     def test_matches_tuple_reference(self, m, n, p, dmax):
         for d in range(dmax + 1):

@@ -11,9 +11,10 @@ from supersympoly import (
     generated_dimension,
     kseq,
     bracket_identity_check,
-    orbit_sym,
 )
 from supersympoly.oracle import partitions_max_parts, symmetric_basis
+
+from helpers import orbit_sym
 
 
 def _partition_count(total, max_parts):
@@ -67,6 +68,12 @@ class TestGeneratedDimension:
         for p in (3, 5):
             for d in range(0, 7):
                 assert as_dimension(1, 1, p, d) == generated_dimension(1, 1, p, d)
+
+    def test_agreement_beyond_the_criterion_4_grid(self):
+        # criterion 4 stops at m, n <= 2; these levels have a block of three
+        for m, n, p, dmax in [(3, 3, 3, 9), (3, 2, 3, 10), (2, 3, 5, 10), (3, 1, 5, 10), (1, 3, 3, 10)]:
+            for d in range(dmax + 1):
+                assert as_dimension(m, n, p, d) == generated_dimension(m, n, p, d), (m, n, p, d)
 
 
 class TestDimReports:

@@ -9,11 +9,12 @@ from supersympoly import (
     is_p_balanced,
     is_strictly_supersymmetric,
     is_supersymmetric,
-    orbit_sym,
     parse_poly,
     sigma_x_p,
     u_k,
 )
+
+from helpers import orbit_sym
 
 R11 = Ring(1, 1, False, 3)
 

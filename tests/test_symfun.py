@@ -13,11 +13,12 @@ from supersympoly import (
     elementary,
     is_symmetric,
     one,
-    orbit_sym,
     parse_poly,
     rewrite_symmetric,
     zero,
 )
+
+from helpers import orbit_sym
 
 R20 = Ring(2, 0, False, 3)
 R22 = Ring(2, 2, False, 3)
