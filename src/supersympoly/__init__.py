@@ -13,7 +13,6 @@ from .errors import (
 from .poly_core import (
     Poly,
     Ring,
-    constant,
     d_dT,
     exact_monomial_div,
     homogeneous_components,
@@ -23,7 +22,6 @@ from .poly_core import (
     poly_to_str,
     psi,
     set_xm_zero,
-    t_power,
     x_var,
     y_var,
     zero,
@@ -36,7 +34,6 @@ from .symfun import (
     rewrite_symmetric,
 )
 from .supersym import (
-    MembershipVerdict,
     is_p_balanced,
     is_strictly_supersymmetric,
     is_supersymmetric,
@@ -67,7 +64,6 @@ from .genexpr import (
     serialize_gen_expr,
 )
 from .decompose import (
-    CoreFactorization,
     core_to_generators,
     decompose,
     factor_core,
@@ -76,7 +72,6 @@ from .decompose import (
     vk_gen_expr,
 )
 from .oracle import (
-    DimReport,
     as_dimension,
     cr_generating_check,
     dim_grid,

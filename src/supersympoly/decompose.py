@@ -38,8 +38,8 @@ from .errors import (
     NotSupersymmetricError,
     ZeroPolynomialError,
 )
-from .genexpr import GenExpr, expand, expand_key, gen_span
-from .generators import kseq, v_k
+from .genexpr import GenExpr, _expand_sum, expand, gen_span
+from .generators import generator_poly, kseq, v_k
 from .poly_core import (
     Poly,
     Ring,
@@ -267,30 +267,32 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
     C, EX and EY symbols keep their names (their level (m, n) versions
     restrict to the level (m-1, n) ones when x_m = 0), while each U[k]
     becomes the lift v_k: as a polynomial for the subtraction step, and
-    as its span certificate for the returned expression.
+    as its span certificate for the returned expression.  The polynomial
+    is one packed ``_expand_sum`` of h's terms with U[k] standing for
+    v_k.  Since deg v_k = (m-1)k + (p-k)n is the weight of U[k] at level
+    (m-1, n), h's weighted degree there bounds every lifted term.
     """
     m, n, p = ring.m, ring.n, ring.p
-    poly_total = Poly(ring, {})
     expr_total = GenExpr.zero(m, n, p)
     for hkey, c in h.terms.items():
         plain = []
-        poly_part = c  # an int until the first factor scales it
         expr_part = GenExpr.const(m, n, p, c)
         for (kind, idx), e in hkey:
             if kind == "U":
-                vk_expr = vk_gen_expr(m, n, p, idx)
-                vk_poly = _VK_CACHE[(m, n, p, idx)][0]
-                poly_part = vk_poly**e * poly_part
-                expr_part = expr_part * vk_expr**e
+                expr_part = expr_part * vk_gen_expr(m, n, p, idx) ** e
             else:
                 plain.append(((kind, idx), e))
         if plain:
-            key = tuple(plain)
-            poly_part = expand_key(key, ring) * poly_part
-            expr_part = expr_part * GenExpr(m, n, p, {key: 1})
-        poly_total = poly_total + poly_part
+            expr_part = expr_part * GenExpr(m, n, p, {tuple(plain): 1})
         expr_total = expr_total + expr_part
-    return poly_total, expr_total
+
+    def symbol_poly(kind: str, idx: int) -> Poly:
+        if kind == "U":
+            return _VK_CACHE[(m, n, p, idx)][0]  # filled by vk_gen_expr above
+        return generator_poly(kind, idx, ring)
+
+    width = (h.weighted_degree() or 0).bit_length() or 1
+    return _expand_sum(h.terms, ring, width, symbol_poly), expr_total
 
 
 def _base_one_block(f: Poly) -> GenExpr:

@@ -7,6 +7,9 @@ u_k.  Terms map a multiset of symbols to a coefficient.  A GenExpr is a
 certificate, not a normal form: the generator algebra has relations, so
 different expressions may expand to the same polynomial.
 
+``expand``, ``expand_key``, the lift step of ``decompose`` and GenSpan
+all expand through one packed path: ``_expand_sum`` and its power chains.
+
 GenSpan row-reduces the expansions of all symbol monomials of one
 weighted degree, in orbit-leader coordinates, and can write any
 polynomial of the spanned space as a GenExpr, tracking the combination
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import partial
 
 from .errors import InternalInvariantViolation, PolyParseError
 from .generators import generator_poly
@@ -27,11 +31,10 @@ from .poly_core import (
     _clean,
     _pack,
     _packed_mul,
+    _packed_power,
     _parse_terms,
     _reduce_mod,
     _unpack,
-    one,
-    zero,
 )
 
 _KIND_RANK = {"C": 0, "EX": 1, "EY": 2, "U": 3}
@@ -195,45 +198,63 @@ def _trusted(m: int, n: int, p: int, terms: dict) -> GenExpr:
 
 def expand_key(key: tuple, ring: Ring) -> Poly:
     """Concrete polynomial of one symbol monomial."""
-    if len(key) < 2:
-        if not key:
-            return one(ring)
-        (kind, idx), e = key[0]
-        return generator_poly(kind, idx, ring) ** e
-    # Every symbol is homogeneous of its weight, so no exponent of the
-    # product exceeds the key's weight.
-    width = _key_weight(key, ring.m, ring.n, ring.p).bit_length()
-    powers: dict = {}
-    head = _expand_packed(key[:-1], ring, width, powers)
-    acc = _packed_mul(head, _expand_packed(key[-1:], ring, width, powers))
-    return _clean(ring, _unpack(acc, width, ring.nvars, ring.p))
-
-
-def _expand_packed(key: tuple, ring: Ring, width: int, powers: dict) -> dict[int, int]:
-    """Packed expansion of a symbol monomial, reduced mod p.
-
-    ``width`` must hold the key's weight; ``powers`` memoizes the packed
-    symbol powers of that width.  The empty key packs to {0: 1}.
-    """
-    p = ring.p
-    out = None
-    for factor in key:
-        packed = powers.get(factor)
-        if packed is None:
-            (kind, idx), e = factor
-            packed = powers[factor] = _pack((generator_poly(kind, idx, ring) ** e).terms, width)
-        out = packed if out is None else _reduce_mod(_packed_mul(out, packed), p)
-    return {0: 1} if out is None else out
+    return _expand_sum({key: 1}, ring, _key_weight(key, ring.m, ring.n, ring.p).bit_length() or 1,
+                       partial(generator_poly, ring=ring))
 
 
 def expand(e: GenExpr, ring: Ring) -> Poly:
     """Evaluate a GenExpr to the polynomial it denotes."""
     if (ring.m, ring.n, ring.p) != (e.m, e.n, e.p) or ring.has_t:
         raise ValueError(f"ring {ring} does not match level ({e.m},{e.n}), p={e.p}")
-    out = zero(ring)
-    for key, c in e.terms.items():
-        out = out + c * expand_key(key, ring)
-    return out
+    return _expand_sum(e.terms, ring, (e.weighted_degree() or 0).bit_length() or 1,
+                       partial(generator_poly, ring=ring))
+
+
+def _expand_sum(terms: dict, ring: Ring, width: int, symbol_poly) -> Poly:
+    """The sum of ``c * expansion(key)`` over ``terms``, accumulated
+    packed and unpacked once.  ``symbol_poly(kind, index)`` is the
+    polynomial a symbol stands for; ``width`` must hold the degree of
+    every term's expansion."""
+    p = ring.p
+    power = _power_chains(width, p, symbol_poly)
+    acc: dict[int, int] = {}
+    for key, c in terms.items():
+        if not key:
+            acc[0] = acc.get(0, 0) + c
+            continue
+        head = _expand_packed(key[:-1], power, p)
+        _packed_mul({k: c * v for k, v in head.items()}, power(key[-1]), acc)
+    return _clean(ring, _unpack(acc, width, ring.nvars, p))
+
+
+def _power_chains(width: int, p: int, symbol_poly):
+    """``power(((kind, index), e))``: a symbol's packed power mod p, from
+    one ``poly_core._packed_power`` chain per symbol that lives as long
+    as ``power``.  Symbols are homogeneous, so a chain's powers have
+    degree at most that of the term asking: a ``width`` that holds every
+    term's degree holds every chain, and the Frobenius step (keys times
+    p) never carries into the next field."""
+    chains: dict = {}
+
+    def power(factor: tuple) -> dict[int, int]:
+        symbol, e = factor
+        chain = chains.get(symbol)
+        if chain is None:
+            chain = chains[symbol] = {1: _pack(symbol_poly(*symbol).terms, width)}
+        return _packed_power(chain, e, p)
+
+    return power
+
+
+def _expand_packed(key: tuple, power, p: int) -> dict[int, int]:
+    """Packed expansion of a symbol monomial, reduced mod p, with its
+    symbol powers from ``power`` (see ``_power_chains``).  The empty key
+    packs to {0: 1}; a one-symbol key is the chain's own dict."""
+    out = None
+    for factor in key:
+        packed = power(factor)
+        out = packed if out is None else _reduce_mod(_packed_mul(out, packed), p)
+    return {0: 1} if out is None else out
 
 
 # -- text form ---------------------------------------------------------------
@@ -335,8 +356,10 @@ class GenSpan:
     Every generator is supersymmetric, so every expansion is invariant
     under S_m x S_n and is fixed by its coefficients on orbit leaders,
     the exponent tuples sorted nonincreasing inside each block.  The
-    span keeps expansions in leader coordinates only.  It packs each
-    symbol power in full once and checks that it is block-symmetric.  A
+    span keeps expansions in leader coordinates only.  Its symbol
+    powers come in full from one packed power chain per symbol (see
+    ``_power_chains``), local to the build, and each is checked to be
+    block-symmetric once.  A
     key's product starts from the leader terms of its largest factor;
     each other factor multiplies the leader terms, weighted by their
     orbit sizes, into the factor's full expansion, and the products are
@@ -344,7 +367,7 @@ class GenSpan:
     orbit_size(e) times the product's coefficient at the leader e, so it
     is divided exactly before it is reduced mod p (m! n! may be 0 mod
     p).  At levels with m, n <= 1 every key is its own leader, and keys
-    are expanded by plain products, as in ``expand_key``.
+    are expanded by plain products of the same chains, as in ``expand``.
 
     Projection to leaders is injective on block-symmetric polynomials,
     and a leader is the lexicographic maximum of its orbit.  So each row
@@ -376,12 +399,14 @@ class GenSpan:
         # packed x or y block -> (its fields sorted, their orbit size)
         self._xblocks: dict[int, tuple] = {}
         self._yblocks: dict[int, tuple] = {}
-        powers: dict = {}
+        # the power chains and leader memo serve this build only
+        power = _power_chains(self.width, p, partial(generator_poly, ring=self.ring))
+        leaders: dict = {}
         for i, key in enumerate(self.monomials):
             if self._trivial:
-                vec = _expand_packed(key, self.ring, self.width, powers)
+                vec = _expand_packed(key, power, p)
             else:
-                vec = self._expand(key, powers)
+                vec = self._expand(key, power, leaders)
             # a fresh dict: a one-symbol expansion is the memoized power itself
             vec = {**vec, -1 - i: 1}
             residue = self.echelon.reduce(vec)
@@ -409,36 +434,39 @@ class GenSpan:
         p, monomials = self.p, self.monomials
         return _trusted(self.m, self.n, p, {monomials[-1 - i]: p - c for i, c in residue.items()})
 
-    def _expand(self, key: tuple, powers: dict) -> dict[int, int]:
+    def _expand(self, key: tuple, power, leaders: dict) -> dict[int, int]:
         """Leader coordinates of a symbol monomial's expansion, mod p.
 
-        ``powers`` memoizes each symbol power as (full packed terms,
-        leader terms).  The empty key is {0: 1}.
+        ``power`` gives the packed symbol powers (see ``_power_chains``)
+        and ``leaders`` memoizes their leader terms.  The empty key is
+        {0: 1}.
         """
         if not key:
             return {0: 1}
         # Only the first factor's leaders enter the pair loops, so start
         # from the largest expansion and apply the others largest first.
-        entries = sorted((powers.get(f) or self._power(f, powers) for f in key),
+        entries = sorted((self._power(f, power, leaders) for f in key),
                          key=lambda entry: -len(entry[0]))
         out = entries[0][1]
         for full, _ in entries[1:]:
             out = self._mul(out, full)
         return out
 
-    def _power(self, factor: tuple, powers: dict) -> tuple[dict, dict]:
-        """Pack a symbol power in full, check that it is block-symmetric
-        and memoize it with its leader terms in ``powers``."""
-        (kind, idx), e = factor
-        full = _pack((generator_poly(kind, idx, self.ring) ** e).terms, self.width)
-        leaders = self._leader_terms(full)
-        if leaders is None:
-            raise InternalInvariantViolation(
-                f"{kind}[{idx}]^{e} at level ({self.m},{self.n}), p={self.p} "
-                "is not block-symmetric"
-            )
-        entry = powers[factor] = (full, leaders)
-        return entry
+    def _power(self, factor: tuple, power, leaders: dict) -> tuple[dict, dict]:
+        """(full packed terms, leader terms) of a symbol power; the leader
+        terms are memoized in ``leaders`` once the power is checked to be
+        block-symmetric."""
+        full = power(factor)
+        lead = leaders.get(factor)
+        if lead is None:
+            lead = leaders[factor] = self._leader_terms(full)
+            if lead is None:
+                (kind, idx), e = factor
+                raise InternalInvariantViolation(
+                    f"{kind}[{idx}]^{e} at level ({self.m},{self.n}), p={self.p} "
+                    "is not block-symmetric"
+                )
+        return full, lead
 
     def _mul(self, leaders: dict, full: dict) -> dict[int, int]:
         """Leader terms of the product of a block-symmetric polynomial,
@@ -513,15 +541,22 @@ def _orbit_size(parts: list) -> int:
 
 
 _SPAN_CACHE: dict[tuple, GenSpan] = {}
-_SPAN_LOCK = threading.Lock()
+_SPAN_KEY_LOCKS: dict[tuple, threading.Lock] = {}
+_SPAN_LOCK = threading.Lock()  # guards _SPAN_KEY_LOCKS
 
 
 def gen_span(m: int, n: int, p: int, degree: int) -> GenSpan:
-    """Memoized GenSpan, built once per key even under concurrent calls."""
+    """Memoized GenSpan, built once per key even under concurrent calls.
+
+    A build holds only its own key's lock, so a slow span does not hold
+    up calls for other keys.
+    """
     key = (m, n, p, degree)
     span = _SPAN_CACHE.get(key)
     if span is None:
         with _SPAN_LOCK:
+            key_lock = _SPAN_KEY_LOCKS.setdefault(key, threading.Lock())
+        with key_lock:
             span = _SPAN_CACHE.get(key)
             if span is None:
                 span = _SPAN_CACHE[key] = GenSpan(m, n, p, degree)

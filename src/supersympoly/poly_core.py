@@ -176,19 +176,13 @@ class Poly:
             return one(self.ring)
         if self.is_zero:
             return self
-        # In characteristic p the p-th power map just scales exponents,
-        # so split e into base-p digits and use Frobenius per digit.
-        p = self.ring.p
-        result = None
-        base = self
-        while True:
-            e, digit = divmod(e, p)
-            if digit:
-                part = _small_pow(base, digit)
-                result = part if result is None else result * part
-            if not e:
-                return result
-            base = frobenius(base)
+        # Every field of f^j, j <= e, is at most e times f's largest
+        # exponent, so one width holds the whole chain.
+        ring = self.ring
+        nvars = ring.nvars
+        width = (e * max(map(max, self.terms)) if nvars else 0).bit_length() or 1
+        acc = _packed_power({1: _pack(self.terms, width)}, e, ring.p)
+        return _clean(ring, _unpack(acc, width, nvars, ring.p))
 
     # -- comparison / display -------------------------------------------
 
@@ -231,17 +225,45 @@ def _pack(terms: Mapping[tuple, int], width: int) -> dict[int, int]:
     return packed
 
 
-def _packed_mul(a: dict, b: dict) -> dict[int, int]:
+def _packed_mul(a: dict, b: dict, acc: dict | None = None) -> dict[int, int]:
     """The pair loop of every product: packed ``a`` times packed ``b``,
-    with coefficients summed but not reduced mod p.  The caller makes
-    the fields wide enough for every exponent sum."""
-    acc: dict[int, int] = {}
+    with coefficients summed into ``acc`` (a new dict by default) but
+    not reduced mod p.  The caller makes the fields wide enough for
+    every exponent sum."""
+    if acc is None:
+        acc = {}
     get = acc.get
     for k1, c1 in a.items():
         for k2, c2 in b.items():
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
     return acc
+
+
+def _packed_power(powers: dict, e: int, p: int) -> dict[int, int]:
+    """f^e, packed and reduced mod p; f^0 is {0: 1}.
+
+    ``powers`` is a memo {exponent: packed power} that holds f at 1; it
+    gains every power on the way to e.  Over F_p, f^(qp) is f^q with
+    every key times p (the Frobenius map: (sum c*M)^p = sum c*M^p, as
+    c^p = c), and any other f^e is f^(e-1) * f, one product by the
+    sparse base.  The caller's width must hold every field of f^e.
+    """
+    if not e:
+        return {0: 1}
+    todo = []
+    while e not in powers:
+        todo.append(e)
+        e = e - 1 if e % p else e // p
+    f = powers[1]
+    out = powers[e]
+    for e in reversed(todo):
+        if e % p:
+            out = _reduce_mod(_packed_mul(f, out), p)
+        else:
+            out = {k * p: c for k, c in out.items()}
+        powers[e] = out
+    return out
 
 
 def _reduce_mod(acc: dict, p: int) -> dict[int, int]:
@@ -307,24 +329,6 @@ class FpEchelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def _small_pow(f: Poly, e: int) -> Poly:
-    """f^e for e >= 1 by repeated squaring."""
-    result = None
-    while True:
-        if e & 1:
-            result = f if result is None else result * f
-        e >>= 1
-        if not e:
-            return result
-        f = f * f
-
-
-def frobenius(f: Poly) -> Poly:
-    """Raise to the p-th power by scaling exponents (valid over F_p)."""
-    scale = f.ring.p
-    return _clean(f.ring, {tuple(a * scale for a in e): c for e, c in f.terms.items()})
 
 
 # -- constructors -------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import hypothesis.strategies as st
 
 from supersympoly import GenExpr, Poly, Ring, enumerate_gen_monomials
-from supersympoly.generators import generator_poly
+from supersympoly.generators import generator_poly, kseq, v_k
 from supersympoly.poly_core import fp_inv
 from supersympoly.symfun import block_span
 
@@ -105,6 +105,60 @@ def reference_expand_key(key, ring):
     for (kind, idx), e in key:
         out = reference_mul(out, reference_pow(generator_poly(kind, idx, ring), e))
     return out
+
+
+def reference_lift_poly(h, ring):
+    """The polynomial half of ``decompose._lift`` by its per-term formula:
+    each term of the level (m-1, n) expression ``h`` becomes
+    v_k^e for every U[k]^e times the expansion of its other symbols at
+    level (m, n), through ``reference_pow`` and ``reference_expand_key``."""
+    total = Poly(ring, {})
+    for key, c in h.terms.items():
+        part = Poly(ring, {(0,) * ring.nvars: c})
+        plain = []
+        for (kind, idx), e in key:
+            if kind == "U":
+                part = reference_mul(part, reference_pow(v_k(kseq(ring.p, idx), ring), e))
+            else:
+                plain.append(((kind, idx), e))
+        total = total + reference_mul(part, reference_expand_key(plain, ring))
+    return total
+
+
+def expansion_cap(nvars, p):
+    """The largest weight w <= 2p + 1 with at most 1500 monomials of
+    degree w in ``nvars`` variables: a bound on the terms of random
+    expressions that keeps their reference expansions quick."""
+    if not nvars:
+        return 2 * p + 1
+    return max(w for w in range(2 * p + 2) if math.comb(w + nvars - 1, w) <= 1500)
+
+
+@st.composite
+def gen_exprs(draw, m, n, p, cap, max_terms=4):
+    """A GenExpr at level (m, n) of up to ``max_terms`` terms, each of
+    weighted degree at most ``cap``, with up to three factors (a repeated
+    symbol merges) and symbol exponents up to 2p + 1.  Terms of different
+    degrees, the constant key and cancellation to zero all occur."""
+    symbols = [("C", r, r) for r in range(1, cap + 1)]
+    symbols += [("EX", i, p * i) for i in range(1, m + 1)]
+    symbols += [("EY", j, p * j) for j in range(1, n + 1)]
+    if n:
+        symbols += [("U", k, m * k + n * (p - k)) for k in range(1, p)]
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        room, key = cap, []
+        for _ in range(draw(st.integers(0, 3))):
+            options = [s for s in symbols if s[2] <= room]
+            if not options:
+                break
+            kind, idx, w = draw(st.sampled_from(options))
+            e = draw(st.integers(1, min(2 * p + 1, room // w)))
+            key.append(((kind, idx), e))
+            room -= e * w
+        key = tuple(key)
+        terms[key] = terms.get(key, 0) + draw(st.integers(1, p - 1))
+    return GenExpr(m, n, p, terms)
 
 
 class ReferenceSpan:

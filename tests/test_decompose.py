@@ -28,8 +28,10 @@ from supersympoly import (
     vk_gen_expr,
     zero,
 )
-from supersympoly.decompose import trace_decomposition
+from supersympoly.decompose import _lift, trace_decomposition
 from supersympoly.selfcheck import random_gen_expr
+
+from helpers import expansion_cap, gen_exprs, reference_lift_poly
 
 R11 = Ring(1, 1, False, 3)
 R21 = Ring(2, 1, False, 3)
@@ -250,3 +252,36 @@ class TestTraceInvariants:
         with trace_decomposition() as trace:
             decompose(u_k(1, R21) * c_r(2, R21))
         assert trace.calls
+
+
+# Levels (m, n, p) whose lifts v_k and their span certificates build in
+# well under a second; (3, 3) at p = 5 and n = 3 at p = 7 take seconds.
+_LIFT_LEVELS = [(m, n, p) for p in (3, 5, 7) for m in (1, 2, 3) for n in (1, 2, 3)
+                if (p, n) != (7, 3) and (p, m, n) != (5, 3, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lift_matches_per_term_formula(data):
+    """The packed lift of a level (m-1, n) expression equals the old
+    per-term product of v_k powers and expanded symbols, and its
+    expression half expands to the same polynomial."""
+    m, n, p = data.draw(st.sampled_from(_LIFT_LEVELS))
+    ring = Ring(m, n, False, p)
+    h = data.draw(gen_exprs(m - 1, n, p, min(expansion_cap(m + n, p), p + 1)))
+    poly, expr = _lift(h, ring)
+    assert poly == reference_lift_poly(h, ring)
+    assert expand(expr, ring) == poly
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lift_of_frobenius_powers(p):
+    # U[p-1] has weight 1 at level (0, 1), so its p-th and (p+1)-th
+    # powers lift through the Frobenius step of v_{p-1}'s chain
+    ring = Ring(1, 1, False, p)
+    u = GenExpr.symbol(0, 1, p, "U", p - 1)
+    c = GenExpr.symbol(0, 1, p, "C", 1)
+    h = u**p + 2 * u ** (p + 1) * c + c ** (2 * p) + 1
+    poly, expr = _lift(h, ring)
+    assert poly == reference_lift_poly(h, ring)
+    assert expand(expr, ring) == poly

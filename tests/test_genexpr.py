@@ -30,7 +30,7 @@ from supersympoly.genexpr import expand_key
 from supersympoly.poly_core import _unpack
 from supersympoly.selfcheck import random_gen_expr
 
-from helpers import ReferenceSpan, reference_expand_key
+from helpers import ReferenceSpan, expansion_cap, gen_exprs, reference_expand_key
 
 R11 = Ring(1, 1, False, 3)
 
@@ -345,6 +345,47 @@ class TestPackedSpan:
         assert expand(cert, ring) == f
 
 
+def _reference_expand(e, ring):
+    total = Poly(ring, {})
+    for key, c in e.terms.items():
+        total = total + c * reference_expand_key(key, ring)
+    return total
+
+
+class TestPackedExpansion:
+    """``expand`` and ``expand_key`` run on packed power chains; the
+    reference multiplies exponent tuples with no packing and no
+    Frobenius step."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_expand_matches_reference(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        m, n = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        ring = Ring(m, n, False, p)
+        e = data.draw(gen_exprs(m, n, p, expansion_cap(m + n, p)))
+        assert expand(e, ring) == _reference_expand(e, ring)
+
+    @pytest.mark.parametrize("m,n,p", [(1, 1, 3), (2, 1, 5), (1, 2, 7), (0, 2, 3), (2, 0, 5), (0, 0, 3)])
+    def test_frobenius_and_step_powers(self, m, n, p):
+        # C[1]^e for every e <= 2p + 1 walks both branches of the chain,
+        # and a sum of them shares one chain
+        ring = Ring(m, n, False, p)
+        powers = [(((("C", 1), e),), 1) for e in range(2 * p + 2)]
+        for key, _ in powers:
+            assert expand_key(key, ring) == reference_expand_key(key, ring)
+        e = GenExpr(m, n, p, dict(powers))
+        assert expand(e, ring) == _reference_expand(e, ring)
+
+    def test_constant_and_zero(self):
+        ring = Ring(2, 2, False, 5)
+        assert expand(GenExpr.const(2, 2, 5, 3), ring) == Poly(ring, {(0, 0, 0, 0): 3})
+        assert expand(GenExpr.zero(2, 2, 5), ring) == Poly(ring, {})
+        assert expand_key((), ring) == Poly(ring, {(0, 0, 0, 0): 1})
+        cancelled = GenExpr.symbol(2, 2, 5, "C", 1) - GenExpr.symbol(2, 2, 5, "C", 1)
+        assert expand(cancelled, ring).is_zero
+
+
 def test_gen_span_single_flight(monkeypatch):
     """Concurrent first calls build each span once and share the object."""
     monkeypatch.setattr(genexpr, "_SPAN_CACHE", {})
@@ -384,3 +425,47 @@ def test_gen_span_single_flight(monkeypatch):
     assert builds == {key: 1 for key in keys}
     for got in results:
         assert all(got[key] is results[0][key] for key in keys)
+
+
+def test_gen_span_locks_per_key(monkeypatch):
+    """A slow build of one key holds up neither calls for another key
+    nor, beyond its own build, a second call for the same key."""
+    monkeypatch.setattr(genexpr, "_SPAN_CACHE", {})
+    monkeypatch.setattr(genexpr, "_SPAN_KEY_LOCKS", {})
+    slow_key, fast_key = (1, 1, 3, 5), (1, 1, 3, 4)
+    started, release = threading.Event(), threading.Event()
+    builds = collections.Counter()
+    original_init = genexpr.GenSpan.__init__
+
+    def slow_init(self, m, n, p, degree):
+        builds[(m, n, p, degree)] += 1
+        if (m, n, p, degree) == slow_key:
+            started.set()
+            release.wait(30)
+        original_init(self, m, n, p, degree)
+
+    monkeypatch.setattr(genexpr.GenSpan, "__init__", slow_init)
+    results = {}
+
+    def call(name, key):
+        results[name] = genexpr.gen_span(*key)
+
+    first = threading.Thread(target=call, args=("first", slow_key), daemon=True)
+    second = threading.Thread(target=call, args=("second", slow_key), daemon=True)
+    other = threading.Thread(target=call, args=("other", fast_key), daemon=True)
+    try:
+        first.start()
+        assert started.wait(30), "the slow build did not start"
+        second.start()
+        other.start()
+        other.join(30)
+        assert not other.is_alive(), "another key waited for the slow build"
+        assert "second" not in results
+    finally:
+        release.set()
+    first.join(30)
+    second.join(30)
+    assert not first.is_alive() and not second.is_alive()
+    assert results["second"] is results["first"]
+    assert results["other"].degree == 4
+    assert builds == {slow_key: 1, fast_key: 1}

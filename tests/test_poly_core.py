@@ -245,8 +245,20 @@ def test_mul_matches_reference(data):
 @given(wide_operands(max_terms=2), st.data())
 def test_pow_matches_reference(data, draw):
     ring, f, _ = data
-    e = draw.draw(st.integers(0, 3 * ring.p))
+    p = ring.p
+    e = draw.draw(st.one_of(st.integers(0, 3 * p), st.integers(p * p, p * p + 2 * p)))
     assert f**e == reference_pow(f, e)
+
+
+@pytest.mark.parametrize("m,n,has_t", [(0, 0, False), (0, 0, True), (1, 1, True), (2, 0, True)])
+@pytest.mark.parametrize("p", [3, 5])
+def test_pow_edge_rings(m, n, has_t, p):
+    # rings with T or with no variables, exponents on both sides of p^2
+    ring = Ring(m, n, has_t, p)
+    nvars = ring.nvars
+    f = Poly(ring, {(0,) * nvars: 2, (1,) * nvars: 1, tuple(range(nvars)): p - 1})
+    for e in (0, 1, p - 1, p, p + 1, 2 * p, p * p - 1, p * p, p * p + 1, p * p + p + 1):
+        assert f**e == reference_pow(f, e)
 
 
 @settings(max_examples=40, deadline=None)
