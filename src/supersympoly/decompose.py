@@ -32,6 +32,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby
+from operator import itemgetter
 
 from .errors import (
     InternalInvariantViolation,
@@ -64,12 +65,17 @@ def factor_core(f: Poly) -> CoreFactorization:
     """Peel the maximal symmetric variable cores off a nonzero polynomial."""
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    ring = f.ring
-    m, n = ring.m, ring.n
-    a = min(min(e[:m]) for e in f.terms) if m else 0
-    b = min(min(e[m : m + n]) for e in f.terms) if n else 0
-    core = _core_exponents(ring, a, b)
-    return CoreFactorization(a, b, exact_monomial_div(f, core))
+    a, b = _core_degrees(f)
+    return CoreFactorization(a, b, exact_monomial_div(f, _core_exponents(f.ring, a, b)))
+
+
+def _core_degrees(f: Poly) -> tuple[int, int]:
+    """The largest (a, b) such that (x_1...x_m)^a (y_1...y_n)^b divides
+    the nonzero f: the least exponent over the terms in each block."""
+    m, n = f.ring.m, f.ring.n
+    a = min(map(min, map(itemgetter(slice(0, m)), f.terms))) if m else 0
+    b = min(map(min, map(itemgetter(slice(m, m + n)), f.terms))) if n else 0
+    return a, b
 
 
 def _core_exponents(ring: Ring, a: int, b: int) -> tuple:
@@ -231,8 +237,7 @@ def _decompose_homogeneous(f: Poly, parent: tuple | None) -> GenExpr:
     if residue.is_zero:
         return lifted_expr
 
-    cores = factor_core(residue)
-    a, b = cores.a, cores.b
+    a, b = _core_degrees(residue)
     _trace_event("residues", (m, n, p, degree, a, b))
     if a < 1:
         raise InternalInvariantViolation("residue is not divisible by x_m")

@@ -14,6 +14,8 @@ global mutable state in this module.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -426,18 +428,22 @@ def set_xm_zero(f: Poly) -> Poly:
 
 
 def exact_monomial_div(f: Poly, divisor: Iterable[int]) -> Poly:
-    """Divide every term by the monomial with the given exponents."""
+    """Divide every term by the monomial with the given exponents.
+
+    Raises DivisibilityError naming the first term, in ``f.terms``
+    order, that the monomial does not divide.
+    """
     d = tuple(divisor)
     if len(d) != f.ring.nvars:
         raise ValueError("divisor exponent tuple has the wrong length")
-    out = {}
-    for exps, c in f.terms.items():
-        if any(a < b for a, b in zip(exps, d)):
-            raise DivisibilityError(
-                f"term with exponents {exps} is not divisible by {d}"
-            )
-        out[tuple(a - b for a, b in zip(exps, d))] = c
-    return _clean(f.ring, out)
+    if d and min(d) < 0:
+        raise ValueError(f"divisor exponent tuple {d} has a negative exponent")
+    sub = operator.sub
+    quotients = [tuple(map(sub, exps, d)) for exps in f.terms]
+    if d and quotients and min(map(min, quotients)) < 0:
+        exps = next(e for e, q in zip(f.terms, quotients) if min(q) < 0)
+        raise DivisibilityError(f"term with exponents {exps} is not divisible by {d}")
+    return _clean(f.ring, dict(zip(quotients, f.terms.values())))
 
 
 def homogeneous_components(f: Poly) -> list[tuple[int, Poly]]:
@@ -482,50 +488,49 @@ def poly_to_str(f: Poly) -> str:
 # The base is x<i>, y<j> or T here and KIND[index] in
 # genexpr.parse_gen_expr.
 
-_DIGITS = frozenset("0123456789")
-_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_PIECES = re.compile(r"[0-9]+|[A-Za-z]+[0-9]*|\S")
 _END = ("end", None)
 
 
+class _TokenTable(dict):
+    """{text piece: token} for one ``_tokenize`` call; a piece is
+    classified the first time it is seen."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __missing__(self, piece: str):
+        head = piece[0]
+        if head in "+-*^[]":
+            token = (head, None)
+        elif head in "0123456789":
+            token = ("int", int(piece))
+        elif head.isascii() and head.isalpha():
+            letters = piece.rstrip("0123456789")
+            index = piece[len(letters):]
+            token = ("name", (letters, int(index) if index else None))
+        else:
+            # Only a stray character stands alone, so its first
+            # occurrence in the text is this piece.
+            raise PolyParseError(
+                f"unexpected character {head!r} at position {self.text.index(head)}"
+            )
+        self[piece] = token
+        return token
+
+
 def _tokenize(text: str) -> list:
-    """Scan the text once into (kind, value) tokens, ending with _END.
+    """Split the text into (kind, value) tokens, ending with _END.
 
     Kinds: "int"; "name" for ASCII letters, valued (letters, the index
     written right after them or None); and each of + - * ^ [ ].
     Whitespace separates tokens.  Digits are ASCII only.
     """
-    tokens = []
-    append = tokens.append
-    size = len(text)
-    i = 0
     try:
-        while i < size:
-            ch = text[i]
-            if ch in _DIGITS:
-                j = i + 1
-                while j < size and text[j] in _DIGITS:
-                    j += 1
-                append(("int", int(text[i:j])))
-                i = j
-            elif ch in _LETTERS:
-                j = i + 1
-                while j < size and text[j] in _LETTERS:
-                    j += 1
-                k = j
-                while k < size and text[k] in _DIGITS:
-                    k += 1
-                append(("name", (text[i:j], int(text[j:k]) if k > j else None)))
-                i = k
-            elif ch in "+-*^[]":
-                append((ch, None))
-                i += 1
-            elif ch.isspace():
-                i += 1
-            else:
-                raise PolyParseError(f"unexpected character {ch!r} at position {i}")
+        tokens = list(map(_TokenTable(text).__getitem__, _PIECES.findall(text)))
     except ValueError as exc:  # int() refuses overlong digit strings
         raise PolyParseError(str(exc)) from None
-    append(_END)
+    tokens.append(_END)
     return tokens
 
 

@@ -5,9 +5,9 @@ import math
 
 import hypothesis.strategies as st
 
-from supersympoly import GenExpr, Poly, Ring, enumerate_gen_monomials
+from supersympoly import DivisibilityError, GenExpr, Poly, PolyParseError, Ring, enumerate_gen_monomials
 from supersympoly.generators import generator_poly, kseq, v_k
-from supersympoly.poly_core import fp_inv
+from supersympoly.poly_core import _END, fp_inv
 from supersympoly.symfun import block_span
 
 
@@ -270,3 +270,58 @@ def wide_operands(draw, max_terms=4):
             pairs.append((tuple(bound if i == slot else 0 for i in range(nvars)), 1))
         polys.append(build_poly(ring, pairs))
     return (ring, *polys)
+
+
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+
+
+def reference_tokenize(text):
+    """The character scanner ``poly_core._tokenize`` used before it split
+    the text with one regex: the reference for its tokens and errors."""
+    tokens = []
+    append = tokens.append
+    size = len(text)
+    i = 0
+    try:
+        while i < size:
+            ch = text[i]
+            if ch in _DIGITS:
+                j = i + 1
+                while j < size and text[j] in _DIGITS:
+                    j += 1
+                append(("int", int(text[i:j])))
+                i = j
+            elif ch in _LETTERS:
+                j = i + 1
+                while j < size and text[j] in _LETTERS:
+                    j += 1
+                k = j
+                while k < size and text[k] in _DIGITS:
+                    k += 1
+                append(("name", (text[i:j], int(text[j:k]) if k > j else None)))
+                i = k
+            elif ch in "+-*^[]":
+                append((ch, None))
+                i += 1
+            elif ch.isspace():
+                i += 1
+            else:
+                raise PolyParseError(f"unexpected character {ch!r} at position {i}")
+    except ValueError as exc:  # int() refuses overlong digit strings
+        raise PolyParseError(str(exc)) from None
+    append(_END)
+    return tokens
+
+
+def reference_exact_monomial_div(f, divisor):
+    """The per-term loop ``poly_core.exact_monomial_div`` used before it
+    built quotients with ``map``: the reference for its quotients and
+    for the term its ``DivisibilityError`` names."""
+    d = tuple(divisor)
+    out = {}
+    for exps, c in f.terms.items():
+        if any(a < b for a, b in zip(exps, d)):
+            raise DivisibilityError(f"term with exponents {exps} is not divisible by {d}")
+        out[tuple(a - b for a, b in zip(exps, d))] = c
+    return Poly(f.ring, out)

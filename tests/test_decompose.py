@@ -17,6 +17,7 @@ from supersympoly import (
     elementary,
     expand,
     factor_core,
+    homogeneous_components,
     make_v,
     monomial,
     one,
@@ -29,6 +30,7 @@ from supersympoly import (
     zero,
 )
 from supersympoly.decompose import _lift, trace_decomposition
+from supersympoly.genexpr import gen_span
 from supersympoly.selfcheck import random_gen_expr
 
 from helpers import expansion_cap, gen_exprs, reference_lift_poly
@@ -252,6 +254,42 @@ class TestTraceInvariants:
         with trace_decomposition() as trace:
             decompose(u_k(1, R21) * c_r(2, R21))
         assert trace.calls
+
+    @pytest.mark.parametrize("m, n, p, a, b, text, residues, peels", [
+        # a one-x core whose residues peel twice, the second time both blocks
+        (2, 2, 3, 1, 5, "C[3] + 2*C[1]*U[1]",
+         [(2, 2, 3, 15, 1, 5), (1, 2, 3, 3, 1, 0), (2, 2, 3, 19, 2, 7)],
+         [(2, 2, 3, 1, 5), (2, 2, 3, 2, 7)]),
+        # maximal core (4, 0), of which only (3, 0) is peeled
+        (2, 2, 3, 3, 0, "EX[2] + U[1]",
+         [(2, 2, 3, 12, 4, 0), (2, 2, 3, 6, 1, 0)],
+         [(2, 2, 3, 3, 0)]),
+        (3, 2, 5, 10, 0, "EY[1] + C[2]*C[3]",
+         [(3, 2, 5, 35, 10, 0), (1, 2, 5, 5, 1, 0)],
+         [(3, 2, 5, 10, 0)]),
+    ])
+    def test_core_peel_records(self, m, n, p, a, b, text, residues, peels):
+        ring = Ring(m, n, False, p)
+        f = monomial(ring, [a] * m + [b] * n) * expand(parse_gen_expr(text, m, n, p), ring)
+        with trace_decomposition() as trace:
+            e = decompose(f)
+        assert verify_decomposition(f, e)
+        assert trace.residues == residues
+        assert trace.peels == peels
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_recursion_agrees_with_span_certificates(data):
+    """Two independent certificates for each homogeneous component f of
+    a random expansion: the restrict / lift / peel recursion and the
+    span of all generator monomials of f's degree."""
+    m, n = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    p = data.draw(st.sampled_from((3, 5)))
+    ring = Ring(m, n, False, p)
+    for degree, f in homogeneous_components(expand(data.draw(gen_exprs(m, n, p, 8)), ring)):
+        assert expand(decompose(f), ring) == f
+        assert expand(gen_span(m, n, p, degree).solve(f), ring) == f
 
 
 # Levels (m, n, p) whose lifts v_k and their span certificates build in

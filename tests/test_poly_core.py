@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -21,8 +23,16 @@ from supersympoly import (
     x_var,
     zero,
 )
-from supersympoly.poly_core import FpEchelon
-from helpers import ReferenceEchelon, reference_mul, reference_pow, ring_and_polys, wide_operands
+from supersympoly.poly_core import FpEchelon, _PIECES, _tokenize
+from helpers import (
+    ReferenceEchelon,
+    reference_exact_monomial_div,
+    reference_mul,
+    reference_pow,
+    reference_tokenize,
+    ring_and_polys,
+    wide_operands,
+)
 
 R11 = Ring(1, 1, False, 3)
 R21 = Ring(2, 1, False, 3)
@@ -160,6 +170,13 @@ class TestExactMonomialDiv:
     def test_not_divisible(self):
         with pytest.raises(DivisibilityError):
             exact_monomial_div(parse_poly("x1 + y1", R11), (1, 0))
+
+    def test_negative_divisor_refused(self):
+        # dividing by x1^-1 would multiply by x1
+        with pytest.raises(ValueError, match="negative exponent"):
+            exact_monomial_div(parse_poly("x1", R11), (-1, 0))
+        with pytest.raises(ValueError, match="negative exponent"):
+            exact_monomial_div(zero(R11), (0, -2))
 
 
 class TestHomogeneousComponents:
@@ -340,3 +357,73 @@ def test_echelon_matches_reference(system):
     assert list(ech.rows.items()) == list(ref.rows.items())
     for row in ech.rows.values():
         assert row[max(row)] == 1
+
+
+@st.composite
+def divisions(draw):
+    """A polynomial and a divisor that divides it (f is a product by the
+    divisor's monomial) or may not (f is drawn freely)."""
+    ring, f = draw(ring_and_polys(count=1, has_t=draw(st.booleans())))
+    d = draw(st.tuples(*([st.integers(0, 4)] * ring.nvars)))
+    if draw(st.booleans()):
+        f = f * monomial(ring, d)
+    return f, d
+
+
+def _outcome(fn, *args):
+    """(result, None) or (None, (error type, message))."""
+    try:
+        return fn(*args), None
+    except (DivisibilityError, PolyParseError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisions())
+def test_exact_monomial_div_matches_reference(data):
+    f, d = data
+    assert _outcome(exact_monomial_div, f, d) == _outcome(reference_exact_monomial_div, f, d)
+
+
+_TEXT_PIECES = st.one_of(
+    st.text(
+        st.sampled_from(
+            "abxyCTUE0123456789+-*^[] \t\n"  # the grammar's alphabet
+            "\u00a0\u2003"  # Unicode spaces
+            "\u0661\u00b2\u00e9"  # a non-ASCII digit, a superscript, a letter
+        ),
+        max_size=12,
+    ),
+    st.text(st.sampled_from("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")),
+    st.integers(4301, 4400).map(lambda k: "7" * k),  # int() refuses these
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TEXT_PIECES, max_size=8).map("".join))
+def test_tokenize_matches_reference(text):
+    assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
+
+
+class TestTokenize:
+    def test_pinned_cases(self):
+        long_text = " + ".join(f"{i % 2 + 1}*x1^{i}*y1" for i in range(1000))
+        for text in (
+            "x 1",
+            "x\u0661",
+            "C [ 1 ]",
+            long_text + " + x1 @ y1 @",  # the first stray character is reported
+            long_text + " - " + "9" * 4301 + " ! x1",  # the earlier error wins
+        ):
+            assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
+        _, (_, message) = _outcome(_tokenize, long_text + " + x1 @ y1 @")
+        assert message == f"unexpected character '@' at position {len(long_text) + 6}"
+
+    def test_whitespace_is_str_isspace(self):
+        # the regex splits on \s and the reference skips str.isspace:
+        # the pieces of every code point, joined, drop exactly the spaces
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(_PIECES.findall(chars)) == "".join(c for c in chars if not c.isspace())
+        spaces = "".join(c for c in chars if c.isspace())
+        text = "x1" + spaces + "y2" + spaces + "3"
+        assert _tokenize(text) == reference_tokenize(text)
