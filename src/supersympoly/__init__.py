@@ -8,7 +8,6 @@ from .errors import (
     PolyParseError,
     RingMismatchError,
     SuperPolyError,
-    ZeroPolynomialError,
 )
 from .poly_core import (
     Poly,
@@ -66,7 +65,6 @@ from .genexpr import (
 from .decompose import (
     core_to_generators,
     decompose,
-    factor_core,
     trace_decomposition,
     verify_decomposition,
     vk_gen_expr,

@@ -34,11 +34,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
-from .errors import (
-    InternalInvariantViolation,
-    NotSupersymmetricError,
-    ZeroPolynomialError,
-)
+from .errors import InternalInvariantViolation, NotSupersymmetricError
 from .genexpr import GenExpr, _expand_sum, expand, gen_span
 from .generators import generator_poly, kseq, v_k
 from .poly_core import (
@@ -50,23 +46,6 @@ from .poly_core import (
 )
 from .supersym import is_supersymmetric
 from .symfun import Block, rewrite_symmetric
-
-
-@dataclass(frozen=True)
-class CoreFactorization:
-    """f = (x_1...x_m)^a (y_1...y_n)^b * cofactor with maximal a and b."""
-
-    a: int
-    b: int
-    cofactor: Poly
-
-
-def factor_core(f: Poly) -> CoreFactorization:
-    """Peel the maximal symmetric variable cores off a nonzero polynomial."""
-    if f.is_zero:
-        raise ZeroPolynomialError("cannot factor the zero polynomial")
-    a, b = _core_degrees(f)
-    return CoreFactorization(a, b, exact_monomial_div(f, _core_exponents(f.ring, a, b)))
 
 
 def _core_degrees(f: Poly) -> tuple[int, int]:

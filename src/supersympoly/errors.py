@@ -17,10 +17,6 @@ class DivisibilityError(SuperPolyError):
     """Exact division was requested but does not hold."""
 
 
-class ZeroPolynomialError(SuperPolyError):
-    """An operation that needs a nonzero polynomial received zero."""
-
-
 class NotSymmetricError(SuperPolyError):
     """A symmetric rewrite was requested for a non symmetric input."""
 

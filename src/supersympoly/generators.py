@@ -124,9 +124,6 @@ class DeltaSeq:
         return f"Delta{self.entries}"
 
 
-EMPTY_DELTA = DeltaSeq(())
-
-
 def enumerate_deltas(s: int, max_weight: int | None = None) -> list[DeltaSeq]:
     """All sequences for the given s, with weight at most max_weight.
 

@@ -7,8 +7,8 @@ u_k.  Terms map a multiset of symbols to a coefficient.  A GenExpr is a
 certificate, not a normal form: the generator algebra has relations, so
 different expressions may expand to the same polynomial.
 
-``expand``, ``expand_key``, the lift step of ``decompose`` and GenSpan
-all expand through one packed path: ``_expand_sum`` and its power chains.
+``expand``, the lift step of ``decompose`` and GenSpan all expand
+through one packed path: ``_expand_sum`` and its power chains.
 
 GenSpan row-reduces the expansions of all symbol monomials of one
 weighted degree, in orbit-leader coordinates, and can write any
@@ -41,27 +41,41 @@ _KIND_RANK = {"C": 0, "EX": 1, "EY": 2, "U": 3}
 
 
 def symbol_weight(kind: str, index: int, m: int, n: int, p: int) -> int:
-    """Total degree of the expanded symbol."""
+    """Total degree of the expanded symbol, which must exist at level
+    (m, n): C[r] for r >= 1, EX[i] for i <= m, EY[j] for j <= n and
+    U[k] for 0 < k < p when n >= 1.  Raises ValueError otherwise."""
     if kind == "C":
-        return index
-    if kind == "EX" or kind == "EY":
-        return p * index
-    return m * index + n * (p - index)
-
-
-def _validate_symbol(kind: str, index: int, m: int, n: int, p: int):
-    if kind == "C":
-        ok = index >= 1
+        if index >= 1:
+            return index
     elif kind == "EX":
-        ok = 1 <= index <= m
+        if 1 <= index <= m:
+            return p * index
     elif kind == "EY":
-        ok = 1 <= index <= n
+        if 1 <= index <= n:
+            return p * index
     elif kind == "U":
-        ok = 0 < index < p and n >= 1
-    else:
-        ok = False
-    if not ok:
-        raise ValueError(f"symbol {kind}[{index}] is invalid at level ({m},{n}), p={p}")
+        if 0 < index < p and n >= 1:
+            return m * index + n * (p - index)
+    raise ValueError(f"symbol {kind}[{index}] is invalid at level ({m},{n}), p={p}")
+
+
+def level_symbols(m: int, n: int, p: int, max_weight: int) -> dict[tuple, int]:
+    """{(kind, index): weight} of every symbol at level (m, n) of weight
+    at most ``max_weight``, in canonical order: C, EX, EY, U, each by
+    index."""
+    out = {}
+    for kind in _KIND_RANK:
+        # a kind's indices run from 1 to its bound (m, n or p - 1), and
+        # C's, unbounded, weigh their index: the range holds every
+        # symbol light enough, and the first missing index ends a kind
+        for index in range(1, max(max_weight, m, n, p - 1) + 1):
+            try:
+                weight = symbol_weight(kind, index, m, n, p)
+            except ValueError:
+                break
+            if weight <= max_weight:
+                out[kind, index] = weight
+    return out
 
 
 def _key_weight(key: tuple, m: int, n: int, p: int) -> int:
@@ -78,7 +92,7 @@ class GenExpr:
         for key, c in terms.items():
             merged: dict = {}
             for (kind, idx), e in key:
-                _validate_symbol(kind, idx, m, n, p)
+                symbol_weight(kind, idx, m, n, p)  # the symbol must exist
                 if e < 0:
                     raise ValueError("symbol exponents must be nonnegative")
                 if e:
@@ -123,7 +137,9 @@ class GenExpr:
             raise ValueError("generator expressions at different levels")
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, GenExpr):
+            if not isinstance(other, int):
+                return NotImplemented
             other = GenExpr.const(self.m, self.n, self.p, other)
         self._require_compatible(other)
         out = dict(self.terms)
@@ -137,13 +153,15 @@ class GenExpr:
         return self * (self.p - 1)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = GenExpr.const(self.m, self.n, self.p, other)
+        if not isinstance(other, (GenExpr, int)):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         p = self.p
-        if isinstance(other, int):
+        if not isinstance(other, GenExpr):
+            if not isinstance(other, int):
+                return NotImplemented
             return _trusted(self.m, self.n, p, {k: c * other % p for k, c in self.terms.items()})
         self._require_compatible(other)
         out: dict = {}
@@ -194,12 +212,6 @@ def _trusted(m: int, n: int, p: int, terms: dict) -> GenExpr:
     object.__setattr__(e, "p", p)
     object.__setattr__(e, "terms", {k: c for k, c in terms.items() if c})
     return e
-
-
-def expand_key(key: tuple, ring: Ring) -> Poly:
-    """Concrete polynomial of one symbol monomial."""
-    return _expand_sum({key: 1}, ring, _key_weight(key, ring.m, ring.n, ring.p).bit_length() or 1,
-                       partial(generator_poly, ring=ring))
 
 
 def expand(e: GenExpr, ring: Ring) -> Poly:
@@ -309,21 +321,10 @@ def parse_gen_expr(text: str, m: int, n: int, p: int) -> GenExpr:
 
 
 def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
-    """All symbol monomials of exact weighted degree, in canonical order.
-
-    Symbols: C[r] for 1 <= r <= degree, EX[i] for i <= m, EY[j] for
-    j <= n, and U[k] for 0 < k < p when n >= 1, each admitted only when
-    its weight fits.
-    """
-    symbols = [("C", r, r) for r in range(1, degree + 1)]
-    symbols += [("EX", i, p * i) for i in range(1, m + 1) if p * i <= degree]
-    symbols += [("EY", j, p * j) for j in range(1, n + 1) if p * j <= degree]
-    if n >= 1:
-        symbols += [
-            ("U", k, m * k + n * (p - k))
-            for k in range(1, p)
-            if m * k + n * (p - k) <= degree
-        ]
+    """All symbol monomials of exact weighted degree over the symbols of
+    ``level_symbols``, in a fixed order; each key lists its symbols in
+    the canonical order ``level_symbols`` gives them."""
+    symbols = list(level_symbols(m, n, p, degree).items())
     found = []
 
     def rec(idx: int, remaining: int, prefix: list):
@@ -332,17 +333,17 @@ def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
             return
         if idx == len(symbols):
             return
-        kind, sidx, w = symbols[idx]
+        symbol, w = symbols[idx]
         rec(idx + 1, remaining, prefix)
         e = 1
         while e * w <= remaining:
-            prefix.append(((kind, sidx), e))
+            prefix.append((symbol, e))
             rec(idx + 1, remaining - e * w, prefix)
             prefix.pop()
             e += 1
 
     rec(0, degree, [])
-    return [tuple(sorted(key)) for key in found]
+    return found
 
 
 class GenSpan:
@@ -359,15 +360,13 @@ class GenSpan:
     span keeps expansions in leader coordinates only.  Its symbol
     powers come in full from one packed power chain per symbol (see
     ``_power_chains``), local to the build, and each is checked to be
-    block-symmetric once.  A
-    key's product starts from the leader terms of its largest factor;
-    each other factor multiplies the leader terms, weighted by their
-    orbit sizes, into the factor's full expansion, and the products are
-    summed on the leaders of their keys.  Over Z that sum is
-    orbit_size(e) times the product's coefficient at the leader e, so it
-    is divided exactly before it is reduced mod p (m! n! may be 0 mod
-    p).  At levels with m, n <= 1 every key is its own leader, and keys
-    are expanded by plain products of the same chains, as in ``expand``.
+    block-symmetric once.  A key's product starts from the leader terms
+    of its largest factor; each other factor multiplies the leader
+    terms, weighted by their orbit sizes, into the factor's full
+    expansion, and the products are summed on the leaders of their
+    keys.  Over Z that sum is orbit_size(e) times the product's
+    coefficient at the leader e, so it is divided exactly before it is
+    reduced mod p (m! n! may be 0 mod p).
 
     Projection to leaders is injective on block-symmetric polynomials,
     and a leader is the lexicographic maximum of its orbit.  So each row
@@ -393,7 +392,6 @@ class GenSpan:
         self.width = degree.bit_length() or 1
         self.monomials = enumerate_gen_monomials(m, n, p, degree)
         self.echelon = FpEchelon(p)
-        self._trivial = m <= 1 and n <= 1
         self._leader: dict[int, int] = {}  # packed key -> its orbit leader
         self._orbit: dict[int, int] = {}  # leader -> orbit size
         # packed x or y block -> (its fields sorted, their orbit size)
@@ -403,12 +401,8 @@ class GenSpan:
         power = _power_chains(self.width, p, partial(generator_poly, ring=self.ring))
         leaders: dict = {}
         for i, key in enumerate(self.monomials):
-            if self._trivial:
-                vec = _expand_packed(key, power, p)
-            else:
-                vec = self._expand(key, power, leaders)
             # a fresh dict: a one-symbol expansion is the memoized power itself
-            vec = {**vec, -1 - i: 1}
+            vec = {**self._expand(key, power, leaders), -1 - i: 1}
             residue = self.echelon.reduce(vec)
             if max(residue) >= 0:
                 self.echelon.insert(residue)
@@ -487,8 +481,6 @@ class GenSpan:
         """The terms of ``packed`` at orbit leaders, or None unless it is
         block-symmetric: constant on each orbit, with every orbit point
         present."""
-        if self._trivial:
-            return packed
         leader_of, find = self._leader, self._find_leader
         out = {}
         for k, c in packed.items():

@@ -122,7 +122,9 @@ class Poly:
             raise RingMismatchError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, Poly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = constant(self.ring, other)
         self._require_same_ring(other)
         out = dict(self.terms)
@@ -142,17 +144,21 @@ class Poly:
         return _clean(self.ring, {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = constant(self.ring, other)
+        if not isinstance(other, (Poly, int)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
         ring = self.ring
         p = ring.p
-        if isinstance(other, int):
+        if not isinstance(other, Poly):
+            if not isinstance(other, int):
+                return NotImplemented
             c = other % p
             if not c:
                 return _clean(ring, {})

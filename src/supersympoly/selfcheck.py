@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .decompose import decompose, trace_decomposition, verify_decomposition
 from .generators import enumerate_deltas, kseq, make_v, sigma_x_p, sigma_y_p, u_k
-from .genexpr import GenExpr, expand, symbol_weight
+from .genexpr import GenExpr, expand, level_symbols
 from .oracle import as_dimension, cr_generating_check, generated_dimension, bracket_identity_check, psi_w_check
 from .poly_core import Ring, d_dT, psi, set_xm_zero
 from .supersym import is_p_balanced, is_strictly_supersymmetric, is_supersymmetric
@@ -26,6 +26,12 @@ FULL_PRIMES = (3, 5, 7)
 SMALL_PRIMES = (3, 5)
 FULL_DIMS = (1, 2, 3)
 CELLS = ((1, 1), (2, 1), (1, 2), (2, 2))
+DIMENSION_DMAX = 12  # criterion 4: degrees 0..12 of every (p, cell)
+ROUNDTRIP_COUNT = 200  # criterion 5: inputs per (p, cell)
+ROUNDTRIP_MAX_WEIGHT = 10
+ROUNDTRIP_SEED = 20240801
+CR_RMAX = 6  # criterion 7: c_1 .. c_6
+MEMBERSHIP_DIMS = (1, 2)  # criterion 8
 
 
 @dataclass
@@ -37,20 +43,20 @@ class CheckResult:
     seconds: float
 
 
-def _grid(ps=FULL_PRIMES, dims=FULL_DIMS):
-    for p in ps:
+def _grid():
+    for p in FULL_PRIMES:
         for k in range(1, p):
-            for m in dims:
-                for n in dims:
+            for m in FULL_DIMS:
+                for n in FULL_DIMS:
                     yield p, k, m, n
 
 
-def check_vk_contract(ps=FULL_PRIMES, dims=FULL_DIMS) -> tuple[bool, str]:
+def check_vk_contract() -> tuple[bool, str]:
     """v_k is block symmetric, homogeneous of degree (m-1)k + (p-k)n,
     killed by d/dT after x_m = y_n = T, and restricts to u_k(m-1|n)."""
     bad = []
     cells = 0
-    for p, k, m, n in _grid(ps, dims):
+    for p, k, m, n in _grid():
         cells += 1
         v = make_v(p, k, m, n)
         expected = u_k(k, Ring(m - 1, n, False, p))
@@ -66,14 +72,14 @@ def check_vk_contract(ps=FULL_PRIMES, dims=FULL_DIMS) -> tuple[bool, str]:
     return not bad, f"{cells} cells" + (f", failures: {bad}" if bad else "")
 
 
-def check_psi_w(ps=FULL_PRIMES, dims=FULL_DIMS) -> tuple[bool, str]:
+def check_psi_w() -> tuple[bool, str]:
     """The closed form of the T image of w, modulo the kernel of d/dT."""
-    bad = [(p, k, m, n) for p, k, m, n in _grid(ps, dims) if not psi_w_check(m, n, kseq(p, k))]
-    total = sum(1 for _ in _grid(ps, dims))
+    bad = [(p, k, m, n) for p, k, m, n in _grid() if not psi_w_check(m, n, kseq(p, k))]
+    total = sum(1 for _ in _grid())
     return not bad, f"{total} cells" + (f", failures: {bad}" if bad else "")
 
 
-def check_bracket_identities(ps=FULL_PRIMES, dims=FULL_DIMS) -> tuple[bool, str]:
+def check_bracket_identities() -> tuple[bool, str]:
     """Both bracket substitution identities, exhaustively.
 
     Admissible tuples: every delta sequence for s, l from 0 to s for the
@@ -82,12 +88,12 @@ def check_bracket_identities(ps=FULL_PRIMES, dims=FULL_DIMS) -> tuple[bool, str]
     """
     bad = []
     checks = 0
-    for p in ps:
+    for p in FULL_PRIMES:
         for k in range(1, p):
             ks = kseq(p, k)
             deltas = enumerate_deltas(ks.s)
-            for m in dims:
-                for n in dims:
+            for m in FULL_DIMS:
+                for n in FULL_DIMS:
                     for delta in deltas:
                         for j in range(0, n + 1):
                             for l in range(0, ks.s + 1):
@@ -101,13 +107,13 @@ def check_bracket_identities(ps=FULL_PRIMES, dims=FULL_DIMS) -> tuple[bool, str]
     return not bad, f"{checks} identities" + (f", failures: {bad[:3]}..." if bad else "")
 
 
-def check_dimensions(ps=SMALL_PRIMES, cells=CELLS, dmax=12) -> tuple[bool, str]:
+def check_dimensions() -> tuple[bool, str]:
     """Kernel dimension equals generated dimension, degree by degree."""
     bad = []
     rows = 0
-    for p in ps:
-        for m, n in cells:
-            for d in range(dmax + 1):
+    for p in SMALL_PRIMES:
+        for m, n in CELLS:
+            for d in range(DIMENSION_DMAX + 1):
                 rows += 1
                 da = as_dimension(m, n, p, d)
                 dg = generated_dimension(m, n, p, d)
@@ -119,30 +125,35 @@ def check_dimensions(ps=SMALL_PRIMES, cells=CELLS, dmax=12) -> tuple[bool, str]:
 def random_gen_expr(rng: random.Random, m: int, n: int, p: int,
                     max_weight: int = 10, max_terms: int = 4) -> GenExpr:
     """Random formal generator polynomial of bounded weighted degree."""
-    symbols = [("C", r) for r in range(1, max_weight + 1)]
-    symbols += [("EX", i) for i in range(1, m + 1)]
-    symbols += [("EY", j) for j in range(1, n + 1)]
-    if n >= 1:
-        symbols += [("U", k) for k in range(1, p)]
-    symbols = [s for s in symbols if symbol_weight(s[0], s[1], m, n, p) <= max_weight]
+    symbols = level_symbols(m, n, p, max_weight)
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         budget = max_weight
         acc: dict = {}
         while True:
-            options = [s for s in symbols if symbol_weight(s[0], s[1], m, n, p) <= budget]
+            options = [s for s, w in symbols.items() if w <= budget]
             if not options or (acc and rng.random() < 0.4):
                 break
             sym = rng.choice(options)
             acc[sym] = acc.get(sym, 0) + 1
-            budget -= symbol_weight(sym[0], sym[1], m, n, p)
+            budget -= symbols[sym]
         key = tuple(sorted(acc.items()))
         terms[key] = (terms.get(key, 0) + rng.randint(1, p - 1)) % p
     return GenExpr(m, n, p, terms)
 
 
-def check_roundtrip(ps=SMALL_PRIMES, cells=CELLS, count=200, max_weight=10,
-                    seed=20240801):
+def _roundtrip_inputs():
+    """The criterion-5 inputs: (ring, e) for ``ROUNDTRIP_COUNT`` random
+    expressions per prime and cell, each cell with its own seeded stream."""
+    for p in SMALL_PRIMES:
+        for m, n in CELLS:
+            ring = Ring(m, n, False, p)
+            rng = random.Random(ROUNDTRIP_SEED + 1000 * p + 10 * m + n)
+            for _ in range(ROUNDTRIP_COUNT):
+                yield ring, random_gen_expr(rng, m, n, p, ROUNDTRIP_MAX_WEIGHT)
+
+
+def check_roundtrip():
     """expand -> decompose -> expand is the identity on random inputs.
 
     Returns (ok, detail, trace); the trace records every residue the
@@ -151,21 +162,17 @@ def check_roundtrip(ps=SMALL_PRIMES, cells=CELLS, count=200, max_weight=10,
     bad = []
     runs = 0
     with trace_decomposition() as trace:
-        for p in ps:
-            for m, n in cells:
-                ring = Ring(m, n, False, p)
-                rng = random.Random(seed + 1000 * p + 10 * m + n)
-                for _ in range(count):
-                    runs += 1
-                    e = random_gen_expr(rng, m, n, p, max_weight)
-                    f = expand(e, ring)
-                    try:
-                        e2 = decompose(f)
-                    except Exception as exc:  # InternalInvariantViolation included
-                        bad.append((p, m, n, repr(exc)))
-                        continue
-                    if not verify_decomposition(f, e2):
-                        bad.append((p, m, n, "re-expansion mismatch"))
+        for ring, e in _roundtrip_inputs():
+            runs += 1
+            f = expand(e, ring)
+            level = (ring.p, ring.m, ring.n)
+            try:
+                e2 = decompose(f)
+            except Exception as exc:  # InternalInvariantViolation included
+                bad.append((*level, repr(exc)))
+                continue
+            if not verify_decomposition(f, e2):
+                bad.append((*level, "re-expansion mismatch"))
     detail = f"{runs} roundtrips, {len(trace.residues)} residues factored"
     if bad:
         detail += f", failures: {bad[:3]}..."
@@ -194,17 +201,17 @@ def check_peeled_core_law(trace) -> tuple[bool, str]:
     return not bad, f"{len(trace.peels)} peels" + (f", failures: {bad[:3]}" if bad else "")
 
 
-def check_cr_properties(ps=FULL_PRIMES, dims=FULL_DIMS, rmax=6) -> tuple[bool, str]:
+def check_cr_properties() -> tuple[bool, str]:
     """c_r is supersymmetric and strictly so; the generating identity holds."""
     from .generators import c_r
 
     bad = []
     checks = 0
-    for p in ps:
-        for m in dims:
-            for n in dims:
+    for p in FULL_PRIMES:
+        for m in FULL_DIMS:
+            for n in FULL_DIMS:
                 ring = Ring(m, n, False, p)
-                for r in range(1, rmax + 1):
+                for r in range(1, CR_RMAX + 1):
                     checks += 1
                     f = c_r(r, ring)
                     if not (is_supersymmetric(f).overall and is_strictly_supersymmetric(f)):
@@ -215,14 +222,14 @@ def check_cr_properties(ps=FULL_PRIMES, dims=FULL_DIMS, rmax=6) -> tuple[bool, s
     return not bad, f"{checks} checks" + (f", failures: {bad}" if bad else "")
 
 
-def check_vk_membership(ps=SMALL_PRIMES, dims=(1, 2)) -> tuple[bool, str]:
+def check_vk_membership() -> tuple[bool, str]:
     """decompose succeeds on every v_k and the certificate verifies."""
     bad = []
     cells = 0
-    for p in ps:
+    for p in SMALL_PRIMES:
         for k in range(1, p):
-            for m in dims:
-                for n in dims:
+            for m in MEMBERSHIP_DIMS:
+                for n in MEMBERSHIP_DIMS:
                     cells += 1
                     v = make_v(p, k, m, n)
                     try:
@@ -235,13 +242,13 @@ def check_vk_membership(ps=SMALL_PRIMES, dims=(1, 2)) -> tuple[bool, str]:
     return not bad, f"{cells} lifts" + (f", failures: {bad}" if bad else "")
 
 
-def check_balanced_generators(ps=FULL_PRIMES, dims=FULL_DIMS) -> tuple[bool, str]:
+def check_balanced_generators() -> tuple[bool, str]:
     """sigma_i(x)^p, sigma_j(y)^p and u_k are all p balanced."""
     bad = []
     checks = 0
-    for p in ps:
-        for m in dims:
-            for n in dims:
+    for p in FULL_PRIMES:
+        for m in FULL_DIMS:
+            for n in FULL_DIMS:
                 ring = Ring(m, n, False, p)
                 polys = [sigma_x_p(i, ring) for i in range(1, m + 1)]
                 polys += [sigma_y_p(j, ring) for j in range(1, n + 1)]

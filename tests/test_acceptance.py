@@ -9,9 +9,11 @@ marked as a strict expected failure.  The analysis lives in the README;
 criterion 5 shows the decomposition itself handles those inputs.
 """
 
+import hashlib
+
 import pytest
 
-from supersympoly import selfcheck
+from supersympoly import selfcheck, serialize_gen_expr
 
 
 def _report(num, name, ok, detail):
@@ -23,6 +25,16 @@ def _report(num, name, ok, detail):
 def roundtrip():
     ok, detail, trace = selfcheck.check_roundtrip()
     return ok, detail, trace
+
+
+def test_criterion_5_inputs_are_pinned():
+    """The criterion-5 inputs, as text, hash to the digest they had when
+    this test was written: a change to the symbol alphabet or to the
+    draws of random_gen_expr shows here, not as a drift in the suite."""
+    digest = hashlib.sha256()
+    for ring, e in selfcheck._roundtrip_inputs():
+        digest.update(f"{ring.m} {ring.n} {ring.p} {serialize_gen_expr(e)}\n".encode())
+    assert digest.hexdigest() == "57aaea2ffa6f73b2733f7345d1aed9370730d7340373b12a70c5b32fdb94a046"
 
 
 def test_criterion_1_lift_contract():

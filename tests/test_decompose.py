@@ -9,14 +9,13 @@ from supersympoly import (
     GenExpr,
     NotSupersymmetricError,
     Ring,
-    ZeroPolynomialError,
     c_r,
     complete,
     core_to_generators,
     decompose,
     elementary,
+    exact_monomial_div,
     expand,
-    factor_core,
     homogeneous_components,
     make_v,
     monomial,
@@ -29,7 +28,7 @@ from supersympoly import (
     vk_gen_expr,
     zero,
 )
-from supersympoly.decompose import _lift, trace_decomposition
+from supersympoly.decompose import _core_degrees, _core_exponents, _lift, trace_decomposition
 from supersympoly.genexpr import gen_span
 from supersympoly.selfcheck import random_gen_expr
 
@@ -40,27 +39,24 @@ R21 = Ring(2, 1, False, 3)
 
 
 class TestFactorCore:
+    """The maximal core (a, b) the peel step reads with ``_core_degrees``,
+    and the cofactor left by dividing it off."""
+
     def test_mixed_core(self):
         g = parse_poly("x1 + y1", R21)  # cofactor coprime to both cores
         f = parse_poly("x1*x2*y1", R21) * g
-        out = factor_core(f)
-        assert (out.a, out.b) == (1, 1)
-        assert out.cofactor == g
+        assert _core_degrees(f) == (1, 1)
+        assert exact_monomial_div(f, _core_exponents(R21, 1, 1)) == g
 
     def test_pure_x_power(self):
         r10 = Ring(1, 0, False, 3)
-        out = factor_core(parse_poly("x1^3", r10))
-        assert (out.a, out.b) == (3, 0)
-        assert out.cofactor == parse_poly("1", r10)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomialError):
-            factor_core(zero(R11))
+        f = parse_poly("x1^3", r10)
+        assert _core_degrees(f) == (3, 0)
+        assert exact_monomial_div(f, _core_exponents(r10, 3, 0)) == parse_poly("1", r10)
 
     def test_maximality(self):
         f = parse_poly("x1^2*y1^3 + x1^3*y1^2", R11)
-        out = factor_core(f)
-        assert (out.a, out.b) == (2, 2)
+        assert _core_degrees(f) == (2, 2)
 
 
 class TestCoreToGenerators:

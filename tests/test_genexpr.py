@@ -1,4 +1,5 @@
 import collections
+import operator
 import os
 import random
 import sys
@@ -26,13 +27,18 @@ from supersympoly import (
     serialize_gen_expr,
 )
 from supersympoly import genexpr
-from supersympoly.genexpr import expand_key
+from supersympoly.genexpr import level_symbols, symbol_weight
 from supersympoly.poly_core import _unpack
 from supersympoly.selfcheck import random_gen_expr
 
 from helpers import ReferenceSpan, expansion_cap, gen_exprs, reference_expand_key
 
 R11 = Ring(1, 1, False, 3)
+
+
+def _expand_monomial(key, ring):
+    """``expand`` of the one-term expression ``key``."""
+    return expand(GenExpr(ring.m, ring.n, ring.p, {key: 1}), ring)
 
 
 class TestGenExpr:
@@ -45,6 +51,17 @@ class TestGenExpr:
             GenExpr.symbol(1, 0, 3, "U", 1)  # needs a y block
         with pytest.raises(ValueError):
             GenExpr.symbol(1, 1, 3, "C", 0)  # constants are coefficients
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_foreign_operands_raise_type_error(self, op):
+        """A GenExpr combines with ints and GenExprs only; a polynomial
+        is not a certificate, so mixing the two is a TypeError."""
+        e = GenExpr.symbol(1, 1, 3, "C", 1)
+        for other in (expand(e, R11), 1.5, "C[1]", None):
+            with pytest.raises(TypeError):
+                op(e, other)
+            with pytest.raises(TypeError):
+                op(other, e)
 
     def test_arithmetic_mod_p(self):
         a = GenExpr.symbol(1, 1, 3, "C", 1)
@@ -150,6 +167,40 @@ class TestSerialization:
                 parse_gen_expr(bad, 1, 1, 3)
 
 
+class TestSymbols:
+    def test_weights(self):
+        assert symbol_weight("C", 4, 2, 1, 3) == 4
+        assert symbol_weight("EX", 2, 2, 1, 3) == 6
+        assert symbol_weight("EY", 1, 2, 1, 3) == 3
+        assert symbol_weight("U", 1, 2, 1, 3) == 2 * 1 + 1 * 2
+
+    @pytest.mark.parametrize("kind, index, m, n, p", [
+        ("C", 0, 1, 1, 3), ("EX", 0, 1, 1, 3), ("EX", 2, 1, 1, 3), ("EY", 1, 1, 0, 3),
+        ("U", 0, 1, 1, 3), ("U", 3, 1, 1, 3), ("U", 1, 1, 0, 3), ("Z", 1, 1, 1, 3),
+    ])
+    def test_missing_symbols_raise(self, kind, index, m, n, p):
+        with pytest.raises(ValueError, match=rf"symbol {kind}\[{index}\] is invalid"):
+            symbol_weight(kind, index, m, n, p)
+
+    @pytest.mark.parametrize("m, n, p", [
+        (0, 0, 3), (1, 0, 3), (0, 1, 3), (1, 1, 3), (2, 1, 5), (1, 2, 5), (3, 3, 7), (2, 0, 7), (3, 1, 3),
+    ])
+    def test_level_symbols_is_what_symbol_weight_accepts(self, m, n, p):
+        for w in range(-1, 3 * p + 2):
+            expected = []
+            for kind in ("C", "EX", "EY", "U", "Z"):
+                for index in range(-1, 4 * p):
+                    try:
+                        weight = symbol_weight(kind, index, m, n, p)
+                    except ValueError:
+                        continue
+                    if weight <= w:
+                        expected.append(((kind, index), weight))
+            # canonical order is the plain order of the (kind, index) pairs
+            assert expected == sorted(expected)
+            assert list(level_symbols(m, n, p, w).items()) == expected
+
+
 class TestEnumeration:
     def test_degree_one(self):
         assert enumerate_gen_monomials(1, 1, 3, 1) == [((("C", 1), 1),)]
@@ -165,6 +216,7 @@ class TestEnumeration:
         for d in range(1, 7):
             for key in enumerate_gen_monomials(2, 1, 3, d):
                 assert _key_weight(key, 2, 1, 3) == d
+                assert key == tuple(sorted(key))  # canonical, as GenExpr keys
 
 
 class TestGenSpan:
@@ -322,12 +374,12 @@ class TestPackedSpan:
         f = c_r(d, R11)  # has the term y1^d
         assert expand(span.solve(f), R11) == f
 
-    def test_expand_key_matches_reference(self):
+    def test_single_key_expand_matches_reference(self):
         for m, n, p in [(1, 1, 3), (2, 1, 3), (2, 2, 5), (0, 2, 3), (2, 0, 3)]:
             ring = Ring(m, n, False, p)
             for d in range(0, 8):
                 for key in enumerate_gen_monomials(m, n, p, d):
-                    assert expand_key(key, ring) == reference_expand_key(key, ring)
+                    assert _expand_monomial(key, ring) == reference_expand_key(key, ring)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -353,7 +405,7 @@ def _reference_expand(e, ring):
 
 
 class TestPackedExpansion:
-    """``expand`` and ``expand_key`` run on packed power chains; the
+    """``expand`` runs on packed power chains; the
     reference multiplies exponent tuples with no packing and no
     Frobenius step."""
 
@@ -373,7 +425,7 @@ class TestPackedExpansion:
         ring = Ring(m, n, False, p)
         powers = [(((("C", 1), e),), 1) for e in range(2 * p + 2)]
         for key, _ in powers:
-            assert expand_key(key, ring) == reference_expand_key(key, ring)
+            assert _expand_monomial(key, ring) == reference_expand_key(key, ring)
         e = GenExpr(m, n, p, dict(powers))
         assert expand(e, ring) == _reference_expand(e, ring)
 
@@ -381,7 +433,7 @@ class TestPackedExpansion:
         ring = Ring(2, 2, False, 5)
         assert expand(GenExpr.const(2, 2, 5, 3), ring) == Poly(ring, {(0, 0, 0, 0): 3})
         assert expand(GenExpr.zero(2, 2, 5), ring) == Poly(ring, {})
-        assert expand_key((), ring) == Poly(ring, {(0, 0, 0, 0): 1})
+        assert _expand_monomial((), ring) == Poly(ring, {(0, 0, 0, 0): 1})
         cancelled = GenExpr.symbol(2, 2, 5, "C", 1) - GenExpr.symbol(2, 2, 5, "C", 1)
         assert expand(cancelled, ring).is_zero
 

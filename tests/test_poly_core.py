@@ -1,3 +1,4 @@
+import operator
 import sys
 
 import pytest
@@ -73,6 +74,25 @@ class TestAdd:
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             x_var(R11, 1) + x_var(R21, 1)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("other", [1.5, "x1", None, (1, 0)])
+def test_foreign_operands_raise_type_error(op, other):
+    """Arithmetic with anything but an int or a Poly is unsupported, in
+    either order, and Python says so with TypeError."""
+    f = parse_poly("x1 + 2*y1", R11)
+    with pytest.raises(TypeError):
+        op(f, other)
+    with pytest.raises(TypeError):
+        op(other, f)
+
+
+def test_int_operands_on_both_sides():
+    f = parse_poly("x1 + 2*y1", R11)
+    assert 1 + f == f + 1 == parse_poly("x1 + 2*y1 + 1", R11)
+    assert 1 - f == -(f - 1) == parse_poly("1 - x1 - 2*y1", R11)
+    assert 2 * f == f * 2 == parse_poly("2*x1 + y1", R11)
 
 
 class TestMul:
