@@ -35,11 +35,12 @@ from itertools import groupby
 from operator import itemgetter
 
 from .errors import InternalInvariantViolation, NotSupersymmetricError
-from .genexpr import GenExpr, _expand_sum, expand, gen_span
+from .genexpr import GenExpr, expand, gen_span
 from .generators import generator_poly, kseq, v_k
 from .poly_core import (
     Poly,
     Ring,
+    _expand_sum,
     exact_monomial_div,
     homogeneous_components,
     set_xm_zero,
@@ -252,9 +253,9 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
     restrict to the level (m-1, n) ones when x_m = 0), while each U[k]
     becomes the lift v_k: as a polynomial for the subtraction step, and
     as its span certificate for the returned expression.  The polynomial
-    is one packed ``_expand_sum`` of h's terms with U[k] standing for
-    v_k.  Since deg v_k = (m-1)k + (p-k)n is the weight of U[k] at level
-    (m-1, n), h's weighted degree there bounds every lifted term.
+    is one ``_expand_sum`` of h's terms with U[k] standing for v_k,
+    bounded by h's weighted degree: deg v_k = (m-1)k + (p-k)n is the
+    weight of U[k] at level (m-1, n).
     """
     m, n, p = ring.m, ring.n, ring.p
     expr_total = GenExpr.zero(m, n, p)
@@ -275,8 +276,7 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
             return _VK_CACHE[(m, n, p, idx)][0]  # filled by vk_gen_expr above
         return generator_poly(kind, idx, ring)
 
-    width = (h.weighted_degree() or 0).bit_length() or 1
-    return _expand_sum(h.terms, ring, width, symbol_poly), expr_total
+    return _expand_sum(h.terms, ring, h.weighted_degree() or 0, symbol_poly), expr_total
 
 
 def _base_one_block(f: Poly) -> GenExpr:

@@ -8,7 +8,8 @@ certificate, not a normal form: the generator algebra has relations, so
 different expressions may expand to the same polynomial.
 
 ``expand``, the lift step of ``decompose`` and GenSpan all expand
-through one packed path: ``_expand_sum`` and its power chains.
+through ``poly_core``'s power chains, which ``poly_core._expand_sum``
+sums; each caller passes only a bound on the degree.
 
 GenSpan row-reduces the expansions of all symbol monomials of one
 weighted degree, in orbit-leader coordinates, and can write any
@@ -18,7 +19,6 @@ exactly over F_p.
 
 from __future__ import annotations
 
-import math
 import threading
 from functools import partial
 
@@ -28,13 +28,10 @@ from .poly_core import (
     FpEchelon,
     Poly,
     Ring,
-    _clean,
-    _pack,
-    _packed_mul,
-    _packed_power,
+    _expand_sum,
+    _OrbitLeaders,
     _parse_terms,
-    _reduce_mod,
-    _unpack,
+    _power_chains,
 )
 
 _KIND_RANK = {"C": 0, "EX": 1, "EY": 2, "U": 3}
@@ -157,6 +154,11 @@ class GenExpr:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return (-self) + other
+
     def __mul__(self, other):
         p = self.p
         if not isinstance(other, GenExpr):
@@ -218,55 +220,7 @@ def expand(e: GenExpr, ring: Ring) -> Poly:
     """Evaluate a GenExpr to the polynomial it denotes."""
     if (ring.m, ring.n, ring.p) != (e.m, e.n, e.p) or ring.has_t:
         raise ValueError(f"ring {ring} does not match level ({e.m},{e.n}), p={e.p}")
-    return _expand_sum(e.terms, ring, (e.weighted_degree() or 0).bit_length() or 1,
-                       partial(generator_poly, ring=ring))
-
-
-def _expand_sum(terms: dict, ring: Ring, width: int, symbol_poly) -> Poly:
-    """The sum of ``c * expansion(key)`` over ``terms``, accumulated
-    packed and unpacked once.  ``symbol_poly(kind, index)`` is the
-    polynomial a symbol stands for; ``width`` must hold the degree of
-    every term's expansion."""
-    p = ring.p
-    power = _power_chains(width, p, symbol_poly)
-    acc: dict[int, int] = {}
-    for key, c in terms.items():
-        if not key:
-            acc[0] = acc.get(0, 0) + c
-            continue
-        head = _expand_packed(key[:-1], power, p)
-        _packed_mul({k: c * v for k, v in head.items()}, power(key[-1]), acc)
-    return _clean(ring, _unpack(acc, width, ring.nvars, p))
-
-
-def _power_chains(width: int, p: int, symbol_poly):
-    """``power(((kind, index), e))``: a symbol's packed power mod p, from
-    one ``poly_core._packed_power`` chain per symbol that lives as long
-    as ``power``.  Symbols are homogeneous, so a chain's powers have
-    degree at most that of the term asking: a ``width`` that holds every
-    term's degree holds every chain, and the Frobenius step (keys times
-    p) never carries into the next field."""
-    chains: dict = {}
-
-    def power(factor: tuple) -> dict[int, int]:
-        symbol, e = factor
-        chain = chains.get(symbol)
-        if chain is None:
-            chain = chains[symbol] = {1: _pack(symbol_poly(*symbol).terms, width)}
-        return _packed_power(chain, e, p)
-
-    return power
-
-
-def _expand_packed(key: tuple, power, p: int) -> dict[int, int]:
-    """Packed expansion of a symbol monomial, reduced mod p, with its
-    symbol powers from ``power`` (see ``_power_chains``).  The empty key
-    packs to {0: 1}; a one-symbol key is the chain's own dict."""
-    out = None
-    for factor in key:
-        packed = power(factor)
-        out = packed if out is None else _reduce_mod(_packed_mul(out, packed), p)
-    return {0: 1} if out is None else out
+    return _expand_sum(e.terms, ring, e.weighted_degree() or 0, partial(generator_poly, ring=ring))
 
 
 # -- text form ---------------------------------------------------------------
@@ -349,56 +303,39 @@ def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
 class GenSpan:
     """Row-reduced span of the symbol monomial expansions at one degree.
 
-    Every expansion is homogeneous of the span's degree, so no exponent
-    exceeds it and one bit field width, ``degree.bit_length()``, packs
-    every term (see ``poly_core._pack``).  Packed order is lexicographic
-    tuple order.
-
     Every generator is supersymmetric, so every expansion is invariant
-    under S_m x S_n and is fixed by its coefficients on orbit leaders,
-    the exponent tuples sorted nonincreasing inside each block.  The
-    span keeps expansions in leader coordinates only.  Its symbol
-    powers come in full from one packed power chain per symbol (see
-    ``_power_chains``), local to the build, and each is checked to be
-    block-symmetric once.  A key's product starts from the leader terms
-    of its largest factor; each other factor multiplies the leader
-    terms, weighted by their orbit sizes, into the factor's full
-    expansion, and the products are summed on the leaders of their
-    keys.  Over Z that sum is orbit_size(e) times the product's
-    coefficient at the leader e, so it is divided exactly before it is
-    reduced mod p (m! n! may be 0 mod p).
+    under S_m x S_n, and the span keeps expansions in the orbit-leader
+    coordinates of its own ``poly_core._OrbitLeaders``.  Its symbol
+    powers come in full from one power chain per symbol (see
+    ``poly_core._power_chains``), local to the build, and each is
+    checked to be block-symmetric once, so a broken generator cannot
+    hide behind the projection.  ``solve`` refuses a polynomial that is
+    not block-symmetric before it projects.
 
     Projection to leaders is injective on block-symmetric polynomials,
-    and a leader is the lexicographic maximum of its orbit.  So each row
-    is the full-coordinate row restricted to leaders, with the same
-    pivot, in the same order, and the rank and certificates are
-    unchanged.  ``solve`` refuses a polynomial that is not
-    block-symmetric before it projects.  The leader memos fill during
-    ``solve`` too; every write stores the one value a key has, so
-    concurrent solves on a shared span are safe.
+    and a leader is the largest key of its orbit, so each row is the
+    full-coordinate row restricted to leaders, with the same pivot in
+    the same order: the rank and certificates are unchanged.
 
     Rows keep the exact combination of generator monomials they came
     from: the i-th monomial enters the echelon as its expansion plus the
     label coordinate ``-1 - i`` with coefficient 1 (the augmented-matrix
-    trick).  Labels sort below every packed key, which is at least 0, so
+    trick).  Labels sort below every term key, which is at least 0, so
     pivots are always terms, and a residue whose largest key is a label
     is a member; its labels give the certificate.  The construction is
     deterministic.
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
         self.m, self.n, self.p, self.degree = m, n, p, degree
         self.ring = Ring(m, n, False, p)
-        self.width = degree.bit_length() or 1
         self.monomials = enumerate_gen_monomials(m, n, p, degree)
         self.echelon = FpEchelon(p)
-        self._leader: dict[int, int] = {}  # packed key -> its orbit leader
-        self._orbit: dict[int, int] = {}  # leader -> orbit size
-        # packed x or y block -> (its fields sorted, their orbit size)
-        self._xblocks: dict[int, tuple] = {}
-        self._yblocks: dict[int, tuple] = {}
-        # the power chains and leader memo serve this build only
-        power = _power_chains(self.width, p, partial(generator_poly, ring=self.ring))
+        self._orbits = _OrbitLeaders(self.ring, degree)
+        # the power chains and the symbol-power memo serve this build only
+        power = _power_chains(degree, p, partial(generator_poly, ring=self.ring))
         leaders: dict = {}
         for i, key in enumerate(self.monomials):
             # a fresh dict: a one-symbol expansion is the memoized power itself
@@ -418,7 +355,7 @@ class GenSpan:
         degree = self.degree
         if any(sum(exps) != degree for exps in f.terms):
             return None
-        leaders = self._leader_terms(_pack(f.terms, self.width))
+        leaders = self._orbits.leader_terms(self._orbits.pack(f.terms))
         if leaders is None:
             return None
         residue = self.echelon.reduce(leaders)
@@ -431,105 +368,33 @@ class GenSpan:
     def _expand(self, key: tuple, power, leaders: dict) -> dict[int, int]:
         """Leader coordinates of a symbol monomial's expansion, mod p.
 
-        ``power`` gives the packed symbol powers (see ``_power_chains``)
-        and ``leaders`` memoizes their leader terms.  The empty key is
-        {0: 1}.
+        ``power`` gives the symbol powers (see ``_power_chains``), and
+        ``leaders`` memoizes their leader terms once each power is
+        checked to be block-symmetric.  The empty key is {0: 1}.
         """
         if not key:
             return {0: 1}
+        orbits = self._orbits
+        entries = []
+        for factor in key:
+            full = power(factor)
+            lead = leaders.get(factor)
+            if lead is None:
+                lead = leaders[factor] = orbits.leader_terms(full)
+                if lead is None:
+                    (kind, idx), e = factor
+                    raise InternalInvariantViolation(
+                        f"{kind}[{idx}]^{e} at level ({self.m},{self.n}), p={self.p} "
+                        "is not block-symmetric"
+                    )
+            entries.append((full, lead))
         # Only the first factor's leaders enter the pair loops, so start
         # from the largest expansion and apply the others largest first.
-        entries = sorted((self._power(f, power, leaders) for f in key),
-                         key=lambda entry: -len(entry[0]))
+        entries.sort(key=lambda entry: -len(entry[0]))
         out = entries[0][1]
         for full, _ in entries[1:]:
-            out = self._mul(out, full)
+            out = orbits.mul(out, full)
         return out
-
-    def _power(self, factor: tuple, power, leaders: dict) -> tuple[dict, dict]:
-        """(full packed terms, leader terms) of a symbol power; the leader
-        terms are memoized in ``leaders`` once the power is checked to be
-        block-symmetric."""
-        full = power(factor)
-        lead = leaders.get(factor)
-        if lead is None:
-            lead = leaders[factor] = self._leader_terms(full)
-            if lead is None:
-                (kind, idx), e = factor
-                raise InternalInvariantViolation(
-                    f"{kind}[{idx}]^{e} at level ({self.m},{self.n}), p={self.p} "
-                    "is not block-symmetric"
-                )
-        return full, lead
-
-    def _mul(self, leaders: dict, full: dict) -> dict[int, int]:
-        """Leader terms of the product of a block-symmetric polynomial,
-        given by its leader terms, and one given in full."""
-        p = self.p
-        orbit, leader_of, find = self._orbit, self._leader, self._find_leader
-        acc = _packed_mul({k: c * orbit[k] for k, c in leaders.items()}, full)
-        sums: dict[int, int] = {}
-        get = sums.get
-        for k, c in acc.items():
-            lead = leader_of.get(k)
-            if lead is None:
-                lead = find(k)
-            sums[lead] = get(lead, 0) + c
-        return {k: r for k, c in sums.items() if (r := c // orbit[k] % p)}
-
-    def _leader_terms(self, packed: dict) -> dict | None:
-        """The terms of ``packed`` at orbit leaders, or None unless it is
-        block-symmetric: constant on each orbit, with every orbit point
-        present."""
-        leader_of, find = self._leader, self._find_leader
-        out = {}
-        for k, c in packed.items():
-            lead = leader_of.get(k)
-            if lead is None:
-                lead = find(k)
-            if lead == k:
-                out[k] = c
-            elif packed.get(lead) != c:
-                return None
-        # every key lies in the orbit of a leader in ``out``, so the keys
-        # fill those orbits exactly when their sizes add up to the count
-        orbit = self._orbit
-        if sum(orbit[k] for k in out) != len(packed):
-            return None
-        return out
-
-    def _find_leader(self, k: int) -> int:
-        """Orbit leader of packed key ``k``, memoized with the leader's
-        orbit size."""
-        shift = self.width * self.n
-        xblock, yblock = k >> shift, k & ((1 << shift) - 1)
-        xlead, xsize = self._xblocks.get(xblock) or self._sort_block(xblock, self.m, self._xblocks)
-        ylead, ysize = self._yblocks.get(yblock) or self._sort_block(yblock, self.n, self._yblocks)
-        lead = self._leader[k] = (xlead << shift) | ylead
-        self._orbit[lead] = xsize * ysize
-        return lead
-
-    def _sort_block(self, block: int, size: int, memo: dict) -> tuple[int, int]:
-        """(fields sorted nonincreasing, number of distinct orderings) of
-        the ``size`` packed fields of one block, memoized in ``memo``."""
-        w = self.width
-        mask = (1 << w) - 1
-        fields = [(block >> s) & mask for s in range(0, w * size, w)]
-        fields.sort(reverse=True)
-        lead = 0
-        for a in fields:
-            lead = (lead << w) | a
-        found = memo[block] = (lead, _orbit_size(fields))
-        return found
-
-
-def _orbit_size(parts: list) -> int:
-    """Number of distinct orderings of the sorted list ``parts``."""
-    size, run = math.factorial(len(parts)), 1
-    for a, b in zip(parts, parts[1:]):
-        run = run + 1 if a == b else 1
-        size //= run
-    return size
 
 
 _SPAN_CACHE: dict[tuple, GenSpan] = {}

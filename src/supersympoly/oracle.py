@@ -11,11 +11,11 @@ computations share polynomial arithmetic and the row reduction
 ``poly_core.FpEchelon``, but not their inputs: one reduces derivative
 images of orbit sum products, the other generator monomial expansions.
 
-``GenSpan`` reduces the expansions on orbit-leader coordinates only.
-That keeps its rank, because projection to leaders is injective on
-block-symmetric polynomials, and it first checks that every generator
-power it expands is block-symmetric, raising
-``InternalInvariantViolation`` otherwise.  So a generator that lost its
+``GenSpan`` reduces the expansions in orbit-leader coordinates only,
+through a ``poly_core`` helper.  The rank is unchanged, because
+projection to leaders is injective on block-symmetric polynomials, and
+the span first checks that every generator power it expands is
+block-symmetric, raising ``InternalInvariantViolation`` otherwise.  So a generator that lost its
 symmetry cannot hide behind the projection, and the agreement stays a
 check of the generators rather than of the projection.
 

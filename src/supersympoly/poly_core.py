@@ -14,6 +14,7 @@ global mutable state in this module.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -166,12 +167,8 @@ class Poly:
         self._require_same_ring(other)
         if not self.terms or not other.terms:
             return _clean(ring, {})
-        # Pack each exponent tuple into one int, one bit field per slot,
-        # wide enough that no slot of a product carries into its
-        # neighbour.
         nvars = ring.nvars
-        top = max(map(max, self.terms)) + max(map(max, other.terms)) if nvars else 0
-        width = top.bit_length() or 1
+        width = _field_width(max(map(max, self.terms)) + max(map(max, other.terms)) if nvars else 0)
         acc = _packed_mul(_pack(self.terms, width), _pack(other.terms, width))
         return _clean(ring, _unpack(acc, width, nvars, p))
 
@@ -184,11 +181,11 @@ class Poly:
             return one(self.ring)
         if self.is_zero:
             return self
-        # Every field of f^j, j <= e, is at most e times f's largest
+        # Every exponent of f^j, j <= e, is at most e times f's largest
         # exponent, so one width holds the whole chain.
         ring = self.ring
         nvars = ring.nvars
-        width = (e * max(map(max, self.terms)) if nvars else 0).bit_length() or 1
+        width = _field_width(e * max(map(max, self.terms)) if nvars else 0)
         acc = _packed_power({1: _pack(self.terms, width)}, e, ring.p)
         return _clean(ring, _unpack(acc, width, nvars, ring.p))
 
@@ -219,7 +216,14 @@ def _clean(ring: Ring, terms: dict) -> Poly:
 # A packed key holds an exponent tuple in one int, one bit field of
 # ``width`` bits per slot with the first slot in the top field.  While
 # every field stays below 2^width, adding keys multiplies monomials and
-# comparing keys compares the tuples lexicographically.
+# comparing keys compares the tuples lexicographically; every key is at
+# least 0.  No other module knows this layout: callers give an exponent
+# bound, and ``_field_width`` turns it into a width.
+
+
+def _field_width(bound: int) -> int:
+    """Bits per field that hold every exponent from 0 to ``bound``."""
+    return bound.bit_length() or 1
 
 
 def _pack(terms: Mapping[tuple, int], width: int) -> dict[int, int]:
@@ -290,6 +294,136 @@ def _unpack(acc: dict, width: int, nvars: int, p: int) -> dict[tuple, int]:
         if c:
             out[tuple([(k >> s) & mask for s in shifts])] = c
     return out
+
+
+# -- expansion of symbol expressions ---------------------------------------
+
+
+def _expand_sum(terms: dict, ring: Ring, bound: int, symbol_poly) -> Poly:
+    """The sum of ``c * expansion(key)`` over ``terms``, accumulated
+    packed and unpacked once.  A key is a tuple of (symbol, exponent)
+    factors, ``symbol_poly(*symbol)`` is the homogeneous polynomial a
+    symbol stands for, and ``bound`` is at least the degree of every
+    term's expansion."""
+    p = ring.p
+    power = _power_chains(bound, p, symbol_poly)
+    acc: dict[int, int] = {}
+    for key, c in terms.items():
+        head = {0: c}
+        for factor in key[:-1]:
+            head = _reduce_mod(_packed_mul(head, power(factor)), p)
+        _packed_mul(head, power(key[-1]) if key else {0: 1}, acc)
+    return _clean(ring, _unpack(acc, _field_width(bound), ring.nvars, p))
+
+
+def _power_chains(bound: int, p: int, symbol_poly):
+    """``power((symbol, e))``: the symbol's packed power mod p, from one
+    ``_packed_power`` chain per symbol that lives as long as ``power``.
+    Symbols are homogeneous, so a chain's powers have degree at most
+    that of the term asking: a ``bound`` on every term's degree holds
+    every chain, and the Frobenius step (keys times p) never carries
+    into the next field."""
+    width = _field_width(bound)
+    chains: dict = {}
+
+    def power(factor: tuple) -> dict[int, int]:
+        symbol, e = factor
+        chain = chains.get(symbol)
+        if chain is None:
+            chain = chains[symbol] = {1: _pack(symbol_poly(*symbol).terms, width)}
+        return _packed_power(chain, e, p)
+
+    return power
+
+
+# -- orbit-leader coordinates ---------------------------------------------
+
+
+class _OrbitLeaders:
+    """Orbit leaders of packed keys, exponents up to ``bound``, at (m, n).
+
+    S_m x S_n permutes the exponents inside each block.  A leader, the
+    tuple sorted nonincreasing inside each block, is the lexicographic
+    maximum of its orbit, and a block-symmetric polynomial is fixed by
+    its coefficients on leaders.  The memos live as long as the helper;
+    each write stores the one value its key has, so sharing is safe.
+    """
+
+    def __init__(self, ring: Ring, bound: int):
+        self.m, self.n, self.p = ring.m, ring.n, ring.p
+        self.width = _field_width(bound)
+        self._leader: dict[int, int] = {}  # packed key -> leader (0, falsy, is found anew)
+        self._orbit: dict[int, int] = {}  # leader -> orbit size
+        # packed x or y block -> (its fields sorted, their orbit size)
+        self._xblocks: dict[int, tuple] = {}
+        self._yblocks: dict[int, tuple] = {}
+
+    def pack(self, terms: Mapping[tuple, int]) -> dict[int, int]:
+        """Packed form of a tuple-keyed term dict, for ``leader_terms``."""
+        return _pack(terms, self.width)
+
+    def leader_terms(self, packed: dict) -> dict | None:
+        """The terms of ``packed`` at orbit leaders, or None unless it is
+        block-symmetric: constant on each orbit, with every orbit point
+        present."""
+        leader_of, find = self._leader.get, self._find_leader
+        out = {}
+        for k, c in packed.items():
+            lead = leader_of(k) or find(k)
+            if lead == k:
+                out[k] = c
+            elif packed.get(lead) != c:
+                return None
+        # every key lies in the orbit of a leader in ``out``, so the keys
+        # fill those orbits exactly when their sizes add up to the count
+        orbit = self._orbit
+        return out if sum(orbit[k] for k in out) == len(packed) else None
+
+    def mul(self, leaders: dict, full: dict) -> dict[int, int]:
+        """Leader terms, mod p, of the product of a block-symmetric
+        polynomial given by its leader terms and one given in full: the
+        leader terms, weighted by their orbit sizes, times the full
+        terms, summed on the leaders of their keys.  Over Z that sum is
+        orbit_size(e) times the product's coefficient at the leader e,
+        so it is divided exactly before it is reduced mod p (m! n! may
+        be 0 mod p)."""
+        p, orbit = self.p, self._orbit
+        acc = _packed_mul({k: c * orbit[k] for k, c in leaders.items()}, full)
+        leader_of, find = self._leader.get, self._find_leader
+        sums: dict[int, int] = {}
+        get = sums.get
+        for k, c in acc.items():
+            lead = leader_of(k) or find(k)
+            sums[lead] = get(lead, 0) + c
+        return {k: r for k, c in sums.items() if (r := c // orbit[k] % p)}
+
+    def _find_leader(self, k: int) -> int:
+        """Orbit leader of packed key ``k``, memoized with its orbit size."""
+        shift = self.width * self.n
+        xblock, yblock = k >> shift, k & ((1 << shift) - 1)
+        xlead, xsize = self._xblocks.get(xblock) or self._sort_block(xblock, self.m, self._xblocks)
+        ylead, ysize = self._yblocks.get(yblock) or self._sort_block(yblock, self.n, self._yblocks)
+        lead = self._leader[k] = (xlead << shift) | ylead
+        self._orbit[lead] = xsize * ysize
+        return lead
+
+    def _sort_block(self, block: int, size: int, memo: dict) -> tuple[int, int]:
+        """(leader, orbit size) of a block of ``size`` packed fields."""
+        w = self.width
+        mask, shifts = (1 << w) - 1, range(0, w * size, w)
+        # ascending from the bottom field up: nonincreasing from the top
+        fields = sorted((block >> s) & mask for s in shifts)
+        lead = sum(a << s for a, s in zip(fields, shifts))
+        return memo.setdefault(block, (lead, _orbit_size(fields)))
+
+
+def _orbit_size(parts: list) -> int:
+    """Number of distinct orderings of the sorted list ``parts``."""
+    size, run = math.factorial(len(parts)), 1
+    for a, b in zip(parts, parts[1:]):
+        run = run + 1 if a == b else 1
+        size //= run
+    return size
 
 
 # -- sparse row reduction -----------------------------------------------

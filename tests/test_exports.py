@@ -1,5 +1,6 @@
 """Every name the package exports has a caller: a public name that only
-its own tests reach is dead API."""
+its own tests reach is dead API.  And only ``poly_core`` knows the
+packed-exponent format."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,33 @@ def test_every_export_is_referenced_outside_init():
     exports = _exports()
     assert "decompose" in exports and len(callers) > 10
     assert sorted(exports - _references(callers)) == []
+
+
+def _is_packed_helper(name: str) -> bool:
+    """A ``poly_core`` name that carries the packed layout: a private
+    packing helper or the field-width rule."""
+    return (name.startswith("_") and "pack" in name) or name in {"_reduce_mod", "_field_width"}
+
+
+def test_only_poly_core_knows_the_packed_format():
+    """Outside ``poly_core`` no module names a packed helper, computes a
+    field width (``bit_length``) or builds a packed key or field mask
+    (``<<``); callers hand ``poly_core`` a degree bound instead."""
+    modules = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "poly_core.py"]
+    assert len(modules) > 10
+    leaks = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift):
+                name = "<<"
+            else:
+                continue
+            if name in ("bit_length", "<<") or _is_packed_helper(name):
+                leaks.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    assert leaks == []

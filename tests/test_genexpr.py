@@ -66,6 +66,8 @@ class TestGenExpr:
     def test_arithmetic_mod_p(self):
         a = GenExpr.symbol(1, 1, 3, "C", 1)
         assert (a + a + a).is_zero
+        assert 1 - a == parse_gen_expr("1 - C[1]", 1, 1, 3) == -(a - 1)
+        assert a - 1 == parse_gen_expr("C[1] + 2", 1, 1, 3)
         assert (a * a) == GenExpr(1, 1, 3, {((("C", 1), 2),): 1})
         b = a + GenExpr.symbol(1, 1, 3, "U", 1)
         assert b**5 == b * b * b * b * b
@@ -115,9 +117,10 @@ def test_arithmetic_results_are_canonical(level, seed, c, e):
     b = random_gen_expr(rng, m, n, p, max_weight=6, max_terms=3)
     # share some of a's terms with opposite sign, so that a + b cancels
     b = b + GenExpr(m, n, p, {k: -v for k, v in a.terms.items() if rng.random() < 0.5})
-    for result in (a + b, a - b, a * b, a * c, c * a, -a, a ** e, a + c):
+    for result in (a + b, a - b, a * b, a * c, c * a, -a, a ** e, a + c, c + a, a - c, c - a):
         assert result == GenExpr(m, n, p, result.terms)
         assert all(0 < v < p for v in result.terms.values())
+    assert c - a == -(a - c) == -a + c
 
 
 def test_random_gen_expr_without_y_block():
@@ -247,6 +250,14 @@ class TestGenSpan:
                 f = parse_poly(str(c), ring)
                 assert span.solve(f) == GenExpr.const(m, n, p, c)
 
+    def test_negative_degree_is_refused(self, monkeypatch):
+        monkeypatch.setattr(genexpr, "_SPAN_CACHE", {})
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            GenSpan(1, 1, 3, -1)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            genexpr.gen_span(1, 1, 3, -1)
+        assert genexpr._SPAN_CACHE == {}
+
     def test_solve_wrong_degree_is_none(self):
         span = GenSpan(1, 1, 3, 3)
         assert span.solve(c_r(2, R11)) is None
@@ -313,7 +324,7 @@ def _tuple_rows(span):
     """A span's echelon rows in row order, each split into its pivot and
     leader terms unpacked to exponent tuples and its label coordinates
     read as the combination of generator monomials."""
-    width, nvars, p = span.width, span.ring.nvars, span.p
+    width, nvars, p = span._orbits.width, span.ring.nvars, span.p
     out = []
     for lead, row in span.echelon.rows.items():
         assert lead >= 0  # a pivot is always a term, never a label
@@ -369,7 +380,7 @@ class TestPackedSpan:
     def test_width_edges(self, d):
         # d = 2^w - 1 fills a w-bit field; d = 2^w needs one more bit.
         span = GenSpan(1, 1, 3, d)
-        assert span.width == d.bit_length()
+        assert span._orbits.width == d.bit_length()
         _assert_matches_reference(1, 1, 3, d)
         f = c_r(d, R11)  # has the term y1^d
         assert expand(span.solve(f), R11) == f
