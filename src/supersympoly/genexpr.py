@@ -20,7 +20,7 @@ exactly over F_p.
 from __future__ import annotations
 
 import threading
-from functools import partial
+from functools import lru_cache, partial
 
 from .errors import InternalInvariantViolation, PolyParseError
 from .generators import generator_poly
@@ -274,29 +274,57 @@ def parse_gen_expr(text: str, m: int, n: int, p: int) -> GenExpr:
 # -- the generated span at one degree ----------------------------------------
 
 
+def _suffix_counts(weights: list[int], degree: int) -> list[list[int]]:
+    """ways[idx][r]: the number of monomials of weight exactly r in the
+    symbols of weights ``weights[idx:]``, for r up to ``degree``."""
+    ways = [[0] * (degree + 1) for _ in range(len(weights) + 1)]
+    ways[-1][0] = 1
+    for idx in range(len(weights) - 1, -1, -1):
+        w, row, rest = weights[idx], ways[idx], ways[idx + 1]
+        for r in range(degree + 1):
+            # no factor of symbol idx, or one more than in row[r - w]
+            row[r] = rest[r] + (row[r - w] if r >= w else 0)
+    return ways
+
+
+@lru_cache(maxsize=1024)
+def _gen_monomial_count(m: int, n: int, p: int, degree: int) -> int:
+    """len(enumerate_gen_monomials(m, n, p, degree)), without the list;
+    ``decompose`` asks it once per recursion entry, hence the cache."""
+    weights = list(level_symbols(m, n, p, degree).values())
+    return _suffix_counts(weights, degree)[0][degree]
+
+
 def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
     """All symbol monomials of exact weighted degree over the symbols of
     ``level_symbols``, in a fixed order; each key lists its symbols in
-    the canonical order ``level_symbols`` gives them."""
+    the canonical order ``level_symbols`` gives them.
+
+    The suffix counts prune every branch whose remaining weight the
+    later symbols cannot reach, so each call ends in a monomial."""
+    if degree < 0:
+        return []
     symbols = list(level_symbols(m, n, p, degree).items())
+    ways = _suffix_counts([w for _, w in symbols], degree)
     found = []
 
     def rec(idx: int, remaining: int, prefix: list):
         if remaining == 0:
             found.append(tuple(prefix))
             return
-        if idx == len(symbols):
-            return
         symbol, w = symbols[idx]
-        rec(idx + 1, remaining, prefix)
+        rest = ways[idx + 1]
+        if rest[remaining]:
+            rec(idx + 1, remaining, prefix)
         e = 1
         while e * w <= remaining:
-            prefix.append((symbol, e))
-            rec(idx + 1, remaining - e * w, prefix)
-            prefix.pop()
+            if rest[remaining - e * w]:
+                prefix.append((symbol, e))
+                rec(idx + 1, remaining - e * w, prefix)
+                prefix.pop()
             e += 1
 
-    rec(0, degree, [])
+    rec(0, degree, [])  # C[1]^degree is always a monomial
     return found
 
 
@@ -406,15 +434,24 @@ def gen_span(m: int, n: int, p: int, degree: int) -> GenSpan:
     """Memoized GenSpan, built once per key even under concurrent calls.
 
     A build holds only its own key's lock, so a slow span does not hold
-    up calls for other keys.
+    up calls for other keys, and the lock leaves the table when the
+    build ends, so refused keys leave nothing behind.
     """
     key = (m, n, p, degree)
     span = _SPAN_CACHE.get(key)
     if span is None:
         with _SPAN_LOCK:
             key_lock = _SPAN_KEY_LOCKS.setdefault(key, threading.Lock())
-        with key_lock:
-            span = _SPAN_CACHE.get(key)
-            if span is None:
-                span = _SPAN_CACHE[key] = GenSpan(m, n, p, degree)
+        try:
+            with key_lock:
+                span = _SPAN_CACHE.get(key)
+                if span is None:
+                    span = _SPAN_CACHE[key] = GenSpan(m, n, p, degree)
+        finally:
+            # the span is cached (or the build raised) before the lock
+            # goes, so a later caller either finds the span or takes a
+            # new lock and builds again; waiters keep the old one
+            with _SPAN_LOCK:
+                if _SPAN_KEY_LOCKS.get(key) is key_lock:
+                    del _SPAN_KEY_LOCKS[key]
     return span

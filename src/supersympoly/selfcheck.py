@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .decompose import decompose, trace_decomposition, verify_decomposition
+from .decompose import _decompose, decompose, trace_decomposition, verify_decomposition
 from .generators import enumerate_deltas, kseq, make_v, sigma_x_p, sigma_y_p, u_k
 from .genexpr import GenExpr, expand, level_symbols
 from .oracle import as_dimension, cr_generating_check, generated_dimension, bracket_identity_check, psi_w_check
@@ -156,8 +156,10 @@ def _roundtrip_inputs():
 def check_roundtrip():
     """expand -> decompose -> expand is the identity on random inputs.
 
-    Returns (ok, detail, trace); the trace records every residue the
-    recursion factored, for the exponent law check below.
+    The inputs run through the pure recursion (span limit 0), so that
+    its residues and peels are exercised at every degree.  Returns (ok,
+    detail, trace); the trace records every residue the recursion
+    factored, for the exponent law check below.
     """
     bad = []
     runs = 0
@@ -167,7 +169,7 @@ def check_roundtrip():
             f = expand(e, ring)
             level = (ring.p, ring.m, ring.n)
             try:
-                e2 = decompose(f)
+                e2 = _decompose(f, 0)
             except Exception as exc:  # InternalInvariantViolation included
                 bad.append((*level, repr(exc)))
                 continue

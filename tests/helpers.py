@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from supersympoly import DivisibilityError, GenExpr, Poly, PolyParseError, Ring, enumerate_gen_monomials
 from supersympoly.generators import generator_poly, kseq, v_k
+from supersympoly.genexpr import level_symbols
 from supersympoly.poly_core import _END, fp_inv
 from supersympoly.symfun import block_span
 
@@ -159,6 +160,33 @@ def gen_exprs(draw, m, n, p, cap, max_terms=4):
         key = tuple(key)
         terms[key] = terms.get(key, 0) + draw(st.integers(1, p - 1))
     return GenExpr(m, n, p, terms)
+
+
+def reference_enumerate_gen_monomials(m, n, p, degree):
+    """The generator monomials of one weighted degree, by the unpruned
+    recursion ``enumerate_gen_monomials`` used before it read suffix
+    counts: every branch runs until its weight is spent or the symbols
+    run out."""
+    symbols = list(level_symbols(m, n, p, degree).items())
+    found = []
+
+    def rec(idx, remaining, prefix):
+        if remaining == 0:
+            found.append(tuple(prefix))
+            return
+        if idx == len(symbols):
+            return
+        symbol, w = symbols[idx]
+        rec(idx + 1, remaining, prefix)
+        e = 1
+        while e * w <= remaining:
+            prefix.append((symbol, e))
+            rec(idx + 1, remaining - e * w, prefix)
+            prefix.pop()
+            e += 1
+
+    rec(0, degree, [])
+    return found
 
 
 class ReferenceSpan:

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -28,14 +29,29 @@ from supersympoly import (
     vk_gen_expr,
     zero,
 )
-from supersympoly.decompose import _core_degrees, _core_exponents, _lift, trace_decomposition
-from supersympoly.genexpr import gen_span
-from supersympoly.selfcheck import random_gen_expr
+from supersympoly.decompose import (
+    _core_degrees,
+    _core_exponents,
+    _decompose,
+    _lift,
+    trace_decomposition,
+)
+from supersympoly.genexpr import _gen_monomial_count, gen_span
+from supersympoly.selfcheck import _roundtrip_inputs, random_gen_expr
 
 from helpers import expansion_cap, gen_exprs, reference_lift_poly
 
+# the module, which the package's ``decompose`` function shadows
+decompose_module = importlib.import_module("supersympoly.decompose")
+
 R11 = Ring(1, 1, False, 3)
 R21 = Ring(2, 1, False, 3)
+
+
+def recursion(f):
+    """decompose with no span-first components: the pure restrict /
+    lift / peel recursion, for the tests about the recursion itself."""
+    return _decompose(f, 0)
 
 
 class TestFactorCore:
@@ -129,7 +145,8 @@ class TestDecompose:
 
 class TestCornerResiduals:
     # inputs whose forced residual has a maximal core that is not a
-    # multiple of p; they exercise the span fallback
+    # multiple of p; in the recursion they exercise the span fallback,
+    # and ``decompose`` solves these small degrees in the span directly
 
     def test_px_power_plus_core(self):
         f = parse_poly("x1^3 + x1*y1^2", R11)
@@ -145,7 +162,7 @@ class TestCornerResiduals:
     def test_core_times_c2(self):
         f = u_k(1, R11) * c_r(2, R11)
         with trace_decomposition() as trace:
-            e = decompose(f)
+            e = recursion(f)
         assert verify_decomposition(f, e)
         # the documented counterexample: maximal core (1, 3), sum 4
         assert (1, 1, 3, 5, 1, 3) in trace.residues
@@ -160,7 +177,7 @@ class TestBaseLevels:
     def test_y_only(self):
         r = Ring(0, 2, False, 3)
         f = parse_poly("y1^2*y2 + y1*y2^2", r)
-        e = decompose(f)
+        e = recursion(f)
         assert verify_decomposition(f, e)
         assert all(kind == "C" for key in e.terms for (kind, _), _ in key)
 
@@ -179,7 +196,7 @@ class TestBaseLevels:
 
     def test_elementary_y_over_c(self):
         r = Ring(0, 2, False, 3)
-        e = decompose(elementary(2, Block.Y, r))
+        e = recursion(elementary(2, Block.Y, r))
         assert e == parse_gen_expr("C[1]^2 - C[2]", 0, 2, 3)
 
 
@@ -209,7 +226,7 @@ def one_block_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(one_block_inputs())
 def test_one_block_round_trip(f):
-    e = decompose(f)
+    e = recursion(f)
     assert all(kind == "C" for key in e.terms for (kind, _), _ in key)
     assert expand(e, f.ring) == f
 
@@ -239,7 +256,7 @@ class TestTraceInvariants:
             for _ in range(60):
                 e = random_gen_expr(rng, 2, 1, 3, max_weight=8)
                 f = expand(e, R21)
-                e2 = decompose(f)
+                e2 = recursion(f)
                 assert verify_decomposition(f, e2)
         assert trace.peels, "expected at least one peeled core"
         for (m, n, p, a, b) in trace.peels:
@@ -248,7 +265,7 @@ class TestTraceInvariants:
 
     def test_recursion_depth_metric_recorded(self):
         with trace_decomposition() as trace:
-            decompose(u_k(1, R21) * c_r(2, R21))
+            recursion(u_k(1, R21) * c_r(2, R21))
         assert trace.calls
 
     @pytest.mark.parametrize("m, n, p, a, b, text, residues, peels", [
@@ -268,7 +285,7 @@ class TestTraceInvariants:
         ring = Ring(m, n, False, p)
         f = monomial(ring, [a] * m + [b] * n) * expand(parse_gen_expr(text, m, n, p), ring)
         with trace_decomposition() as trace:
-            e = decompose(f)
+            e = recursion(f)
         assert verify_decomposition(f, e)
         assert trace.residues == residues
         assert trace.peels == peels
@@ -284,8 +301,57 @@ def test_recursion_agrees_with_span_certificates(data):
     p = data.draw(st.sampled_from((3, 5)))
     ring = Ring(m, n, False, p)
     for degree, f in homogeneous_components(expand(data.draw(gen_exprs(m, n, p, 8)), ring)):
-        assert expand(decompose(f), ring) == f
+        assert expand(recursion(f), ring) == f
         assert expand(gen_span(m, n, p, degree).solve(f), ring) == f
+
+
+class TestEnginePolicy:
+    """Which engine ``decompose`` picks for a homogeneous component, read
+    from the trace: ``span_first`` records the components the policy
+    sends to the span, and ``calls`` every recursion entry."""
+
+    def _paths(self, f):
+        with trace_decomposition() as trace:
+            e = decompose(f)
+        assert verify_decomposition(f, e)
+        return trace
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        f = c_r(5, R11)
+        count = _gen_monomial_count(1, 1, 3, 5)
+        assert count == 15
+        monkeypatch.setattr(decompose_module, "_SPAN_LIMIT", count)
+        trace = self._paths(f)
+        assert trace.span_first == [(1, 1, 3, 5)] and trace.calls == [(1, 5)]
+        monkeypatch.setattr(decompose_module, "_SPAN_LIMIT", count - 1)
+        trace = self._paths(f)
+        assert (1, 1, 3, 5) not in trace.span_first
+        assert trace.calls[0] == (1, 5) and len(trace.calls) > 1
+
+    def test_crossover_at_level_2_2_3(self):
+        # 119 monomials at degree 10 and 173 at degree 11
+        limit = decompose_module._SPAN_LIMIT
+        ring = Ring(2, 2, False, 3)
+        assert _gen_monomial_count(2, 2, 3, 10) <= limit < _gen_monomial_count(2, 2, 3, 11)
+        assert self._paths(c_r(10, ring)).span_first == [(2, 2, 3, 10)]
+        trace = self._paths(c_r(11, ring))
+        assert (2, 2, 3, 11) not in trace.span_first and len(trace.calls) > 1
+
+    def test_pinned_recursion_takes_no_span_first(self):
+        with trace_decomposition() as trace:
+            e = recursion(c_r(5, R11))
+        assert verify_decomposition(c_r(5, R11), e)
+        assert trace.span_first == [] and len(trace.calls) > 1
+
+    def test_public_decompose_on_criterion_5_inputs(self):
+        """The policy certifies every criterion-5 input; criterion 5
+        itself runs them through the pure recursion."""
+        with trace_decomposition() as trace:
+            for ring, e in _roundtrip_inputs():
+                f = expand(e, ring)
+                assert verify_decomposition(f, decompose(f))
+        # both engines run on this corpus
+        assert trace.span_first and trace.peels
 
 
 # Levels (m, n, p) whose lifts v_k and their span certificates build in

@@ -27,11 +27,17 @@ from supersympoly import (
     serialize_gen_expr,
 )
 from supersympoly import genexpr
-from supersympoly.genexpr import level_symbols, symbol_weight
+from supersympoly.genexpr import _gen_monomial_count, level_symbols, symbol_weight
 from supersympoly.poly_core import _unpack
 from supersympoly.selfcheck import random_gen_expr
 
-from helpers import ReferenceSpan, expansion_cap, gen_exprs, reference_expand_key
+from helpers import (
+    ReferenceSpan,
+    expansion_cap,
+    gen_exprs,
+    reference_enumerate_gen_monomials,
+    reference_expand_key,
+)
 
 R11 = Ring(1, 1, False, 3)
 
@@ -221,6 +227,21 @@ class TestEnumeration:
                 assert _key_weight(key, 2, 1, 3) == d
                 assert key == tuple(sorted(key))  # canonical, as GenExpr keys
 
+    # every level up to (3, 3) at p = 3, 5 and 7, degrees -1 to 14
+    _GRID = [(m, n, p, d) for m in range(4) for n in range(4)
+             for p in (3, 5, 7) for d in range(-1, 15)]
+
+    def test_pruned_enumeration_matches_reference(self):
+        for cell in self._GRID:
+            assert enumerate_gen_monomials(*cell) == reference_enumerate_gen_monomials(*cell), cell
+
+    def test_count_matches_enumeration(self):
+        for cell in self._GRID:
+            if cell[3] >= 0:
+                assert _gen_monomial_count(*cell) == len(enumerate_gen_monomials(*cell)), cell
+        # (2, 2, 3, 20) has 3880 monomials
+        assert _gen_monomial_count(2, 2, 3, 20) == len(enumerate_gen_monomials(2, 2, 3, 20)) == 3880
+
 
 class TestGenSpan:
     def test_solve_member(self):
@@ -257,6 +278,16 @@ class TestGenSpan:
         with pytest.raises(ValueError, match="degree must be nonnegative"):
             genexpr.gen_span(1, 1, 3, -1)
         assert genexpr._SPAN_CACHE == {}
+        assert (1, 1, 3, -1) not in genexpr._SPAN_KEY_LOCKS
+
+    def test_lock_table_keeps_no_finished_key(self, monkeypatch):
+        monkeypatch.setattr(genexpr, "_SPAN_CACHE", {})
+        monkeypatch.setattr(genexpr, "_SPAN_KEY_LOCKS", {})
+        genexpr.gen_span(1, 1, 3, 2)
+        with pytest.raises(ValueError):
+            genexpr.gen_span(1, 1, 3, -1)
+        assert genexpr._SPAN_KEY_LOCKS == {}
+        assert list(genexpr._SPAN_CACHE) == [(1, 1, 3, 2)]
 
     def test_solve_wrong_degree_is_none(self):
         span = GenSpan(1, 1, 3, 3)
