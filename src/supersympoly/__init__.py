@@ -4,7 +4,6 @@ from .errors import (
     DivisibilityError,
     InternalInvariantViolation,
     NotSupersymmetricError,
-    NotSymmetricError,
     PolyParseError,
     RingMismatchError,
     SuperPolyError,
@@ -30,7 +29,6 @@ from .symfun import (
     complete,
     elementary,
     is_symmetric,
-    rewrite_symmetric,
 )
 from .supersym import (
     is_p_balanced,

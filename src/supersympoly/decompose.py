@@ -40,7 +40,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import groupby
 from operator import itemgetter
 
 from .errors import InternalInvariantViolation, NotSupersymmetricError
@@ -50,12 +49,13 @@ from .poly_core import (
     Poly,
     Ring,
     _expand_sum,
+    _term_key,
     exact_monomial_div,
     homogeneous_components,
     set_xm_zero,
 )
 from .supersym import is_supersymmetric
-from .symfun import Block, rewrite_symmetric
+from .symfun import Block, elementary
 
 
 def _core_degrees(f: Poly) -> tuple[int, int]:
@@ -119,12 +119,7 @@ def vk_gen_expr(m: int, n: int, p: int, k: int) -> GenExpr:
         return cached[1]
     ring = Ring(m, n, False, p)
     v = v_k(kseq(p, k), ring)
-    degree = v.degree()
-    expr = gen_span(m, n, p, degree).solve(v)
-    if expr is None:
-        raise InternalInvariantViolation(
-            f"lift v_{k} at level ({m},{n}), p={p} is outside the generator span"
-        )
+    expr = _span_solve(v, v.degree())
     with _VK_LOCK:
         return _VK_CACHE.setdefault(key, (v, expr))[1]
 
@@ -310,31 +305,50 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
 
 
 def _base_one_block(f: Poly) -> GenExpr:
-    """Levels (m, 0) and (0, n): rewrite over e_r of the one block, then
-    substitute C symbols.
+    """Levels (m, 0) and (0, n): eliminate over e_r of the one block,
+    straight into C symbols.
 
-    At (m, 0), c_r equals e_r(x), so e_r(x) = C[r].  At (0, n), the
-    generating function sum_r c_r t^r * prod_j (1 + y_j t) = 1 gives
+    Each step takes the graded-lex leading exponent lam of the work left,
+    a partition because the work is symmetric, and subtracts
+    c * prod_r e_r^(lam_r - lam_{r+1}), which has the same leading term.
+    The same product over ``elem[r]`` joins the certificate.  At (m, 0),
+    c_r equals e_r(x), so elem[r] = C[r].  At (0, n), the generating
+    function sum_r c_r t^r * prod_j (1 + y_j t) = 1 gives
     e_r(y) = -sum_{i=1..r} C[i] e_{r-i}(y).
     """
     ring = f.ring
     m, n, p = ring.m, ring.n, ring.p
     block = Block.X if n == 0 else Block.Y
-    expr = rewrite_symmetric(f, block)
-    top = max(map(max, expr))
-    elem = [None]  # elem[r] is e_r of the block, for r >= 1
-    for r in range(1, top + 1):
-        if block is Block.X:
-            elem.append(GenExpr.symbol(m, n, p, "C", r))
-            continue
-        acc = GenExpr(m, n, p, {((("C", r), 1),): -1})  # the term i = r, as e_0 = 1
-        for i in range(1, r):
-            acc = acc - GenExpr.symbol(m, n, p, "C", i) * elem[r - i]
-        elem.append(acc)
+    e_poly, elem = [None], [None]  # e_r of the block as a Poly and over C, r >= 1
     total = GenExpr.zero(m, n, p)
-    for key, c in expr.items():
-        term = c  # an int until the first factor scales it
-        for r, run in groupby(key):
-            term = elem[r] ** len(list(run)) * term
+    work = f
+    while not work.is_zero:
+        exps, c = work.leading()
+        lam = exps + (0,)  # the ring holds the block alone
+        if any(lam[i] < lam[i + 1] for i in range(len(exps))):
+            raise InternalInvariantViolation(
+                "leading exponent of a symmetric polynomial is not a partition"
+            )
+        top = lam.index(0)
+        for r in range(len(elem), top + 1):
+            e_poly.append(elementary(r, block, ring))
+            if block is Block.X:
+                elem.append(GenExpr.symbol(m, n, p, "C", r))
+                continue
+            acc = GenExpr(m, n, p, {((("C", r), 1),): -1})  # the term i = r, as e_0 = 1
+            for i in range(1, r):
+                acc = acc - GenExpr.symbol(m, n, p, "C", i) * elem[r - i]
+            elem.append(acc)
+        sub, term = c, c  # ints until the first factor scales them
+        for r in range(1, top + 1):
+            d = lam[r - 1] - lam[r]
+            if d:
+                sub = e_poly[r] ** d * sub
+                term = elem[r] ** d * term
         total = total + term
+        work = work - sub
+        # This check also ends the loop: graded-lex leading terms of
+        # bounded degree cannot decrease forever.
+        if not work.is_zero and _term_key(work.leading()[0]) >= _term_key(exps):
+            raise InternalInvariantViolation("leading term did not decrease")
     return total

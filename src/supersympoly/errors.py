@@ -17,10 +17,6 @@ class DivisibilityError(SuperPolyError):
     """Exact division was requested but does not hold."""
 
 
-class NotSymmetricError(SuperPolyError):
-    """A symmetric rewrite was requested for a non symmetric input."""
-
-
 class NotSupersymmetricError(SuperPolyError):
     """A decomposition was requested for a polynomial outside the algebra."""
 

@@ -19,6 +19,7 @@ exactly over F_p.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from functools import lru_cache, partial
 
@@ -29,6 +30,7 @@ from .poly_core import (
     Poly,
     Ring,
     _expand_sum,
+    _format_terms,
     _OrbitLeaders,
     _parse_terms,
     _power_chains,
@@ -62,16 +64,21 @@ def level_symbols(m: int, n: int, p: int, max_weight: int) -> dict[tuple, int]:
     index."""
     out = {}
     for kind in _KIND_RANK:
-        # a kind's indices run from 1 to its bound (m, n or p - 1), and
-        # C's, unbounded, weigh their index: the range holds every
-        # symbol light enough, and the first missing index ends a kind
-        for index in range(1, max(max_weight, m, n, p - 1) + 1):
+        # Scan each kind in the direction its weight grows and stop at
+        # the first missing or too-heavy index, so the scan costs one
+        # call past the symbols it returns.  U[k] weighs m*k + n*(p - k),
+        # which falls as k grows when m < n.
+        indices = itertools.count(1) if kind != "U" or m >= n else range(p - 1, 0, -1)
+        found = []
+        for index in indices:
             try:
                 weight = symbol_weight(kind, index, m, n, p)
             except ValueError:
                 break
-            if weight <= max_weight:
-                out[kind, index] = weight
+            if weight > max_weight:
+                break
+            found.append(((kind, index), weight))
+        out.update(sorted(found))
     return out
 
 
@@ -228,26 +235,12 @@ def expand(e: GenExpr, ring: Ring) -> Poly:
 
 def serialize_gen_expr(e: GenExpr) -> str:
     """Deterministic text form; weighted degree descending, then symbol order."""
-    if e.is_zero:
-        return "0"
     def order(key):
         return (-_key_weight(key, e.m, e.n, e.p), key)
-    parts = []
-    for key in sorted(e.terms, key=order):
-        c = e.terms[key]
-        factors = []
-        for (kind, idx), exp in key:
-            s = f"{kind}[{idx}]"
-            if exp > 1:
-                s += f"^{exp}"
-            factors.append(s)
-        if not factors:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append("*".join(factors))
-        else:
-            parts.append(str(c) + "*" + "*".join(factors))
-    return " + ".join(parts)
+    return _format_terms(
+        (e.terms[key], [(f"{kind}[{idx}]", exp) for (kind, idx), exp in key])
+        for key in sorted(e.terms, key=order)
+    )
 
 
 def parse_gen_expr(text: str, m: int, n: int, p: int) -> GenExpr:

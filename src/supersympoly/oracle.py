@@ -23,8 +23,9 @@ Each product m_lambda(x) m_mu(y) is one ``generators.placed_sym`` call
 (one slot family per distinct part), the routine that also builds the
 brackets and the tail of v_k.  The generators keep their own
 constructors (``elementary``, ``complete``, ``u_k``), so the two sides
-share none; ``elementary`` also sits in ``rewrite_symmetric``'s inner
-loop, where a direct enumeration beats the generic placement.
+share none; ``elementary`` also sits in the inner loop of the
+decomposition's base case, ``decompose._base_one_block``, where a
+direct enumeration beats the generic placement.
 """
 
 from __future__ import annotations

@@ -113,9 +113,6 @@ class Poly:
         exps = max(self.terms, key=_term_key)
         return exps, self.terms[exps]
 
-    def coefficient(self, exps: tuple) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     # -- arithmetic ----------------------------------------------------
 
     def _require_same_ring(self, other: "Poly"):
@@ -598,25 +595,11 @@ def homogeneous_components(f: Poly) -> list[tuple[int, Poly]]:
 
 def poly_to_str(f: Poly) -> str:
     """Canonical text form: graded-lex descending, residues in [0, p)."""
-    if f.is_zero:
-        return "0"
     names = f.ring.var_names()
-    parts = []
-    for exps in sorted(f.terms, key=_term_key, reverse=True):
-        c = f.terms[exps]
-        factors = []
-        for slot, e in enumerate(exps):
-            if e == 1:
-                factors.append(names[slot])
-            elif e > 1:
-                factors.append(f"{names[slot]}^{e}")
-        if not factors:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append("*".join(factors))
-        else:
-            parts.append(str(c) + "*" + "*".join(factors))
-    return " + ".join(parts)
+    return _format_terms(
+        (f.terms[exps], zip(names, exps))
+        for exps in sorted(f.terms, key=_term_key, reverse=True)
+    )
 
 
 # -- the term grammar, shared with generator certificates -----------------
@@ -672,6 +655,27 @@ def _tokenize(text: str) -> list:
         raise PolyParseError(str(exc)) from None
     tokens.append(_END)
     return tokens
+
+
+def _format_terms(terms) -> str:
+    """Write (coefficient, factors) pairs, in the order given, in the
+    term grammar; each factor is a (base text, exponent) pair, and a
+    factor of exponent 0 is left out.
+
+    A coefficient of 1 is left out before factors, and no terms at all
+    is "0".  ``poly_to_str`` and ``genexpr.serialize_gen_expr`` write
+    through here, so the inverse is ``_parse_terms``.
+    """
+    parts = []
+    for c, factors in terms:
+        body = "*".join([base if e == 1 else f"{base}^{e}" for base, e in factors if e])
+        if not body:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        else:
+            parts.append(f"{c}*{body}")
+    return " + ".join(parts) or "0"
 
 
 def _parse_terms(text: str, read_base, term_key) -> dict:

@@ -1,11 +1,9 @@
-"""Symmetric function constructors and the classical generator rewrite.
+"""Symmetric function constructors on one variable block (X or Y).
 
-Everything here acts on one variable block (X or Y) of a ring.
 ``_placements`` is the block-local placement of slot families that
-``generators.placed_sym`` runs on both blocks.  ``rewrite_symmetric``
-expresses a block-symmetric polynomial as a polynomial in the
-elementary symmetric functions of the block, by leading-term
-elimination.
+``generators.placed_sym`` runs on both blocks.  ``elementary`` also
+serves ``decompose._base_one_block``, which eliminates a symmetric
+polynomial of one block over the elementary functions.
 """
 
 from __future__ import annotations
@@ -13,8 +11,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 
-from .errors import InternalInvariantViolation, NotSymmetricError
-from .poly_core import Poly, Ring, _term_key, one, zero
+from .poly_core import Poly, Ring, one, zero
 
 
 class Block(Enum):
@@ -109,48 +106,3 @@ def is_symmetric(f: Poly, block: Block) -> bool:
             if f.terms.get(tuple(swapped)) != c:
                 return False
     return True
-
-
-def rewrite_symmetric(f: Poly, block: Block) -> dict:
-    """Express a block-symmetric polynomial over the elementary family.
-
-    Returns {sorted index tuple: coefficient mod p}, where (1, 1, 2)
-    stands for e_1^2 e_2, so that f is the sum of coefficient times
-    product of ``elementary`` over the terms.  The input must involve
-    only the block's variables.  Elimination uses that the graded-lex
-    leading exponent of a symmetric polynomial is a partition and that
-    the classical exponent difference rule strictly lowers it.
-    """
-    ring = f.ring
-    off, size = block_span(ring, block)
-    for exps in f.terms:
-        if any(e and not (off <= slot < off + size) for slot, e in enumerate(exps)):
-            raise NotSymmetricError("input involves variables outside the block")
-    if not is_symmetric(f, block):
-        raise NotSymmetricError("input is not symmetric in the block")
-
-    result: dict = {}
-    work = f
-    while not work.is_zero:
-        exps, c = work.leading()
-        lam = list(exps[off : off + size])
-        if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-            raise InternalInvariantViolation(
-                "leading exponent of a symmetric polynomial is not a partition"
-            )
-        key = []
-        sub = c  # an int until the first factor scales it
-        for i in range(size):
-            d = lam[i] - (lam[i + 1] if i + 1 < size else 0)
-            if d:
-                key.extend([i + 1] * d)
-                sub = elementary(i + 1, block, ring) ** d * sub
-        key_t = tuple(sorted(key))
-        result[key_t] = (result.get(key_t, 0) + c) % ring.p
-        new_work = work - sub
-        # This check also ends the loop: graded-lex leading terms of
-        # bounded degree cannot decrease forever.
-        if not new_work.is_zero and _term_key(new_work.leading()[0]) >= _term_key(exps):
-            raise InternalInvariantViolation("leading term did not decrease")
-        work = new_work
-    return {k: v for k, v in result.items() if v}

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from supersympoly import DivisibilityError, GenExpr, Poly, PolyParseError, Ring, enumerate_gen_monomials
 from supersympoly.generators import generator_poly, kseq, v_k
-from supersympoly.genexpr import level_symbols
+from supersympoly.genexpr import level_symbols, symbol_weight
 from supersympoly.poly_core import _END, fp_inv
 from supersympoly.symfun import block_span
 
@@ -160,6 +160,22 @@ def gen_exprs(draw, m, n, p, cap, max_terms=4):
         key = tuple(key)
         terms[key] = terms.get(key, 0) + draw(st.integers(1, p - 1))
     return GenExpr(m, n, p, terms)
+
+
+def reference_level_symbols(m, n, p, max_weight):
+    """``level_symbols`` by the full scan it made before each kind's
+    scan stopped at ``max_weight``: every kind runs its indices up to
+    max(max_weight, m, n, p - 1), so the scan costs O(p) at any weight."""
+    out = {}
+    for kind in ("C", "EX", "EY", "U"):
+        for index in range(1, max(max_weight, m, n, p - 1) + 1):
+            try:
+                weight = symbol_weight(kind, index, m, n, p)
+            except ValueError:
+                break
+            if weight <= max_weight:
+                out[kind, index] = weight
+    return out
 
 
 def reference_enumerate_gen_monomials(m, n, p, degree):

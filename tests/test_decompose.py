@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 
@@ -23,6 +24,7 @@ from supersympoly import (
     one,
     parse_poly,
     parse_gen_expr,
+    poly_to_str,
     serialize_gen_expr,
     u_k,
     verify_decomposition,
@@ -37,9 +39,10 @@ from supersympoly.decompose import (
     trace_decomposition,
 )
 from supersympoly.genexpr import _gen_monomial_count, gen_span
+from supersympoly.oracle import partitions_max_parts
 from supersympoly.selfcheck import _roundtrip_inputs, random_gen_expr
 
-from helpers import expansion_cap, gen_exprs, reference_lift_poly
+from helpers import expansion_cap, gen_exprs, orbit_sym, reference_lift_poly
 
 # the module, which the package's ``decompose`` function shadows
 decompose_module = importlib.import_module("supersympoly.decompose")
@@ -129,8 +132,10 @@ class TestDecompose:
         assert e.weighted_degree() == f.degree() == 4
 
     def test_rejects_non_member(self):
-        with pytest.raises(NotSupersymmetricError):
-            decompose(parse_poly("x1", R11))
+        # the one-block levels too, before the base case sees the input
+        for ring, text in ((R11, "x1"), (Ring(2, 0, False, 3), "x1"), (Ring(0, 2, False, 5), "y1*y2^2")):
+            with pytest.raises(NotSupersymmetricError):
+                decompose(parse_poly(text, ring))
 
     def test_verify_distinguishes(self):
         f = c_r(1, R11)
@@ -198,6 +203,26 @@ class TestBaseLevels:
         r = Ring(0, 2, False, 3)
         e = recursion(elementary(2, Block.Y, r))
         assert e == parse_gen_expr("C[1]^2 - C[2]", 0, 2, 3)
+
+    def test_certificates_are_pinned(self):
+        """The base-level certificates of every monomial symmetric
+        function of degree <= 10, blocks of size 1-3, both blocks,
+        p in {3, 5, 7}, hash to the digest they had when this test was
+        written."""
+        digest = hashlib.sha256()
+        count = 0
+        for p in (3, 5, 7):
+            for size in (1, 2, 3):
+                for block in (Block.X, Block.Y):
+                    ring = Ring(size, 0, False, p) if block is Block.X else Ring(0, size, False, p)
+                    for degree in range(1, 11):
+                        for lam in partitions_max_parts(degree, size):
+                            f = orbit_sym(lam, block, ring)
+                            cert = serialize_gen_expr(recursion(f))
+                            digest.update(f"{ring.m} {ring.n} {p} {poly_to_str(f)} {cert}\n".encode())
+                            count += 1
+        assert count == 666
+        assert digest.hexdigest() == "46a40a79bc1ea298787f2a5b3bf5aeba1bf5ffe162a8801759a74f61504bb3ef"
 
 
 @st.composite

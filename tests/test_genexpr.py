@@ -37,6 +37,7 @@ from helpers import (
     gen_exprs,
     reference_enumerate_gen_monomials,
     reference_expand_key,
+    reference_level_symbols,
 )
 
 R11 = Ring(1, 1, False, 3)
@@ -208,6 +209,34 @@ class TestSymbols:
             # canonical order is the plain order of the (kind, index) pairs
             assert expected == sorted(expected)
             assert list(level_symbols(m, n, p, w).items()) == expected
+
+
+    @pytest.mark.parametrize("m, n", [
+        (0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 3), (0, 3), (3, 0), (1, 3), (3, 2),
+    ])
+    def test_level_symbols_matches_the_full_scan(self, m, n):
+        for p in (3, 5, 7, 11):
+            for w in range(-1, 3 * p + 4):
+                expected = reference_level_symbols(m, n, p, w)
+                assert list(level_symbols(m, n, p, w).items()) == list(expected.items())
+
+    @pytest.mark.parametrize("m, n, heavy", [
+        (1, 1, []), (1, 2, []), (2, 1, []), (0, 2, [("U", 1000002)]),
+    ])
+    def test_level_symbols_scan_is_bounded_by_max_weight(self, monkeypatch, m, n, heavy):
+        """At a large p and a small weight, each kind's scan ends at its
+        first missing or too-heavy index: one call past the symbols it
+        returns."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return symbol_weight(*args)
+
+        monkeypatch.setattr(genexpr, "symbol_weight", counted)
+        found = list(level_symbols(m, n, 1000003, 3))
+        assert found == [("C", 1), ("C", 2), ("C", 3)] + heavy
+        assert len(calls) <= len(found) + 4
 
 
 class TestEnumeration:

@@ -7,16 +7,17 @@ import hypothesis.strategies as st
 
 from supersympoly import (
     Block,
-    NotSymmetricError,
+    InternalInvariantViolation,
     Ring,
     complete,
     elementary,
     is_symmetric,
     one,
     parse_poly,
-    rewrite_symmetric,
+    serialize_gen_expr,
     zero,
 )
+from supersympoly.decompose import _base_one_block, _decompose
 
 from helpers import orbit_sym
 
@@ -24,13 +25,15 @@ R20 = Ring(2, 0, False, 3)
 R22 = Ring(2, 2, False, 3)
 
 
-def expand_elementary(expr, block, ring):
-    """Evaluate a rewrite_symmetric result through products of elementary."""
+def expand_elementary(expr, ring):
+    """Evaluate a level (m, 0) certificate with C[r] read as e_r(x),
+    through products of ``elementary`` rather than the generators."""
     out = zero(ring)
-    for key, c in expr.items():
+    for key, c in expr.terms.items():
         term = c * one(ring)
-        for r in key:
-            term = term * elementary(r, block, ring)
+        for (kind, r), e in key:
+            assert kind == "C"
+            term = term * elementary(r, Block.X, ring) ** e
         out = out + term
     return out
 
@@ -108,32 +111,30 @@ class TestIsSymmetric:
 
 
 class TestRewriteSymmetric:
+    """The base case of the decomposition: a symmetric polynomial of one
+    block, eliminated over the elementary functions into C symbols."""
+
     def test_power_sum_over_elementary(self):
         f = parse_poly("x1^2 + x2^2", R20)
-        expr = rewrite_symmetric(f, Block.X)
+        expr = _decompose(f, 0)
         # e1^2 - 2 e2, with -2 reduced mod 3
-        assert expr == {(1, 1): 1, (2,): 1}
-        assert expand_elementary(expr, Block.X, R20) == f
+        assert serialize_gen_expr(expr) == "C[1]^2 + C[2]"
+        assert expand_elementary(expr, R20) == f
 
     def test_elementary_is_itself(self):
         f = elementary(2, Block.X, R20)
-        assert rewrite_symmetric(f, Block.X) == {(2,): 1}
+        assert serialize_gen_expr(_decompose(f, 0)) == "C[2]"
 
     def test_complete_basis_case(self):
-        # h_2 = e_1^2 - e_2; the complete family in C symbols is
-        # covered in test_decompose
-        f = parse_poly("y1^2 + y1*y2 + y2^2", R22)
-        expr = rewrite_symmetric(f, Block.Y)
-        assert expr == {(1, 1): 1, (2,): 2}
-        assert expand_elementary(expr, Block.Y, R22) == f
+        # h_2 = e_1^2 - e_2, and at (0, n) c_2 = h_2(y); more of the
+        # complete family in C symbols is covered in test_decompose
+        f = parse_poly("y1^2 + y1*y2 + y2^2", Ring(0, 2, False, 3))
+        assert serialize_gen_expr(_decompose(f, 0)) == "C[2]"
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetricError):
-            rewrite_symmetric(parse_poly("x1", R20), Block.X)
-
-    def test_rejects_foreign_variables(self):
-        with pytest.raises(NotSymmetricError):
-            rewrite_symmetric(parse_poly("x1*y1 + x2*y1", R22), Block.X)
+        # x1 - e_1 = -x2 leads with (0, 1), which is not a partition
+        with pytest.raises(InternalInvariantViolation, match="not a partition"):
+            _base_one_block(parse_poly("x1", R20))
 
 
 def test_newton_style_convolution():
@@ -177,6 +178,4 @@ def symmetric_inputs(draw):
 @given(symmetric_inputs())
 def test_rewrite_round_trip(data):
     ring, f = data
-    expr = rewrite_symmetric(f, Block.X)
-    assert all(0 < c < ring.p for c in expr.values())
-    assert expand_elementary(expr, Block.X, ring) == f
+    assert expand_elementary(_decompose(f, 0), ring) == f
