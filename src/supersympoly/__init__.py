@@ -21,7 +21,6 @@ from .poly_core import (
     psi,
     set_xm_zero,
     x_var,
-    y_var,
     zero,
 )
 from .symfun import (
@@ -36,7 +35,6 @@ from .supersym import (
     is_supersymmetric,
 )
 from .generators import (
-    DeltaSeq,
     KSeq,
     bracket_brace,
     bracket_round,

@@ -80,10 +80,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_vk(args) -> int:
-    if not (args.m >= 1 and args.n >= 1):
-        raise ValueError("vk needs m >= 1 and n >= 1")
-    if not 0 < args.k < args.p:
-        raise ValueError("k must satisfy 0 < k < p")
     v = make_v(args.p, args.k, args.m, args.n)
     print(poly_to_str(v))
     if args.show_psi:

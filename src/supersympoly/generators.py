@@ -11,8 +11,9 @@ Four polynomial families generate the algebra:
 
 On top of these sits the combinatorial apparatus that lifts the core
 u_k(m-1|n) to a supersymmetric polynomial v_k at level (m, n): exponent
-sequences (KSeq), nondecreasing index sequences (DeltaSeq), and three
-bracket families built from placed symmetrizations.
+sequences (KSeq), delta sequences (nondecreasing int tuples with entries
+in [1, s-1]), and three bracket families built from placed
+symmetrizations.
 
 A bracket is one "placed" symmetric sum over both blocks, described by
 slot families (value, count) for each block.  Its monomials are obtained
@@ -45,10 +46,11 @@ from .symfun import Block, _placements, complete, elementary
 class KSeq:
     """Derived exponents for a fixed 0 < k < p.
 
-    s = ceil(k / (p-k)); k_i = (i+1)k - ip for 0 <= i < s; and the tail
-    exponent kp = sp - (s+1)k.  The relations k_i + (p-k) = k_{i-1},
-    kp + k = s(p-k) and k_i + kp = (s-i)(p-k) drive every bracket
-    identity below and are asserted at construction.
+    s = ceil(k / (p-k)); kvals[i] = (i+1)k - ip for 0 <= i < s; and the
+    tail exponent kp = sp - (s+1)k.  The relations
+    kvals[i] + (p-k) = kvals[i-1], kp + k = s(p-k) and
+    kvals[i] + kp = (s-i)(p-k) drive every bracket identity below and
+    are asserted at construction.
     """
 
     p: int
@@ -56,9 +58,6 @@ class KSeq:
     s: int
     kvals: tuple
     kp: int
-
-    def k_i(self, i: int) -> int:
-        return self.kvals[i]
 
 
 def kseq(p: int, k: int) -> KSeq:
@@ -90,46 +89,13 @@ def _validate_kseq(ks: KSeq):
         raise InternalInvariantViolation(f"exponent relations failed for {ks}")
 
 
-@dataclass(frozen=True)
-class DeltaSeq:
-    """Nondecreasing sequence of indices in [1, s-1] with length below s."""
+def enumerate_deltas(s: int, max_weight: int | None = None) -> list[tuple]:
+    """All delta sequences for the given s, with weight at most max_weight.
 
-    entries: tuple
-
-    def __post_init__(self):
-        if any(self.entries[i] > self.entries[i + 1] for i in range(len(self.entries) - 1)):
-            raise ValueError("entries must be nondecreasing")
-        if any(e < 1 for e in self.entries):
-            raise ValueError("entries must be positive")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.entries)
-
-    @property
-    def support(self) -> tuple:
-        return tuple(sorted(set(self.entries)))
-
-    def remove(self, i: int) -> "DeltaSeq":
-        """Drop one occurrence of the value i."""
-        entries = list(self.entries)
-        entries.remove(i)
-        return DeltaSeq(tuple(entries))
-
-    def __repr__(self):
-        return f"Delta{self.entries}"
-
-
-def enumerate_deltas(s: int, max_weight: int | None = None) -> list[DeltaSeq]:
-    """All sequences for the given s, with weight at most max_weight.
-
-    Entries range over [1, s-1] and lengths over [0, s-1]; the empty
-    sequence is always included.  With max_weight None the full finite
-    set is returned, ordered by (weight, length, entries).
+    A delta sequence is a nondecreasing tuple with entries in [1, s-1]
+    and length at most s-1; the empty tuple is always included.  With
+    max_weight None the full finite set is returned.  The list is
+    ordered by (weight, length, entries).
     """
     if s < 1:
         raise ValueError("s must be at least 1")
@@ -138,7 +104,7 @@ def enumerate_deltas(s: int, max_weight: int | None = None) -> list[DeltaSeq]:
     found = []
 
     def rec(prefix: list, low: int, weight: int):
-        found.append(DeltaSeq(tuple(prefix)))
+        found.append(tuple(prefix))
         if len(prefix) >= s - 1:
             return
         for v in range(low, s):
@@ -149,7 +115,7 @@ def enumerate_deltas(s: int, max_weight: int | None = None) -> list[DeltaSeq]:
             prefix.pop()
 
     rec([], 1, 0)
-    return sorted(found, key=lambda d: (d.weight, d.size, d.entries))
+    return sorted(found, key=lambda d: (sum(d), len(d), d))
 
 
 # -- placed symmetrization -------------------------------------------------
@@ -233,41 +199,41 @@ def u_k(k: int, ring: Ring) -> Poly:
 # w_poly legitimate.
 
 
-def _delta_x_families(delta: DeltaSeq, ks: KSeq):
-    if delta.size and max(delta.entries) > ks.s - 1:
-        raise ValueError(f"{delta} has entries outside [1, s-1] for s={ks.s}")
-    return [(ks.k_i(i), delta.entries.count(i)) for i in delta.support]
+def _delta_x_families(delta: tuple, ks: KSeq):
+    if delta and (min(delta) < 1 or max(delta) > ks.s - 1):
+        raise ValueError(f"delta {delta} has entries outside [1, s-1] for s={ks.s}")
+    return [(ks.kvals[i], delta.count(i)) for i in sorted(set(delta))]
 
 
-def bracket_round(delta: DeltaSeq, j: int, ks: KSeq, ring: Ring) -> Poly:
+def bracket_round(delta: tuple, j: int, ks: KSeq, ring: Ring) -> Poly:
     """x slots: k repeated (M-t) with the delta exponents; y slots:
     (p-k) repeated (N-j-1) and one tail slot kp.  Zero unless
     0 <= t <= M and 0 <= j < N."""
     M, N = ring.m, ring.n
-    t = delta.size
+    t = len(delta)
     if not (0 <= t <= M and 0 <= j < N):
         return zero(ring)
     xfams = [(ks.k, M - t)] + _delta_x_families(delta, ks)
     return placed_sym(xfams, [(ks.p - ks.k, N - j - 1), (ks.kp, 1)], ring)
 
 
-def bracket_square(delta: DeltaSeq, j: int, ks: KSeq, ring: Ring) -> Poly:
+def bracket_square(delta: tuple, j: int, ks: KSeq, ring: Ring) -> Poly:
     """Like the round bracket but with a plain (p-k) tail of length N-j.
     Zero unless 0 <= t <= M and 0 <= j <= N; j = N empties the y part."""
     M, N = ring.m, ring.n
-    t = delta.size
+    t = len(delta)
     if not (0 <= t <= M and 0 <= j <= N):
         return zero(ring)
     xfams = [(ks.k, M - t)] + _delta_x_families(delta, ks)
     return placed_sym(xfams, [(ks.p - ks.k, N - j)], ring)
 
 
-def bracket_brace(delta: DeltaSeq, l: int, j: int, ks: KSeq, ring: Ring) -> Poly:
+def bracket_brace(delta: tuple, l: int, j: int, ks: KSeq, ring: Ring) -> Poly:
     """x slots: k repeated (M-t-1), one slot l(p-k), the delta exponents;
     y slots: (p-k) repeated (N-j).  Zero unless 0 <= t < M and
     0 <= j <= N; any l >= 0 is allowed."""
     M, N = ring.m, ring.n
-    t = delta.size
+    t = len(delta)
     if l < 0:
         raise ValueError("l must be nonnegative")
     if not (0 <= t < M and 0 <= j <= N):
@@ -287,18 +253,20 @@ def w_poly(ks: KSeq, ring: Ring) -> Poly:
     bracket constructors prune the out-of-range combinations.
     """
     if ring.m < 1 or ring.n < 1:
-        raise ValueError("w needs m >= 1 and n >= 1")
+        raise ValueError("the lift v_k needs m >= 1 and n >= 1")
     s = ks.s
     deltas = enumerate_deltas(s)
     total = zero(ring)
     for l in range(1, s):
         for delta in deltas:
-            sign = 1 if (delta.weight + s + l) % 2 == 0 else -1
+            weight = sum(delta)
+            sign = 1 if (weight + s + l) % 2 == 0 else -1
             coeff = sign * (s - l)
-            total = total + coeff * bracket_brace(delta, l, l - delta.weight, ks, ring)
+            total = total + coeff * bracket_brace(delta, l, l - weight, ks, ring)
     for delta in deltas:
-        sign = 1 if delta.weight % 2 == 0 else -1
-        total = total + sign * bracket_round(delta, s - 1 - delta.weight, ks, ring)
+        weight = sum(delta)
+        sign = 1 if weight % 2 == 0 else -1
+        total = total + sign * bracket_round(delta, s - 1 - weight, ks, ring)
     return total
 
 
@@ -308,10 +276,9 @@ def v_k(ks: KSeq, ring: Ring) -> Poly:
     v = ((-1)^s / s) w + Sym_m(x^k repeated m-1) (y_1...y_n)^(p-k).
     It is block symmetric, homogeneous of degree (m-1)k + (p-k)n, its
     x_m = y_n = T image is killed by d/dT, and setting x_m = 0 recovers
-    u_k(m-1|n) exactly.  Invertibility of s uses s < p.
+    u_k(m-1|n) exactly.  Invertibility of s uses s < p.  Needs m, n >= 1
+    (``w_poly`` checks).
     """
-    if ring.m < 1 or ring.n < 1:
-        raise ValueError("v_k needs m >= 1 and n >= 1")
     p = ring.p
     sign = 1 if ks.s % 2 == 0 else -1
     scalar = (sign * fp_inv(ks.s, p)) % p

@@ -34,7 +34,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .generators import (
-    DeltaSeq,
     KSeq,
     bracket_brace,
     bracket_round,
@@ -49,11 +48,10 @@ from .poly_core import (
     Poly,
     Ring,
     d_dT,
+    monomial,
     one,
     psi,
-    t_power,
     x_var,
-    y_var,
     zero,
 )
 
@@ -105,8 +103,6 @@ def generated_dimension(m: int, n: int, p: int, d: int) -> int:
     """Dimension of the span of generator monomial expansions at degree d."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if d == 0:
-        return 1
     return gen_span(m, n, p, d).dimension
 
 
@@ -152,16 +148,24 @@ def cr_generating_check(m: int, n: int, p: int, R: int) -> bool:
     if R < m + n:
         raise ValueError("truncation order must be at least m + n")
     ring = Ring(m, n, True, p)
-    series = zero(ring)
+    lhs = zero(ring)
     for r in range(R + 1):
-        series = series + c_r(r, ring) * t_power(ring, r)
-    lhs = series
+        lhs = lhs + c_r(r, ring) * _t_monomial(ring, r)
     for j in range(1, n + 1):
-        lhs = lhs * (one(ring) + y_var(ring, j) * t_power(ring, 1))
+        lhs = lhs * (one(ring) + _t_monomial(ring, 1, m + j - 1))
     rhs = one(ring)
     for i in range(1, m + 1):
-        rhs = rhs * (one(ring) + x_var(ring, i) * t_power(ring, 1))
+        rhs = rhs * (one(ring) + x_var(ring, i) * _t_monomial(ring, 1))
     return _truncate_t(lhs, R) == _truncate_t(rhs, R)
+
+
+def _t_monomial(ring: Ring, e: int, slot: int | None = None) -> Poly:
+    """T^e, times the variable in position ``slot`` if one is given."""
+    exps = [0] * ring.nvars
+    exps[-1] = e
+    if slot is not None:
+        exps[slot] = 1
+    return monomial(ring, exps)
 
 
 def _truncate_t(f: Poly, R: int) -> Poly:
@@ -171,8 +175,14 @@ def _truncate_t(f: Poly, R: int) -> Poly:
 # -- bracket substitution identities -------------------------------------------
 
 
+def _drop_one(delta: tuple, i: int) -> tuple:
+    """delta with one occurrence of the value i removed."""
+    at = delta.index(i)
+    return delta[:at] + delta[at + 1:]
+
+
 def bracket_identity_check(
-    delta: DeltaSeq,
+    delta: tuple,
     l: int | None,
     j: int,
     m: int,
@@ -185,17 +195,19 @@ def bracket_identity_check(
     For the brace family the image of {delta, l, j} at level (m, n)
     under x_m = y_n = T matches
     T^k {delta, l, j-1} + T^((l+1)(p-k)) [delta, j] + T^(l(p-k)) [delta, j-1]
-    + sum over the support (T^(k_i) {delta-i, l, j-1} + T^(k_{i-1}) {delta-i, l, j}),
+    + sum over the values i of delta
+      (T^(kvals[i]) {delta-i, l, j-1} + T^(kvals[i-1]) {delta-i, l, j}),
     all at level (m-1, n-1).  The round variant (l is ignored) matches
     T^k (delta, j-1) + T^(s(p-k)) [delta, j]
-    + sum (T^(k_i) (delta-i, j-1) + T^(k_{i-1}) (delta-i, j) + T^((s-i)(p-k)) [delta-i, j]).
+    + sum (T^(kvals[i]) (delta-i, j-1) + T^(kvals[i-1]) (delta-i, j)
+      + T^((s-i)(p-k)) [delta-i, j]).
     """
     p, k, s = ks.p, ks.k, ks.s
     ring = Ring(m, n, False, p)
     ring_t = Ring(m - 1, n - 1, True, p)
 
     def tp(e: int) -> Poly:
-        return t_power(ring_t, e)
+        return _t_monomial(ring_t, e)
 
     if variant == "brace":
         if l is None:
@@ -204,18 +216,18 @@ def bracket_identity_check(
         rhs = tp(k) * bracket_brace(delta, l, j - 1, ks, ring_t)
         rhs = rhs + tp((l + 1) * (p - k)) * bracket_square(delta, j, ks, ring_t)
         rhs = rhs + tp(l * (p - k)) * bracket_square(delta, j - 1, ks, ring_t)
-        for i in delta.support:
-            smaller = delta.remove(i)
-            rhs = rhs + tp(ks.k_i(i)) * bracket_brace(smaller, l, j - 1, ks, ring_t)
-            rhs = rhs + tp(ks.k_i(i - 1)) * bracket_brace(smaller, l, j, ks, ring_t)
+        for i in sorted(set(delta)):
+            smaller = _drop_one(delta, i)
+            rhs = rhs + tp(ks.kvals[i]) * bracket_brace(smaller, l, j - 1, ks, ring_t)
+            rhs = rhs + tp(ks.kvals[i - 1]) * bracket_brace(smaller, l, j, ks, ring_t)
     elif variant == "round":
         lhs = psi(bracket_round(delta, j, ks, ring))
         rhs = tp(k) * bracket_round(delta, j - 1, ks, ring_t)
         rhs = rhs + tp(s * (p - k)) * bracket_square(delta, j, ks, ring_t)
-        for i in delta.support:
-            smaller = delta.remove(i)
-            rhs = rhs + tp(ks.k_i(i)) * bracket_round(smaller, j - 1, ks, ring_t)
-            rhs = rhs + tp(ks.k_i(i - 1)) * bracket_round(smaller, j, ks, ring_t)
+        for i in sorted(set(delta)):
+            smaller = _drop_one(delta, i)
+            rhs = rhs + tp(ks.kvals[i]) * bracket_round(smaller, j - 1, ks, ring_t)
+            rhs = rhs + tp(ks.kvals[i - 1]) * bracket_round(smaller, j, ks, ring_t)
             rhs = rhs + tp((s - i) * (p - k)) * bracket_square(smaller, j, ks, ring_t)
     else:
         raise ValueError(f"unknown identity variant {variant!r}")
@@ -232,7 +244,7 @@ def psi_w_check(m: int, n: int, ks: KSeq) -> bool:
     sign = 1 if (s + 1) % 2 == 0 else -1
     rhs = (
         (sign * s)
-        * t_power(ring_t, p - k)
-        * bracket_square(DeltaSeq(()), 0, ks, ring_t)
+        * _t_monomial(ring_t, p - k)
+        * bracket_square((), 0, ks, ring_t)
     )
     return d_dT(lhs - rhs).is_zero

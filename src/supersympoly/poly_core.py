@@ -123,7 +123,7 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, int):
                 return NotImplemented
-            other = constant(self.ring, other)
+            other = Poly(self.ring, {(0,) * self.ring.nvars: other})
         self._require_same_ring(other)
         out = dict(self.terms)
         p = self.ring.p
@@ -478,41 +478,20 @@ def zero(ring: Ring) -> Poly:
 
 
 def one(ring: Ring) -> Poly:
-    return constant(ring, 1)
-
-
-def constant(ring: Ring, c: int) -> Poly:
-    return Poly(ring, {(0,) * ring.nvars: c % ring.p})
+    return Poly(ring, {(0,) * ring.nvars: 1})
 
 
 def monomial(ring: Ring, exps: Iterable[int], coeff: int = 1) -> Poly:
     return Poly(ring, {tuple(exps): coeff})
 
 
-def _unit_exps(ring: Ring, slot: int, e: int = 1) -> tuple:
-    exps = [0] * ring.nvars
-    exps[slot] = e
-    return tuple(exps)
-
-
 def x_var(ring: Ring, i: int) -> Poly:
     """The variable x_i, 1-based."""
     if not 1 <= i <= ring.m:
         raise ValueError(f"x{i} is not a variable of {ring}")
-    return Poly(ring, {_unit_exps(ring, i - 1): 1})
-
-
-def y_var(ring: Ring, j: int) -> Poly:
-    """The variable y_j, 1-based."""
-    if not 1 <= j <= ring.n:
-        raise ValueError(f"y{j} is not a variable of {ring}")
-    return Poly(ring, {_unit_exps(ring, ring.m + j - 1): 1})
-
-
-def t_power(ring: Ring, e: int) -> Poly:
-    if not ring.has_t:
-        raise ValueError(f"{ring} has no T variable")
-    return Poly(ring, {_unit_exps(ring, ring.nvars - 1, e): 1})
+    exps = [0] * ring.nvars
+    exps[i - 1] = 1
+    return monomial(ring, exps)
 
 
 # -- structural operations ----------------------------------------------

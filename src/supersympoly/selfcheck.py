@@ -99,11 +99,11 @@ def check_bracket_identities() -> tuple[bool, str]:
                             for l in range(0, ks.s + 1):
                                 checks += 1
                                 if not bracket_identity_check(delta, l, j, m, n, ks, "brace"):
-                                    bad.append(("brace", p, k, m, n, delta.entries, l, j))
+                                    bad.append(("brace", p, k, m, n, delta, l, j))
                         for j in range(0, n):
                             checks += 1
                             if not bracket_identity_check(delta, None, j, m, n, ks, "round"):
-                                bad.append(("round", p, k, m, n, delta.entries, j))
+                                bad.append(("round", p, k, m, n, delta, j))
     return not bad, f"{checks} identities" + (f", failures: {bad[:3]}..." if bad else "")
 
 

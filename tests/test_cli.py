@@ -111,6 +111,12 @@ class TestVk:
         code, _, _ = run(capsys, "vk", "--m", "1", "--n", "1", "--p", "3", "--k", "3")
         assert code == 2
 
+    def test_empty_block_is_an_input_error(self, capsys):
+        for m, n in (("0", "1"), ("1", "0")):
+            code, _, err = run(capsys, "vk", "--m", m, "--n", n, "--p", "3", "--k", "1")
+            assert code == 2
+            assert err.startswith("input error:")
+
 
 class TestDims:
     def test_small_grid(self, capsys):

@@ -1,10 +1,13 @@
+import hashlib
+from itertools import combinations_with_replacement
+from math import comb
+
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from supersympoly import (
     Block,
-    DeltaSeq,
     Ring,
     bracket_brace,
     bracket_round,
@@ -17,6 +20,7 @@ from supersympoly import (
     make_v,
     one,
     parse_poly,
+    poly_to_str,
     psi,
     set_xm_zero,
     sigma_x_p,
@@ -25,11 +29,11 @@ from supersympoly import (
     v_k,
     w_poly,
 )
-from supersympoly.generators import placed_sym
+from supersympoly.generators import _delta_x_families, placed_sym
 
 from helpers import reference_mul, reference_placed
 
-EMPTY = DeltaSeq(())
+EMPTY = ()
 
 
 class TestKSeq:
@@ -65,21 +69,28 @@ class TestDeltas:
         assert enumerate_deltas(1) == [EMPTY]
 
     def test_s_two_bounded_weight(self):
-        assert [d.entries for d in enumerate_deltas(2, 1)] == [(), (1,)]
+        assert enumerate_deltas(2, 1) == [(), (1,)]
 
     def test_s_three_bounded_weight(self):
-        assert [d.entries for d in enumerate_deltas(3, 2)] == [(), (1,), (2,), (1, 1)]
+        assert enumerate_deltas(3, 2) == [(), (1,), (2,), (1, 1)]
 
-    def test_stats(self):
-        d = DeltaSeq((1, 1, 2))
-        assert d.size == 3
-        assert d.weight == 4
-        assert d.support == (1, 2)
-        assert d.remove(1).entries == (1, 2)
+    def test_full_sets_are_every_nondecreasing_tuple_in_order(self):
+        # nondecreasing tuples of length <= s-1 over s-1 values number
+        # C(2s-2, s-1); each is listed once, ordered by (weight, length, entries)
+        for s in range(1, 9):
+            deltas = enumerate_deltas(s)
+            expected = [
+                t for size in range(s) for t in combinations_with_replacement(range(1, s), size)
+            ]
+            assert len(deltas) == comb(2 * s - 2, s - 1)
+            assert deltas == sorted(expected, key=lambda d: (sum(d), len(d), d))
 
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            DeltaSeq((2, 1))
+    def test_x_families_reject_entries_outside_the_range(self):
+        ks = kseq(7, 6)  # s = 6
+        assert _delta_x_families((1, 1, 5), ks) == [(ks.kvals[1], 2), (ks.kvals[5], 1)]
+        for delta in ((0,), (-1, 2), (1, 6)):
+            with pytest.raises(ValueError):
+                _delta_x_families(delta, ks)
 
 
 class TestFamilies:
@@ -132,8 +143,8 @@ class TestBrackets:
     def test_oversized_delta_gives_zero(self):
         r = Ring(1, 2, False, 5)
         ks = kseq(5, 3)
-        assert bracket_round(DeltaSeq((1, 1)), 0, ks, r).is_zero
-        assert bracket_brace(DeltaSeq((1,)), 1, 0, ks, r).is_zero
+        assert bracket_round((1, 1), 0, ks, r).is_zero
+        assert bracket_brace((1,), 1, 0, ks, r).is_zero
 
     def test_square_with_empty_y_tail(self):
         r = Ring(2, 2, False, 3)
@@ -157,7 +168,7 @@ class TestBrackets:
         # k_1; the two slots stay distinguishable, giving coefficient 2
         r = Ring(2, 1, False, 3)
         ks = kseq(3, 2)
-        got = bracket_brace(DeltaSeq((1,)), 1, 0, ks, r)
+        got = bracket_brace((1,), 1, 0, ks, r)
         assert got == parse_poly("2*x1*x2*y1", r)
 
     def test_brackets_are_block_symmetric(self):
@@ -278,5 +289,21 @@ class TestVk:
                         assert set_xm_zero(v) == u_k(k, Ring(m - 1, n, False, p))
 
     def test_requires_both_blocks(self):
-        with pytest.raises(ValueError):
-            v_k(kseq(3, 1), Ring(0, 1, False, 3))
+        for m, n in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="lift v_k"):
+                v_k(kseq(3, 1), Ring(m, n, False, 3))
+
+    def test_lift_text_is_pinned(self):
+        """The printed lift and its x_m = y_n = T image over the
+        criterion-1 grid, hashed; any change to the lift text shows here."""
+        digest = hashlib.sha256()
+        for p in (3, 5, 7):
+            for k in range(1, p):
+                for m in (1, 2, 3):
+                    for n in (1, 2, 3):
+                        v = make_v(p, k, m, n)
+                        text = f"{p} {k} {m} {n}\n{poly_to_str(v)}\n{poly_to_str(psi(v))}\n"
+                        digest.update(text.encode())
+        assert digest.hexdigest() == (
+            "bbf35954aa24e93b3f6b4455bf21d2b49c490e9c57febccfbf9000dc2d65a984"
+        )
