@@ -68,8 +68,6 @@ from .decompose import (
 from .oracle import (
     as_dimension,
     cr_generating_check,
-    dim_grid,
-    dim_reports_to_csv,
     generated_dimension,
     bracket_identity_check,
     psi_w_check,

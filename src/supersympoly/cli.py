@@ -21,7 +21,7 @@ from .errors import (
 )
 from .genexpr import serialize_gen_expr
 from .generators import make_v
-from .oracle import dim_grid, dim_reports_to_csv
+from .oracle import as_dimension, generated_dimension
 from .poly_core import Ring, d_dT, parse_poly, poly_to_str, psi
 from .supersym import is_p_balanced, is_strictly_supersymmetric, is_supersymmetric
 
@@ -92,13 +92,17 @@ def cmd_vk(args) -> int:
 def cmd_dims(args) -> int:
     if args.dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    reports = dim_grid(args.m, args.n, args.p, args.dmax)
-    print(dim_reports_to_csv(reports))
-    mismatches = [r for r in reports if not r.match]
+    m, n, p = args.m, args.n, args.p
+    rows = [(d, as_dimension(m, n, p, d), generated_dimension(m, n, p, d))
+            for d in range(args.dmax + 1)]
+    print("m,n,p,d,dim_As,dim_generated,match")
+    for d, da, dg in rows:
+        print(f"{m},{n},{p},{d},{da},{dg}," + ("true" if da == dg else "false"))
+    mismatches = sum(da != dg for _, da, dg in rows)
     if mismatches:
-        print(f"MISMATCH in {len(mismatches)} of {len(reports)} degrees")
+        print(f"MISMATCH in {mismatches} of {len(rows)} degrees")
         return EXIT_DOMAIN
-    print(f"all {len(reports)} degrees match")
+    print(f"all {len(rows)} degrees match")
     return EXIT_OK
 
 

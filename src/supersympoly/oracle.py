@@ -31,7 +31,6 @@ direct enumeration beats the generic placement.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .generators import (
     KSeq,
@@ -104,39 +103,6 @@ def generated_dimension(m: int, n: int, p: int, d: int) -> int:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     return gen_span(m, n, p, d).dimension
-
-
-@dataclass(frozen=True)
-class DimReport:
-    """Per degree comparison of the two dimension computations."""
-
-    m: int
-    n: int
-    p: int
-    degree: int
-    dim_as: int
-    dim_generated: int
-
-    @property
-    def match(self) -> bool:
-        return self.dim_as == self.dim_generated
-
-
-def dim_grid(m: int, n: int, p: int, dmax: int) -> list[DimReport]:
-    return [
-        DimReport(m, n, p, d, as_dimension(m, n, p, d), generated_dimension(m, n, p, d))
-        for d in range(dmax + 1)
-    ]
-
-
-def dim_reports_to_csv(reports: list[DimReport]) -> str:
-    lines = ["m,n,p,d,dim_As,dim_generated,match"]
-    for r in reports:
-        lines.append(
-            f"{r.m},{r.n},{r.p},{r.degree},{r.dim_as},{r.dim_generated},"
-            + ("true" if r.match else "false")
-        )
-    return "\n".join(lines)
 
 
 # -- generating function cross-check ------------------------------------------

@@ -1,11 +1,12 @@
 """Verification suites shared by the CLI selftest and the test suite.
 
 Each function sweeps one documented property over its full grid and
-returns (ok, detail).  run_all executes everything with timings.  The
-residual exponent law is a deliberate exception: it asserts a stronger
-statement than the decomposition actually guarantees and fails on
-documented counterexamples, so it carries expected_ok=False.  See the
-README for the analysis.
+tallies one (label, ok) pair per case into (ok, detail).  run_all
+executes everything with timings.  The residual exponent law is a
+deliberate exception: it asserts a stronger statement than the
+decomposition actually guarantees and fails on documented
+counterexamples, so it carries expected_ok=False.  See the README for
+the analysis.
 """
 
 from __future__ import annotations
@@ -51,32 +52,36 @@ def _grid():
                     yield p, k, m, n
 
 
+def _tally(noun: str, outcomes) -> tuple[bool, str]:
+    """(ok, detail) of a suite from its (label, ok) pairs: the count of
+    pairs in ``noun``, then the labels of the first three failures."""
+    count, bad = 0, []
+    for count, (label, ok) in enumerate(outcomes, 1):
+        if not ok:
+            bad.append(label)
+    return not bad, f"{count} {noun}" + (f", failures: {bad[:3]}..." if bad else "")
+
+
 def check_vk_contract() -> tuple[bool, str]:
     """v_k is block symmetric, homogeneous of degree (m-1)k + (p-k)n,
     killed by d/dT after x_m = y_n = T, and restricts to u_k(m-1|n)."""
-    bad = []
-    cells = 0
-    for p, k, m, n in _grid():
-        cells += 1
-        v = make_v(p, k, m, n)
-        expected = u_k(k, Ring(m - 1, n, False, p))
-        ok = (
-            is_symmetric(v, Block.X)
-            and is_symmetric(v, Block.Y)
-            and {sum(e) for e in v.terms} == {(m - 1) * k + (p - k) * n}
-            and d_dT(psi(v)).is_zero
-            and set_xm_zero(v) == expected
-        )
-        if not ok:
-            bad.append((p, k, m, n))
-    return not bad, f"{cells} cells" + (f", failures: {bad}" if bad else "")
+    def outcomes():
+        for p, k, m, n in _grid():
+            v = make_v(p, k, m, n)
+            yield (p, k, m, n), (
+                is_symmetric(v, Block.X)
+                and is_symmetric(v, Block.Y)
+                and {sum(e) for e in v.terms} == {(m - 1) * k + (p - k) * n}
+                and d_dT(psi(v)).is_zero
+                and set_xm_zero(v) == u_k(k, Ring(m - 1, n, False, p))
+            )
+    return _tally("cells", outcomes())
 
 
 def check_psi_w() -> tuple[bool, str]:
     """The closed form of the T image of w, modulo the kernel of d/dT."""
-    bad = [(p, k, m, n) for p, k, m, n in _grid() if not psi_w_check(m, n, kseq(p, k))]
-    total = sum(1 for _ in _grid())
-    return not bad, f"{total} cells" + (f", failures: {bad}" if bad else "")
+    return _tally("cells", (((p, k, m, n), psi_w_check(m, n, kseq(p, k)))
+                            for p, k, m, n in _grid()))
 
 
 def check_bracket_identities() -> tuple[bool, str]:
@@ -86,40 +91,34 @@ def check_bracket_identities() -> tuple[bool, str]:
     brace family (the signed sum only uses 1 <= l <= s-1), j over the
     defining range of the left side bracket.
     """
-    bad = []
-    checks = 0
-    for p in FULL_PRIMES:
-        for k in range(1, p):
-            ks = kseq(p, k)
-            deltas = enumerate_deltas(ks.s)
-            for m in FULL_DIMS:
-                for n in FULL_DIMS:
-                    for delta in deltas:
-                        for j in range(0, n + 1):
-                            for l in range(0, ks.s + 1):
-                                checks += 1
-                                if not bracket_identity_check(delta, l, j, m, n, ks, "brace"):
-                                    bad.append(("brace", p, k, m, n, delta, l, j))
-                        for j in range(0, n):
-                            checks += 1
-                            if not bracket_identity_check(delta, None, j, m, n, ks, "round"):
-                                bad.append(("round", p, k, m, n, delta, j))
-    return not bad, f"{checks} identities" + (f", failures: {bad[:3]}..." if bad else "")
+    def outcomes():
+        for p in FULL_PRIMES:
+            for k in range(1, p):
+                ks = kseq(p, k)
+                deltas = enumerate_deltas(ks.s)
+                for m in FULL_DIMS:
+                    for n in FULL_DIMS:
+                        for delta in deltas:
+                            for j in range(0, n + 1):
+                                for l in range(0, ks.s + 1):
+                                    yield (("brace", p, k, m, n, delta, l, j),
+                                           bracket_identity_check(delta, l, j, m, n, ks, "brace"))
+                            for j in range(0, n):
+                                yield (("round", p, k, m, n, delta, j),
+                                       bracket_identity_check(delta, None, j, m, n, ks, "round"))
+    return _tally("identities", outcomes())
 
 
 def check_dimensions() -> tuple[bool, str]:
     """Kernel dimension equals generated dimension, degree by degree."""
-    bad = []
-    rows = 0
-    for p in SMALL_PRIMES:
-        for m, n in CELLS:
-            for d in range(DIMENSION_DMAX + 1):
-                rows += 1
-                da = as_dimension(m, n, p, d)
-                dg = generated_dimension(m, n, p, d)
-                if da != dg:
-                    bad.append((m, n, p, d, da, dg))
-    return not bad, f"{rows} degree cells" + (f", failures: {bad}" if bad else "")
+    def outcomes():
+        for p in SMALL_PRIMES:
+            for m, n in CELLS:
+                for d in range(DIMENSION_DMAX + 1):
+                    da = as_dimension(m, n, p, d)
+                    dg = generated_dimension(m, n, p, d)
+                    yield (m, n, p, d, da, dg), da == dg
+    return _tally("degree cells", outcomes())
 
 
 def random_gen_expr(rng: random.Random, m: int, n: int, p: int,
@@ -154,31 +153,36 @@ def _roundtrip_inputs():
 
 
 def check_roundtrip():
-    """expand -> decompose -> expand is the identity on random inputs.
+    """expand -> decompose -> expand is the identity on random inputs,
+    and every core the recursion peels on the way has a > 0 and a + b
+    divisible by p.
 
     The inputs run through the pure recursion (span limit 0), so that
     its residues and peels are exercised at every degree.  Returns (ok,
     detail, trace); the trace records every residue the recursion
     factored, for the exponent law check below.
     """
-    bad = []
-    runs = 0
-    with trace_decomposition() as trace:
+    def outcomes(trace):
         for ring, e in _roundtrip_inputs():
-            runs += 1
             f = expand(e, ring)
             level = (ring.p, ring.m, ring.n)
+            first_peel = len(trace.peels)
             try:
                 e2 = _decompose(f, 0)
             except Exception as exc:  # InternalInvariantViolation included
-                bad.append((*level, repr(exc)))
+                yield (*level, repr(exc)), False
                 continue
-            if not verify_decomposition(f, e2):
-                bad.append((*level, "re-expansion mismatch"))
-    detail = f"{runs} roundtrips, {len(trace.residues)} residues factored"
-    if bad:
-        detail += f", failures: {bad[:3]}..."
-    return not bad, detail, trace
+            broken = [r for r in trace.peels[first_peel:]
+                      if not (r[3] > 0 and (r[3] + r[4]) % r[2] == 0)]
+            if broken:
+                yield (*level, "peeled core", broken[0]), False
+            else:
+                yield (*level, "re-expansion mismatch"), verify_decomposition(f, e2)
+
+    with trace_decomposition() as trace:
+        results = list(outcomes(trace))
+    ok, detail = _tally(f"roundtrips, {len(trace.residues)} residues factored", results)
+    return ok, detail, trace
 
 
 def check_residual_exponent_law(trace) -> tuple[bool, str]:
@@ -197,69 +201,53 @@ def check_residual_exponent_law(trace) -> tuple[bool, str]:
     return not bad, detail
 
 
-def check_peeled_core_law(trace) -> tuple[bool, str]:
-    """Every peeled core has positive x part and degree divisible by p."""
-    bad = [r for r in trace.peels if not (r[3] > 0 and (r[3] + r[4]) % r[2] == 0)]
-    return not bad, f"{len(trace.peels)} peels" + (f", failures: {bad[:3]}" if bad else "")
-
-
 def check_cr_properties() -> tuple[bool, str]:
     """c_r is supersymmetric and strictly so; the generating identity holds."""
     from .generators import c_r
 
-    bad = []
-    checks = 0
-    for p in FULL_PRIMES:
-        for m in FULL_DIMS:
-            for n in FULL_DIMS:
-                ring = Ring(m, n, False, p)
-                for r in range(1, CR_RMAX + 1):
-                    checks += 1
-                    f = c_r(r, ring)
-                    if not (is_supersymmetric(f).overall and is_strictly_supersymmetric(f)):
-                        bad.append((p, m, n, r))
-                checks += 1
-                if not cr_generating_check(m, n, p, m + n + 3):
-                    bad.append((p, m, n, "generating"))
-    return not bad, f"{checks} checks" + (f", failures: {bad}" if bad else "")
+    def outcomes():
+        for p in FULL_PRIMES:
+            for m in FULL_DIMS:
+                for n in FULL_DIMS:
+                    ring = Ring(m, n, False, p)
+                    for r in range(1, CR_RMAX + 1):
+                        f = c_r(r, ring)
+                        ok = is_supersymmetric(f).overall and is_strictly_supersymmetric(f)
+                        yield (p, m, n, r), ok
+                    yield (p, m, n, "generating"), cr_generating_check(m, n, p, m + n + 3)
+    return _tally("checks", outcomes())
 
 
 def check_vk_membership() -> tuple[bool, str]:
     """decompose succeeds on every v_k and the certificate verifies."""
-    bad = []
-    cells = 0
-    for p in SMALL_PRIMES:
-        for k in range(1, p):
-            for m in MEMBERSHIP_DIMS:
-                for n in MEMBERSHIP_DIMS:
-                    cells += 1
-                    v = make_v(p, k, m, n)
-                    try:
-                        e = decompose(v)
-                    except Exception as exc:
-                        bad.append((p, k, m, n, repr(exc)))
-                        continue
-                    if not verify_decomposition(v, e):
-                        bad.append((p, k, m, n, "mismatch"))
-    return not bad, f"{cells} lifts" + (f", failures: {bad}" if bad else "")
+    def outcomes():
+        for p in SMALL_PRIMES:
+            for k in range(1, p):
+                for m in MEMBERSHIP_DIMS:
+                    for n in MEMBERSHIP_DIMS:
+                        v = make_v(p, k, m, n)
+                        try:
+                            e = decompose(v)
+                        except Exception as exc:
+                            yield (p, k, m, n, repr(exc)), False
+                            continue
+                        yield (p, k, m, n, "mismatch"), verify_decomposition(v, e)
+    return _tally("lifts", outcomes())
 
 
 def check_balanced_generators() -> tuple[bool, str]:
     """sigma_i(x)^p, sigma_j(y)^p and u_k are all p balanced."""
-    bad = []
-    checks = 0
-    for p in FULL_PRIMES:
-        for m in FULL_DIMS:
-            for n in FULL_DIMS:
-                ring = Ring(m, n, False, p)
-                polys = [sigma_x_p(i, ring) for i in range(1, m + 1)]
-                polys += [sigma_y_p(j, ring) for j in range(1, n + 1)]
-                polys += [u_k(k, ring) for k in range(1, p)]
-                for f in polys:
-                    checks += 1
-                    if not is_p_balanced(f):
-                        bad.append((p, m, n))
-    return not bad, f"{checks} generators" + (f", failures: {bad}" if bad else "")
+    def outcomes():
+        for p in FULL_PRIMES:
+            for m in FULL_DIMS:
+                for n in FULL_DIMS:
+                    ring = Ring(m, n, False, p)
+                    polys = [sigma_x_p(i, ring) for i in range(1, m + 1)]
+                    polys += [sigma_y_p(j, ring) for j in range(1, n + 1)]
+                    polys += [u_k(k, ring) for k in range(1, p)]
+                    for f in polys:
+                        yield (p, m, n), is_p_balanced(f)
+    return _tally("generators", outcomes())
 
 
 def run_all() -> list[CheckResult]:
@@ -267,19 +255,16 @@ def run_all() -> list[CheckResult]:
     results = []
 
     def run(name, fn, expected_ok=True):
-        t0 = time.time()
+        t0 = time.perf_counter()
         out = fn()
-        ok, detail = out[0], out[1]
-        results.append(CheckResult(name, ok, expected_ok, detail, time.time() - t0))
+        results.append(CheckResult(name, out[0], expected_ok, out[1], time.perf_counter() - t0))
         return out
 
     run("1 lift contract", check_vk_contract)
     run("2 collapsed image of w", check_psi_w)
     run("3 bracket identities", check_bracket_identities)
     run("4 dimension agreement", check_dimensions)
-    t0 = time.time()
-    ok5, detail5, trace = check_roundtrip()
-    results.append(CheckResult("5 decomposition roundtrip", ok5, True, detail5, time.time() - t0))
+    _, _, trace = run("5 decomposition roundtrip", check_roundtrip)
     run("6 residual exponent law", lambda: check_residual_exponent_law(trace), expected_ok=False)
     run("7 c_r properties", check_cr_properties)
     run("8 lift decomposes over generators", check_vk_membership)

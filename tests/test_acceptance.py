@@ -1,30 +1,30 @@
 """Acceptance suite: one test per stated criterion, exact tolerances.
 
-Every criterion prints a PASS/FAIL line (visible with pytest -s and in
-the CLI selftest, which runs the same functions).  Criterion 6 asserts
-a residual exponent law that is strictly stronger than what the
-decomposition guarantees; it fails on documented counterexamples such
-as the expansion of U[1]*C[2] at level (1, 1), p = 3, and is therefore
-marked as a strict expected failure.  The analysis lives in the README;
-criterion 5 shows the decomposition itself handles those inputs.
+The suites run once per session through ``selfcheck.run_all``, the
+call the CLI selftest makes (fixture in conftest.py); every criterion
+test prints its PASS/FAIL line (visible with pytest -s) and asserts on
+that run's result.  Criterion 6 asserts a residual exponent law that
+is strictly stronger than what the decomposition guarantees; it fails
+on documented counterexamples such as the expansion of U[1]*C[2] at
+level (1, 1), p = 3, and is therefore marked as a strict expected
+failure.  The analysis lives in the README; criterion 5 shows the
+decomposition itself handles those inputs.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from supersympoly import selfcheck, serialize_gen_expr
+from supersympoly.decompose import _trace_event
 
 
-def _report(num, name, ok, detail):
-    status = "PASS" if ok else "FAIL"
-    print(f"criterion {num} ({name}): {status} [{detail}]")
-
-
-@pytest.fixture(scope="module")
-def roundtrip():
-    ok, detail, trace = selfcheck.check_roundtrip()
-    return ok, detail, trace
+def _check(results, num):
+    """Print criterion ``num``'s PASS/FAIL line and assert that it passed."""
+    res = next(r for r in results if r.name.startswith(f"{num} "))
+    print(f"criterion {res.name}: {'PASS' if res.ok else 'FAIL'} [{res.detail}]")
+    assert res.ok, res.detail
 
 
 def test_criterion_5_inputs_are_pinned():
@@ -37,37 +37,55 @@ def test_criterion_5_inputs_are_pinned():
     assert digest.hexdigest() == "57aaea2ffa6f73b2733f7345d1aed9370730d7340373b12a70c5b32fdb94a046"
 
 
-def test_criterion_1_lift_contract():
-    ok, detail = selfcheck.check_vk_contract()
-    _report(1, "lift contract", ok, detail)
-    assert ok, detail
+def test_tally_counts_and_names_the_first_three_failures():
+    assert selfcheck._tally("cells", [((3, 1), True), ((3, 2), True)]) == (True, "2 cells")
+    outcomes = iter([(i, i % 2 == 0) for i in range(10)])
+    assert selfcheck._tally("checks", outcomes) == (False, "10 checks, failures: [1, 3, 5]...")
 
 
-def test_criterion_2_collapsed_image_of_w():
-    ok, detail = selfcheck.check_psi_w()
-    _report(2, "collapsed image of w", ok, detail)
-    assert ok, detail
+@pytest.mark.parametrize("record", [(1, 1, 3, 1, 1), (1, 1, 3, 0, 3)])
+def test_criterion_5_checks_the_peeled_core_law(monkeypatch, record):
+    """A peeled core (m, n, p, a, b) with a + b not divisible by p, or with
+    a = 0, fails criterion 5 although every certificate re-expands."""
+    inputs = list(itertools.islice(selfcheck._roundtrip_inputs(), 3))
+    monkeypatch.setattr(selfcheck, "_roundtrip_inputs", lambda: iter(inputs))
+    assert selfcheck.check_roundtrip()[0]
+
+    real = selfcheck._decompose
+    calls = []
+
+    def seeded(f, span_limit):
+        """The real recursion; the second call also records ``record``."""
+        calls.append(f)
+        if len(calls) == 2:
+            _trace_event("peels", record)
+        return real(f, span_limit)
+
+    monkeypatch.setattr(selfcheck, "_decompose", seeded)
+    ok, detail, _ = selfcheck.check_roundtrip()
+    assert not ok
+    assert f"failures: [(3, 1, 1, 'peeled core', {record})]..." in detail
+    assert detail.startswith("3 roundtrips, ")
 
 
-def test_criterion_3_bracket_identities():
-    ok, detail = selfcheck.check_bracket_identities()
-    _report(3, "bracket identities", ok, detail)
-    assert ok, detail
+def test_criterion_1_lift_contract(selftest_results):
+    _check(selftest_results, 1)
 
 
-def test_criterion_4_dimension_agreement():
-    ok, detail = selfcheck.check_dimensions()
-    _report(4, "dimension agreement", ok, detail)
-    assert ok, detail
+def test_criterion_2_collapsed_image_of_w(selftest_results):
+    _check(selftest_results, 2)
 
 
-def test_criterion_5_decomposition_roundtrip(roundtrip):
-    ok, detail, trace = roundtrip
-    _report(5, "decomposition roundtrip", ok, detail)
-    assert ok, detail
-    # the cores the algorithm actually peels always obey the exponent law
-    peel_ok, peel_detail = selfcheck.check_peeled_core_law(trace)
-    assert peel_ok, peel_detail
+def test_criterion_3_bracket_identities(selftest_results):
+    _check(selftest_results, 3)
+
+
+def test_criterion_4_dimension_agreement(selftest_results):
+    _check(selftest_results, 4)
+
+
+def test_criterion_5_decomposition_roundtrip(selftest_results):
+    _check(selftest_results, 5)
 
 
 @pytest.mark.xfail(
@@ -81,26 +99,17 @@ def test_criterion_5_decomposition_roundtrip(roundtrip):
         "as a visible check and fails honestly"
     ),
 )
-def test_criterion_6_residual_exponent_law(roundtrip):
-    _, _, trace = roundtrip
-    ok, detail = selfcheck.check_residual_exponent_law(trace)
-    _report(6, "residual exponent law", ok, detail)
-    assert ok, detail
+def test_criterion_6_residual_exponent_law(selftest_results):
+    _check(selftest_results, 6)
 
 
-def test_criterion_7_cr_properties():
-    ok, detail = selfcheck.check_cr_properties()
-    _report(7, "c_r properties", ok, detail)
-    assert ok, detail
+def test_criterion_7_cr_properties(selftest_results):
+    _check(selftest_results, 7)
 
 
-def test_criterion_8_lift_decomposes_over_generators():
-    ok, detail = selfcheck.check_vk_membership()
-    _report(8, "lift decomposes over generators", ok, detail)
-    assert ok, detail
+def test_criterion_8_lift_decomposes_over_generators(selftest_results):
+    _check(selftest_results, 8)
 
 
-def test_criterion_9_balanced_generator_family():
-    ok, detail = selfcheck.check_balanced_generators()
-    _report(9, "balanced generator family", ok, detail)
-    assert ok, detail
+def test_criterion_9_balanced_generator_family(selftest_results):
+    _check(selftest_results, 9)

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+from supersympoly import generated_dimension
 from supersympoly.cli import main
 from supersympoly.selfcheck import CheckResult
 
@@ -146,6 +147,20 @@ class TestDims:
         rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]
         assert [int(r[4]) for r in rows] == [1, 1, 2, 2, 3]
 
+    def test_mismatch_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "supersympoly.cli.generated_dimension",
+            lambda m, n, p, d: generated_dimension(m, n, p, d) + (d == 2),
+        )
+        code, out, _ = run(
+            capsys, "dims", "--m", "1", "--n", "1", "--p", "3", "--dmax", "3"
+        )
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert [line.endswith("true") for line in lines[1:-1]] == [True, True, False, True]
+        assert lines[3].startswith("1,1,3,2,")
+        assert lines[-1] == "MISMATCH in 1 of 4 degrees"
+
 
 class TestSelftest:
     def test_expected_failure_keeps_exit_zero(self, capsys, monkeypatch):
@@ -165,7 +180,9 @@ class TestSelftest:
         assert code == 1
         assert "1 unexpected failure(s)" in out
 
-    def test_end_to_end(self, capsys):
+    def test_end_to_end(self, capsys, monkeypatch, selftest_results):
+        # the suites ran once for the session, before this monkeypatch
+        monkeypatch.setattr("supersympoly.selfcheck.run_all", lambda: selftest_results)
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         assert "selftest complete" in out

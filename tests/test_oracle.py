@@ -5,8 +5,6 @@ from supersympoly import (
     Ring,
     as_dimension,
     cr_generating_check,
-    dim_grid,
-    dim_reports_to_csv,
     generated_dimension,
     kseq,
     bracket_identity_check,
@@ -77,20 +75,6 @@ class TestGeneratedDimension:
         for m, n, p, dmax in [(3, 3, 3, 9), (3, 2, 3, 10), (2, 3, 5, 10), (3, 1, 5, 10), (1, 3, 3, 10)]:
             for d in range(dmax + 1):
                 assert as_dimension(m, n, p, d) == generated_dimension(m, n, p, d), (m, n, p, d)
-
-
-class TestDimReports:
-    def test_deterministic(self):
-        a = dim_grid(1, 1, 3, 5)
-        b = dim_grid(1, 1, 3, 5)
-        assert a == b
-
-    def test_csv_shape(self):
-        text = dim_reports_to_csv(dim_grid(1, 1, 3, 2))
-        lines = text.splitlines()
-        assert lines[0] == "m,n,p,d,dim_As,dim_generated,match"
-        assert lines[1] == "1,1,3,0,1,1,true"
-        assert len(lines) == 4
 
 
 class TestGeneratingFunctionCheck:
