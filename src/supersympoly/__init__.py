@@ -9,6 +9,7 @@ from .errors import (
     SuperPolyError,
 )
 from .poly_core import (
+    Block,
     Poly,
     Ring,
     d_dT,
@@ -23,16 +24,11 @@ from .poly_core import (
     x_var,
     zero,
 )
-from .symfun import (
-    Block,
-    complete,
-    elementary,
-    is_symmetric,
-)
 from .supersym import (
     is_p_balanced,
     is_strictly_supersymmetric,
     is_supersymmetric,
+    is_symmetric,
 )
 from .generators import (
     KSeq,
@@ -40,6 +36,8 @@ from .generators import (
     bracket_round,
     bracket_square,
     c_r,
+    complete,
+    elementary,
     enumerate_deltas,
     kseq,
     make_v,

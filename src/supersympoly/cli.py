@@ -54,10 +54,7 @@ def cmd_check(args) -> int:
     ring = Ring(args.m, args.n, False, args.p)
     f = parse_poly(_read_poly(args), ring)
     verdict = is_supersymmetric(f)
-    if ring.m >= 1 and ring.n >= 1:
-        strict = verdict.symmetric_x and verdict.symmetric_y and is_strictly_supersymmetric(f)
-    else:
-        strict = verdict.overall  # no x/y pair exists, nothing can depend on T
+    strict = is_strictly_supersymmetric(f)
     balanced = is_p_balanced(f)
     flag = lambda v: "true" if v else "false"
     print(f"symmetric_x: {flag(verdict.symmetric_x)}")

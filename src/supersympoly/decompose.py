@@ -44,8 +44,9 @@ from operator import itemgetter
 
 from .errors import InternalInvariantViolation, NotSupersymmetricError
 from .genexpr import GenExpr, _gen_monomial_count, expand, gen_span
-from .generators import generator_poly, kseq, v_k
+from .generators import elementary, generator_poly, kseq, v_k
 from .poly_core import (
+    Block,
     Poly,
     Ring,
     _expand_sum,
@@ -55,7 +56,6 @@ from .poly_core import (
     set_xm_zero,
 )
 from .supersym import is_supersymmetric
-from .symfun import Block, elementary
 
 
 def _core_degrees(f: Poly) -> tuple[int, int]:
@@ -68,10 +68,7 @@ def _core_degrees(f: Poly) -> tuple[int, int]:
 
 
 def _core_exponents(ring: Ring, a: int, b: int) -> tuple:
-    exps = [a] * ring.m + [b] * ring.n
-    if ring.has_t:
-        exps.append(0)
-    return tuple(exps)
+    return (a,) * ring.m + (b,) * ring.n
 
 
 def core_to_generators(a: int, b: int, p: int, m: int, n: int) -> GenExpr:

@@ -9,6 +9,9 @@ Four polynomial families generate the algebra:
   polynomials of one block.
 * ``u_k``: the core product (x_1...x_m)^k (y_1...y_n)^(p-k).
 
+``elementary`` and ``complete`` build the one-block functions behind
+them; ``elementary`` also serves ``decompose._base_one_block``.
+
 On top of these sits the combinatorial apparatus that lifts the core
 u_k(m-1|n) to a supersymmetric polynomial v_k at level (m, n): exponent
 sequences (KSeq), delta sequences (nondecreasing int tuples with entries
@@ -31,12 +34,12 @@ exponent k_p vanishes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalInvariantViolation
-from .poly_core import Poly, Ring, _clean, fp_inv, monomial, zero
-from .symfun import Block, _placements, complete, elementary
+from .poly_core import Block, Poly, Ring, _clean, block_span, fp_inv, monomial, zero
 
 
 # -- exponent bookkeeping -------------------------------------------------
@@ -121,6 +124,37 @@ def enumerate_deltas(s: int, max_weight: int | None = None) -> list[tuple]:
 # -- placed symmetrization -------------------------------------------------
 
 
+def _placements(families, size: int) -> dict[tuple, int]:
+    """{block exponent tuple: multiplicity} of the ways to put the slots
+    of the (value, count) ``families`` on distinct variables of a block
+    of ``size``.  Slots of one family are interchangeable, slots of
+    different families are not, even when their values coincide.
+    """
+    fams = [(v, c) for v, c in families if c > 0]
+    if any(v < 0 for v, _ in fams):
+        raise ValueError("slot values must be nonnegative")
+    out: dict[tuple, int] = {}
+    if sum(c for _, c in fams) > size:
+        return out
+    exps = [0] * size
+
+    def rec(fi: int, free: tuple):
+        if fi == len(fams):
+            key = tuple(exps)
+            out[key] = out.get(key, 0) + 1
+            return
+        value, count = fams[fi]
+        for combo in itertools.combinations(free, count):
+            for v in combo:
+                exps[v] = value
+            rec(fi + 1, tuple(v for v in free if v not in combo))
+            for v in combo:
+                exps[v] = 0
+
+    rec(0, tuple(range(size)))
+    return out
+
+
 def placed_sym(xfams, yfams, ring: Ring) -> Poly:
     """Sum over assignments of slot families to distinct block variables.
 
@@ -145,6 +179,33 @@ def placed_sym(xfams, yfams, ring: Ring) -> Poly:
 
 
 # -- the generator families ------------------------------------------------
+
+
+def _block_sum(choose, degree: int, block: Block, ring: Ring) -> Poly:
+    """Sum, each with coefficient 1, of the block monomials of the given
+    degree whose variable indices form a tuple that ``choose``
+    (``itertools.combinations`` or ``combinations_with_replacement``)
+    yields.  Degree 0 yields the empty tuple alone, which gives 1."""
+    if degree < 0:
+        raise ValueError("index must be nonnegative")
+    off, size = block_span(ring, block)
+    terms = {}
+    for combo in choose(range(size), degree):
+        exps = [0] * ring.nvars
+        for v in combo:
+            exps[off + v] += 1
+        terms[tuple(exps)] = 1
+    return Poly(ring, terms)
+
+
+def elementary(i: int, block: Block, ring: Ring) -> Poly:
+    """i-th elementary symmetric polynomial of the block; 0 when i > size."""
+    return _block_sum(itertools.combinations, i, block, ring)
+
+
+def complete(j: int, block: Block, ring: Ring) -> Poly:
+    """j-th complete homogeneous symmetric polynomial of the block."""
+    return _block_sum(itertools.combinations_with_replacement, j, block, ring)
 
 
 def c_r(r: int, ring: Ring) -> Poly:

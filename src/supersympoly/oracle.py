@@ -22,10 +22,11 @@ check of the generators rather than of the projection.
 Each product m_lambda(x) m_mu(y) is one ``generators.placed_sym`` call
 (one slot family per distinct part), the routine that also builds the
 brackets and the tail of v_k.  The generators keep their own
-constructors (``elementary``, ``complete``, ``u_k``), so the two sides
-share none; ``elementary`` also sits in the inner loop of the
-decomposition's base case, ``decompose._base_one_block``, where a
-direct enumeration beats the generic placement.
+constructors (``generators.elementary``, ``complete``, ``u_k``), whose
+block-sum loop is not the placement, so the two sides share none;
+``elementary`` also sits in the inner loop of the decomposition's base
+case, ``decompose._base_one_block``, where a direct enumeration beats
+the generic placement.
 """
 
 from __future__ import annotations
@@ -100,8 +101,6 @@ def as_dimension(m: int, n: int, p: int, d: int) -> int:
 
 def generated_dimension(m: int, n: int, p: int, d: int) -> int:
     """Dimension of the span of generator monomial expansions at degree d."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
     return gen_span(m, n, p, d).dimension
 
 

@@ -18,6 +18,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterable, Mapping
 
 from .errors import DivisibilityError, PolyParseError, RingMismatchError
@@ -64,6 +65,18 @@ class Ring:
         if self.has_t:
             names.append("T")
         return names
+
+
+class Block(Enum):
+    X = "x"
+    Y = "y"
+
+
+def block_span(ring: Ring, block: Block) -> tuple[int, int]:
+    """(offset, size) of the block's slots inside the flat exponent tuple."""
+    if block is Block.X:
+        return 0, ring.m
+    return ring.m, ring.n
 
 
 def _term_key(exps: tuple) -> tuple:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly_core import Poly, d_dT, psi
-from .symfun import Block, is_symmetric
+from .poly_core import Block, Poly, block_span, d_dT, psi
 
 
 @dataclass(frozen=True)
@@ -19,6 +18,21 @@ class MembershipVerdict:
     @property
     def overall(self) -> bool:
         return self.symmetric_x and self.symmetric_y and self.derivative_vanishes
+
+
+def is_symmetric(f: Poly, block: Block) -> bool:
+    """Invariance under every adjacent transposition inside the block."""
+    off, size = block_span(f.ring, block)
+    for i in range(size - 1):
+        a, b = off + i, off + i + 1
+        for exps, c in f.terms.items():
+            if exps[a] == exps[b]:
+                continue
+            swapped = list(exps)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            if f.terms.get(tuple(swapped)) != c:
+                return False
+    return True
 
 
 def is_supersymmetric(f: Poly) -> MembershipVerdict:
@@ -40,13 +54,13 @@ def is_supersymmetric(f: Poly) -> MembershipVerdict:
 
 
 def is_strictly_supersymmetric(f: Poly) -> bool:
-    """True iff the substitution x_m = y_n = T does not involve T at all."""
+    """True iff f is supersymmetric and its x_m = y_n = T image does not
+    involve T at all.  With one block empty there is no image, and strict
+    membership is membership."""
     ring = f.ring
-    if ring.has_t:
-        raise ValueError("membership applies to polynomials without T")
-    if ring.m < 1 or ring.n < 1:
-        raise ValueError("strict membership needs m >= 1 and n >= 1")
-    return all(exps[-1] == 0 for exps in psi(f).terms)
+    return is_supersymmetric(f).overall and (
+        ring.m == 0 or ring.n == 0 or all(exps[-1] == 0 for exps in psi(f).terms)
+    )
 
 
 def is_p_balanced(f: Poly) -> bool:
@@ -59,14 +73,5 @@ def is_p_balanced(f: Poly) -> bool:
     ring = f.ring
     if ring.has_t:
         raise ValueError("balance applies to polynomials without T")
-    m, n, p = ring.m, ring.n, ring.p
-    if m == 0 or n == 0:
-        return True
-    for exps in f.terms:
-        xres = {e % p for e in exps[:m]}
-        yres = {e % p for e in exps[m : m + n]}
-        if len(xres) > 1 or len(yres) > 1:
-            return False
-        if (next(iter(xres)) + next(iter(yres))) % p != 0:
-            return False
-    return True
+    m, p = ring.m, ring.p
+    return all((a + b) % p == 0 for exps in f.terms for a in exps[:m] for b in exps[m:])

@@ -8,8 +8,7 @@ import hypothesis.strategies as st
 from supersympoly import DivisibilityError, GenExpr, Poly, PolyParseError, Ring, enumerate_gen_monomials
 from supersympoly.generators import generator_poly, kseq, v_k
 from supersympoly.genexpr import level_symbols, symbol_weight
-from supersympoly.poly_core import _END, fp_inv
-from supersympoly.symfun import block_span
+from supersympoly.poly_core import _END, block_span, fp_inv
 
 
 def build_poly(ring, pairs):
@@ -91,6 +90,21 @@ def orbit_sym(exponents, block, ring):
         exps[off:off + size] = arrangement
         terms[tuple(exps)] = 1
     return Poly(ring, terms)
+
+
+def hook_partition_count(d, m, n):
+    """Partitions of d whose (m+1)-th part is at most n, the partitions
+    inside the (m, n) hook.  In characteristic 0 they count the degree d
+    piece of the supersymmetric algebra (Berele & Regev, Adv. Math. 64,
+    1987).  A recursion on the next part, sharing no code with
+    ``as_dimension`` or ``generated_dimension``."""
+    def count(left, largest, index):
+        if left == 0:
+            return 1
+        top = min(left, largest if index < m else min(largest, n))
+        return sum(count(left - part, part, index + 1) for part in range(1, top + 1))
+
+    return count(d, d, 0)
 
 
 def reference_pow(f, e):

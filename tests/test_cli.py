@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from supersympoly import generated_dimension
 from supersympoly.cli import main
 from supersympoly.selfcheck import CheckResult
@@ -57,6 +59,16 @@ class TestCheck:
         )
         assert code == 0
         assert "p_balanced: false" in out
+
+    @pytest.mark.parametrize("m, n, text, member", [
+        ("2", "0", "x1 + x2", True), ("2", "0", "x1", False),
+        ("0", "2", "y1*y2", True), ("0", "2", "y1^2", False),
+    ])
+    def test_one_block_strict_is_overall(self, capsys, m, n, text, member):
+        code, out, _ = run(capsys, "check", "--m", m, "--n", n, "--p", "3", "--poly", text)
+        assert code == (0 if member else 1)
+        flag = "true" if member else "false"
+        assert f"overall: {flag}\nstrict: {flag}\n" in out
 
 
 class TestDecompose:
@@ -160,6 +172,14 @@ class TestDims:
         assert [line.endswith("true") for line in lines[1:-1]] == [True, True, False, True]
         assert lines[3].startswith("1,1,3,2,")
         assert lines[-1] == "MISMATCH in 1 of 4 degrees"
+
+    def test_negative_dmax_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "dims", "--m", "1", "--n", "1", "--p", "3", "--dmax", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "input error: dmax must be nonnegative\n"
 
 
 class TestSelftest:

@@ -47,7 +47,8 @@ def test_only_poly_core_knows_the_packed_format():
     field width (``bit_length``) or builds a packed key or field mask
     (``<<``); callers hand ``poly_core`` a degree bound instead."""
     modules = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "poly_core.py"]
-    assert len(modules) > 10
+    # the glob found the package: the modules that call into the packed kernel
+    assert {"decompose.py", "generators.py", "genexpr.py", "oracle.py"} <= {f.name for f in modules}
     leaks = []
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

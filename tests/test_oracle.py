@@ -9,9 +9,10 @@ from supersympoly import (
     kseq,
     bracket_identity_check,
 )
+from supersympoly import genexpr
 from supersympoly.oracle import partitions_max_parts, symmetric_basis
 
-from helpers import orbit_sym
+from helpers import hook_partition_count, orbit_sym
 
 
 def _partition_count(total, max_parts):
@@ -75,6 +76,41 @@ class TestGeneratedDimension:
         for m, n, p, dmax in [(3, 3, 3, 9), (3, 2, 3, 10), (2, 3, 5, 10), (3, 1, 5, 10), (1, 3, 3, 10)]:
             for d in range(dmax + 1):
                 assert as_dimension(m, n, p, d) == generated_dimension(m, n, p, d), (m, n, p, d)
+
+
+class TestHookPartitions:
+    """A third dimension count, from partitions alone."""
+
+    def test_all_three_agree_below_p(self):
+        cells = 0
+        for p in (3, 5, 7, 11, 13):
+            for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
+                for d in range(min(p, 11)):
+                    hook = hook_partition_count(d, m, n)
+                    assert as_dimension(m, n, p, d) == generated_dimension(m, n, p, d) == hook, (m, n, p, d)
+                    cells += 1
+        assert cells == 185
+
+    def test_hook_count_is_a_lower_bound_from_p_on(self):
+        # criterion 4's cells: p-th powers add dimensions from degree p
+        above = equal = 0
+        for p in (3, 5):
+            for m, n in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+                for d in range(p, 13):
+                    dim, hook = as_dimension(m, n, p, d), hook_partition_count(d, m, n)
+                    assert dim >= hook, (m, n, p, d)
+                    above += dim > hook
+                    equal += dim == hook
+        assert (above, equal) == (60, 12)
+
+
+def test_negative_degree_is_refused():
+    for dimension in (as_dimension, generated_dimension):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            dimension(1, 1, 3, -1)
+    # the refused span build leaves neither a cache entry nor a lock
+    assert (1, 1, 3, -1) not in genexpr._SPAN_CACHE
+    assert (1, 1, 3, -1) not in genexpr._SPAN_KEY_LOCKS
 
 
 class TestGeneratingFunctionCheck:

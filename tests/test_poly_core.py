@@ -45,6 +45,17 @@ class TestRing:
             with pytest.raises(ValueError):
                 Ring(1, 1, False, bad)
 
+    @pytest.mark.parametrize("p, prime", [
+        (11, True), (13, True), (101, True), (25, False), (49, False), (121, False),
+    ])
+    def test_large_characteristic(self, p, prime):
+        # the composites have no factor below 5, so trial division runs
+        if prime:
+            assert Ring(1, 1, False, p).p == p
+        else:
+            with pytest.raises(ValueError, match="odd prime"):
+                Ring(1, 1, False, p)
+
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             Ring(-1, 0, False, 3)

@@ -52,9 +52,18 @@ class TestStrict:
     def test_constant_is_strict(self):
         assert is_strictly_supersymmetric(parse_poly("2", R11))
 
-    def test_needs_both_blocks(self):
-        with pytest.raises(ValueError):
-            is_strictly_supersymmetric(parse_poly("x1", Ring(1, 0, False, 3)))
+    @pytest.mark.parametrize("m, n, text", [
+        (1, 0, "x1"), (1, 0, "x1^2 + 2"), (0, 2, "y1*y2 + y1"), (0, 2, "y1^2 + y2^2"),
+    ])
+    def test_one_block_strict_is_membership(self, m, n, text):
+        f = parse_poly(text, Ring(m, n, False, 3))
+        assert is_strictly_supersymmetric(f) == is_supersymmetric(f).overall
+
+    def test_non_member_is_not_strict(self):
+        # psi(x1) at (2, 1) has no T, but x1 is not symmetric in x
+        f = parse_poly("x1", Ring(2, 1, False, 3))
+        assert not is_supersymmetric(f).overall
+        assert not is_strictly_supersymmetric(f)
 
 
 class TestPBalanced:
@@ -72,6 +81,16 @@ class TestPBalanced:
     def test_zero_exponents_count(self):
         # x1^2 pairs exponent 2 with the implicit y exponent 0
         assert not is_p_balanced(parse_poly("x1^2", R11))
+
+    @pytest.mark.parametrize("m, n, text, balanced", [
+        (2, 0, "x1 + x2^2", True),  # one block: no cross sums
+        (0, 2, "y1*y2^4", True),
+        (2, 1, "x1*x2^2*y1^2", False),  # x residues 1 and 2 differ
+        (1, 2, "x1*y1^2*y2", False),  # y residues 2 and 1 differ
+        (2, 1, "x1^3*y1^6 + y1^3", True),  # zero exponents balance too
+    ])
+    def test_cross_sums(self, m, n, text, balanced):
+        assert is_p_balanced(parse_poly(text, Ring(m, n, False, 3))) is balanced
 
 
 def test_cr_is_supersymmetric_and_strict_on_grid():
