@@ -5,8 +5,9 @@ class SuperPolyError(Exception):
     """Base class for all library specific errors."""
 
 
-class RingMismatchError(SuperPolyError):
-    """Two polynomials from different rings were combined."""
+class RingMismatchError(SuperPolyError, ValueError):
+    """Two values of different rings (polynomials of two rings, or
+    generator expressions of two levels) were combined."""
 
 
 class PolyParseError(SuperPolyError):

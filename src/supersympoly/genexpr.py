@@ -7,6 +7,12 @@ u_k.  Terms map a multiset of symbols to a coefficient.  A GenExpr is a
 certificate, not a normal form: the generator algebra has relations, so
 different expressions may expand to the same polynomial.
 
+A GenExpr is an F_p-polynomial just as a Poly is, and the two share one
+arithmetic, ``poly_core._Terms``: GenExpr adds only its symbol-merging
+product and its power.  Its level is its ``ring``, Ring(m, n, False,
+p), so a level Ring refuses is refused where it enters and two levels
+do not combine (RingMismatchError).
+
 ``expand``, the lift step of ``decompose`` and GenSpan all expand
 through ``poly_core``'s power chains, which ``poly_core._expand_sum``
 sums; each caller passes only a bound on the degree.
@@ -29,11 +35,14 @@ from .poly_core import (
     FpEchelon,
     Poly,
     Ring,
+    _clean,
     _expand_sum,
     _format_terms,
     _OrbitLeaders,
     _parse_terms,
     _power_chains,
+    _require_ring,
+    _Terms,
 )
 
 _KIND_RANK = {"C": 0, "EX": 1, "EY": 2, "U": 3}
@@ -61,7 +70,8 @@ def symbol_weight(kind: str, index: int, m: int, n: int, p: int) -> int:
 def level_symbols(m: int, n: int, p: int, max_weight: int) -> dict[tuple, int]:
     """{(kind, index): weight} of every symbol at level (m, n) of weight
     at most ``max_weight``, in canonical order: C, EX, EY, U, each by
-    index."""
+    index.  Raises ValueError for a level that Ring refuses."""
+    Ring(m, n, False, p)
     out = {}
     for kind in _KIND_RANK:
         # Scan each kind in the direction its weight grows and stop at
@@ -86,12 +96,14 @@ def _key_weight(key: tuple, m: int, n: int, p: int) -> int:
     return sum(symbol_weight(kind, idx, m, n, p) * e for (kind, idx), e in key)
 
 
-class GenExpr:
-    """Immutable formal polynomial in generator symbols at level (m, n)."""
+class GenExpr(_Terms):
+    """Immutable formal polynomial in the generator symbols of level
+    (m, n) over F_p; its ring is the level, Ring(m, n, False, p)."""
 
-    __slots__ = ("m", "n", "p", "terms")
+    __slots__ = ()
 
     def __init__(self, m: int, n: int, p: int, terms):
+        ring = Ring(m, n, False, p)
         clean = {}
         for key, c in terms.items():
             merged: dict = {}
@@ -107,13 +119,8 @@ class GenExpr:
             # kind names sort as _KIND_RANK does, so plain order is canonical
             parts = tuple(sorted(merged.items()))
             clean[parts] = (clean.get(parts, 0) + c) % p
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v})
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("GenExpr is immutable")
 
     @classmethod
     def zero(cls, m: int, n: int, p: int) -> "GenExpr":
@@ -127,52 +134,19 @@ class GenExpr:
     def symbol(cls, m: int, n: int, p: int, kind: str, index: int, exp: int = 1) -> "GenExpr":
         return cls(m, n, p, {(((kind, index), exp),): 1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def weighted_degree(self):
         if not self.terms:
             return None
-        return max(_key_weight(k, self.m, self.n, self.p) for k in self.terms)
+        r = self.ring
+        return max(_key_weight(k, r.m, r.n, r.p) for k in self.terms)
 
-    def _require_compatible(self, other: "GenExpr"):
-        if (self.m, self.n, self.p) != (other.m, other.n, other.p):
-            raise ValueError("generator expressions at different levels")
+    def _constant(self, c: int) -> "GenExpr":
+        c %= self.ring.p
+        return _clean(self.ring, {(): c} if c else {}, GenExpr)
 
-    def __add__(self, other):
-        if not isinstance(other, GenExpr):
-            if not isinstance(other, int):
-                return NotImplemented
-            other = GenExpr.const(self.m, self.n, self.p, other)
-        self._require_compatible(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = (out.get(k, 0) + c) % self.p
-        return _trusted(self.m, self.n, self.p, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * (self.p - 1)
-
-    def __sub__(self, other):
-        if not isinstance(other, (GenExpr, int)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        return (-self) + other
-
-    def __mul__(self, other):
-        p = self.p
-        if not isinstance(other, GenExpr):
-            if not isinstance(other, int):
-                return NotImplemented
-            return _trusted(self.m, self.n, p, {k: c * other % p for k, c in self.terms.items()})
-        self._require_compatible(other)
+    def _product(self, other: "GenExpr") -> "GenExpr":
+        """Merge the symbols of every pair of keys."""
+        p = self.ring.p
         out: dict = {}
         for k1, c1 in self.terms.items():
             d1 = dict(k1)
@@ -182,15 +156,13 @@ class GenExpr:
                     merged[sym] = merged.get(sym, 0) + e
                 key = tuple(sorted(merged.items()))
                 out[key] = (out.get(key, 0) + c1 * c2) % p
-        return _trusted(self.m, self.n, p, out)
-
-    __rmul__ = __mul__
+        return _clean(self.ring, {k: c for k, c in out.items() if c}, GenExpr)
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         if e == 0:
-            return GenExpr.const(self.m, self.n, self.p, 1)
+            return self._constant(1)
         result = None
         base = self
         while True:
@@ -201,32 +173,14 @@ class GenExpr:
                 return result
             base = base * base
 
-    def __eq__(self, other):
-        if not isinstance(other, GenExpr):
-            return NotImplemented
-        return (self.m, self.n, self.p, self.terms) == (other.m, other.n, other.p, other.terms)
-
-    __hash__ = None
-
     def __repr__(self):
-        return f"GenExpr({self.m},{self.n},p={self.p}: {serialize_gen_expr(self)})"
-
-
-def _trusted(m: int, n: int, p: int, terms: dict) -> GenExpr:
-    """Trusted constructor: ``terms`` already has canonical keys of
-    symbols valid at the level and residues in [0, p); zeros are dropped."""
-    e = object.__new__(GenExpr)
-    object.__setattr__(e, "m", m)
-    object.__setattr__(e, "n", n)
-    object.__setattr__(e, "p", p)
-    object.__setattr__(e, "terms", {k: c for k, c in terms.items() if c})
-    return e
+        r = self.ring
+        return f"GenExpr({r.m},{r.n},p={r.p}: {serialize_gen_expr(self)})"
 
 
 def expand(e: GenExpr, ring: Ring) -> Poly:
     """Evaluate a GenExpr to the polynomial it denotes."""
-    if (ring.m, ring.n, ring.p) != (e.m, e.n, e.p) or ring.has_t:
-        raise ValueError(f"ring {ring} does not match level ({e.m},{e.n}), p={e.p}")
+    _require_ring(e.ring, ring)
     return _expand_sum(e.terms, ring, e.weighted_degree() or 0, partial(generator_poly, ring=ring))
 
 
@@ -235,8 +189,10 @@ def expand(e: GenExpr, ring: Ring) -> Poly:
 
 def serialize_gen_expr(e: GenExpr) -> str:
     """Deterministic text form; weighted degree descending, then symbol order."""
+    r = e.ring
+
     def order(key):
-        return (-_key_weight(key, e.m, e.n, e.p), key)
+        return (-_key_weight(key, r.m, r.n, r.p), key)
     return _format_terms(
         (e.terms[key], [(f"{kind}[{idx}]", exp) for (kind, idx), exp in key])
         for key in sorted(e.terms, key=order)
@@ -248,6 +204,7 @@ def parse_gen_expr(text: str, m: int, n: int, p: int) -> GenExpr:
 
     The grammar is parse_poly's, with KIND[index] factors.
     """
+    Ring(m, n, False, p)  # a bad level is refused before the text is read
 
     def read_symbol(tokens, pos):
         kind, name = tokens[pos]
@@ -295,9 +252,9 @@ def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
 
     The suffix counts prune every branch whose remaining weight the
     later symbols cannot reach, so each call ends in a monomial."""
+    symbols = list(level_symbols(m, n, p, degree).items())
     if degree < 0:
         return []
-    symbols = list(level_symbols(m, n, p, degree).items())
     ways = _suffix_counts([w for _, w in symbols], degree)
     found = []
 
@@ -371,8 +328,7 @@ class GenSpan:
 
     def solve(self, f: Poly):
         """GenExpr with expand == f, or None when f is outside the span."""
-        if f.ring != self.ring:
-            raise ValueError("polynomial ring does not match the span")
+        _require_ring(self.ring, f.ring)
         degree = self.degree
         if any(sum(exps) != degree for exps in f.terms):
             return None
@@ -384,7 +340,7 @@ class GenSpan:
             return None
         # the residue's labels hold minus the combination of monomials
         p, monomials = self.p, self.monomials
-        return _trusted(self.m, self.n, p, {monomials[-1 - i]: p - c for i, c in residue.items()})
+        return _clean(self.ring, {monomials[-1 - i]: p - c for i, c in residue.items()}, GenExpr)
 
     def _expand(self, key: tuple, power, leaders: dict) -> dict[int, int]:
         """Leader coordinates of a symbol monomial's expansion, mod p.

@@ -84,10 +84,92 @@ def _term_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
-class Poly:
-    """Immutable sparse polynomial attached to a Ring."""
+class _Terms:
+    """The arithmetic Poly and genexpr.GenExpr share: an immutable
+    sparse polynomial over F_p whose ``terms`` map keys to residues in
+    [1, p) of its ``ring``, so zero has no terms and equality is
+    structural.  A value combines with ints and with values of its own
+    type and ring.  A subclass gives ``_constant(c)``, the constant
+    polynomial c, and ``_product(other)``, its product with a value of
+    its type and ring.
+    """
 
     __slots__ = ("ring", "terms")
+
+    def __setattr__(self, name, value):  # pragma: no cover - defensive
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            if not isinstance(other, int):
+                return NotImplemented
+            other = self._constant(other)
+        ring = self.ring
+        _require_ring(ring, other.ring)
+        out = dict(self.terms)
+        p = ring.p
+        for key, c in other.terms.items():
+            nc = (out.get(key, 0) + c) % p
+            if nc:
+                out[key] = nc
+            else:
+                out.pop(key, None)
+        return _clean(ring, out, self.__class__)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        p = self.ring.p
+        return _clean(self.ring, {key: p - c for key, c in self.terms.items()}, self.__class__)
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__ and not isinstance(other, int):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return (-self) + other
+
+    def __mul__(self, other):
+        if other.__class__ is self.__class__:
+            _require_ring(self.ring, other.ring)
+            return self._product(other)
+        if not isinstance(other, int):
+            return NotImplemented
+        p = self.ring.p
+        c = other % p  # p is prime: a nonzero c keeps every term nonzero
+        terms = {key: v * c % p for key, v in self.terms.items()} if c else {}
+        return _clean(self.ring, terms, self.__class__)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ring == other.ring and self.terms == other.terms
+
+    __hash__ = None
+
+
+_set_ring, _set_terms = _Terms.ring.__set__, _Terms.terms.__set__
+
+
+def _require_ring(ring: Ring, other: Ring) -> None:
+    """The one ring check: values of two rings do not combine."""
+    if other is not ring and other != ring:
+        raise RingMismatchError(f"ring mismatch: {ring} vs {other}")
+
+
+class Poly(_Terms):
+    """Immutable sparse polynomial attached to a Ring."""
+
+    __slots__ = ()
 
     def __init__(self, ring: Ring, terms: Mapping[tuple, int]):
         clean = {}
@@ -103,17 +185,14 @@ class Poly:
                 if exps and min(exps) < 0:
                     raise ValueError(f"exponent tuple {exps} has a negative exponent")
                 clean[tuple(exps)] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        _set_ring(self, ring)
+        _set_terms(self, clean)
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Poly is immutable")
+    # perfbench/tracer.py wraps only what Poly's own namespace binds
+    __add__ = __radd__ = _Terms.__add__
+    __mul__ = __rmul__ = _Terms.__mul__
 
     # -- basic queries -------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""
@@ -128,61 +207,17 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _require_same_ring(self, other: "Poly"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"ring mismatch: {self.ring} vs {other.ring}")
+    def _constant(self, c: int) -> "Poly":
+        return Poly(self.ring, {(0,) * self.ring.nvars: c})
 
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            if not isinstance(other, int):
-                return NotImplemented
-            other = Poly(self.ring, {(0,) * self.ring.nvars: other})
-        self._require_same_ring(other)
-        out = dict(self.terms)
-        p = self.ring.p
-        for exps, c in other.terms.items():
-            nc = (out.get(exps, 0) + c) % p
-            if nc:
-                out[exps] = nc
-            else:
-                out.pop(exps, None)
-        return _clean(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = self.ring.p
-        return _clean(self.ring, {e: p - c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, (Poly, int)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        return (-self) + other
-
-    def __mul__(self, other):
+    def _product(self, other: "Poly") -> "Poly":
         ring = self.ring
-        p = ring.p
-        if not isinstance(other, Poly):
-            if not isinstance(other, int):
-                return NotImplemented
-            c = other % p
-            if not c:
-                return _clean(ring, {})
-            return _clean(ring, {e: v * c % p for e, v in self.terms.items()})
-        self._require_same_ring(other)
         if not self.terms or not other.terms:
             return _clean(ring, {})
         nvars = ring.nvars
         width = _field_width(max(map(max, self.terms)) + max(map(max, other.terms)) if nvars else 0)
         acc = _packed_mul(_pack(self.terms, width), _pack(other.terms, width))
-        return _clean(ring, _unpack(acc, width, nvars, p))
-
-    __rmul__ = __mul__
+        return _clean(ring, _unpack(acc, width, nvars, ring.p))
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -199,25 +234,17 @@ class Poly:
         acc = _packed_power({1: _pack(self.terms, width)}, e, ring.p)
         return _clean(ring, _unpack(acc, width, nvars, ring.p))
 
-    # -- comparison / display -------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    __hash__ = None
-
     def __repr__(self):
         return f"Poly({self.ring.m},{self.ring.n},p={self.ring.p}: {poly_to_str(self)})"
 
 
-def _clean(ring: Ring, terms: dict) -> Poly:
-    """Trusted constructor: ``terms`` already has tuple keys of the ring's
-    length, nonnegative exponents and residues in [1, p)."""
-    f = object.__new__(Poly)
-    object.__setattr__(f, "ring", ring)
-    object.__setattr__(f, "terms", terms)
+def _clean(ring: Ring, terms: dict, cls: type = Poly) -> _Terms:
+    """The trusted constructor of Poly and of the other ``_Terms``
+    types: ``terms`` already has keys of the ring's kind and residues
+    in [1, p)."""
+    f = object.__new__(cls)
+    _set_ring(f, ring)
+    _set_terms(f, terms)
     return f
 
 

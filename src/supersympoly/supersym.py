@@ -4,16 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly_core import Block, Poly, block_span, d_dT, psi
+from .poly_core import Block, Poly, block_span, psi
 
 
 @dataclass(frozen=True)
 class MembershipVerdict:
-    """Outcome of the three clause membership test."""
+    """Outcome of the three clause membership test, with strictness:
+    the x_m = y_n = T image does not involve T at all."""
 
     symmetric_x: bool
     symmetric_y: bool
     derivative_vanishes: bool
+    strict: bool
 
     @property
     def overall(self) -> bool:
@@ -38,29 +40,26 @@ def is_symmetric(f: Poly, block: Block) -> bool:
 def is_supersymmetric(f: Poly) -> MembershipVerdict:
     """Test symmetry in both blocks and vanishing of d/dT after x_m = y_n = T.
 
+    d/dT kills exactly the T powers divisible by p, so one scan of the
+    image's T exponents decides the derivative clause and strictness.
     When one block is empty there is no x/y pair to merge into T, so the
-    derivative clause is vacuously satisfied.
+    derivative clause is vacuously satisfied and membership is strict.
     """
     ring = f.ring
     if ring.has_t:
         raise ValueError("membership applies to polynomials without T")
     sym_x = is_symmetric(f, Block.X)
     sym_y = is_symmetric(f, Block.Y)
-    if ring.m == 0 or ring.n == 0:
-        deriv = True
-    else:
-        deriv = d_dT(psi(f)).is_zero
-    return MembershipVerdict(sym_x, sym_y, deriv)
+    t_exps = {0} if ring.m == 0 or ring.n == 0 else {exps[-1] for exps in psi(f).terms}
+    deriv = all(e % ring.p == 0 for e in t_exps)
+    return MembershipVerdict(sym_x, sym_y, deriv, sym_x and sym_y and t_exps <= {0})
 
 
 def is_strictly_supersymmetric(f: Poly) -> bool:
     """True iff f is supersymmetric and its x_m = y_n = T image does not
     involve T at all.  With one block empty there is no image, and strict
     membership is membership."""
-    ring = f.ring
-    return is_supersymmetric(f).overall and (
-        ring.m == 0 or ring.n == 0 or all(exps[-1] == 0 for exps in psi(f).terms)
-    )
+    return is_supersymmetric(f).strict
 
 
 def is_p_balanced(f: Poly) -> bool:

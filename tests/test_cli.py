@@ -71,6 +71,22 @@ class TestCheck:
         assert f"overall: {flag}\nstrict: {flag}\n" in out
 
 
+    def test_membership_is_decided_once(self, capsys, monkeypatch):
+        """One verdict, from one psi image, gives every membership line."""
+        import supersympoly.supersym as supersym
+
+        images = []
+        real_psi = supersym.psi
+        monkeypatch.setattr(supersym, "psi", lambda f: images.append(f) or real_psi(f))
+        code, out, err = run(
+            capsys, "check", "--m", "2", "--n", "1", "--p", "3", "--poly", "x1*x2*y1^2 + x1 + x2 - y1"
+        )
+        assert len(images) == 1
+        assert (code, out, err) == (0, (
+            "symmetric_x: true\nsymmetric_y: true\nderivative_vanishes: true\n"
+            "overall: true\nstrict: false\np_balanced: false\n"), "")
+
+
 class TestDecompose:
     def test_verified_certificate(self, capsys):
         code, out, _ = run(

@@ -65,3 +65,35 @@ def test_only_poly_core_knows_the_packed_format():
             if name in ("bit_length", "<<") or _is_packed_helper(name):
                 leaks.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
     assert leaks == []
+
+
+SHARED_ARITHMETIC = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                     "__rmul__", "__eq__", "__hash__", "is_zero", "__setattr__"}
+
+
+def _class_body(module: str, name: str) -> dict:
+    """{name: AST node} of the definitions and assignments in a class body."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+    body = {}
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body[node.name] = node
+        elif isinstance(node, ast.Assign):
+            body.update((target.id, node) for target in node.targets if isinstance(target, ast.Name))
+    return body
+
+
+def test_one_arithmetic_for_poly_and_gen_expr():
+    """``poly_core._Terms`` states the sums, negation, scalar products,
+    equality, zero test and immutability once: GenExpr defines none of
+    them, and Poly only binds the ones the benchmark tracer patches in
+    its own namespace to ``_Terms``'s functions."""
+    shared = _class_body("poly_core.py", "_Terms")
+    assert SHARED_ARITHMETIC <= set(shared)
+    assert SHARED_ARITHMETIC.isdisjoint(_class_body("genexpr.py", "GenExpr"))
+    poly = _class_body("poly_core.py", "Poly")
+    for name in SHARED_ARITHMETIC & set(poly):
+        node = poly[name]
+        assert isinstance(node, ast.Assign), name
+        assert ast.unparse(node.value).startswith("_Terms."), name

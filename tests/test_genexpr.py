@@ -18,6 +18,7 @@ from supersympoly import (
     Poly,
     PolyParseError,
     Ring,
+    RingMismatchError,
     c_r,
     enumerate_gen_monomials,
     expand,
@@ -135,6 +136,63 @@ def test_random_gen_expr_without_y_block():
     for seed in range(20):
         e = random_gen_expr(random.Random(seed), 2, 0, 3)
         assert all(kind != "U" for key in e.terms for (kind, _), _ in key)
+
+
+class TestLevels:
+    """A GenExpr's level is its ring: expressions of two levels do not
+    combine, and a level that Ring refuses is refused where it enters."""
+
+    OTHERS = [(2, 1, 3), (1, 2, 3), (1, 1, 5), (0, 1, 3)]
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @pytest.mark.parametrize("level", OTHERS)
+    def test_cross_level_arithmetic_raises(self, op, level):
+        a = GenExpr.symbol(1, 1, 3, "C", 1) + 1
+        b = GenExpr.symbol(*level, "C", 1)
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(RingMismatchError) as info:
+                op(left, right)
+            assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("level", OTHERS)
+    def test_cross_level_equality_is_false(self, level):
+        for make in (GenExpr.zero, lambda *lv: GenExpr.const(*lv, 1)):
+            a, b = make(1, 1, 3), make(*level)
+            assert a.terms == b.terms
+            assert not a == b and a != b
+
+    def test_the_level_is_the_ring(self):
+        e = GenExpr.symbol(2, 1, 5, "U", 1)
+        assert e.ring == Ring(2, 1, False, 5)
+        assert not any(hasattr(e, name) for name in ("m", "n", "p"))
+        assert parse_gen_expr("U[1]", 2, 1, 5).ring == e.ring
+        assert (e * e - 1).ring == e.ring
+
+    def test_expand_and_solve_compare_rings(self):
+        e = GenExpr.symbol(1, 1, 3, "C", 1)
+        for ring in (Ring(2, 1, False, 3), Ring(1, 1, False, 5), Ring(1, 1, True, 3)):
+            with pytest.raises(RingMismatchError):
+                expand(e, ring)
+        with pytest.raises(RingMismatchError):
+            GenSpan(1, 1, 3, 1).solve(parse_poly("x1 - y1", Ring(1, 1, False, 5)))
+
+    @pytest.mark.parametrize("m, p", [(1, 1), (1, 2), (1, 4), (1, 9), (-1, 3)])
+    def test_bad_levels_are_refused(self, m, p):
+        with pytest.raises(ValueError):
+            GenExpr(m, 1, p, {})
+        with pytest.raises(ValueError):
+            GenExpr.const(m, 1, p, 1)
+        with pytest.raises(ValueError) as info:
+            parse_gen_expr("C[1]^2 + C[2]", m, 1, p)
+        assert not isinstance(info.value, PolyParseError)
+        for degree in (-1, 0, 2):
+            with pytest.raises(ValueError):
+                enumerate_gen_monomials(m, 1, p, degree)
+        with pytest.raises(ValueError):
+            level_symbols(m, 1, p, 4)
+        with pytest.raises(ValueError):
+            _gen_monomial_count(m, 1, p, 2)
+        assert _gen_monomial_count.cache_info().maxsize  # still behind its cache
 
 
 class TestSerialization:

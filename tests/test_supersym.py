@@ -6,10 +6,12 @@ from supersympoly import (
     Block,
     Ring,
     c_r,
+    d_dT,
     is_p_balanced,
     is_strictly_supersymmetric,
     is_supersymmetric,
     parse_poly,
+    psi,
     sigma_x_p,
     u_k,
 )
@@ -159,3 +161,31 @@ def test_strict_implies_supersymmetric_on_cr_products():
                 f = c_r(r, ring) * c_r(s, ring)
                 assert is_strictly_supersymmetric(f)
                 assert is_supersymmetric(f).overall
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((3, 5)),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.data(),
+)
+def test_verdict_matches_the_clauses_computed_apart(p, m, n, data):
+    """The verdict reads the derivative clause and strictness off one
+    scan of the T exponents of psi(f); both must agree with d/dT of the
+    image and with the T exponents checked on their own."""
+    ring = Ring(m, n, False, p)
+    # symmetric pieces, so that strictness is not decided by symmetry alone
+    pieces = [orbit_sym(data.draw(st.lists(st.integers(0, 2 * p), min_size=m, max_size=m)), Block.X, ring)
+              * orbit_sym(data.draw(st.lists(st.integers(0, 2 * p), min_size=n, max_size=n)), Block.Y, ring)
+              for _ in range(data.draw(st.integers(1, 3)))]
+    f = sum(pieces[1:], pieces[0]) + parse_poly("x1" if m else "1", ring) * data.draw(st.integers(0, 1))
+    verdict = is_supersymmetric(f)
+    if m and n:
+        image = psi(f)
+        assert verdict.derivative_vanishes == d_dT(image).is_zero
+        t_free = all(exps[-1] == 0 for exps in image.terms)
+    else:
+        assert verdict.derivative_vanishes
+        t_free = True
+    assert verdict.strict == (verdict.overall and t_free) == is_strictly_supersymmetric(f)
