@@ -50,6 +50,7 @@ from .poly_core import (
     Poly,
     Ring,
     _expand_sum,
+    _Memo,
     _term_key,
     exact_monomial_div,
     homogeneous_components,
@@ -100,25 +101,19 @@ def core_to_generators(a: int, b: int, p: int, m: int, n: int) -> GenExpr:
 
 # -- v_k certificates ---------------------------------------------------------
 
-_VK_CACHE: dict[tuple, tuple[Poly, GenExpr]] = {}
-_VK_LOCK = threading.Lock()
+def _vk_pair(m: int, n: int, p: int, k: int) -> tuple[Poly, GenExpr]:
+    ring = Ring(m, n, False, p)
+    v = v_k(kseq(p, k), ring)
+    return v, _span_solve(v, v.degree())
+
+
+# the pair (v_k, certificate), so ``_lift`` reads the polynomial too
+_VK_PAIRS = _Memo(_vk_pair, maxsize=64)
 
 
 def vk_gen_expr(m: int, n: int, p: int, k: int) -> GenExpr:
-    """GenExpr certificate for v_k at level (m, n), solved once.
-
-    ``_VK_CACHE`` keeps the pair (v_k, certificate), so ``_lift`` reads
-    the polynomial from there instead of rebuilding it.
-    """
-    key = (m, n, p, k)
-    cached = _VK_CACHE.get(key)
-    if cached is not None:
-        return cached[1]
-    ring = Ring(m, n, False, p)
-    v = v_k(kseq(p, k), ring)
-    expr = _span_solve(v, v.degree())
-    with _VK_LOCK:
-        return _VK_CACHE.setdefault(key, (v, expr))[1]
+    """GenExpr certificate for v_k at level (m, n), solved once."""
+    return _VK_PAIRS(m, n, p, k)[1]
 
 
 # -- decomposition trace ------------------------------------------------------
@@ -295,7 +290,7 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
 
     def symbol_poly(kind: str, idx: int) -> Poly:
         if kind == "U":
-            return _VK_CACHE[(m, n, p, idx)][0]  # filled by vk_gen_expr above
+            return _VK_PAIRS(m, n, p, idx)[0]
         return generator_poly(kind, idx, ring)
 
     return _expand_sum(h.terms, ring, h.weighted_degree() or 0, symbol_poly), expr_total

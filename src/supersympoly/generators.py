@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InternalInvariantViolation
-from .poly_core import Block, Poly, Ring, _clean, block_span, fp_inv, monomial, zero
+from .poly_core import Block, Poly, Ring, _clean, _Memo, block_span, fp_inv, monomial, zero
 
 
 # -- exponent bookkeeping -------------------------------------------------
@@ -102,22 +101,9 @@ def enumerate_deltas(s: int, max_weight: int | None = None) -> list[tuple]:
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    if max_weight is None:
-        max_weight = (s - 1) * (s - 1)
-    found = []
-
-    def rec(prefix: list, low: int, weight: int):
-        found.append(tuple(prefix))
-        if len(prefix) >= s - 1:
-            return
-        for v in range(low, s):
-            if weight + v > max_weight:
-                break
-            prefix.append(v)
-            rec(prefix, v, weight + v)
-            prefix.pop()
-
-    rec([], 1, 0)
+    found = [delta for length in range(s)
+             for delta in itertools.combinations_with_replacement(range(1, s), length)
+             if max_weight is None or not delta or sum(delta) <= max_weight]
     return sorted(found, key=lambda d: (sum(d), len(d), d))
 
 
@@ -351,8 +337,7 @@ def make_v(p: int, k: int, m: int, n: int) -> Poly:
     return v_k(kseq(p, k), Ring(m, n, False, p))
 
 
-@lru_cache(maxsize=None)
-def _cached_generator(ring: Ring, kind: str, index: int) -> Poly:
+def _build_generator(kind: str, index: int, ring: Ring) -> Poly:
     if kind == "C":
         return c_r(index, ring)
     if kind == "EX":
@@ -364,6 +349,9 @@ def _cached_generator(ring: Ring, kind: str, index: int) -> Poly:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
+_GENERATORS = _Memo(_build_generator, maxsize=1024)
+
+
 def generator_poly(kind: str, index: int, ring: Ring) -> Poly:
     """Memoized concrete polynomial for a generator symbol."""
-    return _cached_generator(ring, kind, index)
+    return _GENERATORS(kind, index, ring)

@@ -9,9 +9,9 @@ different expressions may expand to the same polynomial.
 
 A GenExpr is an F_p-polynomial just as a Poly is, and the two share one
 arithmetic, ``poly_core._Terms``: GenExpr adds only its symbol-merging
-product and its power.  Its level is its ``ring``, Ring(m, n, False,
-p), so a level Ring refuses is refused where it enters and two levels
-do not combine (RingMismatchError).
+product.  Its level is its ``ring``, Ring(m, n, False, p), so a level
+Ring refuses is refused where it enters and two levels do not combine
+(RingMismatchError).
 
 ``expand``, the lift step of ``decompose`` and GenSpan all expand
 through ``poly_core``'s power chains, which ``poly_core._expand_sum``
@@ -26,8 +26,7 @@ exactly over F_p.
 from __future__ import annotations
 
 import itertools
-import threading
-from functools import lru_cache, partial
+from functools import partial
 
 from .errors import InternalInvariantViolation, PolyParseError
 from .generators import generator_poly
@@ -38,6 +37,7 @@ from .poly_core import (
     _clean,
     _expand_sum,
     _format_terms,
+    _Memo,
     _OrbitLeaders,
     _parse_terms,
     _power_chains,
@@ -48,10 +48,11 @@ from .poly_core import (
 _KIND_RANK = {"C": 0, "EX": 1, "EY": 2, "U": 3}
 
 
-def symbol_weight(kind: str, index: int, m: int, n: int, p: int) -> int:
-    """Total degree of the expanded symbol, which must exist at level
-    (m, n): C[r] for r >= 1, EX[i] for i <= m, EY[j] for j <= n and
+def symbol_weight(kind: str, index: int, ring: Ring) -> int:
+    """Total degree of the expanded symbol, which must exist at the level
+    ``ring``: C[r] for r >= 1, EX[i] for i <= m, EY[j] for j <= n and
     U[k] for 0 < k < p when n >= 1.  Raises ValueError otherwise."""
+    m, n, p = ring.m, ring.n, ring.p
     if kind == "C":
         if index >= 1:
             return index
@@ -71,7 +72,7 @@ def level_symbols(m: int, n: int, p: int, max_weight: int) -> dict[tuple, int]:
     """{(kind, index): weight} of every symbol at level (m, n) of weight
     at most ``max_weight``, in canonical order: C, EX, EY, U, each by
     index.  Raises ValueError for a level that Ring refuses."""
-    Ring(m, n, False, p)
+    ring = Ring(m, n, False, p)
     out = {}
     for kind in _KIND_RANK:
         # Scan each kind in the direction its weight grows and stop at
@@ -82,7 +83,7 @@ def level_symbols(m: int, n: int, p: int, max_weight: int) -> dict[tuple, int]:
         found = []
         for index in indices:
             try:
-                weight = symbol_weight(kind, index, m, n, p)
+                weight = symbol_weight(kind, index, ring)
             except ValueError:
                 break
             if weight > max_weight:
@@ -92,8 +93,8 @@ def level_symbols(m: int, n: int, p: int, max_weight: int) -> dict[tuple, int]:
     return out
 
 
-def _key_weight(key: tuple, m: int, n: int, p: int) -> int:
-    return sum(symbol_weight(kind, idx, m, n, p) * e for (kind, idx), e in key)
+def _key_weight(key: tuple, ring: Ring) -> int:
+    return sum(symbol_weight(kind, idx, ring) * e for (kind, idx), e in key)
 
 
 class GenExpr(_Terms):
@@ -108,7 +109,7 @@ class GenExpr(_Terms):
         for key, c in terms.items():
             merged: dict = {}
             for (kind, idx), e in key:
-                symbol_weight(kind, idx, m, n, p)  # the symbol must exist
+                symbol_weight(kind, idx, ring)  # the symbol must exist
                 if e < 0:
                     raise ValueError("symbol exponents must be nonnegative")
                 if e:
@@ -137,8 +138,7 @@ class GenExpr(_Terms):
     def weighted_degree(self):
         if not self.terms:
             return None
-        r = self.ring
-        return max(_key_weight(k, r.m, r.n, r.p) for k in self.terms)
+        return max(_key_weight(k, self.ring) for k in self.terms)
 
     def _constant(self, c: int) -> "GenExpr":
         c %= self.ring.p
@@ -158,21 +158,6 @@ class GenExpr(_Terms):
                 out[key] = (out.get(key, 0) + c1 * c2) % p
         return _clean(self.ring, {k: c for k, c in out.items() if c}, GenExpr)
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        if e == 0:
-            return self._constant(1)
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
-
     def __repr__(self):
         r = self.ring
         return f"GenExpr({r.m},{r.n},p={r.p}: {serialize_gen_expr(self)})"
@@ -189,10 +174,8 @@ def expand(e: GenExpr, ring: Ring) -> Poly:
 
 def serialize_gen_expr(e: GenExpr) -> str:
     """Deterministic text form; weighted degree descending, then symbol order."""
-    r = e.ring
-
     def order(key):
-        return (-_key_weight(key, r.m, r.n, r.p), key)
+        return (-_key_weight(key, e.ring), key)
     return _format_terms(
         (e.terms[key], [(f"{kind}[{idx}]", exp) for (kind, idx), exp in key])
         for key in sorted(e.terms, key=order)
@@ -237,12 +220,14 @@ def _suffix_counts(weights: list[int], degree: int) -> list[list[int]]:
     return ways
 
 
-@lru_cache(maxsize=1024)
-def _gen_monomial_count(m: int, n: int, p: int, degree: int) -> int:
-    """len(enumerate_gen_monomials(m, n, p, degree)), without the list;
-    ``decompose`` asks it once per recursion entry, hence the cache."""
+def _count_gen_monomials(m: int, n: int, p: int, degree: int) -> int:
+    """len(enumerate_gen_monomials(m, n, p, degree)), without the list."""
     weights = list(level_symbols(m, n, p, degree).values())
     return _suffix_counts(weights, degree)[0][degree]
+
+
+# ``decompose`` asks the count once per recursion entry, hence the memo
+_gen_monomial_count = _Memo(_count_gen_monomials, maxsize=2048)
 
 
 def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
@@ -374,33 +359,9 @@ class GenSpan:
         return out
 
 
-_SPAN_CACHE: dict[tuple, GenSpan] = {}
-_SPAN_KEY_LOCKS: dict[tuple, threading.Lock] = {}
-_SPAN_LOCK = threading.Lock()  # guards _SPAN_KEY_LOCKS
+_SPANS = _Memo(GenSpan, maxsize=1024)
 
 
 def gen_span(m: int, n: int, p: int, degree: int) -> GenSpan:
-    """Memoized GenSpan, built once per key even under concurrent calls.
-
-    A build holds only its own key's lock, so a slow span does not hold
-    up calls for other keys, and the lock leaves the table when the
-    build ends, so refused keys leave nothing behind.
-    """
-    key = (m, n, p, degree)
-    span = _SPAN_CACHE.get(key)
-    if span is None:
-        with _SPAN_LOCK:
-            key_lock = _SPAN_KEY_LOCKS.setdefault(key, threading.Lock())
-        try:
-            with key_lock:
-                span = _SPAN_CACHE.get(key)
-                if span is None:
-                    span = _SPAN_CACHE[key] = GenSpan(m, n, p, degree)
-        finally:
-            # the span is cached (or the build raised) before the lock
-            # goes, so a later caller either finds the span or takes a
-            # new lock and builds again; waiters keep the old one
-            with _SPAN_LOCK:
-                if _SPAN_KEY_LOCKS.get(key) is key_lock:
-                    del _SPAN_KEY_LOCKS[key]
-    return span
+    """Memoized GenSpan, built once per key even under concurrent calls."""
+    return _SPANS(m, n, p, degree)

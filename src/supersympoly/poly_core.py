@@ -9,7 +9,8 @@ canonical form.
 
 Every value is immutable after construction and every operation returns
 a fresh Poly, which makes sharing across threads safe.  There is no
-global mutable state in this module.
+global mutable state in this module; the package's caches are
+``_Memo`` instances in the modules that use them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -149,6 +151,15 @@ class _Terms:
 
     __rmul__ = __mul__
 
+    def __pow__(self, e: int):
+        """f^e as f^(e-1) * f: one product by the sparse base per step."""
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        out = self._constant(1)
+        for _ in range(e if self.terms else min(e, 1)):  # 0^e is 0 from e = 1
+            out = out * self
+        return out
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -220,12 +231,8 @@ class Poly(_Terms):
         return _clean(ring, _unpack(acc, width, nvars, ring.p))
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        if e == 0:
-            return one(self.ring)
-        if self.is_zero:
-            return self
+        if not self.terms or not isinstance(e, int) or e < 1:
+            return _Terms.__pow__(self, e)  # the exponent check, f^0 and 0^e
         # Every exponent of f^j, j <= e, is at most e times f's largest
         # exponent, so one width holds the whole chain.
         ring = self.ring
@@ -246,6 +253,52 @@ def _clean(ring: Ring, terms: dict, cls: type = Poly) -> _Terms:
     _set_ring(f, ring)
     _set_terms(f, terms)
     return f
+
+
+# -- memos ----------------------------------------------------------------
+
+_MISS = object()  # a cached value may be falsy, such as a count of 0
+
+
+class _Memo:
+    """``memo(*key)``: ``build(*key)``, built once per key even under
+    concurrent calls, with at most ``maxsize`` values kept.
+
+    A build holds only its own key's lock, so a slow build holds up no
+    call for another key.  The lock leaves ``locks`` when the build ends
+    and a build that raises stores nothing, so ``locks`` holds only
+    builds in progress and a failed key is built again on its next
+    call.  Past ``maxsize`` the oldest value goes.
+    """
+
+    def __init__(self, build, maxsize: int):
+        self.build, self.maxsize = build, maxsize
+        self.values, self.locks = {}, {}
+        self._lock = threading.Lock()  # guards the writes to both dicts
+
+    def __call__(self, *key):
+        value = self.values.get(key, _MISS)
+        if value is not _MISS:
+            return value
+        with self._lock:
+            key_lock = self.locks.setdefault(key, threading.Lock())
+        try:
+            with key_lock:
+                value = self.values.get(key, _MISS)
+                if value is _MISS:
+                    value = self.build(*key)
+                    with self._lock:
+                        self.values[key] = value
+                        if len(self.values) > self.maxsize:
+                            del self.values[next(iter(self.values))]
+        finally:
+            # the value is stored (or the build raised) before the lock
+            # goes, so a later caller finds the value or builds anew;
+            # waiters keep the old lock
+            with self._lock:
+                if self.locks.get(key) is key_lock:
+                    del self.locks[key]
+        return value
 
 
 # -- packed exponents ----------------------------------------------------

@@ -180,11 +180,11 @@ def reference_level_symbols(m, n, p, max_weight):
     """``level_symbols`` by the full scan it made before each kind's
     scan stopped at ``max_weight``: every kind runs its indices up to
     max(max_weight, m, n, p - 1), so the scan costs O(p) at any weight."""
-    out = {}
+    ring, out = Ring(m, n, False, p), {}
     for kind in ("C", "EX", "EY", "U"):
         for index in range(1, max(max_weight, m, n, p - 1) + 1):
             try:
-                weight = symbol_weight(kind, index, m, n, p)
+                weight = symbol_weight(kind, index, ring)
             except ValueError:
                 break
             if weight <= max_weight:

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from supersympoly.decompose import (
 )
 from supersympoly.genexpr import _gen_monomial_count, gen_span
 from supersympoly.oracle import partitions_max_parts
+from supersympoly.poly_core import _Memo
 from supersympoly.selfcheck import _roundtrip_inputs, random_gen_expr
 
 from helpers import expansion_cap, gen_exprs, orbit_sym, reference_lift_poly
@@ -263,6 +265,44 @@ class TestVkCertificates:
         assert e1 is e2
         ring = Ring(2, 2, False, 3)
         assert expand(e1, ring) == make_v(3, 2, 2, 2)
+
+    def test_single_flight(self, monkeypatch):
+        """A second first call for one key waits for the build under way
+        and shares its certificate: v_k is built once."""
+        pairs = decompose_module._VK_PAIRS
+        monkeypatch.setattr(decompose_module, "_VK_PAIRS", _Memo(pairs.build, pairs.maxsize))
+        started, release = threading.Event(), threading.Event()
+        builds = []
+        original = decompose_module.v_k
+
+        def slow_v_k(ks, ring):
+            builds.append((ks.k, ring))
+            if len(builds) == 1:
+                started.set()
+                release.wait(30)
+            return original(ks, ring)
+
+        monkeypatch.setattr(decompose_module, "v_k", slow_v_k)
+        results = {}
+
+        def call(name):
+            results[name] = vk_gen_expr(2, 1, 3, 1)
+
+        first = threading.Thread(target=call, args=("first",), daemon=True)
+        second = threading.Thread(target=call, args=("second",), daemon=True)
+        try:
+            first.start()
+            assert started.wait(30), "the build did not start"
+            second.start()
+            second.join(0.2)
+            assert "second" not in results
+        finally:
+            release.set()
+        first.join(30)
+        second.join(30)
+        assert not first.is_alive() and not second.is_alive()
+        assert results["second"] is results["first"]
+        assert builds == [(1, Ring(2, 1, False, 3))]
 
     def test_decompose_vk_round_trip(self):
         for p in (3, 5):

@@ -1,6 +1,6 @@
 """Every name the package exports has a caller: a public name that only
-its own tests reach is dead API.  And only ``poly_core`` knows the
-packed-exponent format."""
+its own tests reach is dead API.  Only ``poly_core`` knows the
+packed-exponent format, and only its ``_Memo`` caches and locks."""
 
 import ast
 from pathlib import Path
@@ -36,6 +36,20 @@ def test_every_export_is_referenced_outside_init():
     assert sorted(exports - _references(callers)) == []
 
 
+def _names(path: Path):
+    """(line, name) of every bare name, attribute and imported name, and
+    ``<<`` for every left shift."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias):
+            yield node.lineno, node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift):
+            yield node.lineno, "<<"
+
+
 def _is_packed_helper(name: str) -> bool:
     """A ``poly_core`` name that carries the packed layout: a private
     packing helper or the field-width rule."""
@@ -49,21 +63,8 @@ def test_only_poly_core_knows_the_packed_format():
     modules = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "poly_core.py"]
     # the glob found the package: the modules that call into the packed kernel
     assert {"decompose.py", "generators.py", "genexpr.py", "oracle.py"} <= {f.name for f in modules}
-    leaks = []
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.alias):
-                name = node.name.rpartition(".")[2]
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift):
-                name = "<<"
-            else:
-                continue
-            if name in ("bit_length", "<<") or _is_packed_helper(name):
-                leaks.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    leaks = [f"{path.name}:{line}: {name}" for path in modules for line, name in _names(path)
+             if name in ("bit_length", "<<") or _is_packed_helper(name)]
     assert leaks == []
 
 
@@ -92,8 +93,25 @@ def test_one_arithmetic_for_poly_and_gen_expr():
     shared = _class_body("poly_core.py", "_Terms")
     assert SHARED_ARITHMETIC <= set(shared)
     assert SHARED_ARITHMETIC.isdisjoint(_class_body("genexpr.py", "GenExpr"))
+    # one power too: Poly overrides it with its packed Frobenius power
+    assert "__pow__" in shared and "__pow__" not in _class_body("genexpr.py", "GenExpr")
     poly = _class_body("poly_core.py", "Poly")
     for name in SHARED_ARITHMETIC & set(poly):
         node = poly[name]
         assert isinstance(node, ast.Assign), name
         assert ast.unparse(node.value).startswith("_Terms."), name
+
+
+def test_one_cache_rule():
+    """Every memo is a ``poly_core._Memo``: no other module creates a
+    lock or uses a ``functools`` cache (``decompose``'s thread-local
+    trace is not a cache), and the modules that memoize use ``_Memo``."""
+    forbidden = {"Lock", "RLock", "lru_cache", "cache", "cached_property"}
+    leaks, users = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = list(_names(path))
+        users.update(path.name for _, name in names if name == "_Memo")
+        if path.name != "poly_core.py":
+            leaks += [f"{path.name}:{line}: {name}" for line, name in names if name in forbidden]
+    assert leaks == []
+    assert users == {"decompose.py", "generators.py", "genexpr.py"}

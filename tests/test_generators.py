@@ -29,7 +29,9 @@ from supersympoly import (
     v_k,
     w_poly,
 )
-from supersympoly.generators import _delta_x_families, placed_sym
+from supersympoly import generators
+from supersympoly.generators import _delta_x_families, generator_poly, placed_sym
+from supersympoly.poly_core import _Memo
 
 from helpers import reference_mul, reference_placed
 
@@ -91,6 +93,25 @@ class TestDeltas:
         for delta in ((0,), (-1, 2), (1, 6)):
             with pytest.raises(ValueError):
                 _delta_x_families(delta, ks)
+
+
+def test_generator_memo_drops_the_oldest_and_rebuilds_it_equal(monkeypatch):
+    built, original = [], generators._GENERATORS.build
+
+    def build(kind, index, ring):
+        built.append((kind, index))
+        return original(kind, index, ring)
+
+    memo = _Memo(build, maxsize=2)
+    monkeypatch.setattr(generators, "_GENERATORS", memo)
+    ring = Ring(2, 1, False, 3)
+    first = generator_poly("C", 2, ring)
+    assert generator_poly("EX", 1, ring) is generator_poly("EX", 1, ring)
+    generator_poly("U", 1, ring)
+    assert list(memo.values) == [("EX", 1, ring), ("U", 1, ring)]
+    again = generator_poly("C", 2, ring)
+    assert again == first == c_r(2, ring) and again is not first
+    assert built == [("C", 2), ("EX", 1), ("U", 1), ("C", 2)]
 
 
 class TestFamilies:

@@ -29,7 +29,7 @@ from supersympoly import (
 )
 from supersympoly import genexpr
 from supersympoly.genexpr import _gen_monomial_count, level_symbols, symbol_weight
-from supersympoly.poly_core import _unpack
+from supersympoly.poly_core import _Memo, _unpack
 from supersympoly.selfcheck import random_gen_expr
 
 from helpers import (
@@ -42,6 +42,15 @@ from helpers import (
 )
 
 R11 = Ring(1, 1, False, 3)
+
+
+@pytest.fixture
+def cold_spans(monkeypatch):
+    """A fresh, empty span memo in place of the session's."""
+    spans = genexpr._SPANS
+    fresh = _Memo(spans.build, spans.maxsize)
+    monkeypatch.setattr(genexpr, "_SPANS", fresh)
+    return fresh
 
 
 def _expand_monomial(key, ring):
@@ -107,6 +116,20 @@ class TestGenExpr:
         assert sorted(rank) == sorted(rank, key=rank.get) == ["C", "EX", "EY", "U"]
         e = GenExpr(2, 2, 3, {((("U", 1), 1), (("EY", 2), 1), (("EX", 1), 1), (("C", 3), 1)): 1})
         assert list(e.terms) == [((("C", 3), 1), (("EX", 1), 1), (("EY", 2), 1), (("U", 1), 1))]
+
+    @pytest.mark.parametrize("e", [1.5, "2", -1, None])
+    def test_power_refuses_what_poly_refuses(self, e):
+        # GenExpr and Poly check the exponent in one place, with one message
+        for base in (GenExpr.symbol(1, 1, 3, "C", 1), parse_poly("x1 + y1", R11)):
+            with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+                base ** e
+
+    def test_power_is_the_repeated_product(self):
+        a = GenExpr(2, 1, 3, {((("C", 1), 1),): 1, ((("U", 2), 1),): 2, (): 1})
+        expected = GenExpr.const(2, 1, 3, 1)
+        for e in range(7):
+            assert a ** e == expected
+            expected = expected * a
 
 
 @settings(max_examples=80, deadline=None)
@@ -192,7 +215,7 @@ class TestLevels:
             level_symbols(m, 1, p, 4)
         with pytest.raises(ValueError):
             _gen_monomial_count(m, 1, p, 2)
-        assert _gen_monomial_count.cache_info().maxsize  # still behind its cache
+        assert _gen_monomial_count.maxsize  # still behind its memo
 
 
 class TestSerialization:
@@ -237,10 +260,11 @@ class TestSerialization:
 
 class TestSymbols:
     def test_weights(self):
-        assert symbol_weight("C", 4, 2, 1, 3) == 4
-        assert symbol_weight("EX", 2, 2, 1, 3) == 6
-        assert symbol_weight("EY", 1, 2, 1, 3) == 3
-        assert symbol_weight("U", 1, 2, 1, 3) == 2 * 1 + 1 * 2
+        ring = Ring(2, 1, False, 3)
+        assert symbol_weight("C", 4, ring) == 4
+        assert symbol_weight("EX", 2, ring) == 6
+        assert symbol_weight("EY", 1, ring) == 3
+        assert symbol_weight("U", 1, ring) == 2 * 1 + 1 * 2
 
     @pytest.mark.parametrize("kind, index, m, n, p", [
         ("C", 0, 1, 1, 3), ("EX", 0, 1, 1, 3), ("EX", 2, 1, 1, 3), ("EY", 1, 1, 0, 3),
@@ -248,18 +272,27 @@ class TestSymbols:
     ])
     def test_missing_symbols_raise(self, kind, index, m, n, p):
         with pytest.raises(ValueError, match=rf"symbol {kind}\[{index}\] is invalid"):
+            symbol_weight(kind, index, Ring(m, n, False, p))
+
+    @pytest.mark.parametrize("kind, index, m, n, p", [("U", 1, -1, 2, 4), ("C", 1, 1, 1, 4)])
+    def test_a_level_that_does_not_exist_has_no_weights(self, kind, index, m, n, p):
+        # the weight takes the level's Ring, which refuses the level
+        with pytest.raises(ValueError):
+            symbol_weight(kind, index, Ring(m, n, False, p))
+        with pytest.raises(TypeError):
             symbol_weight(kind, index, m, n, p)
 
     @pytest.mark.parametrize("m, n, p", [
         (0, 0, 3), (1, 0, 3), (0, 1, 3), (1, 1, 3), (2, 1, 5), (1, 2, 5), (3, 3, 7), (2, 0, 7), (3, 1, 3),
     ])
     def test_level_symbols_is_what_symbol_weight_accepts(self, m, n, p):
+        ring = Ring(m, n, False, p)
         for w in range(-1, 3 * p + 2):
             expected = []
             for kind in ("C", "EX", "EY", "U", "Z"):
                 for index in range(-1, 4 * p):
                     try:
-                        weight = symbol_weight(kind, index, m, n, p)
+                        weight = symbol_weight(kind, index, ring)
                     except ValueError:
                         continue
                     if weight <= w:
@@ -311,7 +344,7 @@ class TestEnumeration:
 
         for d in range(1, 7):
             for key in enumerate_gen_monomials(2, 1, 3, d):
-                assert _key_weight(key, 2, 1, 3) == d
+                assert _key_weight(key, Ring(2, 1, False, 3)) == d
                 assert key == tuple(sorted(key))  # canonical, as GenExpr keys
 
     # every level up to (3, 3) at p = 3, 5 and 7, degrees -1 to 14
@@ -358,23 +391,20 @@ class TestGenSpan:
                 f = parse_poly(str(c), ring)
                 assert span.solve(f) == GenExpr.const(m, n, p, c)
 
-    def test_negative_degree_is_refused(self, monkeypatch):
-        monkeypatch.setattr(genexpr, "_SPAN_CACHE", {})
+    def test_negative_degree_is_refused(self, cold_spans):
         with pytest.raises(ValueError, match="degree must be nonnegative"):
             GenSpan(1, 1, 3, -1)
         with pytest.raises(ValueError, match="degree must be nonnegative"):
             genexpr.gen_span(1, 1, 3, -1)
-        assert genexpr._SPAN_CACHE == {}
-        assert (1, 1, 3, -1) not in genexpr._SPAN_KEY_LOCKS
+        assert cold_spans.values == {}
+        assert (1, 1, 3, -1) not in cold_spans.locks
 
-    def test_lock_table_keeps_no_finished_key(self, monkeypatch):
-        monkeypatch.setattr(genexpr, "_SPAN_CACHE", {})
-        monkeypatch.setattr(genexpr, "_SPAN_KEY_LOCKS", {})
+    def test_lock_table_keeps_no_finished_key(self, cold_spans):
         genexpr.gen_span(1, 1, 3, 2)
         with pytest.raises(ValueError):
             genexpr.gen_span(1, 1, 3, -1)
-        assert genexpr._SPAN_KEY_LOCKS == {}
-        assert list(genexpr._SPAN_CACHE) == [(1, 1, 3, 2)]
+        assert cold_spans.locks == {}
+        assert list(cold_spans.values) == [(1, 1, 3, 2)]
 
     def test_solve_wrong_degree_is_none(self):
         span = GenSpan(1, 1, 3, 3)
@@ -567,9 +597,8 @@ class TestPackedExpansion:
         assert expand(cancelled, ring).is_zero
 
 
-def test_gen_span_single_flight(monkeypatch):
+def test_gen_span_single_flight(monkeypatch, cold_spans):
     """Concurrent first calls build each span once and share the object."""
-    monkeypatch.setattr(genexpr, "_SPAN_CACHE", {})
     builds = collections.Counter()
     count_lock = threading.Lock()
     original_init = genexpr.GenSpan.__init__
@@ -608,11 +637,9 @@ def test_gen_span_single_flight(monkeypatch):
         assert all(got[key] is results[0][key] for key in keys)
 
 
-def test_gen_span_locks_per_key(monkeypatch):
+def test_gen_span_locks_per_key(monkeypatch, cold_spans):
     """A slow build of one key holds up neither calls for another key
     nor, beyond its own build, a second call for the same key."""
-    monkeypatch.setattr(genexpr, "_SPAN_CACHE", {})
-    monkeypatch.setattr(genexpr, "_SPAN_KEY_LOCKS", {})
     slow_key, fast_key = (1, 1, 3, 5), (1, 1, 3, 4)
     started, release = threading.Event(), threading.Event()
     builds = collections.Counter()

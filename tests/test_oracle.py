@@ -103,14 +103,27 @@ class TestHookPartitions:
                     equal += dim == hook
         assert (above, equal) == (60, 12)
 
+    def test_hook_count_is_a_lower_bound_at_large_p(self):
+        # dim - hook for d = p, p + 1, p + 2; the same at p = 11 and 13
+        excess = {(1, 1): (1, 0, 0), (2, 1): (1, 1, 1), (1, 2): (1, 1, 1), (2, 2): (1, 1, 2)}
+        cells = [(m, n, p, d, excess[m, n][d - p])
+                 for p in (11, 13) for m, n in excess for d in range(p, p + 3)]
+        # p = 101 only where a cell stays cheap: (2, 1, 101, 101) is 2552 against 2551
+        cells += [(1, 1, 101, d, excess[1, 1][d - 101]) for d in range(101, 104)]
+        cells += [(2, 1, 101, 101, 1)]
+        for m, n, p, d, extra in cells:
+            assert as_dimension(m, n, p, d) - hook_partition_count(d, m, n) == extra, (m, n, p, d)
+        above = sum(extra > 0 for *_, extra in cells)
+        assert (above, len(cells) - above) == (22, 6)
+
 
 def test_negative_degree_is_refused():
     for dimension in (as_dimension, generated_dimension):
         with pytest.raises(ValueError, match="degree must be nonnegative"):
             dimension(1, 1, 3, -1)
     # the refused span build leaves neither a cache entry nor a lock
-    assert (1, 1, 3, -1) not in genexpr._SPAN_CACHE
-    assert (1, 1, 3, -1) not in genexpr._SPAN_KEY_LOCKS
+    assert (1, 1, 3, -1) not in genexpr._SPANS.values
+    assert (1, 1, 3, -1) not in genexpr._SPANS.locks
 
 
 class TestGeneratingFunctionCheck:

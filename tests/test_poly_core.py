@@ -24,7 +24,7 @@ from supersympoly import (
     x_var,
     zero,
 )
-from supersympoly.poly_core import FpEchelon, _PIECES, _tokenize
+from supersympoly.poly_core import FpEchelon, _Memo, _PIECES, _tokenize
 from helpers import (
     ReferenceEchelon,
     reference_exact_monomial_div,
@@ -458,3 +458,27 @@ class TestTokenize:
         spaces = "".join(c for c in chars if c.isspace())
         text = "x1" + spaces + "y2" + spaces + "3"
         assert _tokenize(text) == reference_tokenize(text)
+
+
+class TestMemo:
+    def test_a_failed_build_is_retried_on_the_next_call(self):
+        calls = []
+
+        def build(x):
+            calls.append(x)
+            if len(calls) == 1:
+                raise RuntimeError("transient")
+            return 2 * x
+
+        memo = _Memo(build, maxsize=4)
+        with pytest.raises(RuntimeError):
+            memo(3)
+        assert memo.values == {} and memo.locks == {}
+        assert memo(3) == 6 and memo(3) == 6
+        assert calls == [3, 3]
+
+    def test_a_falsy_value_is_a_hit(self):
+        calls = []
+        memo = _Memo(lambda *key: calls.append(key) or 0, maxsize=4)
+        assert [memo(1, 2), memo(1, 2)] == [0, 0]
+        assert calls == [(1, 2)]
