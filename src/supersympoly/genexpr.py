@@ -26,6 +26,7 @@ exactly over F_p.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import partial
 
 from .errors import InternalInvariantViolation, PolyParseError
@@ -40,6 +41,7 @@ from .poly_core import (
     _Memo,
     _OrbitLeaders,
     _parse_terms,
+    _pieces,
     _power_chains,
     _require_ring,
     _Terms,
@@ -182,6 +184,10 @@ def serialize_gen_expr(e: GenExpr) -> str:
     )
 
 
+_SYMBOL_PIECES = _pieces(r"(?:C|EX|EY|U)\s*\[\s*[0-9]+\s*\]")
+_SYMBOL = re.compile(r"(C|EX|EY|U)\s*\[\s*([0-9]+)\s*\]")
+
+
 def parse_gen_expr(text: str, m: int, n: int, p: int) -> GenExpr:
     """Inverse of serialize_gen_expr (also accepts '-' separators).
 
@@ -189,15 +195,13 @@ def parse_gen_expr(text: str, m: int, n: int, p: int) -> GenExpr:
     """
     Ring(m, n, False, p)  # a bad level is refused before the text is read
 
-    def read_symbol(tokens, pos):
-        kind, name = tokens[pos]
-        if not (kind == "name" and name[0] in _KIND_RANK and name[1] is None
-                and tokens[pos + 1][0] == "[" and tokens[pos + 2][0] == "int"
-                and tokens[pos + 3][0] == "]"):
+    def read_symbol(text):
+        match = _SYMBOL.fullmatch(text)
+        if match is None:
             raise PolyParseError("expected a symbol C[r], EX[i], EY[j] or U[k]")
-        return (name[0], tokens[pos + 2][1]), pos + 4
+        return match[1], int(match[2])
 
-    terms = _parse_terms(text, read_symbol, tuple)  # GenExpr merges repeats
+    terms = _parse_terms(text, _SYMBOL_PIECES, read_symbol, tuple)  # GenExpr merges repeats
     try:
         return GenExpr(m, n, p, terms)
     except ValueError as exc:  # a symbol that does not exist at this level
@@ -223,7 +227,7 @@ def _suffix_counts(weights: list[int], degree: int) -> list[list[int]]:
 def _count_gen_monomials(m: int, n: int, p: int, degree: int) -> int:
     """len(enumerate_gen_monomials(m, n, p, degree)), without the list."""
     weights = list(level_symbols(m, n, p, degree).values())
-    return _suffix_counts(weights, degree)[0][degree]
+    return _suffix_counts(weights, degree)[0][degree] if degree >= 0 else 0
 
 
 # ``decompose`` asks the count once per recursion entry, hence the memo

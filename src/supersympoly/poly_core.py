@@ -7,10 +7,10 @@ y block, then T) to nonzero residues in [1, p).  The zero polynomial has
 an empty term dict, so equality is plain structural equality of the
 canonical form.
 
-Every value is immutable after construction and every operation returns
-a fresh Poly, which makes sharing across threads safe.  There is no
-global mutable state in this module; the package's caches are
-``_Memo`` instances in the modules that use them.
+Every value is immutable after construction, which makes sharing across
+threads safe, and lets a sum with a zero operand return the other
+operand.  There is no global mutable state in this module; the
+package's caches are ``_Memo`` instances in the modules that use them.
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ class _Terms:
             other = self._constant(other)
         ring = self.ring
         _require_ring(ring, other.ring)
+        if not (self.terms and other.terms):  # values are immutable: f + 0 is f itself
+            return self if self.terms else other
         out = dict(self.terms)
         p = ring.p
         for key, c in other.terms.items():
@@ -683,49 +685,37 @@ def poly_to_str(f: Poly) -> str:
 # The base is x<i>, y<j> or T here and KIND[index] in
 # genexpr.parse_gen_expr.
 
-_PIECES = re.compile(r"[0-9]+|[A-Za-z]+[0-9]*|\S")
-_END = ("end", None)
+_STRAY = re.compile(r"[^\sA-Za-z0-9+\-*^\[\]]")
+_LONG_DIGITS = re.compile(r"[0-9]{641,}")  # int() takes 640 digits under any limit
 
 
-class _TokenTable(dict):
-    """{text piece: token} for one ``_tokenize`` call; a piece is
-    classified the first time it is seen."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def __missing__(self, piece: str):
-        head = piece[0]
-        if head in "+-*^[]":
-            token = (head, None)
-        elif head in "0123456789":
-            token = ("int", int(piece))
-        elif head.isascii() and head.isalpha():
-            letters = piece.rstrip("0123456789")
-            index = piece[len(letters):]
-            token = ("name", (letters, int(index) if index else None))
-        else:
-            # Only a stray character stands alone, so its first
-            # occurrence in the text is this piece.
-            raise PolyParseError(
-                f"unexpected character {head!r} at position {self.text.index(head)}"
-            )
-        self[piece] = token
-        return token
+def _pieces(base: str) -> re.Pattern:
+    """The regex that splits text into factor runs, '*'-joined factors
+    of base regex ``base`` with no whitespace around '*' or '^', and else
+    into the small pieces ``[0-9]+``, ``[A-Za-z]+[0-9]*`` and ``\\S``.  A
+    ``base`` match ends where a small piece would: a run is whole pieces."""
+    factor = rf"(?:{base})(?:\^[0-9]+)?"
+    return re.compile(rf"{factor}(?:\*{factor})*|[0-9]+|[A-Za-z]+[0-9]*|\S")
 
 
-def _tokenize(text: str) -> list:
-    """Split the text into (kind, value) tokens, ending with _END.
+def _tokenize(text: str, pieces: re.Pattern) -> list:
+    """The text split by a grammar's ``_pieces`` regex, ending with "".
 
-    Kinds: "int"; "name" for ASCII letters, valued (letters, the index
-    written right after them or None); and each of + - * ^ [ ].
-    Whitespace separates tokens.  Digits are ASCII only.
+    Whitespace, the set str.isspace accepts, separates pieces; digits
+    are ASCII only.  The first stray character or digit string that
+    int() refuses, in text order, raises PolyParseError.
     """
-    try:
-        tokens = list(map(_TokenTable(text).__getitem__, _PIECES.findall(text)))
-    except ValueError as exc:  # int() refuses overlong digit strings
-        raise PolyParseError(str(exc)) from None
-    tokens.append(_END)
+    tokens = pieces.findall(text)
+    stray = _STRAY.search(text)
+    if stray or max(map(len, tokens), default=0) > 640:  # a long digit string is in one piece
+        for digits in _LONG_DIGITS.finditer(text, 0, stray.start() if stray else len(text)):
+            try:
+                int(digits.group())
+            except ValueError as exc:
+                raise PolyParseError(str(exc)) from None
+        if stray:
+            raise PolyParseError(f"unexpected character {stray[0]!r} at position {stray.start()}")
+    tokens.append("")
     return tokens
 
 
@@ -750,50 +740,71 @@ def _format_terms(terms) -> str:
     return " + ".join(parts) or "0"
 
 
-def _parse_terms(text: str, read_base, term_key) -> dict:
+class _Factors(dict):
+    """{factor text: (base, exponent)}: each distinct factor is read once per call."""
+
+    def __init__(self, read_base):
+        self.read_base = read_base
+
+    def __missing__(self, text: str):
+        base, caret, power = text.partition("^")
+        factor = self[text] = (self.read_base(base), int(power) if caret else 1)
+        return factor
+
+
+def _parse_terms(text: str, pieces: re.Pattern, read_base, term_key) -> dict:
     """Parse the term grammar into {term key: integer coefficient}.
 
-    ``read_base(tokens, pos)`` reads one factor's base and returns
-    ``(base, next pos)``; ``term_key`` maps a term's list of (base,
-    exponent) pairs to its key.  The caller reduces coefficients mod p.
+    ``pieces`` is the grammar's ``_pieces`` regex; ``read_base(text)``
+    returns the base a match of its base regex stands for and raises
+    PolyParseError for any other text; ``term_key`` maps a term's list
+    of (base, exponent) pairs to its key.  The caller reduces
+    coefficients mod p.
     """
-    tokens = _tokenize(text)
+    tokens = _tokenize(text, pieces)
+    factor = _Factors(read_base).__getitem__
     terms: dict = {}
     pos = 0
     while True:
-        kind = tokens[pos][0]
-        sign = -1 if kind == "-" else 1
-        if kind == "+" or kind == "-":
+        piece = tokens[pos]  # starts with an ASCII digit or letter or one of +-*^[]; "" ends
+        sign = -1 if piece == "-" else 1
+        if piece == "+" or piece == "-":
             pos += 1
         elif pos:
+            kind = "int" if piece[0].isdigit() else "name" if piece[0].isalpha() else piece
             raise PolyParseError(f"expected '+' or '-', found {kind!r}")
-        kind, coeff = tokens[pos]
-        if kind == "int":
+        piece = tokens[pos]
+        if piece[:1].isdigit():
+            coeff = int(piece)
             pos += 1
-            more = tokens[pos][0] == "*"
+            more = tokens[pos] == "*"
             pos += more
-        elif kind == "name":
+        elif piece[:1].isalpha():
             coeff, more = 1, True
-        elif kind == "end":
+        elif not piece:
             raise PolyParseError("dangling sign at end of input" if pos else "empty input")
         else:
             raise PolyParseError("expected a term")
         factors = []
         while more:
-            base, pos = read_base(tokens, pos)
-            e = 1
-            if tokens[pos][0] == "^":
-                kind, e = tokens[pos + 1]
-                if kind != "int":
+            factors += map(factor, tokens[pos].split("*"))
+            pos += 1
+            # a '^' gives the run's last factor its power, unless it has one
+            if tokens[pos] == "^" and "^" not in tokens[pos - 1].rpartition("*")[2]:
+                if not tokens[pos + 1][:1].isdigit():
                     raise PolyParseError("expected an integer exponent after '^'")
+                factors[-1] = factors[-1][0], int(tokens[pos + 1])
                 pos += 2
-            factors.append((base, e))
-            more = tokens[pos][0] == "*"
+            more = tokens[pos] == "*"
             pos += more
         key = term_key(factors)
         terms[key] = terms.get(key, 0) + sign * coeff
-        if tokens[pos] is _END:
+        if not tokens[pos]:
             return terms
+
+
+_VAR_PIECES = _pieces(r"[xy][0-9]+|T(?![A-Za-z0-9])")
+_VAR = re.compile(r"([xy])([0-9]+)|T")
 
 
 def parse_poly(text: str, ring: Ring) -> Poly:
@@ -807,20 +818,20 @@ def parse_poly(text: str, ring: Ring) -> Poly:
     nvars = ring.nvars
     blocks = {"x": (0, ring.m, "m"), "y": (ring.m, ring.n, "n")}
 
-    def read_var(tokens, pos):
-        kind, name = tokens[pos]
-        if kind == "name":
-            letters, idx = name
-            if letters in blocks and idx is not None:
-                offset, size, count = blocks[letters]
-                if 1 <= idx <= size:
-                    return offset + idx - 1, pos + 1
-                raise PolyParseError(f"{letters}{idx} out of range for {count}={size}")
-            if name == ("T", None):
-                if ring.has_t:
-                    return nvars - 1, pos + 1
-                raise PolyParseError("T is not a variable of this ring")
-        raise PolyParseError("expected a variable x<i>, y<j> or T")
+    def read_var(text):
+        match = _VAR.fullmatch(text)
+        if match is None:
+            raise PolyParseError("expected a variable x<i>, y<j> or T")
+        letter, index = match.groups()
+        if letter is None:
+            if ring.has_t:
+                return nvars - 1
+            raise PolyParseError("T is not a variable of this ring")
+        offset, size, count = blocks[letter]
+        idx = int(index)
+        if 1 <= idx <= size:
+            return offset + idx - 1
+        raise PolyParseError(f"{letter}{idx} out of range for {count}={size}")
 
     def exponents(factors):
         exps = [0] * nvars
@@ -828,4 +839,4 @@ def parse_poly(text: str, ring: Ring) -> Poly:
             exps[slot] += e
         return tuple(exps)
 
-    return Poly(ring, _parse_terms(text, read_var, exponents))
+    return Poly(ring, _parse_terms(text, _VAR_PIECES, read_var, exponents))

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 from supersympoly import DivisibilityError, GenExpr, Poly, PolyParseError, Ring, enumerate_gen_monomials
 from supersympoly.generators import generator_poly, kseq, v_k
 from supersympoly.genexpr import level_symbols, symbol_weight
-from supersympoly.poly_core import _END, block_span, fp_inv
+from supersympoly.poly_core import block_span, fp_inv
 
 
 def build_poly(ring, pairs):
@@ -330,6 +330,7 @@ def wide_operands(draw, max_terms=4):
     return (ring, *polys)
 
 
+_END = ("end", None)
 _DIGITS = frozenset("0123456789")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
@@ -370,6 +371,99 @@ def reference_tokenize(text):
         raise PolyParseError(str(exc)) from None
     append(_END)
     return tokens
+
+
+def _reference_parse_terms(text, read_base, term_key):
+    """The term loop ``poly_core._parse_terms`` ran over one token per
+    name, '^' and int, before it read a factor run at a time: the
+    reference for its values and errors.  The tokens are
+    ``reference_tokenize``'s, which the regex tokenizer of that loop
+    matched token for token."""
+    tokens = reference_tokenize(text)
+    terms = {}
+    pos = 0
+    while True:
+        kind = tokens[pos][0]
+        sign = -1 if kind == "-" else 1
+        if kind == "+" or kind == "-":
+            pos += 1
+        elif pos:
+            raise PolyParseError(f"expected '+' or '-', found {kind!r}")
+        kind, coeff = tokens[pos]
+        if kind == "int":
+            pos += 1
+            more = tokens[pos][0] == "*"
+            pos += more
+        elif kind == "name":
+            coeff, more = 1, True
+        elif kind == "end":
+            raise PolyParseError("dangling sign at end of input" if pos else "empty input")
+        else:
+            raise PolyParseError("expected a term")
+        factors = []
+        while more:
+            base, pos = read_base(tokens, pos)
+            e = 1
+            if tokens[pos][0] == "^":
+                kind, e = tokens[pos + 1]
+                if kind != "int":
+                    raise PolyParseError("expected an integer exponent after '^'")
+                pos += 2
+            factors.append((base, e))
+            more = tokens[pos][0] == "*"
+            pos += more
+        key = term_key(factors)
+        terms[key] = terms.get(key, 0) + sign * coeff
+        if tokens[pos] is _END:
+            return terms
+
+
+def reference_parse_poly(text, ring):
+    """``parse_poly`` over ``_reference_parse_terms``."""
+    nvars = ring.nvars
+    blocks = {"x": (0, ring.m, "m"), "y": (ring.m, ring.n, "n")}
+
+    def read_var(tokens, pos):
+        kind, name = tokens[pos]
+        if kind == "name":
+            letters, idx = name
+            if letters in blocks and idx is not None:
+                offset, size, count = blocks[letters]
+                if 1 <= idx <= size:
+                    return offset + idx - 1, pos + 1
+                raise PolyParseError(f"{letters}{idx} out of range for {count}={size}")
+            if name == ("T", None):
+                if ring.has_t:
+                    return nvars - 1, pos + 1
+                raise PolyParseError("T is not a variable of this ring")
+        raise PolyParseError("expected a variable x<i>, y<j> or T")
+
+    def exponents(factors):
+        exps = [0] * nvars
+        for slot, e in factors:
+            exps[slot] += e
+        return tuple(exps)
+
+    return Poly(ring, _reference_parse_terms(text, read_var, exponents))
+
+
+def reference_parse_gen_expr(text, m, n, p):
+    """``parse_gen_expr`` over ``_reference_parse_terms``."""
+    Ring(m, n, False, p)
+
+    def read_symbol(tokens, pos):
+        kind, name = tokens[pos]
+        if not (kind == "name" and name[0] in ("C", "EX", "EY", "U") and name[1] is None
+                and tokens[pos + 1][0] == "[" and tokens[pos + 2][0] == "int"
+                and tokens[pos + 3][0] == "]"):
+            raise PolyParseError("expected a symbol C[r], EX[i], EY[j] or U[k]")
+        return (name[0], tokens[pos + 2][1]), pos + 4
+
+    terms = _reference_parse_terms(text, read_symbol, tuple)
+    try:
+        return GenExpr(m, n, p, terms)
+    except ValueError as exc:
+        raise PolyParseError(str(exc)) from None
 
 
 def reference_exact_monomial_div(f, divisor):

@@ -357,10 +357,15 @@ class TestEnumeration:
 
     def test_count_matches_enumeration(self):
         for cell in self._GRID:
-            if cell[3] >= 0:
-                assert _gen_monomial_count(*cell) == len(enumerate_gen_monomials(*cell)), cell
+            assert _gen_monomial_count(*cell) == len(enumerate_gen_monomials(*cell)), cell
         # (2, 2, 3, 20) has 3880 monomials
         assert _gen_monomial_count(2, 2, 3, 20) == len(enumerate_gen_monomials(2, 2, 3, 20)) == 3880
+
+    def test_count_at_a_negative_degree_is_zero(self):
+        # the suffix-count table has no column at a negative degree
+        assert _gen_monomial_count(1, 1, 3, -1) == 0 == len(enumerate_gen_monomials(1, 1, 3, -1))
+        assert _gen_monomial_count.values[1, 1, 3, -1] == 0  # kept, though falsy
+        assert _gen_monomial_count(1, 1, 3, -1) == 0
 
 
 class TestGenSpan:

@@ -24,11 +24,14 @@ from supersympoly import (
     x_var,
     zero,
 )
-from supersympoly.poly_core import FpEchelon, _Memo, _PIECES, _tokenize
+from supersympoly.genexpr import _SYMBOL_PIECES, parse_gen_expr, serialize_gen_expr
+from supersympoly.poly_core import FpEchelon, _Memo, _STRAY, _VAR_PIECES, _tokenize
 from helpers import (
     ReferenceEchelon,
     reference_exact_monomial_div,
     reference_mul,
+    reference_parse_gen_expr,
+    reference_parse_poly,
     reference_pow,
     reference_tokenize,
     ring_and_polys,
@@ -430,10 +433,28 @@ _TEXT_PIECES = st.one_of(
 )
 
 
+def _small_tokens(text, pieces):
+    """``_tokenize``'s outcome with each piece read as
+    ``reference_tokenize``'s tokens: the reference's outcome exactly when
+    the errors agree and every piece is whole reference tokens."""
+    tokens, error = _outcome(_tokenize, text, pieces)
+    if error:
+        return None, error
+    return [token for piece in tokens for token in reference_tokenize(piece)[:-1]], None
+
+
+def _assert_tokens_match(text):
+    expected = _outcome(reference_tokenize, text)
+    if expected[0] is not None:
+        expected = expected[0][:-1], None
+    for pieces in (_VAR_PIECES, _SYMBOL_PIECES):
+        assert _small_tokens(text, pieces) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_TEXT_PIECES, max_size=8).map("".join))
 def test_tokenize_matches_reference(text):
-    assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
+    _assert_tokens_match(text)
 
 
 class TestTokenize:
@@ -443,21 +464,124 @@ class TestTokenize:
             "x 1",
             "x\u0661",
             "C [ 1 ]",
+            "x1^2*y1^3 + C[1]^2*EX[2] - T*x12^7",
             long_text + " + x1 @ y1 @",  # the first stray character is reported
             long_text + " - " + "9" * 4301 + " ! x1",  # the earlier error wins
+            "x1 ! " + "9" * 4301,
         ):
-            assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
-        _, (_, message) = _outcome(_tokenize, long_text + " + x1 @ y1 @")
+            _assert_tokens_match(text)
+        _, (_, message) = _outcome(_tokenize, long_text + " + x1 @ y1 @", _VAR_PIECES)
         assert message == f"unexpected character '@' at position {len(long_text) + 6}"
 
     def test_whitespace_is_str_isspace(self):
-        # the regex splits on \s and the reference skips str.isspace:
+        # the regexes split on \s and the reference skips str.isspace:
         # the pieces of every code point, joined, drop exactly the spaces
         chars = "".join(map(chr, range(sys.maxunicode + 1)))
-        assert "".join(_PIECES.findall(chars)) == "".join(c for c in chars if not c.isspace())
+        for pieces in (_VAR_PIECES, _SYMBOL_PIECES):
+            assert "".join(pieces.findall(chars)) == "".join(c for c in chars if not c.isspace())
+        assert not any(c.isspace() for c in _STRAY.findall(chars))
         spaces = "".join(c for c in chars if c.isspace())
-        text = "x1" + spaces + "y2" + spaces + "3"
-        assert _tokenize(text) == reference_tokenize(text)
+        _assert_tokens_match("x1" + spaces + "y2" + spaces + "3")
+        _assert_tokens_match("C" + spaces + "[" + spaces + "1" + spaces + "]")
+
+
+# each parser, its reference, its printer and the level arguments the
+# differential tests read text at
+_PARSERS = [
+    (parse_poly, reference_parse_poly, poly_to_str, (ring,))
+    for ring in (R11, Ring(2, 1, True, 5))
+] + [
+    (parse_gen_expr, reference_parse_gen_expr, serialize_gen_expr, level)
+    for level in ((1, 1, 3), (2, 1, 5))
+]
+
+
+def _parsed(parse, show, text, level):
+    """((value, canonical text), None) or (None, (error type, message))."""
+    try:
+        value = parse(text, *level)
+    except PolyParseError as exc:
+        return None, (type(exc), str(exc))
+    return (value, show(value)), None
+
+
+def _assert_parse_matches_reference(text):
+    for parse, reference, show, level in _PARSERS:
+        assert _parsed(parse, show, text, level) == _parsed(reference, show, text, level)
+
+
+# mostly small numbers; now and then one with a leading zero or one too
+# long for int()
+_NUMBERS = st.integers(0, 40).map(lambda k: {39: "007", 40: "7" * 4301}.get(k, str(k % 13)))
+_INDICES = st.integers(0, 40).map(lambda k: {39: "01", 40: "7" * 4301}.get(k, str(k % 4)))
+_SPACE = st.sampled_from(["", "", "", " ", "  ", "\t", "\u2003"])
+_MISSPELT = ["x", "z1", "Tx", "T1", "x1[2]", "C1[2]", "C[1 2]", "C[", "CX[1]"]
+
+
+@st.composite
+def _bases(draw, kinds):
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("x", "y"):
+        return kind + draw(_INDICES)
+    if kind == "T":
+        return kind
+    if kind == "misspelt":
+        return draw(st.sampled_from(_MISSPELT))
+    space = draw(_SPACE)
+    return f"{kind}{space}[{space}{draw(_INDICES)}{space}]"
+
+
+@st.composite
+def term_texts(draw):
+    """Text in the term grammar of one of the two parsers, or near it:
+    signed terms, each an optional coefficient and '*'-joined factors
+    (x<i>, y<j> and T, or KIND[index]; now and then a misspelt base or
+    one of the other grammar), each with an optional power; whitespace
+    drawn around every '*', '^' and sign and inside brackets; numbers
+    of up to 4301 digits; and then up to two insertions of a stray or
+    misplaced piece."""
+    kinds = draw(st.sampled_from([["x", "y", "T"], ["C", "EX", "EY", "U"]]))
+    kinds = kinds * 6 + ["misspelt", "C", "x"]
+    space = draw(_SPACE)
+    terms = []
+    for i in range(draw(st.integers(1, 4))):
+        factors = []
+        for _ in range(draw(st.integers(0, 3))):
+            factor = draw(_bases(kinds))
+            if draw(st.booleans()):
+                factor += f"{draw(_SPACE)}^{draw(_SPACE)}{draw(_NUMBERS)}"
+            factors.append(factor)
+        coeff = [draw(_NUMBERS)] if not factors or draw(st.booleans()) else []
+        sign = draw(st.sampled_from(["+", "-"] + ([""] if i == 0 else [])))
+        terms.append(sign + space + f"{draw(_SPACE)}*{draw(_SPACE)}".join(coeff + factors))
+    text = space.join(terms)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        bad = draw(st.sampled_from(["@", "\u00e9", "\u0661", "*", "^", "+", "[", "]", " x", "7" * 4301]))
+        text = text[:at] + bad + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TEXT_PIECES, max_size=8).map("".join))
+def test_parse_matches_reference_on_any_text(text):
+    _assert_parse_matches_reference(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(term_texts())
+def test_parse_matches_reference_on_term_text(text):
+    _assert_parse_matches_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "x1^2*y1^3 + 2*x2*T - y1", "x1 ^ 2 * y1", "x1*y1 ^2", "x1^2 ^3", "x1^2^3", "x1*^2",
+    "x1[2]", "C1[2]", "C [ 1 ] ^ 2 * EX[1]", "2*C[1]^2*U[1] - EY[1]", "C[1]^x", "C[1] C[2]",
+    "x" + "7" * 4301, "x1^" + "7" * 4301, "7" * 4301 + "*x1", "C[" + "7" * 4301 + "]",
+    "x1^2*y1 @ " + "7" * 4301, "x1 @ y1 \u00e9", "x5^2*y1", "T^2*x1 + x1^x", "x01^02",
+])
+def test_parse_matches_reference_pinned(text):
+    _assert_parse_matches_reference(text)
 
 
 class TestMemo:
