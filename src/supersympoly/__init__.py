@@ -65,10 +65,11 @@ from .decompose import (
 )
 from .oracle import (
     as_dimension,
+    brace_identity_check,
     cr_generating_check,
     generated_dimension,
-    bracket_identity_check,
     psi_w_check,
+    round_identity_check,
 )
 
 __version__ = "0.1.0"

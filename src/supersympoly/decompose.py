@@ -44,7 +44,7 @@ from operator import itemgetter
 
 from .errors import InternalInvariantViolation, NotSupersymmetricError
 from .genexpr import GenExpr, _gen_monomial_count, expand, gen_span
-from .generators import elementary, generator_poly, kseq, v_k
+from .generators import core_exponents, elementary, generator_poly, kseq, v_k
 from .poly_core import (
     Block,
     Poly,
@@ -68,35 +68,24 @@ def _core_degrees(f: Poly) -> tuple[int, int]:
     return a, b
 
 
-def _core_exponents(ring: Ring, a: int, b: int) -> tuple:
-    return (a,) * ring.m + (b,) * ring.n
-
-
 def core_to_generators(a: int, b: int, p: int, m: int, n: int) -> GenExpr:
     """Write the core (x_1..x_m)^a (y_1..y_n)^b over EX[m], EY[n], U.
 
-    Requires a + b divisible by p.  With a = alpha*p + k0: for k0 = 0
-    the core is EX[m]^alpha * EY[n]^(b/p); otherwise one U[k0] absorbs
-    the off-multiple parts and the remaining y core is a p-th power.
+    Requires a + b divisible by p.  With a = alpha*p + k0 the core is the
+    one term EX[m]^alpha * U[k0] * EY[n]^beta: for k0 = 0 there is no U
+    and beta = b/p; otherwise U[k0] absorbs the off-multiple parts and
+    the remaining y core (y_1..y_n)^(b - (p - k0)) is a p-th power.
     """
     if a < 0 or b < 0:
         raise ValueError("core exponents must be nonnegative")
     if (a + b) % p:
         raise ValueError(f"core degree a+b = {a + b} is not divisible by p = {p}")
     alpha, k0 = divmod(a, p)
-    out = GenExpr.const(m, n, p, 1)
-    if alpha:
-        out = out * GenExpr.symbol(m, n, p, "EX", m, alpha)
-    if k0 == 0:
-        beta = b // p
-    else:
-        if n < 1:
-            raise ValueError("a core with k0 > 0 needs a y block")
-        out = out * GenExpr.symbol(m, n, p, "U", k0)
-        beta = (b - (p - k0)) // p
-    if beta:
-        out = out * GenExpr.symbol(m, n, p, "EY", n, beta)
-    return out
+    if k0 and n < 1:
+        raise ValueError("a core with k0 > 0 needs a y block")
+    beta = (b - (p - k0) % p) // p
+    factors = ((("EX", m), alpha), (("U", k0), 1 if k0 else 0), (("EY", n), beta))
+    return GenExpr(m, n, p, {tuple(f for f in factors if f[1]): 1})
 
 
 # -- v_k certificates ---------------------------------------------------------
@@ -248,7 +237,7 @@ def _decompose_homogeneous(f: Poly, parent: tuple | None, span_limit: int) -> Ge
     if peel_total > 0:
         a_peel = min(a, peel_total)
         b_peel = peel_total - a_peel
-        cofactor = exact_monomial_div(residue, _core_exponents(ring, a_peel, b_peel))
+        cofactor = exact_monomial_div(residue, core_exponents(ring, a_peel, b_peel))
         if not is_supersymmetric(cofactor).overall:
             raise InternalInvariantViolation(
                 "core cofactor left the supersymmetric algebra"

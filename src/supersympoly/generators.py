@@ -91,19 +91,15 @@ def _validate_kseq(ks: KSeq):
         raise InternalInvariantViolation(f"exponent relations failed for {ks}")
 
 
-def enumerate_deltas(s: int, max_weight: int | None = None) -> list[tuple]:
-    """All delta sequences for the given s, with weight at most max_weight.
-
-    A delta sequence is a nondecreasing tuple with entries in [1, s-1]
-    and length at most s-1; the empty tuple is always included.  With
-    max_weight None the full finite set is returned.  The list is
-    ordered by (weight, length, entries).
+def enumerate_deltas(s: int) -> list[tuple]:
+    """All delta sequences for the given s: the nondecreasing tuples
+    with entries in [1, s-1] and length at most s-1, the empty tuple
+    included, ordered by (weight, length, entries).
     """
     if s < 1:
         raise ValueError("s must be at least 1")
     found = [delta for length in range(s)
-             for delta in itertools.combinations_with_replacement(range(1, s), length)
-             if max_weight is None or not delta or sum(delta) <= max_weight]
+             for delta in itertools.combinations_with_replacement(range(1, s), length)]
     return sorted(found, key=lambda d: (sum(d), len(d), d))
 
 
@@ -225,6 +221,12 @@ def sigma_y_p(j: int, ring: Ring) -> Poly:
     return elementary(j, Block.Y, ring) ** ring.p
 
 
+def core_exponents(ring: Ring, a: int, b: int) -> tuple:
+    """Exponent tuple of the core (x_1...x_m)^a (y_1...y_n)^b in ``ring``,
+    T slot 0: the monomial of ``u_k`` and the divisor of a peel."""
+    return (a,) * ring.m + (b,) * ring.n + (0,) * ring.has_t
+
+
 def u_k(k: int, ring: Ring) -> Poly:
     """(x_1...x_m)^k (y_1...y_n)^(p-k) for 0 < k < p; needs n >= 1."""
     p = ring.p
@@ -232,10 +234,7 @@ def u_k(k: int, ring: Ring) -> Poly:
         raise ValueError(f"k must satisfy 0 < k < p, got {k}")
     if ring.n < 1:
         raise ValueError("u_k needs at least one y variable")
-    exps = [k] * ring.m + [p - k] * ring.n
-    if ring.has_t:
-        exps.append(0)
-    return monomial(ring, exps)
+    return monomial(ring, core_exponents(ring, k, p - k))
 
 
 # -- bracket families --------------------------------------------------------
@@ -337,16 +336,14 @@ def make_v(p: int, k: int, m: int, n: int) -> Poly:
     return v_k(kseq(p, k), Ring(m, n, False, p))
 
 
+_FAMILIES = {"C": c_r, "EX": sigma_x_p, "EY": sigma_y_p, "U": u_k}
+
+
 def _build_generator(kind: str, index: int, ring: Ring) -> Poly:
-    if kind == "C":
-        return c_r(index, ring)
-    if kind == "EX":
-        return sigma_x_p(index, ring)
-    if kind == "EY":
-        return sigma_y_p(index, ring)
-    if kind == "U":
-        return u_k(index, ring)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    family = _FAMILIES.get(kind)
+    if family is None:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return family(index, ring)
 
 
 _GENERATORS = _Memo(_build_generator, maxsize=1024)

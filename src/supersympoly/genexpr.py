@@ -134,8 +134,8 @@ class GenExpr(_Terms):
         return cls(m, n, p, {(): c})
 
     @classmethod
-    def symbol(cls, m: int, n: int, p: int, kind: str, index: int, exp: int = 1) -> "GenExpr":
-        return cls(m, n, p, {(((kind, index), exp),): 1})
+    def symbol(cls, m: int, n: int, p: int, kind: str, index: int) -> "GenExpr":
+        return cls(m, n, p, {(((kind, index), 1),): 1})
 
     def weighted_degree(self):
         if not self.terms:

@@ -32,6 +32,7 @@ the generic placement.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 from .generators import (
     KSeq,
@@ -146,56 +147,53 @@ def _drop_one(delta: tuple, i: int) -> tuple:
     return delta[:at] + delta[at + 1:]
 
 
-def bracket_identity_check(
-    delta: tuple,
-    l: int | None,
-    j: int,
-    m: int,
-    n: int,
-    ks: KSeq,
-    variant: str = "brace",
-) -> bool:
-    """Check one bracket substitution identity up to the kernel of d/dT.
+def _image_levels(m: int, n: int, p: int):
+    """The ring of level (m, n), the ring of its x_m = y_n = T image at
+    level (m-1, n-1), and e -> T^e in the image ring."""
+    ring_t = Ring(m - 1, n - 1, True, p)
+    return Ring(m, n, False, p), ring_t, partial(_t_monomial, ring_t)
 
-    For the brace family the image of {delta, l, j} at level (m, n)
-    under x_m = y_n = T matches
+
+def brace_identity_check(delta: tuple, l: int, j: int, m: int, n: int, ks: KSeq) -> bool:
+    """Check the brace substitution identity up to the kernel of d/dT:
+    the image of {delta, l, j} at level (m, n) under x_m = y_n = T matches
     T^k {delta, l, j-1} + T^((l+1)(p-k)) [delta, j] + T^(l(p-k)) [delta, j-1]
     + sum over the values i of delta
       (T^(kvals[i]) {delta-i, l, j-1} + T^(kvals[i-1]) {delta-i, l, j}),
-    all at level (m-1, n-1).  The round variant (l is ignored) matches
+    all at level (m-1, n-1).
+    """
+    p, k = ks.p, ks.k
+    ring, ring_t, tp = _image_levels(m, n, p)
+    lhs = psi(bracket_brace(delta, l, j, ks, ring))
+    rhs = tp(k) * bracket_brace(delta, l, j - 1, ks, ring_t)
+    rhs = rhs + tp((l + 1) * (p - k)) * bracket_square(delta, j, ks, ring_t)
+    rhs = rhs + tp(l * (p - k)) * bracket_square(delta, j - 1, ks, ring_t)
+    for i in sorted(set(delta)):
+        smaller = _drop_one(delta, i)
+        rhs = rhs + tp(ks.kvals[i]) * bracket_brace(smaller, l, j - 1, ks, ring_t)
+        rhs = rhs + tp(ks.kvals[i - 1]) * bracket_brace(smaller, l, j, ks, ring_t)
+    return d_dT(lhs - rhs).is_zero
+
+
+def round_identity_check(delta: tuple, j: int, m: int, n: int, ks: KSeq) -> bool:
+    """Check the round substitution identity up to the kernel of d/dT:
+    the image of (delta, j) at level (m, n) under x_m = y_n = T matches
     T^k (delta, j-1) + T^(s(p-k)) [delta, j]
-    + sum (T^(kvals[i]) (delta-i, j-1) + T^(kvals[i-1]) (delta-i, j)
-      + T^((s-i)(p-k)) [delta-i, j]).
+    + sum over the values i of delta
+      (T^(kvals[i]) (delta-i, j-1) + T^(kvals[i-1]) (delta-i, j)
+       + T^((s-i)(p-k)) [delta-i, j]),
+    all at level (m-1, n-1).
     """
     p, k, s = ks.p, ks.k, ks.s
-    ring = Ring(m, n, False, p)
-    ring_t = Ring(m - 1, n - 1, True, p)
-
-    def tp(e: int) -> Poly:
-        return _t_monomial(ring_t, e)
-
-    if variant == "brace":
-        if l is None:
-            raise ValueError("the brace identity needs l")
-        lhs = psi(bracket_brace(delta, l, j, ks, ring))
-        rhs = tp(k) * bracket_brace(delta, l, j - 1, ks, ring_t)
-        rhs = rhs + tp((l + 1) * (p - k)) * bracket_square(delta, j, ks, ring_t)
-        rhs = rhs + tp(l * (p - k)) * bracket_square(delta, j - 1, ks, ring_t)
-        for i in sorted(set(delta)):
-            smaller = _drop_one(delta, i)
-            rhs = rhs + tp(ks.kvals[i]) * bracket_brace(smaller, l, j - 1, ks, ring_t)
-            rhs = rhs + tp(ks.kvals[i - 1]) * bracket_brace(smaller, l, j, ks, ring_t)
-    elif variant == "round":
-        lhs = psi(bracket_round(delta, j, ks, ring))
-        rhs = tp(k) * bracket_round(delta, j - 1, ks, ring_t)
-        rhs = rhs + tp(s * (p - k)) * bracket_square(delta, j, ks, ring_t)
-        for i in sorted(set(delta)):
-            smaller = _drop_one(delta, i)
-            rhs = rhs + tp(ks.kvals[i]) * bracket_round(smaller, j - 1, ks, ring_t)
-            rhs = rhs + tp(ks.kvals[i - 1]) * bracket_round(smaller, j, ks, ring_t)
-            rhs = rhs + tp((s - i) * (p - k)) * bracket_square(smaller, j, ks, ring_t)
-    else:
-        raise ValueError(f"unknown identity variant {variant!r}")
+    ring, ring_t, tp = _image_levels(m, n, p)
+    lhs = psi(bracket_round(delta, j, ks, ring))
+    rhs = tp(k) * bracket_round(delta, j - 1, ks, ring_t)
+    rhs = rhs + tp(s * (p - k)) * bracket_square(delta, j, ks, ring_t)
+    for i in sorted(set(delta)):
+        smaller = _drop_one(delta, i)
+        rhs = rhs + tp(ks.kvals[i]) * bracket_round(smaller, j - 1, ks, ring_t)
+        rhs = rhs + tp(ks.kvals[i - 1]) * bracket_round(smaller, j, ks, ring_t)
+        rhs = rhs + tp((s - i) * (p - k)) * bracket_square(smaller, j, ks, ring_t)
     return d_dT(lhs - rhs).is_zero
 
 
@@ -203,13 +201,8 @@ def psi_w_check(m: int, n: int, ks: KSeq) -> bool:
     """Check that the image of w under x_m = y_n = T collapses, modulo
     the kernel of d/dT, to (-1)^(s+1) s T^(p-k) [empty, 0] one level down."""
     p, k, s = ks.p, ks.k, ks.s
-    ring = Ring(m, n, False, p)
-    ring_t = Ring(m - 1, n - 1, True, p)
+    ring, ring_t, tp = _image_levels(m, n, p)
     lhs = psi(w_poly(ks, ring))
     sign = 1 if (s + 1) % 2 == 0 else -1
-    rhs = (
-        (sign * s)
-        * _t_monomial(ring_t, p - k)
-        * bracket_square((), 0, ks, ring_t)
-    )
+    rhs = (sign * s) * tp(p - k) * bracket_square((), 0, ks, ring_t)
     return d_dT(lhs - rhs).is_zero

@@ -576,8 +576,8 @@ def one(ring: Ring) -> Poly:
     return Poly(ring, {(0,) * ring.nvars: 1})
 
 
-def monomial(ring: Ring, exps: Iterable[int], coeff: int = 1) -> Poly:
-    return Poly(ring, {tuple(exps): coeff})
+def monomial(ring: Ring, exps: Iterable[int]) -> Poly:
+    return Poly(ring, {tuple(exps): 1})
 
 
 def x_var(ring: Ring, i: int) -> Poly:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from .decompose import _decompose, decompose, trace_decomposition, verify_decomposition
 from .generators import enumerate_deltas, kseq, make_v, sigma_x_p, sigma_y_p, u_k
 from .genexpr import GenExpr, expand, level_symbols
-from .oracle import as_dimension, cr_generating_check, generated_dimension, bracket_identity_check, psi_w_check
+from .oracle import (as_dimension, brace_identity_check, cr_generating_check,
+                     generated_dimension, psi_w_check, round_identity_check)
 from .poly_core import Ring, set_xm_zero
 from .supersym import is_p_balanced, is_strictly_supersymmetric, is_supersymmetric
 
@@ -99,10 +100,10 @@ def check_bracket_identities() -> tuple[bool, str]:
                             for j in range(0, n + 1):
                                 for l in range(0, ks.s + 1):
                                     yield (("brace", p, k, m, n, delta, l, j),
-                                           bracket_identity_check(delta, l, j, m, n, ks, "brace"))
+                                           brace_identity_check(delta, l, j, m, n, ks))
                             for j in range(0, n):
                                 yield (("round", p, k, m, n, delta, j),
-                                       bracket_identity_check(delta, None, j, m, n, ks, "round"))
+                                       round_identity_check(delta, j, m, n, ks))
     return _tally("identities", outcomes())
 
 

@@ -70,12 +70,6 @@ class TestDeltas:
     def test_single_sequence_for_s_one(self):
         assert enumerate_deltas(1) == [EMPTY]
 
-    def test_s_two_bounded_weight(self):
-        assert enumerate_deltas(2, 1) == [(), (1,)]
-
-    def test_s_three_bounded_weight(self):
-        assert enumerate_deltas(3, 2) == [(), (1,), (2,), (1, 1)]
-
     def test_full_sets_are_every_nondecreasing_tuple_in_order(self):
         # nondecreasing tuples of length <= s-1 over s-1 values number
         # C(2s-2, s-1); each is listed once, ordered by (weight, length, entries)

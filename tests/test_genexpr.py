@@ -93,7 +93,7 @@ class TestGenExpr:
         e = GenExpr.symbol(1, 1, 3, "C", 1)
         assert expand(e, R11) == parse_poly("x1 - y1", R11)
         assert expand(GenExpr.const(1, 1, 3, 1), R11) == parse_poly("1", R11)
-        e = GenExpr.symbol(1, 1, 3, "EX", 1, 2)
+        e = GenExpr.symbol(1, 1, 3, "EX", 1) ** 2
         assert expand(e, R11) == parse_poly("x1^6", R11)
 
     def test_expand_level_mismatch(self):
@@ -103,7 +103,7 @@ class TestGenExpr:
 
     def test_repeated_symbol_in_a_key_is_merged(self):
         e = GenExpr(1, 1, 3, {((("C", 1), 1), (("C", 1), 1)): 1})
-        assert e == GenExpr.symbol(1, 1, 3, "C", 1, 2)
+        assert e == GenExpr.symbol(1, 1, 3, "C", 1) ** 2
         assert serialize_gen_expr(e) == "C[1]^2"
         assert parse_gen_expr(serialize_gen_expr(e), 1, 1, 3) == e
         # spellings of one term that differ only in order or repetition

@@ -7,7 +7,8 @@ from supersympoly import (
     cr_generating_check,
     generated_dimension,
     kseq,
-    bracket_identity_check,
+    brace_identity_check,
+    round_identity_check,
 )
 from supersympoly import genexpr
 from supersympoly.oracle import partitions_max_parts, symmetric_basis
@@ -138,16 +139,12 @@ class TestGeneratingFunctionCheck:
 
 class TestBracketIdentities:
     def test_brace_example(self):
-        assert bracket_identity_check((), 1, 0, 2, 1, kseq(3, 1), "brace")
+        assert brace_identity_check((), 1, 0, 2, 1, kseq(3, 1))
 
     def test_round_example(self):
-        assert bracket_identity_check((), None, 0, 1, 1, kseq(3, 1), "round")
+        assert round_identity_check((), 0, 1, 1, kseq(3, 1))
 
     def test_collision_cases(self):
         ks = kseq(3, 2)
-        assert bracket_identity_check((1,), 1, 0, 2, 2, ks, "brace")
-        assert bracket_identity_check((), None, 1, 2, 2, ks, "round")
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            bracket_identity_check((), 1, 0, 2, 1, kseq(3, 1), "square")
+        assert brace_identity_check((1,), 1, 0, 2, 2, ks)
+        assert round_identity_check((), 1, 2, 2, ks)
