@@ -83,7 +83,7 @@ def core_to_generators(a: int, b: int, p: int, m: int, n: int) -> GenExpr:
     alpha, k0 = divmod(a, p)
     if k0 and n < 1:
         raise ValueError("a core with k0 > 0 needs a y block")
-    beta = (b - (p - k0) % p) // p
+    beta = (b - (p - k0 if k0 else 0)) // p
     factors = ((("EX", m), alpha), (("U", k0), 1 if k0 else 0), (("EY", n), beta))
     return GenExpr(m, n, p, {tuple(f for f in factors if f[1]): 1})
 

@@ -111,11 +111,15 @@ class GenExpr(_Terms):
         for key, c in terms.items():
             merged: dict = {}
             for (kind, idx), e in key:
+                if not (isinstance(idx, int) and isinstance(e, int)):
+                    raise ValueError(f"symbol {kind}[{idx!r}]^{e!r} needs an int index and power")
                 symbol_weight(kind, idx, ring)  # the symbol must exist
                 if e < 0:
                     raise ValueError("symbol exponents must be nonnegative")
                 if e:
                     merged[kind, idx] = merged.get((kind, idx), 0) + e
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} is not an int")
             c %= p
             if not c:
                 continue

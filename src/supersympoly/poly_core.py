@@ -52,6 +52,8 @@ class Ring:
     p: int
 
     def __post_init__(self):
+        if not (isinstance(self.m, int) and isinstance(self.n, int) and isinstance(self.p, int)):
+            raise ValueError(f"variable counts and characteristic must be ints, got {self}")
         if self.m < 0 or self.n < 0:
             raise ValueError("variable counts must be nonnegative")
         if not is_odd_prime(self.p):
@@ -189,6 +191,9 @@ class Poly(_Terms):
         nvars = ring.nvars
         p = ring.p
         for exps, c in terms.items():
+            # one test per term: the sum is an int only if every value is
+            if not isinstance(sum(exps, c), int):
+                raise ValueError(f"term {exps}, coefficient {c!r}: a value is not an int")
             c %= p
             if c:
                 if len(exps) != nvars:
@@ -647,6 +652,8 @@ def exact_monomial_div(f: Poly, divisor: Iterable[int]) -> Poly:
     d = tuple(divisor)
     if len(d) != f.ring.nvars:
         raise ValueError("divisor exponent tuple has the wrong length")
+    if not isinstance(sum(d), int):
+        raise ValueError(f"divisor exponent tuple {d} has an exponent that is not an int")
     if d and min(d) < 0:
         raise ValueError(f"divisor exponent tuple {d} has a negative exponent")
     sub = operator.sub

@@ -111,6 +111,17 @@ class TestDecompose:
         assert code == 1
         assert "rejected" in err
 
+    def test_failed_verification_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr("supersympoly.cli.verify_decomposition", lambda f, e: False)
+        code, out, err = run(
+            capsys,
+            "decompose", "--m", "1", "--n", "1", "--p", "3",
+            "--poly", "y1^2 - x1*y1", "--verify",
+        )
+        assert code == 3
+        assert out.strip() == "C[2]"
+        assert err == "internal invariant violation: certificate failed to re-expand to the input\n"
+
 
 class TestVk:
     def test_golden_level_one(self, capsys):

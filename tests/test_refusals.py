@@ -1,0 +1,81 @@
+"""Input refusals at the points where input enters: each call raises
+ValueError with its own message, before any work runs."""
+
+import pytest
+
+from supersympoly import (
+    Block,
+    GenExpr,
+    Poly,
+    Ring,
+    bracket_brace,
+    c_r,
+    core_to_generators,
+    decompose,
+    elementary,
+    enumerate_deltas,
+    exact_monomial_div,
+    is_p_balanced,
+    is_supersymmetric,
+    kseq,
+    parse_poly,
+    placed_sym,
+    psi,
+    set_xm_zero,
+    sigma_y_p,
+    x_var,
+    zero,
+)
+from supersympoly.generators import generator_poly
+
+R11 = Ring(1, 1, False, 3)
+R11T = Ring(1, 1, True, 3)
+
+NOT_AN_INT = {
+    "ring characteristic": lambda: Ring(1, 1, False, 3.0),
+    "ring size": lambda: Ring(1.0, 1, False, 3),
+    "poly coefficient": lambda: Poly(R11, {(1, 0): 1.5}),
+    "poly exponent": lambda: Poly(R11, {(2.0, 0): 1}),
+    "poly coefficient that is 0 mod p": lambda: Poly(R11, {(1, 0): 3.0}),
+    "decompose input": lambda: decompose(Poly(R11, {(3, 0): 1.0})),
+    "gen expr exponent": lambda: GenExpr(1, 1, 3, {((("C", 1), 1.5),): 1}),
+    "gen expr index": lambda: GenExpr(1, 1, 3, {((("C", 1.0), 1),): 1}),
+    "gen expr coefficient": lambda: GenExpr(1, 1, 3, {((("C", 1), 1),): 1.0}),
+    "divisor exponent": lambda: exact_monomial_div(parse_poly("x1*y1", R11), (1.0, 0)),
+}
+
+
+@pytest.mark.parametrize("call", NOT_AN_INT.values(), ids=NOT_AN_INT)
+def test_a_value_that_is_not_an_int_is_refused(call):
+    with pytest.raises(ValueError, match="not an int|needs an int|must be ints"):
+        call()
+
+
+REFUSALS = {
+    "decompose with T": (lambda: decompose(zero(R11T)), "decompose applies to polynomials without T"),
+    "negative core": (lambda: core_to_generators(-1, 1, 3, 1, 1), "core exponents must be nonnegative"),
+    "U core without y": (lambda: core_to_generators(1, 2, 3, 1, 0), "a core with k0 > 0 needs a y block"),
+    "enumerate_deltas(0)": (lambda: enumerate_deltas(0), "s must be at least 1"),
+    "negative slot value": (lambda: placed_sym([(-1, 1)], [], R11), "slot values must be nonnegative"),
+    "elementary(-1)": (lambda: elementary(-1, Block.X, R11), "index must be nonnegative"),
+    "c_r(-1)": (lambda: c_r(-1, R11), "index must be nonnegative"),
+    "sigma_y_p out of range": (lambda: sigma_y_p(2, R11), r"index 2 out of range for n=1"),
+    "brace with l < 0": (lambda: bracket_brace((), -1, 0, kseq(3, 1), R11), "l must be nonnegative"),
+    "unknown generator kind": (lambda: generator_poly("Z", 1, R11), "unknown generator kind 'Z'"),
+    "negative symbol exponent": (lambda: GenExpr(1, 1, 3, {((("C", 1), -1),): 1}),
+                                 "symbol exponents must be nonnegative"),
+    "exponent tuple length": (lambda: Poly(R11, {(1, 0, 0): 1}), "does not fit ring with 2 variables"),
+    "x_var out of range": (lambda: x_var(R11, 2), "x2 is not a variable of"),
+    "psi with T": (lambda: psi(zero(R11T)), "psi expects a polynomial without T"),
+    "set_xm_zero at m = 0": (lambda: set_xm_zero(zero(Ring(0, 1, False, 3))), r"set_xm_zero needs m >= 1"),
+    "divisor length": (lambda: exact_monomial_div(zero(R11), (1,)),
+                       "divisor exponent tuple has the wrong length"),
+    "membership with T": (lambda: is_supersymmetric(zero(R11T)), "membership applies to polynomials without T"),
+    "balance with T": (lambda: is_p_balanced(zero(R11T)), "balance applies to polynomials without T"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusal(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
