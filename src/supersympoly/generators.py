@@ -11,6 +11,9 @@ Four polynomial families generate the algebra:
 
 ``elementary`` and ``complete`` build the one-block functions behind
 them; ``elementary`` also serves ``decompose._base_one_block``.
+``core_exponents`` states what a core is, for ``u_k`` and for the peel
+in ``decompose``; ``generator_poly`` reads the four families from one
+table.
 
 On top of these sits the combinatorial apparatus that lifts the core
 u_k(m-1|n) to a supersymmetric polynomial v_k at level (m, n): exponent

@@ -135,6 +135,8 @@ class TestFamilies:
         assert u_k(2, Ring(2, 1, False, 3)) == parse_poly(
             "x1^2*x2^2*y1", Ring(2, 1, False, 3)
         )
+        # core_exponents gives the T slot of a ring with T the exponent 0
+        assert u_k(2, Ring(2, 1, True, 3)) == parse_poly("x1^2*x2^2*y1", Ring(2, 1, True, 3))
 
     def test_u_k_range(self):
         with pytest.raises(ValueError):
