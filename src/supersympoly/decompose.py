@@ -49,6 +49,7 @@ from .poly_core import (
     Block,
     Poly,
     Ring,
+    _clean,
     _expand_sum,
     _Memo,
     _term_key,
@@ -171,7 +172,7 @@ def _decompose(f: Poly, span_limit: int) -> GenExpr:
             f"symmetric_y={verdict.symmetric_y}, "
             f"derivative_vanishes={verdict.derivative_vanishes}"
         )
-    total = GenExpr.zero(ring.m, ring.n, ring.p)
+    total = _clean(ring, {}, GenExpr)
     for _, comp in homogeneous_components(f):
         total = total + _decompose_homogeneous(comp, None, span_limit)
     return total
@@ -206,7 +207,7 @@ def _decompose_homogeneous(f: Poly, parent: tuple | None, span_limit: int) -> Ge
     _trace_event("calls", key)
 
     if degree == 0:
-        return GenExpr.const(m, n, p, next(iter(f.terms.values())))
+        return _clean(ring, {(): next(iter(f.terms.values()))}, GenExpr)
     if _gen_monomial_count(m, n, p, degree) <= span_limit:
         _trace_event("span_first", (m, n, p, degree))
         return _span_solve(f, degree)
@@ -215,7 +216,7 @@ def _decompose_homogeneous(f: Poly, parent: tuple | None, span_limit: int) -> Ge
 
     f0 = set_xm_zero(f)
     if f0.is_zero:
-        lifted_expr = GenExpr.zero(m, n, p)
+        lifted_expr = _clean(ring, {}, GenExpr)
         residue = f
     else:
         h = _decompose_homogeneous(f0, key, span_limit)
@@ -264,17 +265,17 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
     weight of U[k] at level (m-1, n).
     """
     m, n, p = ring.m, ring.n, ring.p
-    expr_total = GenExpr.zero(m, n, p)
+    expr_total = _clean(ring, {}, GenExpr)
     for hkey, c in h.terms.items():
         plain = []
-        expr_part = GenExpr.const(m, n, p, c)
+        expr_part = _clean(ring, {(): c}, GenExpr)
         for (kind, idx), e in hkey:
             if kind == "U":
                 expr_part = expr_part * vk_gen_expr(m, n, p, idx) ** e
             else:
                 plain.append(((kind, idx), e))
         if plain:
-            expr_part = expr_part * GenExpr(m, n, p, {tuple(plain): 1})
+            expr_part = expr_part * _clean(ring, {tuple(plain): 1}, GenExpr)
         expr_total = expr_total + expr_part
 
     def symbol_poly(kind: str, idx: int) -> Poly:
@@ -298,10 +299,10 @@ def _base_one_block(f: Poly) -> GenExpr:
     e_r(y) = -sum_{i=1..r} C[i] e_{r-i}(y).
     """
     ring = f.ring
-    m, n, p = ring.m, ring.n, ring.p
+    n, p = ring.n, ring.p
     block = Block.X if n == 0 else Block.Y
     e_poly, elem = [None], [None]  # e_r of the block as a Poly and over C, r >= 1
-    total = GenExpr.zero(m, n, p)
+    total = _clean(ring, {}, GenExpr)
     work = f
     while not work.is_zero:
         exps, c = work.leading()
@@ -314,11 +315,11 @@ def _base_one_block(f: Poly) -> GenExpr:
         for r in range(len(elem), top + 1):
             e_poly.append(elementary(r, block, ring))
             if block is Block.X:
-                elem.append(GenExpr.symbol(m, n, p, "C", r))
+                elem.append(_clean(ring, {((("C", r), 1),): 1}, GenExpr))
                 continue
-            acc = GenExpr(m, n, p, {((("C", r), 1),): -1})  # the term i = r, as e_0 = 1
+            acc = _clean(ring, {((("C", r), 1),): p - 1}, GenExpr)  # the term i = r, as e_0 = 1
             for i in range(1, r):
-                acc = acc - GenExpr.symbol(m, n, p, "C", i) * elem[r - i]
+                acc = acc - _clean(ring, {((("C", i), 1),): 1}, GenExpr) * elem[r - i]
             elem.append(acc)
         sub, term = c, c  # ints until the first factor scales them
         for r in range(1, top + 1):

@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation
-from .poly_core import Block, Poly, Ring, _clean, _Memo, block_span, fp_inv, monomial, zero
+from .poly_core import Block, Poly, Ring, _clean, _Memo, block_span, fp_inv, zero
 
 
 # -- exponent bookkeeping -------------------------------------------------
@@ -116,6 +116,8 @@ def _placements(families, size: int) -> dict[tuple, int]:
     different families are not, even when their values coincide.
     """
     fams = [(v, c) for v, c in families if c > 0]
+    if not isinstance(sum(v for v, _ in fams), int):  # an int only if every value is
+        raise ValueError(f"slot values must be ints, got {fams}")
     if any(v < 0 for v, _ in fams):
         raise ValueError("slot values must be nonnegative")
     out: dict[tuple, int] = {}
@@ -180,7 +182,7 @@ def _block_sum(choose, degree: int, block: Block, ring: Ring) -> Poly:
         for v in combo:
             exps[off + v] += 1
         terms[tuple(exps)] = 1
-    return Poly(ring, terms)
+    return _clean(ring, terms)
 
 
 def elementary(i: int, block: Block, ring: Ring) -> Poly:
@@ -233,11 +235,11 @@ def core_exponents(ring: Ring, a: int, b: int) -> tuple:
 def u_k(k: int, ring: Ring) -> Poly:
     """(x_1...x_m)^k (y_1...y_n)^(p-k) for 0 < k < p; needs n >= 1."""
     p = ring.p
-    if not 0 < k < p:
-        raise ValueError(f"k must satisfy 0 < k < p, got {k}")
+    if not (isinstance(k, int) and 0 < k < p):
+        raise ValueError(f"u_k needs an int k with 0 < k < p, got {k!r}")
     if ring.n < 1:
         raise ValueError("u_k needs at least one y variable")
-    return monomial(ring, core_exponents(ring, k, p - k))
+    return _clean(ring, {core_exponents(ring, k, p - k): 1})
 
 
 # -- bracket families --------------------------------------------------------

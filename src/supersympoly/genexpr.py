@@ -55,6 +55,8 @@ def symbol_weight(kind: str, index: int, ring: Ring) -> int:
     ``ring``: C[r] for r >= 1, EX[i] for i <= m, EY[j] for j <= n and
     U[k] for 0 < k < p when n >= 1.  Raises ValueError otherwise."""
     m, n, p = ring.m, ring.n, ring.p
+    if not isinstance(index, int):
+        raise ValueError(f"symbol {kind}[{index!r}] needs an int index")
     if kind == "C":
         if index >= 1:
             return index

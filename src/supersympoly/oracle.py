@@ -48,6 +48,7 @@ from .poly_core import (
     FpEchelon,
     Poly,
     Ring,
+    _clean,
     d_dT,
     monomial,
     one,
@@ -135,7 +136,7 @@ def _t_monomial(ring: Ring, e: int, slot: int | None = None) -> Poly:
 
 
 def _truncate_t(f: Poly, R: int) -> Poly:
-    return Poly(f.ring, {e: c for e, c in f.terms.items() if e[-1] <= R})
+    return _clean(f.ring, {e: c for e, c in f.terms.items() if e[-1] <= R})
 
 
 # -- bracket substitution identities -------------------------------------------

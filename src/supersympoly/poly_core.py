@@ -80,7 +80,9 @@ def block_span(ring: Ring, block: Block) -> tuple[int, int]:
     """(offset, size) of the block's slots inside the flat exponent tuple."""
     if block is Block.X:
         return 0, ring.m
-    return ring.m, ring.n
+    if block is Block.Y:
+        return ring.m, ring.n
+    raise ValueError(f"block must be Block.X or Block.Y, got {block!r}")
 
 
 def _term_key(exps: tuple) -> tuple:
@@ -226,7 +228,8 @@ class Poly(_Terms):
     # -- arithmetic ----------------------------------------------------
 
     def _constant(self, c: int) -> "Poly":
-        return Poly(self.ring, {(0,) * self.ring.nvars: c})
+        c %= self.ring.p
+        return _clean(self.ring, {(0,) * self.ring.nvars: c} if c else {})
 
     def _product(self, other: "Poly") -> "Poly":
         ring = self.ring
@@ -253,9 +256,9 @@ class Poly(_Terms):
 
 
 def _clean(ring: Ring, terms: dict, cls: type = Poly) -> _Terms:
-    """The trusted constructor of Poly and of the other ``_Terms``
-    types: ``terms`` already has keys of the ring's kind and residues
-    in [1, p)."""
+    """The trusted constructor of Poly and the other ``_Terms`` types, for
+    every value the package builds itself: ``terms`` already has keys of
+    the ring's kind and residues in [1, p).  Outside values enter by Poly(...)."""
     f = object.__new__(cls)
     _set_ring(f, ring)
     _set_terms(f, terms)
@@ -574,11 +577,11 @@ class FpEchelon:
 
 
 def zero(ring: Ring) -> Poly:
-    return Poly(ring, {})
+    return _clean(ring, {})
 
 
 def one(ring: Ring) -> Poly:
-    return Poly(ring, {(0,) * ring.nvars: 1})
+    return _clean(ring, {(0,) * ring.nvars: 1})
 
 
 def monomial(ring: Ring, exps: Iterable[int]) -> Poly:
@@ -610,7 +613,7 @@ def psi(f: Poly) -> Poly:
     for exps, c in f.terms.items():
         ne = exps[: m - 1] + exps[m : m + n - 1] + (exps[m - 1] + exps[m + n - 1],)
         out[ne] = (out.get(ne, 0) + c) % p
-    return Poly(target, out)
+    return _clean(target, {ne: c for ne, c in out.items() if c})
 
 
 def d_dT(g: Poly) -> Poly:

@@ -477,3 +477,60 @@ def reference_exact_monomial_div(f, divisor):
             raise DivisibilityError(f"term with exponents {exps} is not divisible by {d}")
         out[tuple(a - b for a, b in zip(exps, d))] = c
     return Poly(f.ring, out)
+
+
+# -- the x <-> y swap -----------------------------------------------------------
+#
+# Trading the blocks maps the algebra at level (m, n) onto the one at
+# (n, m).  These two maps are written from the definitions, with public
+# names only, so that the membership test, the dimension routines and the
+# certificates can be checked against the swap.
+
+
+def swap_poly(f):
+    """f at level (m, n) with the blocks traded: y_j becomes x_j and x_i
+    becomes y_i, at level (n, m) (T stays T)."""
+    ring = f.ring
+    m, n = ring.m, ring.n
+    swapped = Ring(n, m, ring.has_t, ring.p)
+    return Poly(swapped, {e[m:m + n] + e[:m] + e[m + n:]: c for e, c in f.terms.items()})
+
+
+def swap_certificate(e):
+    """A certificate at level (m, n), m, n >= 1, rewritten at (n, m) so
+    that it expands to the swapped polynomial.
+
+    EX[i] and EY[i] trade places, and U[k] becomes U[p - k].  The
+    generating function of the c_r is prod(1 + x t) / prod(1 + y t), so
+    the swap sends it to its inverse: C[r] becomes
+    c'_r = -sum_{i=1..r} C[i] c'_{r-i}, with c'_0 = 1.
+    """
+    m, n, p = e.ring.m, e.ring.n, e.ring.p
+    if not (m and n):
+        raise ValueError("the symbol swap needs both blocks")
+
+    def sym(kind, idx):
+        return GenExpr(n, m, p, {(((kind, idx), 1),): 1})
+
+    inverse = [GenExpr(n, m, p, {(): 1})]  # c'_r over the C symbols at (n, m)
+
+    def image(kind, idx):
+        if kind == "EX":
+            return sym("EY", idx)
+        if kind == "EY":
+            return sym("EX", idx)
+        if kind == "U":
+            return sym("U", p - idx)
+        while len(inverse) <= idx:
+            r = len(inverse)
+            inverse.append(-sum((sym("C", i) * inverse[r - i] for i in range(1, r + 1)),
+                                GenExpr(n, m, p, {})))
+        return inverse[idx]
+
+    total = GenExpr(n, m, p, {})
+    for key, c in e.terms.items():
+        term = GenExpr(n, m, p, {(): c})
+        for (kind, idx), power in key:
+            term = term * image(kind, idx) ** power
+        total = total + term
+    return total

@@ -115,3 +115,56 @@ def test_one_cache_rule():
             leaks += [f"{path.name}:{line}: {name}" for line, name in names if name in forbidden]
     assert leaks == []
     assert users == {"decompose.py", "generators.py", "genexpr.py"}
+
+
+# The validating constructors, and where the package may call them: on
+# values that enter from outside.  A ``cls(...)`` call counts as GenExpr's
+# inside its classmethods, which stay doors for callers outside the
+# package; no module calls them.
+DOORS = {
+    "Poly": {"poly_core.parse_poly", "poly_core.monomial"},
+    "GenExpr": {"genexpr.parse_gen_expr", "decompose.core_to_generators", "selfcheck.random_gen_expr"},
+    "cls": {"genexpr.GenExpr.zero", "genexpr.GenExpr.const", "genexpr.GenExpr.symbol"},
+    "GenExpr.zero": set(),
+    "GenExpr.const": set(),
+    "GenExpr.symbol": set(),
+}
+
+
+def _calls(path: Path):
+    """(scope, callee text) of every call in ``path``; the scope is the
+    module and the names of the enclosing classes and functions."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                found.append((scope, ast.unparse(child.func)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_validating_constructors_run_only_at_the_doors():
+    """Everything the package builds itself goes through the trusted
+    ``poly_core._clean``: ``Poly(...)``, ``GenExpr(...)`` and the GenExpr
+    classmethods are called only where outside values enter."""
+    calls = [call for path in sorted(PACKAGE.glob("*.py")) for call in _calls(path)]
+    # the scan sees the doors themselves
+    assert ("poly_core.parse_poly", "Poly") in calls
+    assert ("decompose.core_to_generators", "GenExpr") in calls
+    leaks = [f"{scope}: {callee}(...)" for scope, callee in calls
+             if callee in DOORS and scope not in DOORS[callee]]
+    assert leaks == []
+
+
+def test_decompose_builds_its_certificates_trusted():
+    """``decompose`` calls no validating certificate constructor but the
+    public ``core_to_generators``."""
+    doors = {"GenExpr", "GenExpr.zero", "GenExpr.const", "GenExpr.symbol", "parse_gen_expr"}
+    calls = [call for call in _calls(PACKAGE / "decompose.py") if call[1] in doors]
+    assert calls == [("decompose.core_to_generators", "GenExpr")]

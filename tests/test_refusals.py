@@ -17,16 +17,19 @@ from supersympoly import (
     exact_monomial_div,
     is_p_balanced,
     is_supersymmetric,
+    is_symmetric,
     kseq,
     parse_poly,
     placed_sym,
     psi,
     set_xm_zero,
     sigma_y_p,
+    u_k,
     x_var,
     zero,
 )
 from supersympoly.generators import generator_poly
+from supersympoly.genexpr import symbol_weight
 
 R11 = Ring(1, 1, False, 3)
 R11T = Ring(1, 1, True, 3)
@@ -42,6 +45,10 @@ NOT_AN_INT = {
     "gen expr index": lambda: GenExpr(1, 1, 3, {((("C", 1.0), 1),): 1}),
     "gen expr coefficient": lambda: GenExpr(1, 1, 3, {((("C", 1), 1),): 1.0}),
     "divisor exponent": lambda: exact_monomial_div(parse_poly("x1*y1", R11), (1.0, 0)),
+    "slot value": lambda: placed_sym([(1.5, 1)], [], R11),
+    "brace slot value l(p-k)": lambda: bracket_brace((), 0.5, 0, kseq(3, 1), Ring(2, 1, False, 3)),
+    "symbol weight index": lambda: symbol_weight("C", 1.0, R11),
+    "u_k index": lambda: u_k(1.5, R11),
 }
 
 
@@ -72,6 +79,10 @@ REFUSALS = {
                        "divisor exponent tuple has the wrong length"),
     "membership with T": (lambda: is_supersymmetric(zero(R11T)), "membership applies to polynomials without T"),
     "balance with T": (lambda: is_p_balanced(zero(R11T)), "balance applies to polynomials without T"),
+    "is_symmetric of a block name": (lambda: is_symmetric(parse_poly("x1 + 2*x2", Ring(2, 1, False, 3)), "x"),
+                                     "block must be Block.X or Block.Y, got 'x'"),
+    "elementary of a block name": (lambda: elementary(1, "x", Ring(2, 1, False, 3)),
+                                   "block must be Block.X or Block.Y, got 'x'"),
 }
 
 
