@@ -81,12 +81,20 @@ def core_to_generators(a: int, b: int, p: int, m: int, n: int) -> GenExpr:
         raise ValueError("core exponents must be nonnegative")
     if (a + b) % p:
         raise ValueError(f"core degree a+b = {a + b} is not divisible by p = {p}")
-    alpha, k0 = divmod(a, p)
-    if k0 and n < 1:
+    if a % p and n < 1:
         raise ValueError("a core with k0 > 0 needs a y block")
+    return GenExpr(m, n, p, _core_term(Ring(m, n, False, p), a, b).terms)
+
+
+def _core_term(ring: Ring, a: int, b: int) -> GenExpr:
+    """``core_to_generators`` of a core it accepts, built trusted: the
+    peel's certificate term."""
+    m, n, p = ring.m, ring.n, ring.p
+    alpha, k0 = divmod(a, p)
     beta = (b - (p - k0 if k0 else 0)) // p
-    factors = ((("EX", m), alpha), (("U", k0), 1 if k0 else 0), (("EY", n), beta))
-    return GenExpr(m, n, p, {tuple(f for f in factors if f[1]): 1})
+    # in canonical key order: EX, EY, U
+    factors = ((("EX", m), alpha), (("EY", n), beta), (("U", k0), 1 if k0 else 0))
+    return _clean(ring, {tuple(f for f in factors if f[1]): 1}, GenExpr)
 
 
 # -- v_k certificates ---------------------------------------------------------
@@ -244,7 +252,7 @@ def _decompose_homogeneous(f: Poly, parent: tuple | None, span_limit: int) -> Ge
                 "core cofactor left the supersymmetric algebra"
             )
         _trace_event("peels", (m, n, p, a_peel, b_peel))
-        core_expr = core_to_generators(a_peel, b_peel, p, m, n)
+        core_expr = _core_term(ring, a_peel, b_peel)
         return lifted_expr + core_expr * _decompose_homogeneous(cofactor, key, span_limit)
 
     # 0 < a + b < p: no admissible core; certify through the span directly.

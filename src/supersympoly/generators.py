@@ -67,6 +67,8 @@ class KSeq:
 
 def kseq(p: int, k: int) -> KSeq:
     """Build and validate the exponent data for 0 < k < p."""
+    if not (isinstance(p, int) and isinstance(k, int)):
+        raise ValueError(f"p and k must be ints, got p={p!r}, k={k!r}")
     if not 0 < k < p:
         raise ValueError(f"k must satisfy 0 < k < p, got k={k}, p={p}")
     s = -(-k // (p - k))  # ceil(k / (p - k))
@@ -99,6 +101,8 @@ def enumerate_deltas(s: int) -> list[tuple]:
     with entries in [1, s-1] and length at most s-1, the empty tuple
     included, ordered by (weight, length, entries).
     """
+    if not isinstance(s, int):
+        raise ValueError(f"s = {s!r} is not an int")
     if s < 1:
         raise ValueError("s must be at least 1")
     found = [delta for length in range(s)
@@ -116,8 +120,8 @@ def _placements(families, size: int) -> dict[tuple, int]:
     different families are not, even when their values coincide.
     """
     fams = [(v, c) for v, c in families if c > 0]
-    if not isinstance(sum(v for v, _ in fams), int):  # an int only if every value is
-        raise ValueError(f"slot values must be ints, got {fams}")
+    if not isinstance(sum(v + c for v, c in fams), int):  # an int only if every one is
+        raise ValueError(f"slot values and counts must be ints, got {fams}")
     if any(v < 0 for v, _ in fams):
         raise ValueError("slot values must be nonnegative")
     out: dict[tuple, int] = {}
@@ -173,6 +177,8 @@ def _block_sum(choose, degree: int, block: Block, ring: Ring) -> Poly:
     degree whose variable indices form a tuple that ``choose``
     (``itertools.combinations`` or ``combinations_with_replacement``)
     yields.  Degree 0 yields the empty tuple alone, which gives 1."""
+    if not isinstance(degree, int):
+        raise ValueError(f"index {degree!r} is not an int")
     if degree < 0:
         raise ValueError("index must be nonnegative")
     off, size = block_span(ring, block)
@@ -197,6 +203,8 @@ def complete(j: int, block: Block, ring: Ring) -> Poly:
 
 def c_r(r: int, ring: Ring) -> Poly:
     """sum_{0 <= i <= min(r, m)} (-1)^(r-i) sigma_i(x) h_(r-i)(y)."""
+    if not isinstance(r, int):
+        raise ValueError(f"index {r!r} is not an int")
     if r < 0:
         raise ValueError("index must be nonnegative")
     out = zero(ring)

@@ -280,10 +280,10 @@ class GenSpan:
     under S_m x S_n, and the span keeps expansions in the orbit-leader
     coordinates of its own ``poly_core._OrbitLeaders``.  Its symbol
     powers come in full from one power chain per symbol (see
-    ``poly_core._power_chains``), local to the build, and each is
-    checked to be block-symmetric once, so a broken generator cannot
-    hide behind the projection.  ``solve`` refuses a polynomial that is
-    not block-symmetric before it projects.
+    ``poly_core._power_chains``), and each is checked to be
+    block-symmetric once, so a broken generator cannot hide behind the
+    projection.  ``solve`` refuses a polynomial that is not
+    block-symmetric before it projects.
 
     Projection to leaders is injective on block-symmetric polynomials,
     and a leader is the largest key of its orbit, so each row is the
@@ -295,27 +295,42 @@ class GenSpan:
     label coordinate ``-1 - i`` with coefficient 1 (the augmented-matrix
     trick).  Labels sort below every term key, which is at least 0, so
     pivots are always terms, and a residue whose largest key is a label
-    is a member; its labels give the certificate.  The construction is
-    deterministic.
+    is a member; its labels give the certificate.
+
+    Rows are built in monomial order as the echelon's source asks:
+    ``solve`` stops once the residue holds labels only, ``dimension``
+    builds them all.  Rows are never rewritten and a pivot is its row's
+    largest key, so a member reduces against the same rows as in the
+    full span and gets the same certificate.  The power chains go with
+    the last row.  The construction is deterministic.
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
+        if not isinstance(degree, int):
+            raise ValueError(f"degree {degree!r} is not an int")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.m, self.n, self.p, self.degree = m, n, p, degree
         self.ring = Ring(m, n, False, p)
-        self.monomials = enumerate_gen_monomials(m, n, p, degree)
-        self.echelon = FpEchelon(p)
-        self._orbits = _OrbitLeaders(self.ring, degree)
-        # the power chains and the symbol-power memo serve this build only
+        self.monomials = monomials = enumerate_gen_monomials(m, n, p, degree)
+        self._orbits = orbits = _OrbitLeaders(self.ring, degree)
         power = _power_chains(degree, p, partial(generator_poly, ring=self.ring))
         leaders: dict = {}
-        for i, key in enumerate(self.monomials):
+        built = 0
+
+        def next_row():
+            """The next monomial's expansion and label; no reference to the span."""
+            nonlocal built, power, leaders
+            if built == len(monomials):
+                return None
             # a fresh dict: a one-symbol expansion is the memoized power itself
-            vec = {**self._expand(key, power, leaders), -1 - i: 1}
-            residue = self.echelon.reduce(vec)
-            if max(residue) >= 0:
-                self.echelon.insert(residue)
+            vec = {**_expand(monomials[built], orbits, power, leaders), -1 - built: 1}
+            built += 1
+            if built == len(monomials):
+                power = leaders = None
+            return vec
+
+        self.echelon = FpEchelon(p, next_row)
 
     @property
     def dimension(self) -> int:
@@ -337,41 +352,44 @@ class GenSpan:
         p, monomials = self.p, self.monomials
         return _clean(self.ring, {monomials[-1 - i]: p - c for i, c in residue.items()}, GenExpr)
 
-    def _expand(self, key: tuple, power, leaders: dict) -> dict[int, int]:
-        """Leader coordinates of a symbol monomial's expansion, mod p.
 
-        ``power`` gives the symbol powers (see ``_power_chains``), and
-        ``leaders`` memoizes their leader terms once each power is
-        checked to be block-symmetric.  The empty key is {0: 1}.
-        """
-        if not key:
-            return {0: 1}
-        orbits = self._orbits
-        entries = []
-        for factor in key:
-            full = power(factor)
-            lead = leaders.get(factor)
+def _expand(key: tuple, orbits: _OrbitLeaders, power, leaders: dict) -> dict[int, int]:
+    """Leader coordinates of a symbol monomial's expansion, mod p.
+
+    ``power`` gives the symbol powers (see ``_power_chains``), and
+    ``leaders`` memoizes their leader terms once each power is checked
+    to be block-symmetric.  The empty key is {0: 1}.
+    """
+    if not key:
+        return {0: 1}
+    entries = []
+    for factor in key:
+        full = power(factor)
+        lead = leaders.get(factor)
+        if lead is None:
+            lead = leaders[factor] = orbits.leader_terms(full)
             if lead is None:
-                lead = leaders[factor] = orbits.leader_terms(full)
-                if lead is None:
-                    (kind, idx), e = factor
-                    raise InternalInvariantViolation(
-                        f"{kind}[{idx}]^{e} at level ({self.m},{self.n}), p={self.p} "
-                        "is not block-symmetric"
-                    )
-            entries.append((full, lead))
-        # Only the first factor's leaders enter the pair loops, so start
-        # from the largest expansion and apply the others largest first.
-        entries.sort(key=lambda entry: -len(entry[0]))
-        out = entries[0][1]
-        for full, _ in entries[1:]:
-            out = orbits.mul(out, full)
-        return out
+                (kind, idx), e = factor
+                raise InternalInvariantViolation(
+                    f"{kind}[{idx}]^{e} at level ({orbits.m},{orbits.n}), p={orbits.p} "
+                    "is not block-symmetric"
+                )
+        entries.append((full, lead))
+    # Only the first factor's leaders enter the pair loops, so start
+    # from the largest expansion and apply the others largest first.
+    entries.sort(key=lambda entry: -len(entry[0]))
+    out = entries[0][1]
+    for full, _ in entries[1:]:
+        out = orbits.mul(out, full)
+    return out
 
 
 _SPANS = _Memo(GenSpan, maxsize=1024)
 
 
 def gen_span(m: int, n: int, p: int, degree: int) -> GenSpan:
-    """Memoized GenSpan, built once per key even under concurrent calls."""
+    """Memoized GenSpan, built once per key even under concurrent calls.
+    The key must be ints: 2.0 == 2 would find the span of degree 2."""
+    if not all(isinstance(v, int) for v in (m, n, p, degree)):
+        raise ValueError(f"level and degree must be ints, got {(m, n, p, degree)}")
     return _SPANS(m, n, p, degree)

@@ -88,6 +88,8 @@ def symmetric_basis(m: int, n: int, p: int, d: int) -> list[Poly]:
 
 def as_dimension(m: int, n: int, p: int, d: int) -> int:
     """Dimension of the degree d piece of the supersymmetric algebra."""
+    if not isinstance(d, int):
+        raise ValueError(f"degree {d!r} is not an int")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     basis = symmetric_basis(m, n, p, d)

@@ -446,7 +446,8 @@ class _OrbitLeaders:
     tuple sorted nonincreasing inside each block, is the lexicographic
     maximum of its orbit, and a block-symmetric polynomial is fixed by
     its coefficients on leaders.  The memos live as long as the helper;
-    each write stores the one value its key has, so sharing is safe.
+    each write stores the one value its key has, and a leader's orbit
+    size is stored before any key maps to it, so sharing is safe.
     """
 
     def __init__(self, ring: Ring, bound: int):
@@ -503,8 +504,9 @@ class _OrbitLeaders:
         xblock, yblock = k >> shift, k & ((1 << shift) - 1)
         xlead, xsize = self._xblocks.get(xblock) or self._sort_block(xblock, self.m, self._xblocks)
         ylead, ysize = self._yblocks.get(yblock) or self._sort_block(yblock, self.n, self._yblocks)
-        lead = self._leader[k] = (xlead << shift) | ylead
+        lead = (xlead << shift) | ylead
         self._orbit[lead] = xsize * ysize
+        self._leader[k] = lead
         return lead
 
     def _sort_block(self, block: int, size: int, memo: dict) -> tuple[int, int]:
@@ -534,19 +536,50 @@ class FpEchelon:
 
     A vector maps totally ordered keys to coefficients.  A row's pivot
     is its largest key, and a stored row has pivot coefficient 1.
+
+    With a ``source``, rows grow on demand: ``source()`` returns the
+    next int-keyed vector, or None when there is none, and keys below 0
+    are labels that ride along but are never pivots.  ``reduce`` draws
+    vectors while its residue holds a key of at least 0, and ``rank``
+    draws them all; a drawn residue with a key of at least 0 becomes a
+    row.  Growth runs under the echelon's lock, so concurrent callers
+    see the same rows.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, source=None):
         self.p = p
         self.rows: dict = {}
+        self._source = source
+        self._lock = threading.Lock()
 
     def reduce(self, vec: Mapping) -> dict:
         """Copy of ``vec``, whose coefficients are residues in [1, p),
         reduced until its largest key is not a pivot; empty when ``vec``
         lies in the row space."""
+        if self._source is None:
+            return self._reduce(dict(vec))
+        with self._lock:
+            vec = self._reduce(dict(vec))
+            top = max(vec, default=-1)
+            while top >= 0 and self._source is not None:
+                if self._grow() == top:  # only a row at the top key reduces further
+                    vec = self._reduce(vec)
+                    top = max(vec, default=-1)
+            return vec
+
+    def _grow(self):
+        """Draw one vector; the pivot of the row it adds, or None."""
+        vec = self._source()
+        if vec is None:
+            self._source = None  # the rows are final: no more locking
+            return None
+        residue = self._reduce(vec)
+        return self.insert(residue) if max(residue) >= 0 else None
+
+    def _reduce(self, vec: dict) -> dict:
+        """``vec`` reduced in place against the rows stored so far."""
         p = self.p
         rows = self.rows
-        vec = dict(vec)
         while vec:
             piv = max(vec)
             row = rows.get(piv)
@@ -561,15 +594,21 @@ class FpEchelon:
                     vec.pop(k, None)
         return vec
 
-    def insert(self, residue: dict) -> None:
-        """Store a nonempty residue of ``reduce`` as a row."""
+    def insert(self, residue: dict):
+        """Store a nonempty residue of ``reduce`` as a row; its pivot."""
         p = self.p
         piv = max(residue)
         inv = fp_inv(residue[piv], p)
         self.rows[piv] = {k: (inv * c) % p for k, c in residue.items()}
+        return piv
 
     @property
     def rank(self) -> int:
+        """Rank of the whole row space, the source's vectors included."""
+        if self._source is not None:
+            with self._lock:
+                while self._source is not None:
+                    self._grow()
         return len(self.rows)
 
 

@@ -15,7 +15,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from .decompose import _decompose, decompose, trace_decomposition, verify_decomposition
+from .decompose import (_decompose, core_to_generators, decompose, trace_decomposition,
+                        verify_decomposition)
 from .generators import enumerate_deltas, kseq, make_v, sigma_x_p, sigma_y_p, u_k
 from .genexpr import GenExpr, expand, level_symbols
 from .oracle import (as_dimension, brace_identity_check, cr_generating_check,
@@ -170,8 +171,7 @@ def check_roundtrip():
             except Exception as exc:  # InternalInvariantViolation included
                 yield (*level, repr(exc)), False
                 continue
-            broken = [r for r in trace.peels[first_peel:]
-                      if not (r[3] > 0 and (r[3] + r[4]) % r[2] == 0)]
+            broken = [r for r in trace.peels[first_peel:] if not _is_lawful_peel(*r)]
             if broken:
                 yield (*level, "peeled core", broken[0]), False
             else:
@@ -181,6 +181,16 @@ def check_roundtrip():
         results = list(outcomes(trace))
     ok, detail = _tally(f"roundtrips, {len(trace.residues)} residues factored", results)
     return ok, detail, trace
+
+
+def _is_lawful_peel(m: int, n: int, p: int, a: int, b: int) -> bool:
+    """a > 0, and the public door ``core_to_generators`` takes the core
+    (a + b divisible by p), so it is one certificate term."""
+    try:
+        core_to_generators(a, b, p, m, n)
+    except ValueError:
+        return False
+    return a > 0
 
 
 def check_residual_exponent_law(trace) -> tuple[bool, str]:

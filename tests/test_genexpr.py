@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
@@ -438,13 +439,21 @@ class TestGenSpan:
 
     def test_non_symmetric_generator_is_refused(self, monkeypatch):
         # an orbit point missing, then every point present with unequal
-        # coefficients
+        # coefficients; rows are built on demand, so the refusal comes
+        # from the first call that builds the broken power, and again
+        # from every later one
         ring = Ring(2, 1, False, 3)
         for text in ["x1", "x1 + 2*x2"]:
             bad = parse_poly(text, ring)
             monkeypatch.setattr(genexpr, "generator_poly", lambda kind, idx, ring: bad)
+            span = GenSpan(2, 1, 3, 1)
             with pytest.raises(InternalInvariantViolation):
-                GenSpan(2, 1, 3, 1)
+                span.dimension
+            with pytest.raises(InternalInvariantViolation):
+                span.solve(c_r(1, ring))
+            with pytest.raises(InternalInvariantViolation):
+                span.dimension
+            assert span.echelon.rows == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,7 +485,9 @@ def test_solve_refuses_a_broken_orbit(data):
 def _tuple_rows(span):
     """A span's echelon rows in row order, each split into its pivot and
     leader terms unpacked to exponent tuples and its label coordinates
-    read as the combination of generator monomials."""
+    read as the combination of generator monomials.  Reading
+    ``dimension`` first builds every row."""
+    span.dimension
     width, nvars, p = span._orbits.width, span.ring.nvars, span.p
     out = []
     for lead, row in span.echelon.rows.items():
@@ -682,3 +693,128 @@ def test_gen_span_locks_per_key(monkeypatch, cold_spans):
     assert results["second"] is results["first"]
     assert results["other"].degree == 4
     assert builds == {slow_key: 1, fast_key: 1}
+
+
+# -- lazy rows ----------------------------------------------------------------
+#
+# A span builds its rows on demand: ``solve`` only until the residue holds
+# labels only, ``dimension`` all of them.
+
+
+def _members(data, m, n, p, d, max_size=4):
+    """Expansions of random combinations of the degree-d monomials."""
+    ring = Ring(m, n, False, p)
+    keys = enumerate_gen_monomials(m, n, p, d)
+    out = []
+    for _ in range(data.draw(st.integers(1, 3), label="members")):
+        chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=max_size))
+        coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(chosen), max_size=len(chosen)))
+        out.append(expand(GenExpr(m, n, p, dict(zip(chosen, coeffs))), ring))
+    return out
+
+
+def _rows(span):
+    return list(span.echelon.rows.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lazy_solve_matches_the_full_span(data):
+    """A solve on a fresh span gives the certificate of the same solve on
+    a span whose ``dimension`` was read first, from a prefix of its rows;
+    reading ``dimension`` afterwards gives the full rank and rows."""
+    m, n = data.draw(st.integers(0, 3), label="m"), data.draw(st.integers(0, 3), label="n")
+    p = data.draw(st.sampled_from((3, 5)), label="p")
+    d = data.draw(st.integers(0, 6 if m + n <= 4 else 4), label="d")
+    members = _members(data, m, n, p, d)
+    lazy, full = GenSpan(m, n, p, d), GenSpan(m, n, p, d)
+    rank = full.dimension
+    for f in members:
+        cert = lazy.solve(f)
+        assert cert is not None and cert == full.solve(f)
+        assert expand(cert, f.ring) == f
+    assert _rows(lazy) == _rows(full)[:len(lazy.echelon.rows)]
+    assert lazy.dimension == rank
+    assert _rows(lazy) == _rows(full)
+
+
+@pytest.mark.parametrize("m,n,p,d,text", [
+    (1, 1, 3, 1, "x1"),
+    (2, 1, 3, 2, "x1^2 + x2^2"),
+    (2, 2, 5, 3, "x1^3 + x2^3 + y1*y2^2 + y1^2*y2"),
+    (3, 2, 3, 4, "x1^4 + x2^4 + x3^4"),
+])
+def test_non_member_builds_every_row(m, n, p, d, text):
+    ring = Ring(m, n, False, p)
+    span = GenSpan(m, n, p, d)
+    assert span.solve(parse_poly(text, ring)) is None
+    assert _rows(span) == _rows(_full_span(m, n, p, d))
+
+
+def _full_span(m, n, p, d):
+    span = GenSpan(m, n, p, d)
+    span.dimension
+    return span
+
+
+def test_concurrent_solves_on_a_fresh_span_match_the_serial_ones():
+    """Threads that solve different members on one fresh span get the
+    certificates of the same solves run one after another, and the span
+    keeps a prefix of the full span's rows."""
+    m, n, p, d = 2, 2, 3, 9
+    ring = Ring(m, n, False, p)
+    keys = enumerate_gen_monomials(m, n, p, d)
+    rng = random.Random(9)
+    nthreads = 8
+    members = [expand(GenExpr(m, n, p, {key: 1 for key in rng.sample(keys, 2)}), ring)
+               for _ in range(nthreads)]
+    serial = GenSpan(m, n, p, d)
+    want = [serial.solve(f) for f in members]
+    assert None not in want
+    full = _rows(_full_span(m, n, p, d))
+    for _ in range(3):
+        shared = GenSpan(m, n, p, d)
+        barrier = threading.Barrier(nthreads)
+        got = [None] * nthreads
+
+        def run(i):
+            barrier.wait()
+            got[i] = shared.solve(members[i])
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(nthreads)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in threads:
+                t.join(max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads), "solves did not finish in time"
+        assert got == want
+        assert _rows(shared) == full[:len(shared.echelon.rows)]
+
+
+def test_power_chains_go_with_the_last_row(monkeypatch):
+    """Once the last row is built, by ``dimension`` or by a solve that
+    needs it, the span holds no power chains."""
+    chains = []
+    original = genexpr._power_chains
+
+    def recording(*args):
+        power = original(*args)
+        chains.append(weakref.ref(power))
+        return power
+
+    monkeypatch.setattr(genexpr, "_power_chains", recording)
+    span = GenSpan(2, 2, 3, 6)
+    assert span.solve(c_r(1, Ring(2, 2, False, 3)) ** 6) is not None
+    assert chains[-1]() is not None  # rows remain: the chains stay
+    span.dimension
+    assert chains[-1]() is None
+    # at (1, 1, 3) degree 1 the one monomial is C[1]: solving c_1 builds the last row
+    span = GenSpan(1, 1, 3, 1)
+    assert span.solve(c_r(1, R11)) is not None
+    assert chains[-1]() is None

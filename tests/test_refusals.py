@@ -6,15 +6,19 @@ import pytest
 from supersympoly import (
     Block,
     GenExpr,
+    GenSpan,
     Poly,
     Ring,
+    as_dimension,
     bracket_brace,
     c_r,
+    complete,
     core_to_generators,
     decompose,
     elementary,
     enumerate_deltas,
     exact_monomial_div,
+    generated_dimension,
     is_p_balanced,
     is_supersymmetric,
     is_symmetric,
@@ -23,13 +27,14 @@ from supersympoly import (
     placed_sym,
     psi,
     set_xm_zero,
+    sigma_x_p,
     sigma_y_p,
     u_k,
     x_var,
     zero,
 )
 from supersympoly.generators import generator_poly
-from supersympoly.genexpr import symbol_weight
+from supersympoly.genexpr import gen_span, symbol_weight
 
 R11 = Ring(1, 1, False, 3)
 R11T = Ring(1, 1, True, 3)
@@ -46,9 +51,24 @@ NOT_AN_INT = {
     "gen expr coefficient": lambda: GenExpr(1, 1, 3, {((("C", 1), 1),): 1.0}),
     "divisor exponent": lambda: exact_monomial_div(parse_poly("x1*y1", R11), (1.0, 0)),
     "slot value": lambda: placed_sym([(1.5, 1)], [], R11),
+    "slot count": lambda: placed_sym([(1, 1.5)], [], Ring(2, 1, False, 3)),
     "brace slot value l(p-k)": lambda: bracket_brace((), 0.5, 0, kseq(3, 1), Ring(2, 1, False, 3)),
     "symbol weight index": lambda: symbol_weight("C", 1.0, R11),
     "u_k index": lambda: u_k(1.5, R11),
+    "span degree": lambda: GenSpan(1, 1, 3, 2.0),
+    # 2.0 == 2 and hashes alike, so the memo would return the span of degree 2
+    "gen_span degree, memo warm": lambda: (gen_span(1, 1, 3, 2), gen_span(1, 1, 3, 2.0)),
+    "gen_span level, memo warm": lambda: (gen_span(1, 1, 3, 2), gen_span(1.0, 1, 3, 2)),
+    "as_dimension degree": lambda: as_dimension(1, 1, 3, 2.0),
+    "generated_dimension degree": lambda: generated_dimension(1, 1, 3, 2.0),
+    "kseq k": lambda: kseq(3, 1.0),
+    "kseq p": lambda: kseq(3.0, 1),
+    "enumerate_deltas s": lambda: enumerate_deltas(2.0),
+    "elementary index": lambda: elementary(1.0, Block.X, R11),
+    "complete index": lambda: complete(1.0, Block.Y, R11),
+    "c_r index": lambda: c_r(1.0, R11),
+    "sigma_x_p index": lambda: sigma_x_p(1.0, R11),
+    "sigma_y_p index": lambda: sigma_y_p(1.0, R11),
 }
 
 

@@ -13,6 +13,7 @@ from supersympoly import (
     Poly,
     Ring,
     complete,
+    core_to_generators,
     decompose,
     elementary,
     expand,
@@ -22,7 +23,7 @@ from supersympoly import (
     u_k,
     zero,
 )
-from supersympoly.decompose import _decompose
+from supersympoly.decompose import _core_term, _decompose
 from supersympoly.oracle import _truncate_t
 
 from helpers import expansion_cap, gen_exprs, ring_and_polys
@@ -93,3 +94,15 @@ def test_certificates_are_canonical(f):
     for e in (decompose(f), _decompose(f, 0)):
         assert_canonical_gen_expr(e)
         assert expand(e, f.ring) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from((3, 5)), st.integers(1, 16), st.integers(0, 16))
+def test_peeled_core_terms_are_canonical(m, n, p, a, b):
+    """The peel builds its core term trusted; the public door
+    ``core_to_generators`` gives the same value for every core it
+    accepts."""
+    b += -(a + b) % p  # a + b divisible by p, as every peeled core is
+    term = _core_term(Ring(m, n, False, p), a, b)
+    assert_canonical_gen_expr(term)
+    assert term == core_to_generators(a, b, p, m, n)
