@@ -110,7 +110,10 @@ _VK_PAIRS = _Memo(_vk_pair, maxsize=64)
 
 
 def vk_gen_expr(m: int, n: int, p: int, k: int) -> GenExpr:
-    """GenExpr certificate for v_k at level (m, n), solved once."""
+    """GenExpr certificate for v_k at level (m, n), solved once; a float
+    key part is refused, since 1.0 == 1 would find the one of k = 1."""
+    if not all(isinstance(v, int) for v in (m, n, p, k)):
+        raise ValueError(f"level and k must be ints, got {(m, n, p, k)}")
     return _VK_PAIRS(m, n, p, k)[1]
 
 

@@ -363,5 +363,8 @@ _GENERATORS = _Memo(_build_generator, maxsize=1024)
 
 
 def generator_poly(kind: str, index: int, ring: Ring) -> Poly:
-    """Memoized concrete polynomial for a generator symbol."""
+    """Memoized concrete polynomial for a generator symbol; the index
+    must be an int, since 2.0 == 2 would find the one of index 2."""
+    if not isinstance(index, int):
+        raise ValueError(f"generator index {index!r} is not an int")
     return _GENERATORS(kind, index, ring)

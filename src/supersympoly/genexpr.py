@@ -290,19 +290,14 @@ class GenSpan:
     full-coordinate row restricted to leaders, with the same pivot in
     the same order: the rank and certificates are unchanged.
 
-    Rows keep the exact combination of generator monomials they came
-    from: the i-th monomial enters the echelon as its expansion plus the
-    label coordinate ``-1 - i`` with coefficient 1 (the augmented-matrix
-    trick).  Labels sort below every term key, which is at least 0, so
-    pivots are always terms, and a residue whose largest key is a label
-    is a member; its labels give the certificate.
-
-    Rows are built in monomial order as the echelon's source asks:
-    ``solve`` stops once the residue holds labels only, ``dimension``
-    builds them all.  Rows are never rewritten and a pivot is its row's
-    largest key, so a member reduces against the same rows as in the
-    full span and gets the same certificate.  The power chains go with
-    the last row.  The construction is deterministic.
+    The i-th row of the ``poly_core.FpEchelon`` is the expansion of the
+    i-th monomial, built in monomial order only when the echelon draws
+    it: ``solve`` draws until f's residue holds no term, ``dimension``
+    draws them all.  The echelon's ``combination`` of a member names
+    monomials by index, and rows are never rewritten, so a member gets
+    the same certificate from a partly drawn span as from a full one.
+    The power chains and leader memo go with the last row.  The
+    construction is deterministic.
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
@@ -316,21 +311,9 @@ class GenSpan:
         self._orbits = orbits = _OrbitLeaders(self.ring, degree)
         power = _power_chains(degree, p, partial(generator_poly, ring=self.ring))
         leaders: dict = {}
-        built = 0
-
-        def next_row():
-            """The next monomial's expansion and label; no reference to the span."""
-            nonlocal built, power, leaders
-            if built == len(monomials):
-                return None
-            # a fresh dict: a one-symbol expansion is the memoized power itself
-            vec = {**_expand(monomials[built], orbits, power, leaders), -1 - built: 1}
-            built += 1
-            if built == len(monomials):
-                power = leaders = None
-            return vec
-
-        self.echelon = FpEchelon(p, next_row)
+        self.echelon = FpEchelon(
+            p, len(monomials), lambda i: _expand(monomials[i], orbits, power, leaders)
+        )
 
     @property
     def dimension(self) -> int:
@@ -345,12 +328,10 @@ class GenSpan:
         leaders = self._orbits.leader_terms(self._orbits.pack(f.terms))
         if leaders is None:
             return None
-        residue = self.echelon.reduce(leaders)
-        if residue and max(residue) >= 0:
+        combo = self.echelon.combination(leaders)
+        if combo is None:
             return None
-        # the residue's labels hold minus the combination of monomials
-        p, monomials = self.p, self.monomials
-        return _clean(self.ring, {monomials[-1 - i]: p - c for i, c in residue.items()}, GenExpr)
+        return _clean(self.ring, {self.monomials[i]: c for i, c in combo.items()}, GenExpr)
 
 
 def _expand(key: tuple, orbits: _OrbitLeaders, power, leaders: dict) -> dict[int, int]:

@@ -10,6 +10,9 @@ generator property predicts the two numbers agree everywhere.  The two
 computations share polynomial arithmetic and the row reduction
 ``poly_core.FpEchelon``, but not their inputs: one reduces derivative
 images of orbit sum products, the other generator monomial expansions.
+Both fill the echelon the same way, from a count and an index -> vector
+function; the images number their exponent tuples in the order they
+first appear, since the rank does not depend on the order of the keys.
 
 ``GenSpan`` reduces the expansions in orbit-leader coordinates only,
 through a ``poly_core`` helper.  The rank is unchanged, because
@@ -50,7 +53,6 @@ from .poly_core import (
     Ring,
     _clean,
     d_dT,
-    monomial,
     one,
     psi,
     x_var,
@@ -95,12 +97,10 @@ def as_dimension(m: int, n: int, p: int, d: int) -> int:
     basis = symmetric_basis(m, n, p, d)
     if m == 0 or n == 0:
         return len(basis)
-    ech = FpEchelon(p)
-    for f in basis:
-        residue = ech.reduce(d_dT(psi(f)).terms)
-        if residue:
-            ech.insert(residue)
-    return len(basis) - ech.rank
+    keys: dict = {}  # exponent tuples numbered in the order they first appear
+    images = [{keys.setdefault(e, len(keys)): c for e, c in d_dT(psi(f)).terms.items()}
+              for f in basis]
+    return len(basis) - FpEchelon(p, len(images), images.__getitem__).rank
 
 
 def generated_dimension(m: int, n: int, p: int, d: int) -> int:
@@ -134,7 +134,7 @@ def _t_monomial(ring: Ring, e: int, slot: int | None = None) -> Poly:
     exps[-1] = e
     if slot is not None:
         exps[slot] = 1
-    return monomial(ring, exps)
+    return _clean(ring, {tuple(exps): 1})
 
 
 def _truncate_t(f: Poly, R: int) -> Poly:

@@ -532,53 +532,74 @@ def _orbit_size(parts: list) -> int:
 
 
 class FpEchelon:
-    """Incremental row echelon form over F_p for sparse vectors.
+    """Row echelon form over F_p of ``count`` sparse vectors, drawn on
+    demand: the one way the package fills an echelon.
 
-    A vector maps totally ordered keys to coefficients.  A row's pivot
-    is its largest key, and a stored row has pivot coefficient 1.
+    ``vector(i)`` gives the i-th vector, a dict from int keys of at least
+    0 to residues in [1, p), which the echelon does not modify.  Vectors
+    are drawn in order, only when ``combination`` or ``rank`` needs one.
+    The cursor moves only after ``vector(i)`` returns, so a draw that
+    raises is retried at the same i; after the last draw ``vector`` is
+    dropped, with whatever it holds.
 
-    With a ``source``, rows grow on demand: ``source()`` returns the
-    next int-keyed vector, or None when there is none, and keys below 0
-    are labels that ride along but are never pivots.  ``reduce`` draws
-    vectors while its residue holds a key of at least 0, and ``rank``
-    draws them all; a drawn residue with a key of at least 0 becomes a
-    row.  Growth runs under the echelon's lock, so concurrent callers
-    see the same rows.
+    The i-th vector enters with the label key ``-1 - i`` at coefficient
+    1 (the augmented-matrix trick), so a row's labels are the exact
+    combination of vectors it equals.  Labels sort below every term key,
+    so a row's pivot, its largest key, is always a term, with
+    coefficient 1.  Rows are never rewritten, so a vector reduces
+    against the same rows whether the echelon is partly or fully drawn.
+    Drawing runs under the echelon's lock, so concurrent callers see the
+    same rows.
     """
 
-    def __init__(self, p: int, source=None):
-        self.p = p
+    def __init__(self, p: int, count: int, vector):
+        self._p = p
         self.rows: dict = {}
-        self._source = source
+        self._count = count
+        self._vector = vector if count else None
+        self._drawn = 0
         self._lock = threading.Lock()
 
-    def reduce(self, vec: Mapping) -> dict:
-        """Copy of ``vec``, whose coefficients are residues in [1, p),
-        reduced until its largest key is not a pivot; empty when ``vec``
-        lies in the row space."""
-        if self._source is None:
-            return self._reduce(dict(vec))
+    def combination(self, vec: Mapping) -> dict | None:
+        """{i: c} with vec == sum of c * vector(i), or None when ``vec``
+        (int keys of at least 0, residues in [1, p)) is outside the span.
+        Draws vectors only while the residue holds a term."""
         with self._lock:
             vec = self._reduce(dict(vec))
             top = max(vec, default=-1)
-            while top >= 0 and self._source is not None:
-                if self._grow() == top:  # only a row at the top key reduces further
+            while top >= 0 and self._vector is not None:
+                if self._draw() == top:  # only a row at the top key reduces further
                     vec = self._reduce(vec)
                     top = max(vec, default=-1)
-            return vec
+        p = self._p  # the residue's labels hold minus the combination
+        return {-1 - k: p - c for k, c in vec.items()} if top < 0 else None
 
-    def _grow(self):
-        """Draw one vector; the pivot of the row it adds, or None."""
-        vec = self._source()
-        if vec is None:
-            self._source = None  # the rows are final: no more locking
+    @property
+    def rank(self) -> int:
+        """Rank of all ``count`` vectors."""
+        with self._lock:
+            while self._vector is not None:
+                self._draw()
+        return len(self.rows)
+
+    def _draw(self):
+        """Draw the next vector; the pivot of the row it adds, or None."""
+        i = self._drawn
+        residue = self._reduce({**self._vector(i), -1 - i: 1})
+        self._drawn = i + 1
+        if self._drawn == self._count:
+            self._vector = None  # the rows are final
+        piv = max(residue)  # never empty: no earlier row holds the label -1 - i
+        if piv < 0:
             return None
-        residue = self._reduce(vec)
-        return self.insert(residue) if max(residue) >= 0 else None
+        p = self._p
+        inv = fp_inv(residue[piv], p)
+        self.rows[piv] = {k: (inv * c) % p for k, c in residue.items()}
+        return piv
 
     def _reduce(self, vec: dict) -> dict:
         """``vec`` reduced in place against the rows stored so far."""
-        p = self.p
+        p = self._p
         rows = self.rows
         while vec:
             piv = max(vec)
@@ -593,23 +614,6 @@ class FpEchelon:
                 else:
                     vec.pop(k, None)
         return vec
-
-    def insert(self, residue: dict):
-        """Store a nonempty residue of ``reduce`` as a row; its pivot."""
-        p = self.p
-        piv = max(residue)
-        inv = fp_inv(residue[piv], p)
-        self.rows[piv] = {k: (inv * c) % p for k, c in residue.items()}
-        return piv
-
-    @property
-    def rank(self) -> int:
-        """Rank of the whole row space, the source's vectors included."""
-        if self._source is not None:
-            with self._lock:
-                while self._source is not None:
-                    self._grow()
-        return len(self.rows)
 
 
 # -- constructors -------------------------------------------------------

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from supersympoly import generated_dimension
 from supersympoly.cli import main
@@ -245,3 +249,30 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2*x1*y1 + y1^2"
+
+
+def _ring_argv(m, n, p):
+    return ["--m", str(m), "--n", str(n), "--p", str(p)]
+
+
+# The bounded commands, with arguments that argparse accepts; "--poly="
+# keeps text that starts with "-" from reading as an option.
+BOUNDED_ARGV = st.one_of(
+    st.builds(lambda m, n, p, text: ["check", *_ring_argv(m, n, p), f"--poly={text}"],
+              st.integers(-1, 3), st.integers(-1, 3), st.integers(1, 9), st.text(max_size=30)),
+    st.builds(lambda m, n, p, k, show: ["vk", *_ring_argv(m, n, p), "--k", str(k)] + show,
+              st.integers(-1, 3), st.integers(-1, 3), st.integers(1, 9), st.integers(-1, 9),
+              st.sampled_from(([], ["--show-psi"]))),
+    st.builds(lambda m, n, p, dmax: ["dims", *_ring_argv(m, n, p), "--dmax", str(dmax)],
+              st.integers(-1, 2), st.integers(-1, 2), st.integers(1, 5), st.integers(-1, 4)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(BOUNDED_ARGV)
+def test_bounded_commands_exit_0_1_or_2(argv):
+    """Whatever the input, main returns 0, 1 or 2: no exception escapes
+    it, and no input reaches an internal invariant violation."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

@@ -363,34 +363,92 @@ def test_text_round_trip(data):
 
 @st.composite
 def sparse_systems(draw):
-    """A prime and a list of sparse vectors with tuple keys and residues
-    in [1, p); a vector may repeat an earlier one."""
+    """A prime and a list of sparse vectors with int keys of at least 0
+    and residues in [1, p); a vector may repeat an earlier one."""
     p = draw(st.sampled_from((3, 5, 7)))
-    keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
-    vec = st.dictionaries(keys, st.integers(1, p - 1), max_size=6)
+    vec = st.dictionaries(st.integers(0, 15), st.integers(1, p - 1), max_size=6)
     vecs = draw(st.lists(vec, max_size=14))
     if vecs and draw(st.booleans()):
         vecs.append(dict(draw(st.sampled_from(vecs))))
     return p, vecs
 
 
+def _terms(row):
+    """A row without its label keys, which sort below 0."""
+    return {k: c for k, c in row.items() if k >= 0}
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_systems())
 def test_echelon_matches_reference(system):
     p, vecs = system
-    ech, ref = FpEchelon(p), ReferenceEchelon(p)
+    copies = [dict(vec) for vec in vecs]
+    ech, ref = FpEchelon(p, len(vecs), vecs.__getitem__), ReferenceEchelon(p)
     for vec in vecs:
-        before = dict(vec)
-        residue = ech.reduce(vec)
-        assert vec == before  # reduce works on a copy
-        assert all(0 < c < p for c in residue.values())
-        if residue:
-            ech.insert(residue)
-        assert bool(residue) == ref.add(vec)
+        ref.add(vec)
     assert ech.rank == ref.rank
-    assert list(ech.rows.items()) == list(ref.rows.items())
-    for row in ech.rows.values():
-        assert row[max(row)] == 1
+    assert vecs == copies  # the echelon reads its vectors and never writes them
+    assert [(piv, _terms(row)) for piv, row in ech.rows.items()] == list(ref.rows.items())
+    for piv, row in ech.rows.items():
+        assert piv >= 0 and row[piv] == 1
+    for vec in vecs:
+        combo = ech.combination(vec)
+        assert all(0 <= i < len(vecs) and 0 < c < p for i, c in combo.items())
+        total = {}
+        for i, c in combo.items():
+            for k, v in vecs[i].items():
+                total[k] = (total.get(k, 0) + c * v) % p
+        assert {k: v for k, v in total.items() if v} == vec
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_systems(), st.data())
+def test_echelon_draws_only_what_a_combination_needs(system, data):
+    p, vecs = system
+    drawn = []
+    ech = FpEchelon(p, len(vecs), lambda i: drawn.append(i) or vecs[i])
+    vec = data.draw(st.dictionaries(st.integers(0, 15), st.integers(1, p - 1), max_size=6))
+    combo = ech.combination(vec)
+    assert drawn == list(range(len(drawn)))  # in order, each once
+    full = FpEchelon(p, len(vecs), vecs.__getitem__)
+    full.rank  # draws every vector
+    assert (combo is None) == (full.combination(vec) is None)
+    if combo is not None:
+        # the rows drawn so far are a prefix of the full echelon's rows
+        assert list(ech.rows.items()) == list(full.rows.items())[:len(ech.rows)]
+        if drawn:  # and the last draw was needed
+            assert FpEchelon(p, len(drawn) - 1, vecs.__getitem__).combination(vec) is None
+
+
+def test_echelon_of_no_vectors_has_rank_0():
+    ech = FpEchelon(5, 0, None)
+    assert {name for name in dir(ech) if not name.startswith("_")} == {"combination", "rank", "rows"}
+    assert ech.rank == 0
+    assert ech.combination({}) == {}
+    assert ech.combination({0: 1}) is None
+
+
+def test_echelon_retries_a_draw_that_raised():
+    p, vecs = 5, [{3: 1, 1: 2}, {3: 2, 1: 4}, {2: 1}, {3: 1, 2: 3, 0: 1}, {1: 1}]
+    calls, failed = [], []
+
+    def vector(i):
+        calls.append(i)
+        if i == 2 and not failed:
+            failed.append(i)
+            raise RuntimeError("a build that fails once")
+        return vecs[i]
+
+    ech = FpEchelon(p, len(vecs), vector)
+    with pytest.raises(RuntimeError):
+        ech.rank
+    assert calls == [0, 1, 2]
+    ref = ReferenceEchelon(p)
+    for vec in vecs:
+        ref.add(vec)
+    assert ech.rank == ref.rank == 4
+    assert calls == [0, 1, 2, 2, 3, 4]
+    assert [(piv, _terms(row)) for piv, row in ech.rows.items()] == list(ref.rows.items())
 
 
 @st.composite

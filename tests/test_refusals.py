@@ -30,6 +30,7 @@ from supersympoly import (
     sigma_x_p,
     sigma_y_p,
     u_k,
+    vk_gen_expr,
     x_var,
     zero,
 )
@@ -59,6 +60,9 @@ NOT_AN_INT = {
     # 2.0 == 2 and hashes alike, so the memo would return the span of degree 2
     "gen_span degree, memo warm": lambda: (gen_span(1, 1, 3, 2), gen_span(1, 1, 3, 2.0)),
     "gen_span level, memo warm": lambda: (gen_span(1, 1, 3, 2), gen_span(1.0, 1, 3, 2)),
+    "vk_gen_expr k, memo warm": lambda: (vk_gen_expr(1, 1, 3, 1), vk_gen_expr(1, 1, 3, 1.0)),
+    "vk_gen_expr level, memo warm": lambda: (vk_gen_expr(1, 1, 3, 1), vk_gen_expr(1.0, 1, 3, 1)),
+    "generator_poly index, memo warm": lambda: (generator_poly("C", 2, R11), generator_poly("C", 2.0, R11)),
     "as_dimension degree": lambda: as_dimension(1, 1, 3, 2.0),
     "generated_dimension degree": lambda: generated_dimension(1, 1, 3, 2.0),
     "kseq k": lambda: kseq(3, 1.0),

@@ -24,7 +24,7 @@ from supersympoly import (
     zero,
 )
 from supersympoly.decompose import _core_term, _decompose
-from supersympoly.oracle import _truncate_t
+from supersympoly.oracle import _t_monomial, _truncate_t
 
 from helpers import expansion_cap, gen_exprs, ring_and_polys
 
@@ -77,6 +77,19 @@ def test_block_sums_constants_and_cores_are_canonical(ring, i, block, c):
 def test_truncate_t_is_canonical(drawn, R):
     _, f = drawn
     assert_canonical_poly(_truncate_t(f, R))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.sampled_from((3, 5)), st.integers(0, 12))
+def test_t_monomials_are_canonical(data, m, n, p, e):
+    """T^e, alone or times one variable, as the oracle's identity checks build it."""
+    ring = Ring(m, n, True, p)
+    slot = data.draw(st.none() | st.integers(0, ring.nvars - 2))
+    f = _t_monomial(ring, e, slot)
+    assert_canonical_poly(f)
+    [(exps, c)] = f.terms.items()
+    assert c == 1 and exps[-1] == e
+    assert exps[:-1] == tuple(int(i == slot) for i in range(ring.nvars - 1))
 
 
 @st.composite
