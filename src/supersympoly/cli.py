@@ -160,9 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building takes most of a small in-process call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except PolyParseError as exc:

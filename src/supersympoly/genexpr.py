@@ -17,10 +17,11 @@ Ring refuses is refused where it enters and two levels do not combine
 through ``poly_core``'s power chains, which ``poly_core._expand_sum``
 sums; each caller passes only a bound on the degree.
 
-GenSpan row-reduces the expansions of all symbol monomials of one
-weighted degree, in orbit-leader coordinates, and can write any
-polynomial of the spanned space as a GenExpr, tracking the combination
-exactly over F_p.
+GenSpan row-reduces the expansions of the symbol monomials of one
+weighted degree whose C powers are below p, in orbit-leader
+coordinates; the others add no row.  It can write any polynomial of
+the spanned space as a GenExpr, tracking the combination exactly over
+F_p.
 """
 
 from __future__ import annotations
@@ -242,8 +243,9 @@ _gen_monomial_count = _Memo(_count_gen_monomials, maxsize=2048)
 
 def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
     """All symbol monomials of exact weighted degree over the symbols of
-    ``level_symbols``, in a fixed order; each key lists its symbols in
-    the canonical order ``level_symbols`` gives them.
+    ``level_symbols``, in ascending lex order of their exponents in
+    that symbol order; each key lists its symbols in the canonical
+    order ``level_symbols`` gives them.
 
     The suffix counts prune every branch whose remaining weight the
     later symbols cannot reach, so each call ends in a monomial."""
@@ -276,6 +278,16 @@ def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
 class GenSpan:
     """Row-reduced span of the symbol monomial expansions at one degree.
 
+    The span lists only the monomials of ``enumerate_gen_monomials``
+    whose every C power is below p, since no other one adds a row.
+    Over F_p, Frobenius gives sum_r c_r^p s^r = (sum_i EX[i] s^i) /
+    (sum_j EY[j] s^j), so C[r]^p M is a combination of monomials that
+    keep M's C[1..r-1] powers and lower its C[r] power by p.  Those
+    come earlier in the ascending lex order of exponents that
+    ``enumerate_gen_monomials`` gives, so each left-out expansion lies
+    in the span of earlier listed ones: the rows, their combinations
+    and the rank are those of the full list.
+
     Every generator is supersymmetric, so every expansion is invariant
     under S_m x S_n, and the span keeps expansions in the orbit-leader
     coordinates of its own ``poly_core._OrbitLeaders``.  Its symbol
@@ -290,14 +302,14 @@ class GenSpan:
     full-coordinate row restricted to leaders, with the same pivot in
     the same order: the rank and certificates are unchanged.
 
-    The i-th row of the ``poly_core.FpEchelon`` is the expansion of the
-    i-th monomial, built in monomial order only when the echelon draws
-    it: ``solve`` draws until f's residue holds no term, ``dimension``
-    draws them all.  The echelon's ``combination`` of a member names
-    monomials by index, and rows are never rewritten, so a member gets
-    the same certificate from a partly drawn span as from a full one.
-    The power chains and leader memo go with the last row.  The
-    construction is deterministic.
+    The i-th vector of the ``poly_core.FpEchelon`` is the expansion of
+    the i-th listed monomial, built in monomial order only when the
+    echelon draws it: ``solve`` draws until f's residue holds no term,
+    ``dimension`` draws them all.  The echelon's ``combination`` of a
+    member names monomials by index, and rows are never rewritten, so a
+    member gets the same certificate from a partly drawn span as from a
+    full one.  The power chains and leader memo go with the last row.
+    The construction is deterministic.
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
@@ -307,7 +319,10 @@ class GenSpan:
             raise ValueError("degree must be nonnegative")
         self.m, self.n, self.p, self.degree = m, n, p, degree
         self.ring = Ring(m, n, False, p)
-        self.monomials = monomials = enumerate_gen_monomials(m, n, p, degree)
+        self.monomials = monomials = [
+            key for key in enumerate_gen_monomials(m, n, p, degree)
+            if all(e < p for (kind, _), e in key if kind == "C")
+        ]
         self._orbits = orbits = _OrbitLeaders(self.ring, degree)
         power = _power_chains(degree, p, partial(generator_poly, ring=self.ring))
         leaders: dict = {}

@@ -5,11 +5,14 @@ algebra directly from the defining conditions: the block-symmetric
 space of one degree is spanned by products of monomial symmetric
 functions, and the surviving subspace is the kernel of the linear map
 f -> d/dT f(x_m = y_n = T).  ``generated_dimension`` measures the span
-of all generator monomials of the same degree by row reduction.  The
-generator property predicts the two numbers agree everywhere.  The two
-computations share polynomial arithmetic and the row reduction
-``poly_core.FpEchelon``, but not their inputs: one reduces derivative
-images of orbit sum products, the other generator monomial expansions.
+of all generator monomials of the same degree by row reduction, built
+from the monomials that can add a row: ``GenSpan`` leaves out those
+with a C power of p or more, whose expansions lie in the span of the
+others.  The generator property predicts the two numbers agree
+everywhere.  The two computations share polynomial arithmetic and the
+row reduction ``poly_core.FpEchelon``, but not their inputs: one
+reduces derivative images of orbit sum products, the other generator
+monomial expansions.
 Both fill the echelon the same way, from a count and an index -> vector
 function; the images number their exponent tuples in the order they
 first appear, since the rank does not depend on the order of the keys.

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from supersympoly import generated_dimension
+from supersympoly import cli, generated_dimension
 from supersympoly.cli import main
 from supersympoly.selfcheck import CheckResult
 
@@ -238,6 +238,23 @@ class TestSelftest:
         assert code == 0
         assert "selftest complete" in out
         assert out.count("PASS") >= 8
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    """main parses with the parser built at import, and a call argparse
+    refuses leaves the same message and exit code as a fresh parser and
+    leaves the parser fit for the next call."""
+    fresh = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a parser"))
+    argv = ["check", "--m", "1", "--n", "1", "--p", "3"]  # neither --poly nor --file
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as fresh_refused:
+        fresh.parse_args(argv)
+    assert (refused.value.code, err) == (fresh_refused.value.code, capsys.readouterr().err)
+    assert refused.value.code == 2 and "--poly" in err
+    assert run(capsys, *argv, "--poly", "x1 - y1")[0] == 0
 
 
 def test_module_entry_point():

@@ -28,6 +28,7 @@ from supersympoly import (
     u_k,
     v_k,
     w_poly,
+    zero,
 )
 from supersympoly import generators
 from supersympoly.generators import _delta_x_families, generator_poly, placed_sym
@@ -143,6 +144,24 @@ class TestFamilies:
             u_k(3, Ring(1, 1, False, 3))
         with pytest.raises(ValueError):
             u_k(1, Ring(1, 0, False, 3))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(4) for n in range(4)])
+def test_frobenius_writes_c_r_to_the_p_in_ex_and_ey(m, n, p):
+    """Over F_p, sum_r c_r^p s^r = (sum_i EX[i] s^i) / (sum_j EY[j] s^j)
+    with EX[0] = EY[0] = 1, the identity behind GenSpan leaving out
+    every monomial with a C power of p or more."""
+    ring = Ring(m, n, False, p)
+    ex = [one(ring)] + [generator_poly("EX", i, ring) for i in range(1, m + 1)]
+    ey = [one(ring)] + [generator_poly("EY", j, ring) for j in range(1, n + 1)]
+    top = m + n + 2
+    inverse = [one(ring)]  # [s^k] of 1 / sum_j EY[j] s^j
+    for k in range(1, top + 1):
+        inverse.append(-sum((ey[j] * inverse[k - j] for j in range(1, min(k, n) + 1)), zero(ring)))
+    for r in range(top + 1):
+        rhs = sum((ex[i] * inverse[r - i] for i in range(min(r, m) + 1)), zero(ring))
+        assert c_r(r, ring) ** p == rhs, r
 
 
 class TestBrackets:

@@ -535,6 +535,9 @@ class TestPackedSpan:
     @pytest.mark.parametrize("m,n,p,dmax", [
         (1, 1, 3, 9), (2, 1, 3, 7), (1, 2, 3, 7), (2, 2, 3, 6),
         (1, 1, 5, 9), (2, 0, 3, 6), (0, 2, 5, 6), (3, 3, 3, 6), (2, 3, 5, 8),
+        # cells where many monomials have a C power of p or more, which
+        # the span leaves out and the reference keeps
+        (2, 2, 3, 9), (1, 1, 3, 12), (0, 2, 3, 9), (2, 0, 3, 9),
     ])
     def test_matches_tuple_reference(self, m, n, p, dmax):
         for d in range(dmax + 1):
