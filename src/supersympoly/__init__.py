@@ -15,7 +15,6 @@ from .poly_core import (
     d_dT,
     exact_monomial_div,
     homogeneous_components,
-    monomial,
     one,
     parse_poly,
     poly_to_str,
@@ -57,7 +56,6 @@ from .genexpr import (
     serialize_gen_expr,
 )
 from .decompose import (
-    core_to_generators,
     decompose,
     trace_decomposition,
     verify_decomposition,

@@ -31,8 +31,8 @@ The span also serves two cases the recursion cannot handle itself:
 
 ``_decompose(f, 0)`` runs the pure recursion (every degree has at least
 one monomial), which the acceptance suite uses to exercise it.  Every
-certificate is verifiable by expansion; nothing in this module depends
-on unverified claims.
+certificate is built trusted (``poly_core._clean``), a peeled core's
+term by ``_core_term``, and ``verify_decomposition`` re-expands it.
 """
 
 from __future__ import annotations
@@ -69,26 +69,11 @@ def _core_degrees(f: Poly) -> tuple[int, int]:
     return a, b
 
 
-def core_to_generators(a: int, b: int, p: int, m: int, n: int) -> GenExpr:
-    """Write the core (x_1..x_m)^a (y_1..y_n)^b over EX[m], EY[n], U.
-
-    Requires a + b divisible by p.  With a = alpha*p + k0 the core is the
-    one term EX[m]^alpha * U[k0] * EY[n]^beta: for k0 = 0 there is no U
-    and beta = b/p; otherwise U[k0] absorbs the off-multiple parts and
-    the remaining y core (y_1..y_n)^(b - (p - k0)) is a p-th power.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("core exponents must be nonnegative")
-    if (a + b) % p:
-        raise ValueError(f"core degree a+b = {a + b} is not divisible by p = {p}")
-    if a % p and n < 1:
-        raise ValueError("a core with k0 > 0 needs a y block")
-    return GenExpr(m, n, p, _core_term(Ring(m, n, False, p), a, b).terms)
-
-
 def _core_term(ring: Ring, a: int, b: int) -> GenExpr:
-    """``core_to_generators`` of a core it accepts, built trusted: the
-    peel's certificate term."""
+    """A peel's core (x_1..x_m)^a (y_1..y_n)^b, a + b divisible by p and
+    n >= 1, as one term: with a = alpha*p + k0 it is EX[m]^alpha * U[k0]
+    * EY[n]^beta, where U[k0] absorbs the off-multiple parts for k0 > 0
+    and the remaining y core (y_1..y_n)^(p*beta) is a p-th power."""
     m, n, p = ring.m, ring.n, ring.p
     alpha, k0 = divmod(a, p)
     beta = (b - (p - k0 if k0 else 0)) // p

@@ -116,6 +116,7 @@ class GenExpr(_Terms):
             for (kind, idx), e in key:
                 if not (isinstance(idx, int) and isinstance(e, int)):
                     raise ValueError(f"symbol {kind}[{idx!r}]^{e!r} needs an int index and power")
+                idx = int(idx)  # a bool index would serialize as C[True]
                 symbol_weight(kind, idx, ring)  # the symbol must exist
                 if e < 0:
                     raise ValueError("symbol exponents must be nonnegative")
@@ -131,18 +132,6 @@ class GenExpr(_Terms):
             clean[parts] = (clean.get(parts, 0) + c) % p
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v})
-
-    @classmethod
-    def zero(cls, m: int, n: int, p: int) -> "GenExpr":
-        return cls(m, n, p, {})
-
-    @classmethod
-    def const(cls, m: int, n: int, p: int, c: int) -> "GenExpr":
-        return cls(m, n, p, {(): c})
-
-    @classmethod
-    def symbol(cls, m: int, n: int, p: int, kind: str, index: int) -> "GenExpr":
-        return cls(m, n, p, {(((kind, index), 1),): 1})
 
     def weighted_degree(self):
         if not self.terms:
@@ -249,6 +238,8 @@ def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
 
     The suffix counts prune every branch whose remaining weight the
     later symbols cannot reach, so each call ends in a monomial."""
+    if not isinstance(degree, int):
+        raise ValueError(f"degree {degree!r} is not an int")
     symbols = list(level_symbols(m, n, p, degree).items())
     if degree < 0:
         return []
@@ -313,16 +304,14 @@ class GenSpan:
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
-        if not isinstance(degree, int):
-            raise ValueError(f"degree {degree!r} is not an int")
+        self.monomials = monomials = [  # the enumeration refuses a degree that is not an int
+            key for key in enumerate_gen_monomials(m, n, p, degree)
+            if all(e < p for (kind, _), e in key if kind == "C")
+        ]
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.m, self.n, self.p, self.degree = m, n, p, degree
         self.ring = Ring(m, n, False, p)
-        self.monomials = monomials = [
-            key for key in enumerate_gen_monomials(m, n, p, degree)
-            if all(e < p for (kind, _), e in key if kind == "C")
-        ]
         self._orbits = orbits = _OrbitLeaders(self.ring, degree)
         power = _power_chains(degree, p, partial(generator_poly, ring=self.ring))
         leaders: dict = {}

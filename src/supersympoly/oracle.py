@@ -147,10 +147,12 @@ def _truncate_t(f: Poly, R: int) -> Poly:
 # -- bracket substitution identities -------------------------------------------
 
 
-def _drop_one(delta: tuple, i: int) -> tuple:
-    """delta with one occurrence of the value i removed."""
-    at = delta.index(i)
-    return delta[:at] + delta[at + 1:]
+def _drops(delta: tuple, ks: KSeq) -> list[tuple]:
+    """(i, delta with one i removed) for each value i of delta; a delta
+    whose values do not index ``ks.kvals`` is refused."""
+    if delta and (min(delta) < 1 or max(delta) > ks.s - 1):
+        raise ValueError(f"delta {delta} has entries outside [1, s-1] for s={ks.s}")
+    return [(i, delta[:(at := delta.index(i))] + delta[at + 1:]) for i in sorted(set(delta))]
 
 
 def _image_levels(m: int, n: int, p: int):
@@ -168,14 +170,14 @@ def brace_identity_check(delta: tuple, l: int, j: int, m: int, n: int, ks: KSeq)
       (T^(kvals[i]) {delta-i, l, j-1} + T^(kvals[i-1]) {delta-i, l, j}),
     all at level (m-1, n-1).
     """
+    drops = _drops(delta, ks)
     p, k = ks.p, ks.k
     ring, ring_t, tp = _image_levels(m, n, p)
     lhs = psi(bracket_brace(delta, l, j, ks, ring))
     rhs = tp(k) * bracket_brace(delta, l, j - 1, ks, ring_t)
     rhs = rhs + tp((l + 1) * (p - k)) * bracket_square(delta, j, ks, ring_t)
     rhs = rhs + tp(l * (p - k)) * bracket_square(delta, j - 1, ks, ring_t)
-    for i in sorted(set(delta)):
-        smaller = _drop_one(delta, i)
+    for i, smaller in drops:
         rhs = rhs + tp(ks.kvals[i]) * bracket_brace(smaller, l, j - 1, ks, ring_t)
         rhs = rhs + tp(ks.kvals[i - 1]) * bracket_brace(smaller, l, j, ks, ring_t)
     return d_dT(lhs - rhs).is_zero
@@ -190,13 +192,13 @@ def round_identity_check(delta: tuple, j: int, m: int, n: int, ks: KSeq) -> bool
        + T^((s-i)(p-k)) [delta-i, j]),
     all at level (m-1, n-1).
     """
+    drops = _drops(delta, ks)
     p, k, s = ks.p, ks.k, ks.s
     ring, ring_t, tp = _image_levels(m, n, p)
     lhs = psi(bracket_round(delta, j, ks, ring))
     rhs = tp(k) * bracket_round(delta, j - 1, ks, ring_t)
     rhs = rhs + tp(s * (p - k)) * bracket_square(delta, j, ks, ring_t)
-    for i in sorted(set(delta)):
-        smaller = _drop_one(delta, i)
+    for i, smaller in drops:
         rhs = rhs + tp(ks.kvals[i]) * bracket_round(smaller, j - 1, ks, ring_t)
         rhs = rhs + tp(ks.kvals[i - 1]) * bracket_round(smaller, j, ks, ring_t)
         rhs = rhs + tp((s - i) * (p - k)) * bracket_square(smaller, j, ks, ring_t)

@@ -627,17 +627,15 @@ def one(ring: Ring) -> Poly:
     return _clean(ring, {(0,) * ring.nvars: 1})
 
 
-def monomial(ring: Ring, exps: Iterable[int]) -> Poly:
-    return Poly(ring, {tuple(exps): 1})
-
-
 def x_var(ring: Ring, i: int) -> Poly:
     """The variable x_i, 1-based."""
+    if not isinstance(i, int):
+        raise ValueError(f"variable index {i!r} is not an int")
     if not 1 <= i <= ring.m:
         raise ValueError(f"x{i} is not a variable of {ring}")
     exps = [0] * ring.nvars
     exps[i - 1] = 1
-    return monomial(ring, exps)
+    return _clean(ring, {tuple(exps): 1})
 
 
 # -- structural operations ----------------------------------------------

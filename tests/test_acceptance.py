@@ -43,10 +43,11 @@ def test_tally_counts_and_names_the_first_three_failures():
     assert selfcheck._tally("checks", outcomes) == (False, "10 checks, failures: [1, 3, 5]...")
 
 
-@pytest.mark.parametrize("record", [(1, 1, 3, 1, 1), (1, 1, 3, 0, 3)])
+@pytest.mark.parametrize("record", [(1, 1, 3, 1, 1), (1, 1, 3, 0, 3), (1, 1, 3, 4, -1)])
 def test_criterion_5_checks_the_peeled_core_law(monkeypatch, record):
-    """A peeled core (m, n, p, a, b) with a + b not divisible by p, or with
-    a = 0, fails criterion 5 although every certificate re-expands."""
+    """A peeled core (m, n, p, a, b) with a + b not divisible by p, with
+    a = 0 or with b < 0 fails criterion 5 although every certificate
+    re-expands."""
     inputs = list(itertools.islice(selfcheck._roundtrip_inputs(), 3))
     monkeypatch.setattr(selfcheck, "_roundtrip_inputs", lambda: iter(inputs))
     assert selfcheck.check_roundtrip()[0]

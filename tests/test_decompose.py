@@ -9,19 +9,17 @@ import hypothesis.strategies as st
 
 from supersympoly import (
     Block,
-    GenExpr,
     NotSupersymmetricError,
+    Poly,
     Ring,
     c_r,
     complete,
-    core_to_generators,
     decompose,
     elementary,
     exact_monomial_div,
     expand,
     homogeneous_components,
     make_v,
-    monomial,
     one,
     parse_poly,
     parse_gen_expr,
@@ -34,6 +32,7 @@ from supersympoly import (
 )
 from supersympoly.decompose import (
     _core_degrees,
+    _core_term,
     _decompose,
     _lift,
     trace_decomposition,
@@ -81,16 +80,18 @@ class TestFactorCore:
 
 
 class TestCoreToGenerators:
+    """A peeled core written over the generators as one term, by ``_core_term``."""
+
     def test_pure_p_power(self):
-        e = core_to_generators(3, 0, 3, 1, 1)
+        e = _core_term(R11, 3, 0)
         assert serialize_gen_expr(e) == "EX[1]"
 
     def test_single_core(self):
-        e = core_to_generators(1, 2, 3, 1, 1)
+        e = _core_term(R11, 1, 2)
         assert serialize_gen_expr(e) == "U[1]"
 
     def test_mixed(self):
-        e = core_to_generators(4, 5, 3, 2, 1)
+        e = _core_term(R21, 4, 5)
         assert serialize_gen_expr(e) == "EX[2]*EY[1]*U[1]"
 
     def test_expansion_matches_core(self):
@@ -100,15 +101,10 @@ class TestCoreToGenerators:
                     ring = Ring(m, n, False, p)
                     for a in range(0, 2 * p):
                         for b in range(0, 2 * p):
-                            if (a + b) % p or (a % p and n < 1):
+                            if (a + b) % p:
                                 continue
-                            e = core_to_generators(a, b, p, m, n)
-                            core = [a] * m + [b] * n
-                            assert expand(e, ring) == monomial(ring, core)
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            core_to_generators(1, 1, 3, 1, 1)
+                            core = (a,) * m + (b,) * n
+                            assert expand(_core_term(ring, a, b), ring) == Poly(ring, {core: 1})
 
 
 class TestDecompose:
@@ -141,8 +137,8 @@ class TestDecompose:
 
     def test_verify_distinguishes(self):
         f = c_r(1, R11)
-        good = GenExpr.symbol(1, 1, 3, "C", 1)
-        bad = GenExpr.symbol(1, 1, 3, "C", 2)
+        good = parse_gen_expr("C[1]", 1, 1, 3)
+        bad = parse_gen_expr("C[2]", 1, 1, 3)
         assert verify_decomposition(f, good)
         assert not verify_decomposition(f, bad)
 
@@ -348,7 +344,7 @@ class TestTraceInvariants:
     ])
     def test_core_peel_records(self, m, n, p, a, b, text, residues, peels):
         ring = Ring(m, n, False, p)
-        f = monomial(ring, [a] * m + [b] * n) * expand(parse_gen_expr(text, m, n, p), ring)
+        f = Poly(ring, {(a,) * m + (b,) * n: 1}) * expand(parse_gen_expr(text, m, n, p), ring)
         with trace_decomposition() as trace:
             e = recursion(f)
         assert verify_decomposition(f, e)
@@ -444,8 +440,8 @@ def test_lift_of_frobenius_powers(p):
     # U[p-1] has weight 1 at level (0, 1), so its p-th and (p+1)-th
     # powers lift through the Frobenius step of v_{p-1}'s chain
     ring = Ring(1, 1, False, p)
-    u = GenExpr.symbol(0, 1, p, "U", p - 1)
-    c = GenExpr.symbol(0, 1, p, "C", 1)
+    u = parse_gen_expr(f"U[{p - 1}]", 0, 1, p)
+    c = parse_gen_expr("C[1]", 0, 1, p)
     h = u**p + 2 * u ** (p + 1) * c + c ** (2 * p) + 1
     poly, expr = _lift(h, ring)
     assert poly == reference_lift_poly(h, ring)

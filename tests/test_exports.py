@@ -28,12 +28,39 @@ def _references(paths) -> set:
     return names
 
 
-def test_every_export_is_referenced_outside_init():
+def _callers() -> list:
+    """The package's modules but ``__init__``, and the benchmark's."""
     callers = [f for f in PACKAGE.glob("*.py") if f.name != "__init__.py"]
-    callers += (ROOT / "perfbench").glob("*.py")
+    return callers + list((ROOT / "perfbench").glob("*.py"))
+
+
+def test_every_export_is_referenced_outside_init():
+    callers = _callers()
     exports = _exports()
     assert "decompose" in exports and len(callers) > 10
     assert sorted(exports - _references(callers)) == []
+
+
+def test_every_public_method_of_an_export_is_read_outside_init():
+    """A public method (or property) of an exported class is read as an
+    attribute somewhere in the package or the benchmark, outside
+    ``__init__``.  The scan goes by name only, so it cannot tell two
+    classes' methods of one name apart: ``perfbench/corpus.py`` reads its
+    own ``Expander.symbol``, which would hide a ``GenExpr.symbol`` that
+    nothing calls."""
+    exports = _exports()
+    methods = {f"{cls.name}.{node.name}": node.name
+               for path in PACKAGE.glob("*.py")
+               for cls in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(cls, ast.ClassDef) and cls.name in exports
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    # the scan finds the exported classes' methods, properties included
+    assert {"Ring.nvars", "GenSpan.solve", "GenExpr.weighted_degree"} <= set(methods)
+    read = {node.attr for path in _callers()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    assert sorted(qual for qual, name in methods.items() if name not in read) == []
 
 
 def _names(path: Path):
@@ -118,16 +145,10 @@ def test_one_cache_rule():
 
 
 # The validating constructors, and where the package may call them: on
-# values that enter from outside.  A ``cls(...)`` call counts as GenExpr's
-# inside its classmethods, which stay doors for callers outside the
-# package; no module calls them.
+# values that enter from outside.
 DOORS = {
-    "Poly": {"poly_core.parse_poly", "poly_core.monomial"},
-    "GenExpr": {"genexpr.parse_gen_expr", "decompose.core_to_generators", "selfcheck.random_gen_expr"},
-    "cls": {"genexpr.GenExpr.zero", "genexpr.GenExpr.const", "genexpr.GenExpr.symbol"},
-    "GenExpr.zero": set(),
-    "GenExpr.const": set(),
-    "GenExpr.symbol": set(),
+    "Poly": {"poly_core.parse_poly"},
+    "GenExpr": {"genexpr.parse_gen_expr", "selfcheck.random_gen_expr"},
 }
 
 
@@ -151,20 +172,22 @@ def _calls(path: Path):
 
 def test_validating_constructors_run_only_at_the_doors():
     """Everything the package builds itself goes through the trusted
-    ``poly_core._clean``: ``Poly(...)``, ``GenExpr(...)`` and the GenExpr
-    classmethods are called only where outside values enter."""
+    ``poly_core._clean``: ``Poly(...)`` and ``GenExpr(...)`` are called
+    only where outside values enter."""
     calls = [call for path in sorted(PACKAGE.glob("*.py")) for call in _calls(path)]
     # the scan sees the doors themselves
     assert ("poly_core.parse_poly", "Poly") in calls
-    assert ("decompose.core_to_generators", "GenExpr") in calls
+    assert ("genexpr.parse_gen_expr", "GenExpr") in calls
     leaks = [f"{scope}: {callee}(...)" for scope, callee in calls
              if callee in DOORS and scope not in DOORS[callee]]
     assert leaks == []
 
 
 def test_decompose_builds_its_certificates_trusted():
-    """``decompose`` calls no validating certificate constructor but the
-    public ``core_to_generators``."""
-    doors = {"GenExpr", "GenExpr.zero", "GenExpr.const", "GenExpr.symbol", "parse_gen_expr"}
-    calls = [call for call in _calls(PACKAGE / "decompose.py") if call[1] in doors]
-    assert calls == [("decompose.core_to_generators", "GenExpr")]
+    """``decompose`` calls no validating constructor at all: its
+    certificates, a peeled core's term included, go through ``_clean``."""
+    calls = _calls(PACKAGE / "decompose.py")
+    # the scan sees the module's calls: the peel builds its core term
+    assert ("decompose._decompose_homogeneous", "_core_term") in calls
+    doors = {"Poly", "GenExpr", "parse_poly", "parse_gen_expr"}
+    assert [call for call in calls if call[1] in doors] == []

@@ -62,19 +62,19 @@ def _expand_monomial(key, ring):
 class TestGenExpr:
     def test_symbol_validation(self):
         with pytest.raises(ValueError):
-            GenExpr.symbol(1, 1, 3, "EX", 2)  # only one x variable
+            GenExpr(1, 1, 3, {((("EX", 2), 1),): 1})  # only one x variable
         with pytest.raises(ValueError):
-            GenExpr.symbol(1, 1, 3, "U", 3)  # k must stay below p
+            GenExpr(1, 1, 3, {((("U", 3), 1),): 1})  # k must stay below p
         with pytest.raises(ValueError):
-            GenExpr.symbol(1, 0, 3, "U", 1)  # needs a y block
+            GenExpr(1, 0, 3, {((("U", 1), 1),): 1})  # needs a y block
         with pytest.raises(ValueError):
-            GenExpr.symbol(1, 1, 3, "C", 0)  # constants are coefficients
+            GenExpr(1, 1, 3, {((("C", 0), 1),): 1})  # constants are coefficients
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
     def test_foreign_operands_raise_type_error(self, op):
         """A GenExpr combines with ints and GenExprs only; a polynomial
         is not a certificate, so mixing the two is a TypeError."""
-        e = GenExpr.symbol(1, 1, 3, "C", 1)
+        e = parse_gen_expr("C[1]", 1, 1, 3)
         for other in (expand(e, R11), 1.5, "C[1]", None):
             with pytest.raises(TypeError):
                 op(e, other)
@@ -82,29 +82,29 @@ class TestGenExpr:
                 op(other, e)
 
     def test_arithmetic_mod_p(self):
-        a = GenExpr.symbol(1, 1, 3, "C", 1)
+        a = parse_gen_expr("C[1]", 1, 1, 3)
         assert (a + a + a).is_zero
         assert 1 - a == parse_gen_expr("1 - C[1]", 1, 1, 3) == -(a - 1)
         assert a - 1 == parse_gen_expr("C[1] + 2", 1, 1, 3)
         assert (a * a) == GenExpr(1, 1, 3, {((("C", 1), 2),): 1})
-        b = a + GenExpr.symbol(1, 1, 3, "U", 1)
+        b = a + parse_gen_expr("U[1]", 1, 1, 3)
         assert b**5 == b * b * b * b * b
 
     def test_expand_examples(self):
-        e = GenExpr.symbol(1, 1, 3, "C", 1)
+        e = parse_gen_expr("C[1]", 1, 1, 3)
         assert expand(e, R11) == parse_poly("x1 - y1", R11)
-        assert expand(GenExpr.const(1, 1, 3, 1), R11) == parse_poly("1", R11)
-        e = GenExpr.symbol(1, 1, 3, "EX", 1) ** 2
+        assert expand(GenExpr(1, 1, 3, {(): 1}), R11) == parse_poly("1", R11)
+        e = parse_gen_expr("EX[1]", 1, 1, 3) ** 2
         assert expand(e, R11) == parse_poly("x1^6", R11)
 
     def test_expand_level_mismatch(self):
-        e = GenExpr.symbol(2, 1, 3, "C", 1)
+        e = parse_gen_expr("C[1]", 2, 1, 3)
         with pytest.raises(ValueError):
             expand(e, R11)
 
     def test_repeated_symbol_in_a_key_is_merged(self):
         e = GenExpr(1, 1, 3, {((("C", 1), 1), (("C", 1), 1)): 1})
-        assert e == GenExpr.symbol(1, 1, 3, "C", 1) ** 2
+        assert e == parse_gen_expr("C[1]", 1, 1, 3) ** 2
         assert serialize_gen_expr(e) == "C[1]^2"
         assert parse_gen_expr(serialize_gen_expr(e), 1, 1, 3) == e
         # spellings of one term that differ only in order or repetition
@@ -121,13 +121,13 @@ class TestGenExpr:
     @pytest.mark.parametrize("e", [1.5, "2", -1, None])
     def test_power_refuses_what_poly_refuses(self, e):
         # GenExpr and Poly check the exponent in one place, with one message
-        for base in (GenExpr.symbol(1, 1, 3, "C", 1), parse_poly("x1 + y1", R11)):
+        for base in (parse_gen_expr("C[1]", 1, 1, 3), parse_poly("x1 + y1", R11)):
             with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
                 base ** e
 
     def test_power_is_the_repeated_product(self):
         a = GenExpr(2, 1, 3, {((("C", 1), 1),): 1, ((("U", 2), 1),): 2, (): 1})
-        expected = GenExpr.const(2, 1, 3, 1)
+        expected = GenExpr(2, 1, 3, {(): 1})
         for e in range(7):
             assert a ** e == expected
             expected = expected * a
@@ -171,8 +171,8 @@ class TestLevels:
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
     @pytest.mark.parametrize("level", OTHERS)
     def test_cross_level_arithmetic_raises(self, op, level):
-        a = GenExpr.symbol(1, 1, 3, "C", 1) + 1
-        b = GenExpr.symbol(*level, "C", 1)
+        a = parse_gen_expr("C[1]", 1, 1, 3) + 1
+        b = parse_gen_expr("C[1]", *level)
         for left, right in ((a, b), (b, a)):
             with pytest.raises(RingMismatchError) as info:
                 op(left, right)
@@ -180,20 +180,20 @@ class TestLevels:
 
     @pytest.mark.parametrize("level", OTHERS)
     def test_cross_level_equality_is_false(self, level):
-        for make in (GenExpr.zero, lambda *lv: GenExpr.const(*lv, 1)):
-            a, b = make(1, 1, 3), make(*level)
+        for terms in ({}, {(): 1}):
+            a, b = GenExpr(1, 1, 3, terms), GenExpr(*level, terms)
             assert a.terms == b.terms
             assert not a == b and a != b
 
     def test_the_level_is_the_ring(self):
-        e = GenExpr.symbol(2, 1, 5, "U", 1)
+        e = GenExpr(2, 1, 5, {((("U", 1), 1),): 1})
         assert e.ring == Ring(2, 1, False, 5)
         assert not any(hasattr(e, name) for name in ("m", "n", "p"))
         assert parse_gen_expr("U[1]", 2, 1, 5).ring == e.ring
         assert (e * e - 1).ring == e.ring
 
     def test_expand_and_solve_compare_rings(self):
-        e = GenExpr.symbol(1, 1, 3, "C", 1)
+        e = parse_gen_expr("C[1]", 1, 1, 3)
         for ring in (Ring(2, 1, False, 3), Ring(1, 1, False, 5), Ring(1, 1, True, 3)):
             with pytest.raises(RingMismatchError):
                 expand(e, ring)
@@ -205,7 +205,7 @@ class TestLevels:
         with pytest.raises(ValueError):
             GenExpr(m, 1, p, {})
         with pytest.raises(ValueError):
-            GenExpr.const(m, 1, p, 1)
+            GenExpr(m, 1, p, {(): 1})
         with pytest.raises(ValueError) as info:
             parse_gen_expr("C[1]^2 + C[2]", m, 1, p)
         assert not isinstance(info.value, PolyParseError)
@@ -233,8 +233,16 @@ class TestSerialization:
         assert serialize_gen_expr(e) == "EY[2]*U[1] + 2*C[3]*EX[1]^2"
         assert serialize_gen_expr(parse_gen_expr("C [ 1 ]", 1, 1, 3)) == "C[1]"
 
+    def test_a_bool_index_is_stored_as_an_int(self):
+        """True passes the door's int check and equals 1; the door stores
+        it as 1, so the text form is C[1] and reads back."""
+        e = GenExpr(1, 1, 3, {((("C", True), 1),): 1})
+        assert [type(idx) for key in e.terms for (_, idx), _ in key] == [int]
+        assert serialize_gen_expr(e) == "C[1]"
+        assert parse_gen_expr(serialize_gen_expr(e), 1, 1, 3) == e
+
     def test_zero(self):
-        assert serialize_gen_expr(GenExpr.zero(1, 1, 3)) == "0"
+        assert serialize_gen_expr(GenExpr(1, 1, 3, {})) == "0"
         assert parse_gen_expr("0", 1, 1, 3).is_zero
 
     def test_round_trip_random(self):
@@ -395,7 +403,7 @@ class TestGenSpan:
             ring = Ring(m, n, False, p)
             for c in range(p):
                 f = parse_poly(str(c), ring)
-                assert span.solve(f) == GenExpr.const(m, n, p, c)
+                assert span.solve(f) == GenExpr(m, n, p, {(): c})
 
     def test_negative_degree_is_refused(self, cold_spans):
         with pytest.raises(ValueError, match="degree must be nonnegative"):
@@ -609,10 +617,10 @@ class TestPackedExpansion:
 
     def test_constant_and_zero(self):
         ring = Ring(2, 2, False, 5)
-        assert expand(GenExpr.const(2, 2, 5, 3), ring) == Poly(ring, {(0, 0, 0, 0): 3})
-        assert expand(GenExpr.zero(2, 2, 5), ring) == Poly(ring, {})
+        assert expand(GenExpr(2, 2, 5, {(): 3}), ring) == Poly(ring, {(0, 0, 0, 0): 3})
+        assert expand(GenExpr(2, 2, 5, {}), ring) == Poly(ring, {})
         assert _expand_monomial((), ring) == Poly(ring, {(0, 0, 0, 0): 1})
-        cancelled = GenExpr.symbol(2, 2, 5, "C", 1) - GenExpr.symbol(2, 2, 5, "C", 1)
+        cancelled = parse_gen_expr("C[1]", 2, 2, 5) - parse_gen_expr("C[1]", 2, 2, 5)
         assert expand(cancelled, ring).is_zero
 
 

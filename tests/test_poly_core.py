@@ -15,7 +15,6 @@ from supersympoly import (
     d_dT,
     exact_monomial_div,
     homogeneous_components,
-    monomial,
     one,
     parse_poly,
     poly_to_str,
@@ -67,7 +66,7 @@ class TestRing:
         with pytest.raises(ValueError):
             Poly(R11, {(-1, 2): 1})
         with pytest.raises(ValueError):
-            monomial(R11, (0, -1))
+            Poly(R11, {(0, -1): 1})
 
     def test_var_names(self):
         assert Ring(2, 1, True, 3).var_names() == ["x1", "x2", "y1", "T"]
@@ -338,7 +337,7 @@ def test_div_undoes_mul(data, a, b):
     ring, f = data
     exps = [a] * ring.m + [b] * ring.n
     d = tuple(exps)
-    assert exact_monomial_div(f * monomial(ring, d), d) == f
+    assert exact_monomial_div(f * Poly(ring, {d: 1}), d) == f
 
 
 @settings(max_examples=40, deadline=None)
@@ -458,7 +457,7 @@ def divisions(draw):
     ring, f = draw(ring_and_polys(count=1, has_t=draw(st.booleans())))
     d = draw(st.tuples(*([st.integers(0, 4)] * ring.nvars)))
     if draw(st.booleans()):
-        f = f * monomial(ring, d)
+        f = f * Poly(ring, {d: 1})
     return f, d
 
 

@@ -12,11 +12,12 @@ from supersympoly import (
     as_dimension,
     bracket_brace,
     c_r,
+    brace_identity_check,
     complete,
-    core_to_generators,
     decompose,
     elementary,
     enumerate_deltas,
+    enumerate_gen_monomials,
     exact_monomial_div,
     generated_dimension,
     is_p_balanced,
@@ -26,6 +27,7 @@ from supersympoly import (
     parse_poly,
     placed_sym,
     psi,
+    round_identity_check,
     set_xm_zero,
     sigma_x_p,
     sigma_y_p,
@@ -73,6 +75,8 @@ NOT_AN_INT = {
     "c_r index": lambda: c_r(1.0, R11),
     "sigma_x_p index": lambda: sigma_x_p(1.0, R11),
     "sigma_y_p index": lambda: sigma_y_p(1.0, R11),
+    "x_var index": lambda: x_var(R11, 1.0),
+    "enumerate_gen_monomials degree": lambda: enumerate_gen_monomials(1, 1, 3, 2.0),
 }
 
 
@@ -84,14 +88,17 @@ def test_a_value_that_is_not_an_int_is_refused(call):
 
 REFUSALS = {
     "decompose with T": (lambda: decompose(zero(R11T)), "decompose applies to polynomials without T"),
-    "negative core": (lambda: core_to_generators(-1, 1, 3, 1, 1), "core exponents must be nonnegative"),
-    "U core without y": (lambda: core_to_generators(1, 2, 3, 1, 0), "a core with k0 > 0 needs a y block"),
     "enumerate_deltas(0)": (lambda: enumerate_deltas(0), "s must be at least 1"),
     "negative slot value": (lambda: placed_sym([(-1, 1)], [], R11), "slot values must be nonnegative"),
     "elementary(-1)": (lambda: elementary(-1, Block.X, R11), "index must be nonnegative"),
     "c_r(-1)": (lambda: c_r(-1, R11), "index must be nonnegative"),
     "sigma_y_p out of range": (lambda: sigma_y_p(2, R11), r"index 2 out of range for n=1"),
     "brace with l < 0": (lambda: bracket_brace((), -1, 0, kseq(3, 1), R11), "l must be nonnegative"),
+    # the left bracket is out of range, so it is zero before it reads delta
+    "brace identity delta beyond s - 1": (lambda: brace_identity_check((1,), 0, 0, 1, 1, kseq(3, 1)),
+                                          r"delta \(1,\) has entries outside \[1, s-1\] for s=1"),
+    "round identity delta beyond s - 1": (lambda: round_identity_check((1,), 0, 1, 1, kseq(3, 1)),
+                                          r"delta \(1,\) has entries outside \[1, s-1\] for s=1"),
     "unknown generator kind": (lambda: generator_poly("Z", 1, R11), "unknown generator kind 'Z'"),
     "negative symbol exponent": (lambda: GenExpr(1, 1, 3, {((("C", 1), -1),): 1}),
                                  "symbol exponents must be nonnegative"),
