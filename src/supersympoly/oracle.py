@@ -3,19 +3,19 @@
 ``as_dimension`` measures the graded pieces of the supersymmetric
 algebra directly from the defining conditions: the block-symmetric
 space of one degree is spanned by products of monomial symmetric
-functions, and the surviving subspace is the kernel of the linear map
-f -> d/dT f(x_m = y_n = T).  ``generated_dimension`` measures the span
-of all generator monomials of the same degree by row reduction, built
-from the monomials that can add a row: ``GenSpan`` leaves out those
-with a C power of p or more, whose expansions lie in the span of the
-others.  The generator property predicts the two numbers agree
-everywhere.  The two computations share polynomial arithmetic and the
-row reduction ``poly_core.FpEchelon``, but not their inputs: one
-reduces derivative images of orbit sum products, the other generator
-monomial expansions.
-Both fill the echelon the same way, from a count and an index -> vector
-function; the images number their exponent tuples in the order they
-first appear, since the rank does not depend on the order of the keys.
+functions m_lambda(x) m_mu(y), and the surviving subspace is the kernel
+of the linear map f -> d/dT f(x_m = y_n = T).  It computes that map on
+partition labels alone, with no basis polynomial (the restriction
+identity and the rank argument are in the README's "Design notes").
+``generated_dimension`` measures the span of all generator monomials of
+the same degree by row reduction, built from the monomials that can add
+a row: ``GenSpan`` leaves out those with a C power of p or more, whose
+expansions lie in the span of the others.  The generator property
+predicts the two numbers agree everywhere.  The two computations share
+only the row reduction ``poly_core.FpEchelon``, filled the same way
+from a count and an index -> vector function; the derivative images
+number their label pairs in the order they first appear, since the
+rank does not depend on the order of the keys.
 
 ``GenSpan`` reduces the expansions in orbit-leader coordinates only,
 through a ``poly_core`` helper.  The rank is unchanged, because
@@ -24,20 +24,10 @@ the span first checks that every generator power it expands is
 block-symmetric, raising ``InternalInvariantViolation`` otherwise.  So a generator that lost its
 symmetry cannot hide behind the projection, and the agreement stays a
 check of the generators rather than of the projection.
-
-Each product m_lambda(x) m_mu(y) is one ``generators.placed_sym`` call
-(one slot family per distinct part), the routine that also builds the
-brackets and the tail of v_k.  The generators keep their own
-constructors (``generators.elementary``, ``complete``, ``u_k``), whose
-block-sum loop is not the placement, so the two sides share none;
-``elementary`` also sits in the inner loop of the decomposition's base
-case, ``decompose._base_one_block``, where a direct enumeration beats
-the generic placement.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 
 from .generators import (
@@ -46,7 +36,6 @@ from .generators import (
     bracket_round,
     bracket_square,
     c_r,
-    placed_sym,
     w_poly,
 )
 from .genexpr import gen_span
@@ -79,16 +68,12 @@ def partitions_max_parts(total: int, max_parts: int):
     yield from rec(total, total, max_parts, [])
 
 
-def symmetric_basis(m: int, n: int, p: int, d: int) -> list[Poly]:
-    """Products m_lambda(x) m_mu(y) spanning the block-symmetric degree d."""
-    ring = Ring(m, n, False, p)
-    basis = []
-    for dx in range(d + 1):
-        for lam in partitions_max_parts(dx, m):
-            xfams = Counter(lam).items()
-            for mu in partitions_max_parts(d - dx, n):
-                basis.append(placed_sym(xfams, Counter(mu).items(), ring))
-    return basis
+def _restrictions(lam: tuple, size: int) -> list[tuple]:
+    """(a, lam less one part a) for each distinct value a of lam padded
+    with zeros to ``size`` parts: m_lam(x_1..x_size) at x_size = T is the
+    sum of T^a m_(lam less a)(x_1..x_(size-1))."""
+    pairs = [(a, lam[:(at := lam.index(a))] + lam[at + 1:]) for a in sorted(set(lam))]
+    return pairs + [(0, lam)] if len(lam) < size else pairs
 
 
 def as_dimension(m: int, n: int, p: int, d: int) -> int:
@@ -97,13 +82,16 @@ def as_dimension(m: int, n: int, p: int, d: int) -> int:
         raise ValueError(f"degree {d!r} is not an int")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    basis = symmetric_basis(m, n, p, d)
+    Ring(m, n, False, p)  # a bad level is refused before any work
+    ys = [list(partitions_max_parts(dy, n)) for dy in range(d + 1)]
+    pairs = [(lam, mu) for dx in range(d + 1) for lam in partitions_max_parts(dx, m) for mu in ys[d - dx]]
     if m == 0 or n == 0:
-        return len(basis)
-    keys: dict = {}  # exponent tuples numbered in the order they first appear
-    images = [{keys.setdefault(e, len(keys)): c for e, c in d_dT(psi(f)).terms.items()}
-              for f in basis]
-    return len(basis) - FpEchelon(p, len(images), images.__getitem__).rank
+        return len(pairs)
+    keys: dict = {}  # (lam less a, mu less b) numbered in the order they first appear
+    images = [{keys.setdefault((lam_a, mu_b), len(keys)): (a + b) % p
+               for a, lam_a in _restrictions(lam, m) for b, mu_b in _restrictions(mu, n) if (a + b) % p}
+              for lam, mu in pairs]
+    return len(pairs) - FpEchelon(p, len(images), images.__getitem__).rank
 
 
 def generated_dimension(m: int, n: int, p: int, d: int) -> int:
@@ -152,7 +140,7 @@ def _drops(delta: tuple, ks: KSeq) -> list[tuple]:
     whose values do not index ``ks.kvals`` is refused."""
     if delta and (min(delta) < 1 or max(delta) > ks.s - 1):
         raise ValueError(f"delta {delta} has entries outside [1, s-1] for s={ks.s}")
-    return [(i, delta[:(at := delta.index(i))] + delta[at + 1:]) for i in sorted(set(delta))]
+    return _restrictions(delta, len(delta))
 
 
 def _image_levels(m: int, n: int, p: int):

@@ -2,13 +2,15 @@
 
 import itertools
 import math
+from collections import Counter
 
 import hypothesis.strategies as st
 
 from supersympoly import DivisibilityError, GenExpr, Poly, PolyParseError, Ring, enumerate_gen_monomials
-from supersympoly.generators import generator_poly, kseq, v_k
+from supersympoly.generators import generator_poly, kseq, placed_sym, v_k
 from supersympoly.genexpr import level_symbols, symbol_weight
-from supersympoly.poly_core import block_span, fp_inv
+from supersympoly.oracle import partitions_max_parts
+from supersympoly.poly_core import block_span, d_dT, fp_inv, psi
 
 
 def build_poly(ring, pairs):
@@ -105,6 +107,32 @@ def hook_partition_count(d, m, n):
         return sum(count(left - part, part, index + 1) for part in range(1, top + 1))
 
     return count(d, d, 0)
+
+
+def symmetric_basis(m, n, p, d):
+    """Products m_lambda(x) m_mu(y) spanning the block-symmetric degree d,
+    one ``placed_sym`` call each (one slot family per distinct part)."""
+    ring = Ring(m, n, False, p)
+    basis = []
+    for dx in range(d + 1):
+        for lam in partitions_max_parts(dx, m):
+            xfams = Counter(lam).items()
+            for mu in partitions_max_parts(d - dx, n):
+                basis.append(placed_sym(xfams, Counter(mu).items(), ring))
+    return basis
+
+
+def reference_as_dimension(m, n, p, d):
+    """``as_dimension`` by the polynomial route: build the basis, map each
+    element through ``psi`` and ``d_dT``, and subtract the rank of the
+    images (``ReferenceEchelon``) from the basis size."""
+    basis = symmetric_basis(m, n, p, d)
+    if m == 0 or n == 0:
+        return len(basis)
+    echelon = ReferenceEchelon(p)
+    for f in basis:
+        echelon.add(d_dT(psi(f)).terms)
+    return len(basis) - echelon.rank
 
 
 def reference_pow(f, e):

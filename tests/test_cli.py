@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import re
 import subprocess
 import sys
 
@@ -212,6 +214,16 @@ class TestDims:
         assert out == ""
         assert err == "input error: dmax must be nonnegative\n"
 
+    @pytest.mark.parametrize("m, n, dmax, digest", [
+        (3, 3, 9, "18a702caf039df7f3220a85db9c5c941a59b8f77c4b6d0af8945e5e12a1e496c"),
+        (2, 2, 13, "7d8d23e8ee28ce97f01dcc094c799c440396e9ff8efb652faae5c333c103ff03"),
+    ])
+    def test_output_is_pinned(self, capsys, m, n, dmax, digest):
+        # the sha256 the CI step checks on the command's standard output
+        code, out, _ = run(capsys, "dims", "--m", str(m), "--n", str(n), "--p", "3", "--dmax", str(dmax))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSelftest:
     def test_expected_failure_keeps_exit_zero(self, capsys, monkeypatch):
@@ -238,6 +250,10 @@ class TestSelftest:
         assert code == 0
         assert "selftest complete" in out
         assert out.count("PASS") >= 8
+        # the details the CI step pins: the output without the " [x.xs]" timings
+        details = re.sub(r" \[[0-9]+\.[0-9]+s\]", "", out)
+        assert hashlib.sha256(details.encode()).hexdigest() == (
+            "a39772c60b161fbba062800fb5344976594e971f717c6f9e4af5cc7acfb68cb3")
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):

@@ -10,10 +10,10 @@ from supersympoly import (
     brace_identity_check,
     round_identity_check,
 )
-from supersympoly import genexpr
-from supersympoly.oracle import partitions_max_parts, symmetric_basis
+from supersympoly import Poly, genexpr, psi
+from supersympoly.oracle import _restrictions, partitions_max_parts
 
-from helpers import hook_partition_count, orbit_sym
+from helpers import hook_partition_count, orbit_sym, reference_as_dimension, symmetric_basis
 
 
 def _partition_count(total, max_parts):
@@ -54,6 +54,34 @@ class TestAsDimension:
                 for mu in partitions_max_parts(d - dx, n)
             ]
             assert symmetric_basis(m, n, p, d) == expected
+
+    def test_agrees_with_the_polynomial_route(self):
+        # the reference builds every basis product and maps it through psi and d_dT
+        cells = 0
+        for p in (3, 5, 7):
+            for m in range(4):
+                for n in range(4):
+                    for d in range(12):
+                        assert as_dimension(m, n, p, d) == reference_as_dimension(m, n, p, d), (m, n, p, d)
+                        cells += 1
+        assert cells == 576
+
+    def test_restriction_identity(self):
+        # m_lam at x_m = T is the sum of T^a m_(lam less a) over _restrictions(lam, m),
+        # in either block
+        for m, n, p in [(1, 1, 3), (2, 1, 5), (1, 2, 3), (3, 2, 3), (2, 3, 7), (3, 3, 5)]:
+            ring, ring_t = Ring(m, n, False, p), Ring(m - 1, n - 1, True, p)
+
+            def t_power(a):
+                return Poly(ring_t, {(0,) * (m + n - 2) + (a,): 1})
+
+            for block, size in ((Block.X, m), (Block.Y, n)):
+                for total in range(8):
+                    for lam in partitions_max_parts(total, size):
+                        expected = Poly(ring_t, {})
+                        for a, rest in _restrictions(lam, size):
+                            expected = expected + t_power(a) * orbit_sym(rest, block, ring_t)
+                        assert psi(orbit_sym(lam, block, ring)) == expected, (m, n, p, block, lam)
 
 
 class TestGeneratedDimension:
@@ -125,6 +153,20 @@ def test_negative_degree_is_refused():
     # the refused span build leaves neither a cache entry nor a lock
     assert (1, 1, 3, -1) not in genexpr._SPANS.values
     assert (1, 1, 3, -1) not in genexpr._SPANS.locks
+
+
+@pytest.mark.parametrize("m, n, p", [
+    (1, 1, 4), (0, 2, 4), (2, 0, 4), (0, 0, 9),
+    (-1, 1, 3), (-1, 0, 3), (1, -1, 3), (0, -1, 5),
+    (1.0, 1, 3), (1.0, 0, 3), (0, 1.0, 3), (2, 2, 3.0),
+])
+def test_bad_level_is_refused(m, n, p):
+    """Both dimensions refuse a level that ``Ring`` refuses, at every
+    degree, including where a block is empty."""
+    for dimension in (as_dimension, generated_dimension):
+        for d in (0, 3):
+            with pytest.raises(ValueError):
+                dimension(m, n, p, d)
 
 
 class TestGeneratingFunctionCheck:
