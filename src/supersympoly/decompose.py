@@ -40,6 +40,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from math import prod
 from operator import itemgetter
 
 from .errors import InternalInvariantViolation, NotSupersymmetricError
@@ -95,10 +96,7 @@ _VK_PAIRS = _Memo(_vk_pair, maxsize=64)
 
 
 def vk_gen_expr(m: int, n: int, p: int, k: int) -> GenExpr:
-    """GenExpr certificate for v_k at level (m, n), solved once; a float
-    key part is refused, since 1.0 == 1 would find the one of k = 1."""
-    if not all(isinstance(v, int) for v in (m, n, p, k)):
-        raise ValueError(f"level and k must be ints, got {(m, n, p, k)}")
+    """GenExpr certificate for v_k at level (m, n), solved once."""
     return _VK_PAIRS(m, n, p, k)[1]
 
 
@@ -286,20 +284,20 @@ def _base_one_block(f: Poly) -> GenExpr:
     """Levels (m, 0) and (0, n): eliminate over e_r of the one block,
     straight into C symbols.
 
-    Each step takes the graded-lex leading exponent lam of the work left,
-    a partition because the work is symmetric, and subtracts
-    c * prod_r e_r^(lam_r - lam_{r+1}), which has the same leading term.
-    The same product over ``elem[r]`` joins the certificate.  At (m, 0),
-    c_r equals e_r(x), so elem[r] = C[r].  At (0, n), the generating
-    function sum_r c_r t^r * prod_j (1 + y_j t) = 1 gives
+    The elimination runs in x.  Each step takes the graded-lex leading
+    exponent lam of the work left, a partition because the work is
+    symmetric, subtracts c * prod_r e_r^(lam_r - lam_{r+1}), which has
+    the same leading term, and writes c * prod_r C[r]^(lam_r - lam_{r+1})
+    into the certificate, as c_r equals e_r(x) at (m, 0).  A level (0, n)
+    is the x <-> y swap of (n, 0) (Stembridge 1985): f's terms are the
+    same exponent tuples at (n, 0), and each C[r] of that certificate is
+    then read as e_r(y), which the generating function
+    sum_r c_r t^r * prod_j (1 + y_j t) = 1 writes as
     e_r(y) = -sum_{i=1..r} C[i] e_{r-i}(y).
     """
     ring = f.ring
-    n, p = ring.n, ring.p
-    block = Block.X if n == 0 else Block.Y
-    e_poly, elem = [None], [None]  # e_r of the block as a Poly and over C, r >= 1
-    total = _clean(ring, {}, GenExpr)
-    work = f
+    e_poly, out = [None], {}  # e_r of the block as a Poly, r >= 1; the certificate's terms
+    work = _clean(Ring(ring.m + ring.n, 0, False, ring.p), f.terms)
     while not work.is_zero:
         exps, c = work.leading()
         lam = exps + (0,)  # the ring holds the block alone
@@ -308,25 +306,19 @@ def _base_one_block(f: Poly) -> GenExpr:
                 "leading exponent of a symmetric polynomial is not a partition"
             )
         top = lam.index(0)
-        for r in range(len(elem), top + 1):
-            e_poly.append(elementary(r, block, ring))
-            if block is Block.X:
-                elem.append(_clean(ring, {((("C", r), 1),): 1}, GenExpr))
-                continue
-            acc = _clean(ring, {((("C", r), 1),): p - 1}, GenExpr)  # the term i = r, as e_0 = 1
-            for i in range(1, r):
-                acc = acc - _clean(ring, {((("C", i), 1),): 1}, GenExpr) * elem[r - i]
-            elem.append(acc)
-        sub, term = c, c  # ints until the first factor scales them
-        for r in range(1, top + 1):
-            d = lam[r - 1] - lam[r]
-            if d:
-                sub = e_poly[r] ** d * sub
-                term = elem[r] ** d * term
-        total = total + term
-        work = work - sub
+        e_poly += [elementary(r, Block.X, work.ring) for r in range(len(e_poly), top + 1)]
+        key = tuple((("C", r), lam[r - 1] - lam[r]) for r in range(1, top + 1) if lam[r - 1] > lam[r])
+        out[key] = c
+        work = work - c * prod(e_poly[r] ** d for (_, r), d in key)
         # This check also ends the loop: graded-lex leading terms of
         # bounded degree cannot decrease forever.
         if not work.is_zero and _term_key(work.leading()[0]) >= _term_key(exps):
             raise InternalInvariantViolation("leading term did not decrease")
-    return total
+    if ring.n == 0:
+        return _clean(ring, out, GenExpr)
+    elem = [1]  # e_r(y) over C, from e_0 = 1
+    for r in range(1, len(e_poly)):
+        elem.append(-sum(_clean(ring, {((("C", i), 1),): 1}, GenExpr) * elem[r - i]
+                         for i in range(1, r + 1)))
+    return sum((c * prod(elem[r] ** d for (_, r), d in key) for key, c in out.items()),
+               _clean(ring, {}, GenExpr))

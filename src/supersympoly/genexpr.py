@@ -39,6 +39,7 @@ from .poly_core import (
     _clean,
     _expand_sum,
     _format_terms,
+    _int,
     _Memo,
     _OrbitLeaders,
     _parse_terms,
@@ -56,8 +57,7 @@ def symbol_weight(kind: str, index: int, ring: Ring) -> int:
     ``ring``: C[r] for r >= 1, EX[i] for i <= m, EY[j] for j <= n and
     U[k] for 0 < k < p when n >= 1.  Raises ValueError otherwise."""
     m, n, p = ring.m, ring.n, ring.p
-    if not isinstance(index, int):
-        raise ValueError(f"symbol {kind}[{index!r}] needs an int index")
+    _int(index, "symbol index")
     if kind == "C":
         if index >= 1:
             return index
@@ -122,9 +122,7 @@ class GenExpr(_Terms):
                     raise ValueError("symbol exponents must be nonnegative")
                 if e:
                     merged[kind, idx] = merged.get((kind, idx), 0) + e
-            if not isinstance(c, int):
-                raise ValueError(f"coefficient {c!r} is not an int")
-            c %= p
+            c = _int(c, "coefficient") % p
             if not c:
                 continue
             # kind names sort as _KIND_RANK does, so plain order is canonical
@@ -238,9 +236,7 @@ def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
 
     The suffix counts prune every branch whose remaining weight the
     later symbols cannot reach, so each call ends in a monomial."""
-    if not isinstance(degree, int):
-        raise ValueError(f"degree {degree!r} is not an int")
-    symbols = list(level_symbols(m, n, p, degree).items())
+    symbols = list(level_symbols(m, n, p, _int(degree, "degree")).items())
     if degree < 0:
         return []
     ways = _suffix_counts([w for _, w in symbols], degree)
@@ -304,14 +300,12 @@ class GenSpan:
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
-        self.monomials = monomials = [  # the enumeration refuses a degree that is not an int
+        self.ring = Ring(m, n, False, p)
+        self.m, self.n, self.p, self.degree = m, n, p, _int(degree, "degree", 0)
+        self.monomials = monomials = [
             key for key in enumerate_gen_monomials(m, n, p, degree)
             if all(e < p for (kind, _), e in key if kind == "C")
         ]
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        self.m, self.n, self.p, self.degree = m, n, p, degree
-        self.ring = Ring(m, n, False, p)
         self._orbits = orbits = _OrbitLeaders(self.ring, degree)
         power = _power_chains(degree, p, partial(generator_poly, ring=self.ring))
         leaders: dict = {}
@@ -373,8 +367,5 @@ _SPANS = _Memo(GenSpan, maxsize=1024)
 
 
 def gen_span(m: int, n: int, p: int, degree: int) -> GenSpan:
-    """Memoized GenSpan, built once per key even under concurrent calls.
-    The key must be ints: 2.0 == 2 would find the span of degree 2."""
-    if not all(isinstance(v, int) for v in (m, n, p, degree)):
-        raise ValueError(f"level and degree must be ints, got {(m, n, p, degree)}")
+    """Memoized GenSpan, built once per key even under concurrent calls."""
     return _SPANS(m, n, p, degree)

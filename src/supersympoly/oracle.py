@@ -44,6 +44,7 @@ from .poly_core import (
     Poly,
     Ring,
     _clean,
+    _int,
     d_dT,
     one,
     psi,
@@ -78,11 +79,8 @@ def _restrictions(lam: tuple, size: int) -> list[tuple]:
 
 def as_dimension(m: int, n: int, p: int, d: int) -> int:
     """Dimension of the degree d piece of the supersymmetric algebra."""
-    if not isinstance(d, int):
-        raise ValueError(f"degree {d!r} is not an int")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    Ring(m, n, False, p)  # a bad level is refused before any work
+    Ring(m, n, False, p)  # the level first, then the degree, as in generated_dimension
+    _int(d, "degree", 0)
     ys = [list(partitions_max_parts(dy, n)) for dy in range(d + 1)]
     pairs = [(lam, mu) for dx in range(d + 1) for lam in partitions_max_parts(dx, m) for mu in ys[d - dx]]
     if m == 0 or n == 0:
@@ -96,7 +94,8 @@ def as_dimension(m: int, n: int, p: int, d: int) -> int:
 
 def generated_dimension(m: int, n: int, p: int, d: int) -> int:
     """Dimension of the span of generator monomial expansions at degree d."""
-    return gen_span(m, n, p, d).dimension
+    Ring(m, n, False, p)  # the level first, then the degree, as in as_dimension
+    return gen_span(m, n, p, _int(d, "degree", 0)).dimension
 
 
 # -- generating function cross-check ------------------------------------------
@@ -105,9 +104,9 @@ def generated_dimension(m: int, n: int, p: int, d: int) -> int:
 def cr_generating_check(m: int, n: int, p: int, R: int) -> bool:
     """Verify sum_r c_r t^r * prod_j (1 + y_j t) = prod_i (1 + x_i t)
     through degree R in t, with T playing the role of t."""
-    if R < m + n:
-        raise ValueError("truncation order must be at least m + n")
     ring = Ring(m, n, True, p)
+    if _int(R, "truncation order") < m + n:
+        raise ValueError("truncation order must be at least m + n")
     lhs = zero(ring)
     for r in range(R + 1):
         lhs = lhs + c_r(r, ring) * _t_monomial(ring, r)

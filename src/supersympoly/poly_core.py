@@ -42,6 +42,16 @@ def fp_inv(a: int, p: int) -> int:
     return pow(a % p, -1, p)
 
 
+def _int(value, what: str, least: int | None = None) -> int:
+    """The one check of an outside count, index, degree or coefficient:
+    ``value`` if it is an int, not a bool, and at least ``least``."""
+    if value.__class__ is not int:
+        raise ValueError(f"{what} {value!r} is not an int")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}" if least else f"{what} must be nonnegative")
+    return value
+
+
 @dataclass(frozen=True)
 class Ring:
     """Variable layout (m x-variables, n y-variables, optional T) over F_p."""
@@ -52,11 +62,9 @@ class Ring:
     p: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.n, int) and isinstance(self.p, int)):
-            raise ValueError(f"variable counts and characteristic must be ints, got {self}")
-        if self.m < 0 or self.n < 0:
-            raise ValueError("variable counts must be nonnegative")
-        if not is_odd_prime(self.p):
+        _int(self.m, "variable count", 0)
+        _int(self.n, "variable count", 0)
+        if not is_odd_prime(_int(self.p, "characteristic")):
             raise ValueError(f"characteristic must be an odd prime, got {self.p}")
 
     @property
@@ -159,8 +167,7 @@ class _Terms:
 
     def __pow__(self, e: int):
         """f^e as f^(e-1) * f: one product by the sparse base per step."""
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        _int(e, "exponent", 0)
         out = self._constant(1)
         for _ in range(e if self.terms else min(e, 1)):  # 0^e is 0 from e = 1
             out = out * self
@@ -241,7 +248,7 @@ class Poly(_Terms):
         return _clean(ring, _unpack(acc, width, nvars, ring.p))
 
     def __pow__(self, e: int):
-        if not self.terms or not isinstance(e, int) or e < 1:
+        if not self.terms or e.__class__ is not int or e < 1:
             return _Terms.__pow__(self, e)  # the exponent check, f^0 and 0^e
         # Every exponent of f^j, j <= e, is at most e times f's largest
         # exponent, so one width holds the whole chain.
@@ -268,6 +275,7 @@ def _clean(ring: Ring, terms: dict, cls: type = Poly) -> _Terms:
 # -- memos ----------------------------------------------------------------
 
 _MISS = object()  # a cached value may be falsy, such as a count of 0
+_KEY_TYPES = frozenset({int, str, Ring})
 
 
 class _Memo:
@@ -279,6 +287,10 @@ class _Memo:
     and a build that raises stores nothing, so ``locks`` holds only
     builds in progress and a failed key is built again on its next
     call.  Past ``maxsize`` the oldest value goes.
+
+    A key part that is not an int, str or Ring by exact type is refused
+    with ValueError before the lookup: 2.0 and True hash as 2 and 1 do,
+    so a warm memo would return the value stored for the int.
     """
 
     def __init__(self, build, maxsize: int):
@@ -287,6 +299,8 @@ class _Memo:
         self._lock = threading.Lock()  # guards the writes to both dicts
 
     def __call__(self, *key):
+        if not _KEY_TYPES.issuperset(map(type, key)):
+            raise ValueError(f"memo key {key!r} has a part that is not an int, str or Ring")
         value = self.values.get(key, _MISS)
         if value is not _MISS:
             return value
@@ -629,9 +643,7 @@ def one(ring: Ring) -> Poly:
 
 def x_var(ring: Ring, i: int) -> Poly:
     """The variable x_i, 1-based."""
-    if not isinstance(i, int):
-        raise ValueError(f"variable index {i!r} is not an int")
-    if not 1 <= i <= ring.m:
+    if not 1 <= _int(i, "variable index") <= ring.m:
         raise ValueError(f"x{i} is not a variable of {ring}")
     exps = [0] * ring.nvars
     exps[i - 1] = 1

@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import random
 import threading
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,34 @@ class TestBaseLevels:
                             count += 1
         assert count == 666
         assert digest.hexdigest() == "46a40a79bc1ea298787f2a5b3bf5aeba1bf5ffe162a8801759a74f61504bb3ef"
+
+
+def _benchmark_corpus():
+    """``perfbench/corpus.py``, read only: its source runs in a fresh
+    module namespace, so nothing is written beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    corpus = types.ModuleType("corpus")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), corpus.__dict__)
+    return corpus
+
+
+def test_benchmark_certificates_are_pinned():
+    """Every ``decompose`` certificate of the benchmark's roundtrip and
+    core_peel corpora, seeds 1-3, hashes to the digest the CI step pins:
+    certificates are text outputs, so a change that keeps them must keep
+    every byte."""
+    corpus = _benchmark_corpus()
+    digest = hashlib.sha256()
+    count = 0
+    for workload in ("roundtrip", "core_peel"):
+        for seed in (1, 2, 3):
+            for line in corpus.make_inputs(workload, seed).splitlines():
+                m, n, p, text = line.split(" ", 3)
+                f = parse_poly(text, Ring(int(m), int(n), False, int(p)))
+                digest.update((serialize_gen_expr(decompose(f)) + "\n").encode())
+                count += 1
+    assert count == 3 * (480 + 108)
+    assert digest.hexdigest() == "fca875ff17c0891a55245a3224c020789697f39d6a3360e41696b3f9f8bfd4df"
 
 
 @st.composite

@@ -55,11 +55,19 @@ class TestKSeq:
             assert ks.kp == 0
 
     def test_invariants_hold_on_grid(self):
-        for p in (3, 5, 7, 11):
+        """The nine relations of the KSeq docstring, which kseq does not
+        check: they follow from the definitions for any 0 < k < p."""
+        primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+        assert len(primes) == 46
+        for p in primes:
             for k in range(1, p):
                 ks = kseq(p, k)
-                assert ks.s < p
-                assert all(v > 0 for v in ks.kvals)
+                s, kvals, kp = ks.s, ks.kvals, ks.kp
+                assert 1 <= s < p and len(kvals) == s and kvals[0] == k, ks
+                assert all(v > 0 for v in kvals) and kp >= 0, ks
+                assert kp + k == s * (p - k), ks
+                assert all(kvals[i] + (p - k) == kvals[i - 1] for i in range(1, s)), ks
+                assert all(kvals[i] + kp == (s - i) * (p - k) for i in range(s)), ks
 
     def test_rejects_out_of_range(self):
         for k in (0, 3, -1):

@@ -118,11 +118,11 @@ class TestGenExpr:
         e = GenExpr(2, 2, 3, {((("U", 1), 1), (("EY", 2), 1), (("EX", 1), 1), (("C", 3), 1)): 1})
         assert list(e.terms) == [((("C", 3), 1), (("EX", 1), 1), (("EY", 2), 1), (("U", 1), 1))]
 
-    @pytest.mark.parametrize("e", [1.5, "2", -1, None])
+    @pytest.mark.parametrize("e", [1.5, "2", -1, None, True])
     def test_power_refuses_what_poly_refuses(self, e):
         # GenExpr and Poly check the exponent in one place, with one message
         for base in (parse_gen_expr("C[1]", 1, 1, 3), parse_poly("x1 + y1", R11)):
-            with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            with pytest.raises(ValueError, match="^exponent (.+ is not an int|must be nonnegative)$"):
                 base ** e
 
     def test_power_is_the_repeated_product(self):

@@ -663,3 +663,16 @@ class TestMemo:
         memo = _Memo(lambda *key: calls.append(key) or 0, maxsize=4)
         assert [memo(1, 2), memo(1, 2)] == [0, 0]
         assert calls == [(1, 2)]
+
+    def test_a_key_part_that_is_not_an_int_str_or_ring_is_refused(self):
+        """2.0 == 2 and True == 1 hash alike, so a warm memo would return
+        the value stored for the int; the memo refuses them first."""
+        ring = Ring(1, 1, False, 3)
+        memo = _Memo(lambda *key: key, maxsize=8)
+        assert memo(2, "C", ring) == (2, "C", ring)
+        assert memo(1) == (1,) and memo(2) == (2,)
+        for key in ((2.0,), (True,), (2.0, "C", ring), (1, None)):
+            with pytest.raises(ValueError, match="has a part that is not an int, str or Ring"):
+                memo(*key)
+        assert list(memo.values) == [(2, "C", ring), (1,), (2,)]
+        assert memo.locks == {}

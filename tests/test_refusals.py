@@ -14,6 +14,7 @@ from supersympoly import (
     c_r,
     brace_identity_check,
     complete,
+    cr_generating_check,
     decompose,
     elementary,
     enumerate_deltas,
@@ -77,6 +78,14 @@ NOT_AN_INT = {
     "sigma_y_p index": lambda: sigma_y_p(1.0, R11),
     "x_var index": lambda: x_var(R11, 1.0),
     "enumerate_gen_monomials degree": lambda: enumerate_gen_monomials(1, 1, 3, 2.0),
+    "cr_generating_check truncation order": lambda: cr_generating_check(1, 1, 3, 4.0),
+    # True == 1 and hashes alike: a bool is not an int either
+    "ring size, bool": lambda: Ring(True, 1, False, 3),
+    "as_dimension level, bool": lambda: as_dimension(True, 1, 3, 2),
+    "generated_dimension level, bool": lambda: generated_dimension(True, 1, 3, 2),
+    "gen_span level, bool, memo warm": lambda: (gen_span(1, 1, 3, 2), gen_span(True, 1, 3, 2)),
+    "elementary index, bool": lambda: elementary(True, Block.X, R11),
+    "kseq k, bool": lambda: kseq(3, True),
 }
 
 
@@ -84,6 +93,24 @@ NOT_AN_INT = {
 def test_a_value_that_is_not_an_int_is_refused(call):
     with pytest.raises(ValueError, match="not an int|needs an int|must be ints"):
         call()
+
+
+# (m, n, p, d) cells that both dimension functions refuse: a bad level
+# first, then a bad degree
+BAD_CELLS = [
+    (1, 1, 4, -1), (1.0, 1, 3, -1), (-1, 1, 3, 2), (0, 1, 3, -1), (2, 0, 3, 2.0),
+    (0, 0, 9, 1), (True, 1, 3, 2), (1, 1, 3.0, -1), (1, 1, 3, True),
+]
+
+
+@pytest.mark.parametrize("cell", BAD_CELLS, ids=str)
+def test_both_dimensions_refuse_a_bad_cell_with_one_message(cell):
+    messages = []
+    for dimension in (as_dimension, generated_dimension):
+        with pytest.raises(ValueError) as refusal:
+            dimension(*cell)
+        messages.append(str(refusal.value))
+    assert messages[0] == messages[1]
 
 
 REFUSALS = {
