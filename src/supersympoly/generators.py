@@ -99,11 +99,7 @@ def _placements(families, size: int) -> dict[tuple, int]:
     of ``size``.  Slots of one family are interchangeable, slots of
     different families are not, even when their values coincide.
     """
-    fams = [(v, c) for v, c in families if c > 0]
-    if not isinstance(sum(v + c for v, c in fams), int):  # an int only if every one is
-        raise ValueError(f"slot values and counts must be ints, got {fams}")
-    if any(v < 0 for v, _ in fams):
-        raise ValueError("slot values must be nonnegative")
+    fams = [(_int(v, "slot value", 0), c) for v, c in families if _int(c, "slot count", 0)]
     out: dict[tuple, int] = {}
     if sum(c for _, c in fams) > size:
         return out
@@ -233,7 +229,7 @@ def u_k(k: int, ring: Ring) -> Poly:
 
 
 def _delta_x_families(delta: tuple, ks: KSeq):
-    if delta and (min(delta) < 1 or max(delta) > ks.s - 1):
+    if not all(1 <= _int(i, "delta entry") < ks.s for i in delta):
         raise ValueError(f"delta {delta} has entries outside [1, s-1] for s={ks.s}")
     return [(ks.kvals[i], delta.count(i)) for i in sorted(set(delta))]
 

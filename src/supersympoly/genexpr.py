@@ -46,6 +46,8 @@ from .poly_core import (
     _pieces,
     _power_chains,
     _require_ring,
+    _set_ring,
+    _set_terms,
     _Terms,
 )
 
@@ -114,13 +116,8 @@ class GenExpr(_Terms):
         for key, c in terms.items():
             merged: dict = {}
             for (kind, idx), e in key:
-                if not (isinstance(idx, int) and isinstance(e, int)):
-                    raise ValueError(f"symbol {kind}[{idx!r}]^{e!r} needs an int index and power")
-                idx = int(idx)  # a bool index would serialize as C[True]
                 symbol_weight(kind, idx, ring)  # the symbol must exist
-                if e < 0:
-                    raise ValueError("symbol exponents must be nonnegative")
-                if e:
+                if _int(e, "symbol exponent", 0):
                     merged[kind, idx] = merged.get((kind, idx), 0) + e
             c = _int(c, "coefficient") % p
             if not c:
@@ -128,8 +125,8 @@ class GenExpr(_Terms):
             # kind names sort as _KIND_RANK does, so plain order is canonical
             parts = tuple(sorted(merged.items()))
             clean[parts] = (clean.get(parts, 0) + c) % p
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v})
+        _set_ring(self, ring)
+        _set_terms(self, {k: v for k, v in clean.items() if v})
 
     def weighted_degree(self):
         if not self.terms:

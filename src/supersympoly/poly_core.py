@@ -21,6 +21,7 @@ import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import DivisibilityError, PolyParseError, RingMismatchError
@@ -43,8 +44,9 @@ def fp_inv(a: int, p: int) -> int:
 
 
 def _int(value, what: str, least: int | None = None) -> int:
-    """The one check of an outside count, index, degree or coefficient:
-    ``value`` if it is an int, not a bool, and at least ``least``."""
+    """The one check of an outside int (a count, index, degree,
+    exponent or coefficient): ``value`` if it is an int, not a bool,
+    and at least ``least``."""
     if value.__class__ is not int:
         raise ValueError(f"{what} {value!r} is not an int")
     if least is not None and value < least:
@@ -62,6 +64,8 @@ class Ring:
     p: int
 
     def __post_init__(self):
+        if self.has_t.__class__ is not bool:
+            raise ValueError(f"has_t {self.has_t!r} is not a bool")
         _int(self.m, "variable count", 0)
         _int(self.n, "variable count", 0)
         if not is_odd_prime(_int(self.p, "characteristic")):
@@ -182,6 +186,7 @@ class _Terms:
 
 
 _set_ring, _set_terms = _Terms.ring.__set__, _Terms.terms.__set__
+_INTS = frozenset({int})
 
 
 def _require_ring(ring: Ring, other: Ring) -> None:
@@ -196,24 +201,21 @@ class Poly(_Terms):
     __slots__ = ()
 
     def __init__(self, ring: Ring, terms: Mapping[tuple, int]):
-        clean = {}
         nvars = ring.nvars
-        p = ring.p
-        for exps, c in terms.items():
-            # one test per term: the sum is an int only if every value is
-            if not isinstance(sum(exps, c), int):
-                raise ValueError(f"term {exps}, coefficient {c!r}: a value is not an int")
-            c %= p
-            if c:
+        # one cheap test of every term, whatever its coefficient; _int names what fails it
+        if not (_INTS.issuperset(map(type, terms.values()))
+                and _INTS.issuperset(map(type, chain.from_iterable(terms)))
+                and set(map(len, terms)) <= {nvars}
+                and min(chain.from_iterable(terms), default=0) >= 0):
+            for exps, c in terms.items():
+                for e in exps:
+                    _int(e, "exponent", 0)
+                _int(c, "coefficient")
                 if len(exps) != nvars:
-                    raise ValueError(
-                        f"exponent tuple {exps} does not fit ring with {nvars} variables"
-                    )
-                if exps and min(exps) < 0:
-                    raise ValueError(f"exponent tuple {exps} has a negative exponent")
-                clean[tuple(exps)] = c
+                    raise ValueError(f"exponent tuple {exps} does not fit ring with {nvars} variables")
+        p = ring.p
         _set_ring(self, ring)
-        _set_terms(self, clean)
+        _set_terms(self, {tuple(exps): r for exps, c in terms.items() if (r := c % p)})
 
     # perfbench/tracer.py wraps only what Poly's own namespace binds
     __add__ = __radd__ = _Terms.__add__
@@ -705,13 +707,9 @@ def exact_monomial_div(f: Poly, divisor: Iterable[int]) -> Poly:
     Raises DivisibilityError naming the first term, in ``f.terms``
     order, that the monomial does not divide.
     """
-    d = tuple(divisor)
+    d = tuple([_int(e, "divisor exponent", 0) for e in divisor])
     if len(d) != f.ring.nvars:
         raise ValueError("divisor exponent tuple has the wrong length")
-    if not isinstance(sum(d), int):
-        raise ValueError(f"divisor exponent tuple {d} has an exponent that is not an int")
-    if d and min(d) < 0:
-        raise ValueError(f"divisor exponent tuple {d} has a negative exponent")
     sub = operator.sub
     quotients = [tuple(map(sub, exps, d)) for exps in f.terms]
     if d and quotients and min(map(min, quotients)) < 0:

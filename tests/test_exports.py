@@ -152,9 +152,10 @@ DOORS = {
 }
 
 
-def _calls(path: Path):
-    """(scope, callee text) of every call in ``path``; the scope is the
-    module and the names of the enclosing classes and functions."""
+def _scoped(path: Path):
+    """(scope, node) of every node in ``path`` but the definitions; the
+    scope is the module and the names of the enclosing classes and
+    functions."""
     found = []
 
     def visit(node, scope):
@@ -162,12 +163,16 @@ def _calls(path: Path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call):
-                found.append((scope, ast.unparse(child.func)))
+            found.append((scope, child))
             visit(child, scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     return found
+
+
+def _calls(path: Path):
+    """(scope, callee text) of every call in ``path``."""
+    return [(scope, ast.unparse(node.func)) for scope, node in _scoped(path) if isinstance(node, ast.Call)]
 
 
 def test_validating_constructors_run_only_at_the_doors():
@@ -191,3 +196,15 @@ def test_decompose_builds_its_certificates_trusted():
     assert ("decompose._decompose_homogeneous", "_core_term") in calls
     doors = {"Poly", "GenExpr", "parse_poly", "parse_gen_expr"}
     assert [call for call in calls if call[1] in doors] == []
+
+
+def test_one_int_check():
+    """``poly_core._int`` checks every outside int: the package's only
+    ``isinstance(..., int)`` tests are ``_Terms``' dispatch on a scalar
+    operand, as in ``f * 3``."""
+    scopes = {scope for path in sorted(PACKAGE.glob("*.py")) for scope, node in _scoped(path)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+              and "int" in {name.id for name in ast.walk(node.args[1]) if isinstance(name, ast.Name)}}
+    # the scan sees the scalar dispatch
+    assert "poly_core._Terms.__mul__" in scopes
+    assert sorted(scope for scope in scopes if not scope.startswith("poly_core._Terms.")) == []

@@ -233,14 +233,6 @@ class TestSerialization:
         assert serialize_gen_expr(e) == "EY[2]*U[1] + 2*C[3]*EX[1]^2"
         assert serialize_gen_expr(parse_gen_expr("C [ 1 ]", 1, 1, 3)) == "C[1]"
 
-    def test_a_bool_index_is_stored_as_an_int(self):
-        """True passes the door's int check and equals 1; the door stores
-        it as 1, so the text form is C[1] and reads back."""
-        e = GenExpr(1, 1, 3, {((("C", True), 1),): 1})
-        assert [type(idx) for key in e.terms for (_, idx), _ in key] == [int]
-        assert serialize_gen_expr(e) == "C[1]"
-        assert parse_gen_expr(serialize_gen_expr(e), 1, 1, 3) == e
-
     def test_zero(self):
         assert serialize_gen_expr(GenExpr(1, 1, 3, {})) == "0"
         assert parse_gen_expr("0", 1, 1, 3).is_zero
