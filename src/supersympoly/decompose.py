@@ -40,14 +40,14 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from math import prod
 from operator import itemgetter
 
 from .errors import InternalInvariantViolation, NotSupersymmetricError
 from .genexpr import GenExpr, _gen_monomial_count, expand, gen_span
-from .generators import core_exponents, elementary, generator_poly, kseq, v_k
+from .generators import core_exponents, generator_poly, kseq, v_k
 from .poly_core import (
-    Block,
     Poly,
     Ring,
     _clean,
@@ -286,9 +286,9 @@ def _base_one_block(f: Poly) -> GenExpr:
 
     The elimination runs in x.  Each step takes the graded-lex leading
     exponent lam of the work left, a partition because the work is
-    symmetric, subtracts c * prod_r e_r^(lam_r - lam_{r+1}), which has
-    the same leading term, and writes c * prod_r C[r]^(lam_r - lam_{r+1})
-    into the certificate, as c_r equals e_r(x) at (m, 0).  A level (0, n)
+    symmetric, writes c * prod_r C[r]^(lam_r - lam_{r+1}) into the
+    certificate and subtracts its expansion, which has the same leading
+    term, as c_r equals e_r(x) at (m, 0).  A level (0, n)
     is the x <-> y swap of (n, 0) (Stembridge 1985): f's terms are the
     same exponent tuples at (n, 0), and each C[r] of that certificate is
     then read as e_r(y), which the generating function
@@ -296,8 +296,9 @@ def _base_one_block(f: Poly) -> GenExpr:
     e_r(y) = -sum_{i=1..r} C[i] e_{r-i}(y).
     """
     ring = f.ring
-    e_poly, out = [None], {}  # e_r of the block as a Poly, r >= 1; the certificate's terms
+    out = {}  # the certificate's terms
     work = _clean(Ring(ring.m + ring.n, 0, False, ring.p), f.terms)
+    c_poly = partial(generator_poly, ring=work.ring)
     while not work.is_zero:
         exps, c = work.leading()
         lam = exps + (0,)  # the ring holds the block alone
@@ -306,18 +307,17 @@ def _base_one_block(f: Poly) -> GenExpr:
                 "leading exponent of a symmetric polynomial is not a partition"
             )
         top = lam.index(0)
-        e_poly += [elementary(r, Block.X, work.ring) for r in range(len(e_poly), top + 1)]
         key = tuple((("C", r), lam[r - 1] - lam[r]) for r in range(1, top + 1) if lam[r - 1] > lam[r])
         out[key] = c
-        work = work - c * prod(e_poly[r] ** d for (_, r), d in key)
+        work = work - _expand_sum({key: c}, work.ring, sum(exps), c_poly)
         # This check also ends the loop: graded-lex leading terms of
         # bounded degree cannot decrease forever.
         if not work.is_zero and _term_key(work.leading()[0]) >= _term_key(exps):
             raise InternalInvariantViolation("leading term did not decrease")
     if ring.n == 0:
         return _clean(ring, out, GenExpr)
-    elem = [1]  # e_r(y) over C, from e_0 = 1
-    for r in range(1, len(e_poly)):
+    elem = [1]  # e_r(y) over C for r <= n, from e_0 = 1
+    for r in range(1, ring.n + 1):
         elem.append(-sum(_clean(ring, {((("C", i), 1),): 1}, GenExpr) * elem[r - i]
                          for i in range(1, r + 1)))
     return sum((c * prod(elem[r] ** d for (_, r), d in key) for key, c in out.items()),

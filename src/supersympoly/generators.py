@@ -6,11 +6,11 @@ Four polynomial families generate the algebra:
   of the x block with complete homogeneous functions of the y block,
   c_r = sum_{i} (-1)^(r-i) sigma_i(x) h_{r-i}(y).
 * ``sigma_x_p`` / ``sigma_y_p``: p-th powers of elementary symmetric
-  polynomials of one block.
+  polynomials of one block, built as the placed sums they equal over
+  F_p.
 * ``u_k``: the core product (x_1...x_m)^k (y_1...y_n)^(p-k).
 
-``elementary`` and ``complete`` build the one-block functions behind
-them; ``elementary`` also serves ``decompose._base_one_block``.
+``elementary`` and ``complete`` build the one-block functions of c_r.
 ``core_exponents`` states what a core is, for ``u_k`` and for the peel
 in ``decompose``; ``generator_poly`` reads the four families from one
 table.
@@ -180,28 +180,23 @@ def c_r(r: int, ring: Ring) -> Poly:
     out = zero(ring)
     for i in range(0, min(r, ring.m) + 1):
         sign = 1 if (r - i) % 2 == 0 else -1
-        if i == 0:  # sigma_0 = h_0 = 1
-            term = complete(r, Block.Y, ring)
-        elif i == r:
-            term = elementary(r, Block.X, ring)
-        else:
-            term = elementary(i, Block.X, ring) * complete(r - i, Block.Y, ring)
-        out = out + sign * term
+        out = out + sign * elementary(i, Block.X, ring) * complete(r - i, Block.Y, ring)
     return out
 
 
 def sigma_x_p(i: int, ring: Ring) -> Poly:
-    """p-th power of the i-th elementary symmetric polynomial in x."""
-    if not 1 <= i <= ring.m:
+    """sigma_i(x)^p, which over F_p is the Frobenius sum
+    sigma_i(x_1^p, ..., x_m^p): i slots of value p on the x block."""
+    if not 1 <= _int(i, "index") <= ring.m:
         raise ValueError(f"index {i} out of range for m={ring.m}")
-    return elementary(i, Block.X, ring) ** ring.p
+    return placed_sym([(ring.p, i)], [], ring)
 
 
 def sigma_y_p(j: int, ring: Ring) -> Poly:
-    """p-th power of the j-th elementary symmetric polynomial in y."""
-    if not 1 <= j <= ring.n:
+    """sigma_j(y)^p = sigma_j(y_1^p, ..., y_n^p) over F_p."""
+    if not 1 <= _int(j, "index") <= ring.n:
         raise ValueError(f"index {j} out of range for n={ring.n}")
-    return elementary(j, Block.Y, ring) ** ring.p
+    return placed_sym([], [(ring.p, j)], ring)
 
 
 def core_exponents(ring: Ring, a: int, b: int) -> tuple:
@@ -239,7 +234,7 @@ def bracket_round(delta: tuple, j: int, ks: KSeq, ring: Ring) -> Poly:
     (p-k) repeated (N-j-1) and one tail slot kp.  Zero unless
     0 <= t <= M and 0 <= j < N."""
     M, N = ring.m, ring.n
-    t = len(delta)
+    t, j = len(delta), _int(j, "j")
     if not (0 <= t <= M and 0 <= j < N):
         return zero(ring)
     xfams = [(ks.k, M - t)] + _delta_x_families(delta, ks)
@@ -250,7 +245,7 @@ def bracket_square(delta: tuple, j: int, ks: KSeq, ring: Ring) -> Poly:
     """Like the round bracket but with a plain (p-k) tail of length N-j.
     Zero unless 0 <= t <= M and 0 <= j <= N; j = N empties the y part."""
     M, N = ring.m, ring.n
-    t = len(delta)
+    t, j = len(delta), _int(j, "j")
     if not (0 <= t <= M and 0 <= j <= N):
         return zero(ring)
     xfams = [(ks.k, M - t)] + _delta_x_families(delta, ks)
@@ -262,9 +257,7 @@ def bracket_brace(delta: tuple, l: int, j: int, ks: KSeq, ring: Ring) -> Poly:
     y slots: (p-k) repeated (N-j).  Zero unless 0 <= t < M and
     0 <= j <= N; any l >= 0 is allowed."""
     M, N = ring.m, ring.n
-    t = len(delta)
-    if l < 0:
-        raise ValueError("l must be nonnegative")
+    t, j, l = len(delta), _int(j, "j"), _int(l, "l", 0)
     if not (0 <= t < M and 0 <= j <= N):
         return zero(ring)
     xfams = [(ks.k, M - t - 1), (l * (ks.p - ks.k), 1)] + _delta_x_families(delta, ks)

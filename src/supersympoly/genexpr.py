@@ -262,38 +262,24 @@ def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
 class GenSpan:
     """Row-reduced span of the symbol monomial expansions at one degree.
 
-    The span lists only the monomials of ``enumerate_gen_monomials``
-    whose every C power is below p, since no other one adds a row.
-    Over F_p, Frobenius gives sum_r c_r^p s^r = (sum_i EX[i] s^i) /
-    (sum_j EY[j] s^j), so C[r]^p M is a combination of monomials that
-    keep M's C[1..r-1] powers and lower its C[r] power by p.  Those
-    come earlier in the ascending lex order of exponents that
-    ``enumerate_gen_monomials`` gives, so each left-out expansion lies
-    in the span of earlier listed ones: the rows, their combinations
-    and the rank are those of the full list.
-
-    Every generator is supersymmetric, so every expansion is invariant
-    under S_m x S_n, and the span keeps expansions in the orbit-leader
-    coordinates of its own ``poly_core._OrbitLeaders``.  Its symbol
-    powers come in full from one power chain per symbol (see
-    ``poly_core._power_chains``), and each is checked to be
-    block-symmetric once, so a broken generator cannot hide behind the
-    projection.  ``solve`` refuses a polynomial that is not
-    block-symmetric before it projects.
-
-    Projection to leaders is injective on block-symmetric polynomials,
-    and a leader is the largest key of its orbit, so each row is the
-    full-coordinate row restricted to leaders, with the same pivot in
-    the same order: the rank and certificates are unchanged.
+    ``monomials`` are those of ``enumerate_gen_monomials`` whose every C
+    power is below p; the others add no row, so the rank and the
+    certificates are those of the full list.  Rows are kept in the
+    orbit-leader coordinates of the span's own
+    ``poly_core._OrbitLeaders``, which change neither.  Symbol powers
+    come from one power chain per symbol (``poly_core._power_chains``),
+    and each is checked to be block-symmetric once, raising
+    ``InternalInvariantViolation`` otherwise, so a broken generator
+    cannot hide behind the projection; ``solve`` refuses a polynomial
+    that is not block-symmetric before it projects.
 
     The i-th vector of the ``poly_core.FpEchelon`` is the expansion of
-    the i-th listed monomial, built in monomial order only when the
-    echelon draws it: ``solve`` draws until f's residue holds no term,
-    ``dimension`` draws them all.  The echelon's ``combination`` of a
-    member names monomials by index, and rows are never rewritten, so a
-    member gets the same certificate from a partly drawn span as from a
-    full one.  The power chains and leader memo go with the last row.
-    The construction is deterministic.
+    the i-th listed monomial, built only when the echelon draws it:
+    ``solve`` draws until f's residue holds no term, ``dimension`` draws
+    them all, and a member gets the same certificate from a partly drawn
+    span as from a full one.  The power chains and leader memo go with
+    the last row.  The construction is deterministic.  README "Design
+    notes" gives the Frobenius, orbit-leader and lazy-draw arguments.
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):

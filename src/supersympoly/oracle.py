@@ -5,25 +5,16 @@ algebra directly from the defining conditions: the block-symmetric
 space of one degree is spanned by products of monomial symmetric
 functions m_lambda(x) m_mu(y), and the surviving subspace is the kernel
 of the linear map f -> d/dT f(x_m = y_n = T).  It computes that map on
-partition labels alone, with no basis polynomial (the restriction
-identity and the rank argument are in the README's "Design notes").
-``generated_dimension`` measures the span of all generator monomials of
-the same degree by row reduction, built from the monomials that can add
-a row: ``GenSpan`` leaves out those with a C power of p or more, whose
-expansions lie in the span of the others.  The generator property
+partition labels alone, with no basis polynomial.
+``generated_dimension`` measures the span of the generator monomials of
+the same degree by row reduction (``GenSpan``).  The generator property
 predicts the two numbers agree everywhere.  The two computations share
 only the row reduction ``poly_core.FpEchelon``, filled the same way
-from a count and an index -> vector function; the derivative images
-number their label pairs in the order they first appear, since the
-rank does not depend on the order of the keys.
-
-``GenSpan`` reduces the expansions in orbit-leader coordinates only,
-through a ``poly_core`` helper.  The rank is unchanged, because
-projection to leaders is injective on block-symmetric polynomials, and
-the span first checks that every generator power it expands is
-block-symmetric, raising ``InternalInvariantViolation`` otherwise.  So a generator that lost its
-symmetry cannot hide behind the projection, and the agreement stays a
-check of the generators rather than of the projection.
+from a count and an index -> vector function.  ``GenSpan`` raises
+``InternalInvariantViolation`` for a generator power that is not
+block-symmetric, so the agreement stays a check of the generators.
+README "Design notes" gives the restriction identity and the rank
+arguments behind both sides.
 """
 
 from __future__ import annotations
@@ -81,8 +72,6 @@ def as_dimension(m: int, n: int, p: int, d: int) -> int:
     _int(d, "degree", 0)
     ys = [list(partitions_max_parts(dy, n)) for dy in range(d + 1)]
     pairs = [(lam, mu) for dx in range(d + 1) for lam in partitions_max_parts(dx, m) for mu in ys[d - dx]]
-    if m == 0 or n == 0:
-        return len(pairs)
     keys: dict = {}  # (lam less a, mu less b) numbered in the order they first appear
     images = [{keys.setdefault((lam_a, mu_b), len(keys)): (a + b) % p
                for a, lam_a in _restrictions(lam, m) for b, mu_b in _restrictions(mu, n) if (a + b) % p}
@@ -161,7 +150,7 @@ def brace_identity_check(delta: tuple, l: int, j: int, m: int, n: int, ks: KSeq)
       (T^(kvals[i]) {delta-i, l, j-1} + T^(kvals[i-1]) {delta-i, l, j}),
     all at level (m-1, n-1).
     """
-    drops = _drops(delta, ks)
+    drops, j, l = _drops(delta, ks), _int(j, "j"), _int(l, "l", 0)
     p, k = ks.p, ks.k
     ring, ring_t = Ring(m, n, False, p), Ring(m - 1, n - 1, True, p)
     rhs = [(k, bracket_brace(delta, l, j - 1, ks, ring_t)),
@@ -182,7 +171,7 @@ def round_identity_check(delta: tuple, j: int, m: int, n: int, ks: KSeq) -> bool
        + T^((s-i)(p-k)) [delta-i, j]),
     all at level (m-1, n-1).
     """
-    drops = _drops(delta, ks)
+    drops, j = _drops(delta, ks), _int(j, "j")
     p, k, s = ks.p, ks.k, ks.s
     ring, ring_t = Ring(m, n, False, p), Ring(m - 1, n - 1, True, p)
     rhs = [(k, bracket_round(delta, j - 1, ks, ring_t)),

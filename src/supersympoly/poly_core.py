@@ -171,9 +171,10 @@ class _Terms:
 
     def __pow__(self, e: int):
         """f^e as f^(e-1) * f: one product by the sparse base per step."""
-        _int(e, "exponent", 0)
-        out = self._constant(1)
-        for _ in range(e if self.terms else min(e, 1)):  # 0^e is 0 from e = 1
+        if not _int(e, "exponent", 0):
+            return self._constant(1)
+        out = self
+        for _ in range(e - 1):
             out = out * self
         return out
 
@@ -252,13 +253,8 @@ class Poly(_Terms):
     def __pow__(self, e: int):
         if not self.terms or e.__class__ is not int or e < 1:
             return _Terms.__pow__(self, e)  # the exponent check, f^0 and 0^e
-        # Every exponent of f^j, j <= e, is at most e times f's largest
-        # exponent, so one width holds the whole chain.
-        ring = self.ring
-        nvars = ring.nvars
-        width = _field_width(e * max(map(max, self.terms)) if nvars else 0)
-        acc = _packed_power({1: _pack(self.terms, width)}, e, ring.p)
-        return _clean(ring, _unpack(acc, width, nvars, ring.p))
+        # the one-term sum of f as a symbol to the e: f's power chain
+        return _expand_sum({((("f",), e),): 1}, self.ring, e * self.degree(), lambda _: self)
 
     def __repr__(self):
         return f"Poly({self.ring.m},{self.ring.n},p={self.ring.p}: {poly_to_str(self)})"
@@ -418,9 +414,10 @@ def _unpack(acc: dict, width: int, nvars: int, p: int) -> dict[tuple, int]:
 def _expand_sum(terms: dict, ring: Ring, bound: int, symbol_poly) -> Poly:
     """The sum of ``c * expansion(key)`` over ``terms``, accumulated
     packed and unpacked once.  A key is a tuple of (symbol, exponent)
-    factors, ``symbol_poly(*symbol)`` is the homogeneous polynomial a
-    symbol stands for, and ``bound`` is at least the degree of every
-    term's expansion."""
+    factors, ``symbol_poly(*symbol)`` is the polynomial a symbol stands
+    for, and ``bound`` is at least the sum of exponent * degree over the
+    factors of every key: the degree of its expansion, as every
+    generator symbol is homogeneous."""
     p = ring.p
     power = _power_chains(bound, p, symbol_poly)
     acc: dict[int, int] = {}
@@ -435,10 +432,9 @@ def _expand_sum(terms: dict, ring: Ring, bound: int, symbol_poly) -> Poly:
 def _power_chains(bound: int, p: int, symbol_poly):
     """``power((symbol, e))``: the symbol's packed power mod p, from one
     ``_packed_power`` chain per symbol that lives as long as ``power``.
-    Symbols are homogeneous, so a chain's powers have degree at most
-    that of the term asking: a ``bound`` on every term's degree holds
-    every chain, and the Frobenius step (keys times p) never carries
-    into the next field."""
+    A chain's powers up to e have degree at most e times the symbol's,
+    so a ``bound`` as ``_expand_sum`` takes it holds every chain, and the
+    Frobenius step (keys times p) never carries into the next field."""
     width = _field_width(bound)
     chains: dict = {}
 
@@ -553,19 +549,15 @@ class FpEchelon:
 
     ``vector(i)`` gives the i-th vector, a dict from int keys of at least
     0 to residues in [1, p), which the echelon does not modify.  Vectors
-    are drawn in order, only when ``combination`` or ``rank`` needs one.
-    The cursor moves only after ``vector(i)`` returns, so a draw that
-    raises is retried at the same i; after the last draw ``vector`` is
-    dropped, with whatever it holds.
-
-    The i-th vector enters with the label key ``-1 - i`` at coefficient
-    1 (the augmented-matrix trick), so a row's labels are the exact
-    combination of vectors it equals.  Labels sort below every term key,
-    so a row's pivot, its largest key, is always a term, with
-    coefficient 1.  Rows are never rewritten, so a vector reduces
-    against the same rows whether the echelon is partly or fully drawn.
-    Drawing runs under the echelon's lock, so concurrent callers see the
-    same rows.
+    are drawn in order under the echelon's lock, only when
+    ``combination`` or ``rank`` needs one; a draw that raises is retried
+    at the same i, and after the last draw ``vector`` is dropped, with
+    whatever it holds.  The i-th vector enters with the label key
+    ``-1 - i``, below every term key, so a row's labels are its exact
+    combination of vectors and its pivot, its largest key, is a term
+    with coefficient 1.  Rows are never rewritten, so a partly drawn
+    echelon gives the combinations of a full one (README "Design
+    notes").
     """
 
     def __init__(self, p: int, count: int, vector):

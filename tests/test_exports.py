@@ -1,6 +1,7 @@
 """Every name the package exports has a caller: a public name that only
 its own tests reach is dead API.  Only ``poly_core`` knows the
-packed-exponent format, and only its ``_Memo`` caches and locks."""
+packed-exponent format and its power routine, and only its ``_Memo``
+caches and locks."""
 
 import ast
 from pathlib import Path
@@ -93,6 +94,29 @@ def test_only_poly_core_knows_the_packed_format():
     leaks = [f"{path.name}:{line}: {name}" for path in modules for line, name in _names(path)
              if name in ("bit_length", "<<") or _is_packed_helper(name)]
     assert leaks == []
+
+
+def test_every_packed_power_goes_through_the_power_chains():
+    """``_packed_power`` is named only inside ``poly_core._power_chains``,
+    so ``Poly.__pow__``, ``expand``, the lift and the spans all take
+    their packed powers from the chains."""
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tops = ast.parse(path.read_text(encoding="utf-8")).body
+        for line, name in _names(path):
+            if name == "_packed_power":
+                top = next(top for top in tops if top.lineno <= line <= top.end_lineno)
+                users.add(f"{path.name}:{getattr(top, 'name', line)}")
+    assert users == {"poly_core.py:_power_chains"}
+
+
+def test_no_generator_family_takes_a_polynomial_power():
+    """``generators.py`` has no ``**``: EX[i] and EY[j] are placed sums,
+    and no family needs a polynomial power."""
+    tree = ast.parse((PACKAGE / "generators.py").read_text(encoding="utf-8"))
+    powers = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)]
+    assert powers == []
 
 
 SHARED_ARITHMETIC = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",

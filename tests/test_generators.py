@@ -1,5 +1,5 @@
 import hashlib
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -14,6 +14,7 @@ from supersympoly import (
     bracket_square,
     c_r,
     d_dT,
+    elementary,
     enumerate_deltas,
     is_symmetric,
     kseq,
@@ -133,6 +134,13 @@ class TestFamilies:
         assert sigma_x_p(2, r) == parse_poly("x1^3*x2^3", r)
         r = Ring(0, 2, False, 3)
         assert sigma_y_p(1, r) == parse_poly("y1^3 + y2^3", r)
+        # the definition: EX[i] and EY[j] are p-th powers of sigma_i(x), sigma_j(y)
+        for m, n, p in product(range(4), range(4), (3, 5, 7)):
+            r = Ring(m, n, False, p)
+            for i in range(1, m + 1):
+                assert sigma_x_p(i, r) == elementary(i, Block.X, r) ** p
+            for j in range(1, n + 1):
+                assert sigma_y_p(j, r) == elementary(j, Block.Y, r) ** p
 
     def test_sigma_power_range(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from supersympoly import (
     as_dimension,
     bracket_brace,
     bracket_round,
+    bracket_square,
     c_r,
     brace_identity_check,
     complete,
@@ -57,7 +58,16 @@ NOT_AN_INT = {
     "divisor exponent": lambda: exact_monomial_div(parse_poly("x1*y1", R11), (1.0, 0)),
     "slot value": lambda: placed_sym([(1.5, 1)], [], R11),
     "slot count": lambda: placed_sym([(1, 1.5)], [], Ring(2, 1, False, 3)),
-    "brace slot value l(p-k)": lambda: bracket_brace((), 0.5, 0, kseq(3, 1), Ring(2, 1, False, 3)),
+    "brace l": lambda: bracket_brace((), 0.5, 0, kseq(3, 1), Ring(2, 1, False, 3)),
+    "brace l, bool": lambda: bracket_brace((), True, 0, kseq(3, 1), Ring(2, 1, False, 3)),
+    "brace j": lambda: bracket_brace((), 1, 0.0, kseq(3, 1), Ring(2, 1, False, 3)),
+    "round j": lambda: bracket_round((), 1.0, kseq(7, 5), Ring(3, 2, False, 7)),
+    # True == 1: the bool would be the bracket at j = 1
+    "round j, bool": lambda: bracket_round((), True, kseq(7, 5), Ring(3, 2, False, 7)),
+    "square j, bool": lambda: bracket_square((), True, kseq(7, 5), Ring(3, 2, False, 7)),
+    "round identity j, bool": lambda: round_identity_check((), True, 3, 2, kseq(7, 5)),
+    "brace identity j": lambda: brace_identity_check((), 1, 1.0, 3, 2, kseq(7, 5)),
+    "brace identity l, bool": lambda: brace_identity_check((), True, 1, 3, 2, kseq(7, 5)),
     "symbol weight index": lambda: symbol_weight("C", 1.0, R11),
     "u_k index": lambda: u_k(1.5, R11),
     "span degree": lambda: GenSpan(1, 1, 3, 2.0),
