@@ -15,7 +15,8 @@ Ring refuses is refused where it enters and two levels do not combine
 
 ``expand``, the lift step of ``decompose`` and GenSpan all expand
 through ``poly_core``'s power chains, which ``poly_core._expand_sum``
-sums; each caller passes only a bound on the degree.
+sums; each caller passes only a bound on the degree.  The spans of one
+level and width class share one set of chains.
 
 GenSpan row-reduces the expansions of the symbol monomials of one
 weighted degree whose C powers are below p, in orbit-leader
@@ -49,6 +50,7 @@ from .poly_core import (
     _set_ring,
     _set_terms,
     _Terms,
+    _width_class,
 )
 
 _KIND_RANK = {"C": 0, "EX": 1, "EY": 2, "U": 3}
@@ -264,11 +266,13 @@ class GenSpan:
 
     ``monomials`` are those of ``enumerate_gen_monomials`` whose every C
     power is below p; the others add no row, so the rank and the
-    certificates are those of the full list.  Rows are kept in the
-    orbit-leader coordinates of the span's own
-    ``poly_core._OrbitLeaders``, which change neither.  Symbol powers
-    come from one power chain per symbol (``poly_core._power_chains``),
-    and each is checked to be block-symmetric once, raising
+    certificates are those of the full list.  Rows are kept in
+    orbit-leader coordinates, which change neither.  The
+    ``poly_core._OrbitLeaders`` helper, the symbol power chains
+    (``poly_core._power_chains``) and the memo of each power's leader
+    terms come from the level table, one per level and width class of
+    the degree, which every span of that class shares.  Each power is
+    checked to be block-symmetric once, raising
     ``InternalInvariantViolation`` otherwise, so a broken generator
     cannot hide behind the projection; ``solve`` refuses a polynomial
     that is not block-symmetric before it projects.
@@ -277,9 +281,10 @@ class GenSpan:
     the i-th listed monomial, built only when the echelon draws it:
     ``solve`` draws until f's residue holds no term, ``dimension`` draws
     them all, and a member gets the same certificate from a partly drawn
-    span as from a full one.  The power chains and leader memo go with
-    the last row.  The construction is deterministic.  README "Design
-    notes" gives the Frobenius, orbit-leader and lazy-draw arguments.
+    span as from a full one.  The echelon drops its vector function with
+    the last row; the level table stays in its bounded memo.  The
+    construction is deterministic.  README "Design notes" gives the
+    Frobenius, orbit-leader, lazy-draw and shared-table arguments.
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
@@ -289,9 +294,8 @@ class GenSpan:
             key for key in enumerate_gen_monomials(m, n, p, degree)
             if all(e < p for (kind, _), e in key if kind == "C")
         ]
-        self._orbits = orbits = _OrbitLeaders(self.ring, degree)
-        power = _power_chains(degree, p, partial(generator_poly, ring=self.ring))
-        leaders: dict = {}
+        orbits, power, leaders = _TABLES(self.ring, _width_class(degree))
+        self._orbits = orbits
         self.echelon = FpEchelon(
             p, len(monomials), lambda i: _expand(monomials[i], orbits, power, leaders)
         )
@@ -346,6 +350,15 @@ def _expand(key: tuple, orbits: _OrbitLeaders, power, leaders: dict) -> dict[int
     return out
 
 
+def _level_table(ring: Ring, bound: int) -> tuple:
+    """(orbit helper, power chains, leader memo) of level ``ring`` for
+    exponents up to ``bound``, the spans' shared table: each write to
+    it stores the one value its key has (README "Design notes")."""
+    power = _power_chains(bound, ring.p, partial(generator_poly, ring=ring))
+    return _OrbitLeaders(ring, bound), power, {}
+
+
+_TABLES = _Memo(_level_table, maxsize=512)
 _SPANS = _Memo(GenSpan, maxsize=1024)
 
 

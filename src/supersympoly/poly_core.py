@@ -338,6 +338,12 @@ def _field_width(bound: int) -> int:
     return bound.bit_length() or 1
 
 
+def _width_class(degree: int) -> int:
+    """The largest bound with ``degree``'s field width, 2^w - 1: every
+    degree of one class (4-7, 8-15, ...) packs keys the same way."""
+    return (1 << _field_width(degree)) - 1
+
+
 def _pack(terms: Mapping[tuple, int], width: int) -> dict[int, int]:
     """{packed exponents: coefficient} of a tuple-keyed term dict."""
     packed = {}
@@ -350,10 +356,10 @@ def _pack(terms: Mapping[tuple, int], width: int) -> dict[int, int]:
 
 
 def _packed_mul(a: dict, b: dict, acc: dict | None = None) -> dict[int, int]:
-    """The pair loop of every product: packed ``a`` times packed ``b``,
-    with coefficients summed into ``acc`` (a new dict by default) but
-    not reduced mod p.  The caller makes the fields wide enough for
-    every exponent sum."""
+    """Packed ``a`` times packed ``b``, with coefficients summed into
+    ``acc`` (a new dict by default) but not reduced mod p: the pair loop
+    of ``Poly`` products, powers and ``_expand_sum``.  The caller makes
+    the fields wide enough for every exponent sum."""
     if acc is None:
         acc = {}
     get = acc.get
@@ -457,9 +463,10 @@ class _OrbitLeaders:
     S_m x S_n permutes the exponents inside each block.  A leader, the
     tuple sorted nonincreasing inside each block, is the lexicographic
     maximum of its orbit, and a block-symmetric polynomial is fixed by
-    its coefficients on leaders.  The memos live as long as the helper;
-    each write stores the one value its key has, and a leader's orbit
-    size is stored before any key maps to it, so sharing is safe.
+    its coefficients on leaders.  The memos live as long as the helper,
+    which the spans of one level and width class share; each write
+    stores the one value its key has, and a leader's orbit size is
+    stored before any key maps to it, so sharing is safe.
     """
 
     def __init__(self, ring: Ring, bound: int):
@@ -499,15 +506,19 @@ class _OrbitLeaders:
         terms, summed on the leaders of their keys.  Over Z that sum is
         orbit_size(e) times the product's coefficient at the leader e,
         so it is divided exactly before it is reduced mod p (m! n! may
-        be 0 mod p)."""
+        be 0 mod p).  The pair loop folds each pair onto its leader as
+        it goes, so no dict of the full product is built: many pairs
+        share a key, and many keys a leader."""
         p, orbit = self.p, self._orbit
-        acc = _packed_mul({k: c * orbit[k] for k, c in leaders.items()}, full)
         leader_of, find = self._leader.get, self._find_leader
         sums: dict[int, int] = {}
         get = sums.get
-        for k, c in acc.items():
-            lead = leader_of(k) or find(k)
-            sums[lead] = get(lead, 0) + c
+        for k1, c1 in leaders.items():
+            c1 *= orbit[k1]
+            for k2, c2 in full.items():
+                k = k1 + k2
+                lead = leader_of(k) or find(k)
+                sums[lead] = get(lead, 0) + c1 * c2
         return {k: r for k, c in sums.items() if (r := c // orbit[k] % p)}
 
     def _find_leader(self, k: int) -> int:

@@ -45,13 +45,22 @@ from helpers import (
 R11 = Ring(1, 1, False, 3)
 
 
+def _cold(monkeypatch, name):
+    """A fresh, empty ``genexpr`` memo in place of the session's."""
+    memo = getattr(genexpr, name)
+    fresh = _Memo(memo.build, memo.maxsize)
+    monkeypatch.setattr(genexpr, name, fresh)
+    return fresh
+
+
 @pytest.fixture
 def cold_spans(monkeypatch):
-    """A fresh, empty span memo in place of the session's."""
-    spans = genexpr._SPANS
-    fresh = _Memo(spans.build, spans.maxsize)
-    monkeypatch.setattr(genexpr, "_SPANS", fresh)
-    return fresh
+    return _cold(monkeypatch, "_SPANS")
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    return _cold(monkeypatch, "_TABLES")
 
 
 def _expand_monomial(key, ring):
@@ -437,13 +446,15 @@ class TestGenSpan:
         for text in ["x1 - y1", "x1 + 2*x2 - y1"]:
             assert span.solve(parse_poly(text, ring)) is None
 
-    def test_non_symmetric_generator_is_refused(self, monkeypatch):
+    def test_non_symmetric_generator_is_refused(self, monkeypatch, cold_tables):
         # an orbit point missing, then every point present with unequal
         # coefficients; rows are built on demand, so the refusal comes
         # from the first call that builds the broken power, and again
-        # from every later one
+        # from every later one.  Each text starts from an empty table
+        # memo, whose chains the patched generator fills.
         ring = Ring(2, 1, False, 3)
         for text in ["x1", "x1 + 2*x2"]:
+            cold_tables.values.clear()
             bad = parse_poly(text, ring)
             monkeypatch.setattr(genexpr, "generator_poly", lambda kind, idx, ring: bad)
             span = GenSpan(2, 1, 3, 1)
@@ -800,24 +811,99 @@ def test_concurrent_solves_on_a_fresh_span_match_the_serial_ones():
         assert _rows(shared) == full[:len(shared.echelon.rows)]
 
 
-def test_power_chains_go_with_the_last_row(monkeypatch):
-    """Once the last row is built, by ``dimension`` or by a solve that
-    needs it, the span holds no power chains."""
-    chains = []
+def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
+    """A span's echelon drops its vector function once the last row is
+    built, by ``dimension`` or by a solve that needs it.  The orbit
+    helper, power chains and leader memo stay in the level table: a bounded
+    memo keyed by the level and the width class of the degree, which
+    every span of that class shares, and an evicted table is built anew
+    with equal rows."""
+    chains = collections.Counter()
     original = genexpr._power_chains
 
-    def recording(*args):
-        power = original(*args)
-        chains.append(weakref.ref(power))
-        return power
+    def recording(bound, p, symbol_poly):
+        chains[bound] += 1
+        return original(bound, p, symbol_poly)
 
     monkeypatch.setattr(genexpr, "_power_chains", recording)
+    ring = Ring(2, 2, False, 3)
     span = GenSpan(2, 2, 3, 6)
-    assert span.solve(c_r(1, Ring(2, 2, False, 3)) ** 6) is not None
-    assert chains[-1]() is not None  # rows remain: the chains stay
+    vector = weakref.ref(span.echelon._vector)
+    assert span.solve(c_r(1, ring) ** 6) is not None
+    assert vector() is not None  # rows remain: the vector function stays
     span.dimension
-    assert chains[-1]() is None
+    assert vector() is None
     # at (1, 1, 3) degree 1 the one monomial is C[1]: solving c_1 builds the last row
-    span = GenSpan(1, 1, 3, 1)
-    assert span.solve(c_r(1, R11)) is not None
-    assert chains[-1]() is None
+    one = GenSpan(1, 1, 3, 1)
+    vector = weakref.ref(one.echelon._vector)
+    assert one.solve(c_r(1, R11)) is not None
+    assert vector() is None
+
+    assert isinstance(genexpr._TABLES, _Memo) and genexpr._TABLES.maxsize > 0
+    assert list(cold_tables.values) == [(ring, 7), (R11, 1)]
+    orbits, power, leaders = table = cold_tables.values[ring, 7]
+    assert leaders and span._orbits is orbits  # the rows' leader terms stay
+    # degrees 4 to 7 share the table, 8 starts the next width class
+    for d in (4, 5, 7):
+        other = GenSpan(2, 2, 3, d)
+        assert other._orbits is orbits
+        other.dimension
+    assert GenSpan(2, 2, 3, 8)._orbits is not orbits
+    assert cold_tables.values[ring, 7] is table
+    assert chains == {7: 1, 1: 1, 15: 1}
+
+    # evicted, the table is built anew and the span gets the same rows
+    cold_tables.maxsize = 3
+    GenSpan(1, 1, 3, 2)
+    assert list(cold_tables.values) == [(R11, 1), (ring, 15), (R11, 3)]
+    again = GenSpan(2, 2, 3, 6)
+    assert again._orbits is not orbits
+    assert again.dimension == span.dimension
+    assert _rows(again) == _rows(span)
+    assert chains == {7: 2, 1: 1, 15: 1, 3: 1}
+
+
+def test_spans_sharing_a_table_draw_concurrently(cold_tables):
+    """Threads that solve members on, and rank, spans of different
+    degrees of one width class, so with one level table, get the ranks,
+    certificates and rows of a serial run on a fresh table."""
+    m, n, p = 2, 2, 3
+    ring = Ring(m, n, False, p)
+    degrees = (8, 9, 10, 11, 12, 13)  # one width class, one thread each
+    rng = random.Random(11)
+    members = {}
+    for d in degrees:
+        keys = enumerate_gen_monomials(m, n, p, d)
+        members[d] = [expand(GenExpr(m, n, p, {key: 1 for key in rng.sample(keys, 2)}), ring)
+                      for _ in range(3)]
+
+    def draw(d):
+        span = GenSpan(m, n, p, d)
+        certificates = [serialize_gen_expr(span.solve(f)) for f in members[d]]
+        return span.dimension, certificates, _rows(span)
+
+    serial = {d: draw(d) for d in degrees}
+    assert len(cold_tables.values) == 1
+    for _ in range(3):
+        cold_tables.values.clear()
+        barrier = threading.Barrier(len(degrees))
+        got = {}
+
+        def run(d):
+            barrier.wait()
+            got[d] = draw(d)
+
+        threads = [threading.Thread(target=run, args=(d,), daemon=True) for d in degrees]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in threads:
+                t.join(max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads), "the draws did not finish in time"
+        assert len(cold_tables.values) == 1
+        assert got == serial
