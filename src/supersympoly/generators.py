@@ -322,7 +322,7 @@ def _build_generator(kind: str, index: int, ring: Ring) -> Poly:
     return family(index, ring)
 
 
-_GENERATORS = _Memo(_build_generator, maxsize=1024)
+_GENERATORS = _Memo(_build_generator, maxsize=2048)
 
 
 def generator_poly(kind: str, index: int, ring: Ring) -> Poly:

@@ -13,16 +13,17 @@ product.  Its level is its ``ring``, Ring(m, n, False, p), so a level
 Ring refuses is refused where it enters and two levels do not combine
 (RingMismatchError).
 
-``expand``, the lift step of ``decompose`` and GenSpan all expand
-through ``poly_core``'s power chains, which ``poly_core._expand_sum``
-sums; each caller passes only a bound on the degree.  The spans of one
-level and width class share one set of chains.
+``expand`` and the lift step of ``decompose`` expand through
+``poly_core``'s power chains, which ``poly_core._expand_sum`` sums; each
+caller passes only a bound on the degree.
 
 GenSpan row-reduces the expansions of the symbol monomials of one
 weighted degree whose C powers are below p, in orbit-leader
-coordinates; the others add no row.  It can write any polynomial of
-the spanned space as a GenExpr, tracking the combination exactly over
-F_p.
+coordinates; the others add no row.  The spans of one level and width
+class share one table of symbol expansions and monomial leader terms,
+and each draw is one product by a symbol.  It can write any polynomial
+of the spanned space as a GenExpr, tracking the combination exactly
+over F_p.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .poly_core import (
     _OrbitLeaders,
     _parse_terms,
     _pieces,
-    _power_chains,
     _require_ring,
     _set_ring,
     _set_terms,
@@ -267,24 +267,22 @@ class GenSpan:
     ``monomials`` are those of ``enumerate_gen_monomials`` whose every C
     power is below p; the others add no row, so the rank and the
     certificates are those of the full list.  Rows are kept in
-    orbit-leader coordinates, which change neither.  The
-    ``poly_core._OrbitLeaders`` helper, the symbol power chains
-    (``poly_core._power_chains``) and the memo of each power's leader
-    terms come from the level table, one per level and width class of
-    the degree, which every span of that class shares.  Each power is
-    checked to be block-symmetric once, raising
-    ``InternalInvariantViolation`` otherwise, so a broken generator
-    cannot hide behind the projection; ``solve`` refuses a polynomial
-    that is not block-symmetric before it projects.
-
-    The i-th vector of the ``poly_core.FpEchelon`` is the expansion of
-    the i-th listed monomial, built only when the echelon draws it:
+    orbit-leader coordinates, which change neither.  The i-th vector of
+    the ``poly_core.FpEchelon`` is the leader terms of the i-th listed
+    monomial's expansion, built only when the echelon draws it:
     ``solve`` draws until f's residue holds no term, ``dimension`` draws
     them all, and a member gets the same certificate from a partly drawn
-    span as from a full one.  The echelon drops its vector function with
-    the last row; the level table stays in its bounded memo.  The
-    construction is deterministic.  README "Design notes" gives the
-    Frobenius, orbit-leader, lazy-draw and shared-table arguments.
+    span as from a full one.  ``solve`` refuses a polynomial that is
+    not block-symmetric before it projects.
+
+    Each vector comes from the level table (``_LevelTable``), one per
+    level and width class of the degree, which every span of that class
+    shares: one product per draw, or none for a draw that a dead draw
+    of a lower span already makes dead.  The echelon drops its vector
+    function with the last row; the level table stays in its bounded
+    memo.  The construction is deterministic.  README "Design notes"
+    gives the Frobenius, orbit-leader, lazy-draw, shared-table and
+    dead-draw arguments.
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
@@ -294,11 +292,10 @@ class GenSpan:
             key for key in enumerate_gen_monomials(m, n, p, degree)
             if all(e < p for (kind, _), e in key if kind == "C")
         ]
-        orbits, power, leaders = _TABLES(self.ring, _width_class(degree))
-        self._orbits = orbits
-        self.echelon = FpEchelon(
-            p, len(monomials), lambda i: _expand(monomials[i], orbits, power, leaders)
-        )
+        self._index = {key: i for i, key in enumerate(monomials)}
+        table = _TABLES(self.ring, _width_class(degree))
+        self._orbits = table.orbits
+        self.echelon = FpEchelon(p, len(monomials), lambda i: table.vector(monomials[i], degree))
 
     @property
     def dimension(self) -> int:
@@ -318,47 +315,96 @@ class GenSpan:
             return None
         return _clean(self.ring, {self.monomials[i]: c for i, c in combo.items()}, GenExpr)
 
+    def _drew_dead(self, key: tuple) -> bool:
+        """Whether the echelon has drawn the listed monomial ``key`` and
+        the draw added no row.  It reads the echelon's draw record
+        without its lock: an entry is final once it is there."""
+        i = self._index.get(key)
+        added = self.echelon.added
+        return i is not None and i < len(added) and not added[i]
 
-def _expand(key: tuple, orbits: _OrbitLeaders, power, leaders: dict) -> dict[int, int]:
-    """Leader coordinates of a symbol monomial's expansion, mod p.
 
-    ``power`` gives the symbol powers (see ``_power_chains``), and
-    ``leaders`` memoizes their leader terms once each power is checked
-    to be block-symmetric.  The empty key is {0: 1}.
-    """
-    if not key:
-        return {0: 1}
-    entries = []
-    for factor in key:
-        full = power(factor)
-        lead = leaders.get(factor)
-        if lead is None:
-            lead = leaders[factor] = orbits.leader_terms(full)
+def _quotient(key: tuple, j: int) -> tuple:
+    """``key`` with the exponent of its j-th factor lowered by one."""
+    symbol, e = key[j]
+    return key[:j] + ((symbol, e - 1),) + key[j + 1:] if e > 1 else key[:j] + key[j + 1:]
+
+
+class _LevelTable:
+    """The spans' shared table of level ``ring`` for exponents up to
+    ``bound``: the ``poly_core._OrbitLeaders`` helper, each symbol's
+    packed expansion and weight, and the leader terms of every monomial
+    expanded so far.  Each write stores the one value its key has, or
+    {} for a monomial known to be a dead draw, which makes the same rows
+    (README "Design notes")."""
+
+    def __init__(self, ring: Ring, bound: int):
+        self.ring = ring
+        self.orbits = _OrbitLeaders(ring, bound)
+        self.symbols: dict = {}  # symbol -> (packed expansion, weight)
+        self.vectors: dict = {(): {0: 1}}  # monomial -> leader terms, {} if a known dead draw
+
+    def vector(self, key: tuple, degree: int) -> dict[int, int]:
+        """Leader coordinates, mod p, of the expansion of ``key``, a
+        monomial of weight ``degree``; {} when it is known to be a dead
+        draw.  The empty key is {0: 1}.
+
+        Walk down from ``key``, each time dividing by its symbol with
+        the fewest packed terms (the first in canonical order on a tie),
+        to a monomial in the memo or one known dead, then multiply back
+        up, one ``mul`` per step.  A monomial is known dead when a
+        one-symbol quotient is a dead draw of the memoized span of its
+        degree, and only if that span has drawn it already."""
+        vectors = self.vectors
+        symbols = {symbol: self._symbol(symbol) for symbol, _ in key}
+        path = []
+        vec = vectors.get(key)
+        while vec is None:
+            if self._known_dead(key, degree, symbols):
+                vec = vectors[key] = {}
+                break
+            j = min(range(len(key)), key=lambda j: len(symbols[key[j][0]][0]))
+            symbol = key[j][0]
+            path.append((key, symbol))
+            key, degree = _quotient(key, j), degree - symbols[symbol][1]
+            vec = vectors.get(key)  # found by symbol^1 at the latest (see _symbol)
+        mul = self.orbits.mul
+        for key, symbol in reversed(path):
+            vec = vectors[key] = mul(vec, symbols[symbol][0]) if vec else {}
+        return vec
+
+    def _known_dead(self, key: tuple, degree: int, symbols: dict) -> bool:
+        """Whether a one-symbol quotient of ``key`` is a dead draw of the
+        memoized span of its degree, as far as that span has drawn."""
+        ring, spans = self.ring, _SPANS.values
+        for j, (symbol, _) in enumerate(key):
+            lower = spans.get((ring.m, ring.n, ring.p, degree - symbols[symbol][1]))
+            if lower is not None and lower._drew_dead(_quotient(key, j)):
+                return True
+        return False
+
+    def _symbol(self, symbol: tuple) -> tuple:
+        """(packed expansion, weight) of ``symbol``.  The first call
+        checks that the expansion is block-symmetric, raising
+        ``InternalInvariantViolation`` otherwise, so a broken generator
+        cannot hide behind the projection, and stores its leader terms
+        as the monomial symbol^1 before the symbol itself."""
+        entry = self.symbols.get(symbol)
+        if entry is None:
+            packed = self.orbits.pack(generator_poly(*symbol, ring=self.ring).terms)
+            lead = self.orbits.leader_terms(packed)
             if lead is None:
-                (kind, idx), e = factor
+                kind, idx = symbol
                 raise InternalInvariantViolation(
-                    f"{kind}[{idx}]^{e} at level ({orbits.m},{orbits.n}), p={orbits.p} "
+                    f"{kind}[{idx}] at level ({self.ring.m},{self.ring.n}), p={self.ring.p} "
                     "is not block-symmetric"
                 )
-        entries.append((full, lead))
-    # Only the first factor's leaders enter the pair loops, so start
-    # from the largest expansion and apply the others largest first.
-    entries.sort(key=lambda entry: -len(entry[0]))
-    out = entries[0][1]
-    for full, _ in entries[1:]:
-        out = orbits.mul(out, full)
-    return out
+            self.vectors[((symbol, 1),)] = lead
+            entry = self.symbols[symbol] = (packed, symbol_weight(*symbol, self.ring))
+        return entry
 
 
-def _level_table(ring: Ring, bound: int) -> tuple:
-    """(orbit helper, power chains, leader memo) of level ``ring`` for
-    exponents up to ``bound``, the spans' shared table: each write to
-    it stores the one value its key has (README "Design notes")."""
-    power = _power_chains(bound, ring.p, partial(generator_poly, ring=ring))
-    return _OrbitLeaders(ring, bound), power, {}
-
-
-_TABLES = _Memo(_level_table, maxsize=512)
+_TABLES = _Memo(_LevelTable, maxsize=512)
 _SPANS = _Memo(GenSpan, maxsize=1024)
 
 

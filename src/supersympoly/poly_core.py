@@ -563,7 +563,10 @@ class FpEchelon:
     are drawn in order under the echelon's lock, only when
     ``combination`` or ``rank`` needs one; a draw that raises is retried
     at the same i, and after the last draw ``vector`` is dropped, with
-    whatever it holds.  The i-th vector enters with the label key
+    whatever it holds.  ``added``, read-only, records the draws so far:
+    ``added[i]`` is 1 when the i-th draw added a row and 0 when it did
+    not, and an entry is final once it is there, so it may be read
+    without the lock.  The i-th vector enters with the label key
     ``-1 - i``, below every term key, so a row's labels are its exact
     combination of vectors and its pivot, its largest key, is a term
     with coefficient 1.  Rows are never rewritten, so a partly drawn
@@ -576,7 +579,7 @@ class FpEchelon:
         self.rows: dict = {}
         self._count = count
         self._vector = vector if count else None
-        self._drawn = 0
+        self.added = bytearray()
         self._lock = threading.Lock()
 
     def combination(self, vec: Mapping) -> dict | None:
@@ -603,17 +606,18 @@ class FpEchelon:
 
     def _draw(self):
         """Draw the next vector; the pivot of the row it adds, or None."""
-        i = self._drawn
+        i = len(self.added)
         residue = self._reduce({**self._vector(i), -1 - i: 1})
-        self._drawn = i + 1
-        if self._drawn == self._count:
+        if i + 1 == self._count:
             self._vector = None  # the rows are final
         piv = max(residue)  # never empty: no earlier row holds the label -1 - i
         if piv < 0:
+            self.added.append(0)
             return None
         p = self._p
         inv = fp_inv(residue[piv], p)
         self.rows[piv] = {k: (inv * c) % p for k, c in residue.items()}
+        self.added.append(1)
         return piv
 
     def _reduce(self, vec: dict) -> dict:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import hypothesis.strategies as st
 
-from supersympoly import DivisibilityError, GenExpr, Poly, PolyParseError, Ring, enumerate_gen_monomials
+from supersympoly import DivisibilityError, GenExpr, Poly, PolyParseError, Ring
 from supersympoly.generators import generator_poly, kseq, placed_sym, v_k
 from supersympoly.genexpr import level_symbols, symbol_weight
 from supersympoly.oracle import partitions_max_parts
@@ -249,16 +249,19 @@ def reference_enumerate_gen_monomials(m, n, p, degree):
 
 class ReferenceSpan:
     """The generated span with tuple keys: ``reference_mul`` expansions and
-    the row reduction GenSpan used before it packed exponents."""
+    the row reduction GenSpan used before it packed exponents, over every
+    monomial of ``reference_enumerate_gen_monomials``.  ``live`` lists
+    the monomials whose draw added a row, in order."""
 
     def __init__(self, m, n, p, degree):
         self.m, self.n, self.p = m, n, p
         ring = Ring(m, n, False, p)
-        self.rows = {}
-        for key in enumerate_gen_monomials(m, n, p, degree):
+        self.rows, self.live = {}, []
+        for key in reference_enumerate_gen_monomials(m, n, p, degree):
             vec, acc = self._reduce(reference_expand_key(key, ring).terms)
             if not vec:
                 continue
+            self.live.append(key)
             lead = max(vec)
             inv = fp_inv(vec[lead], p)
             rvec = {e: (inv * c) % p for e, c in vec.items()}

@@ -214,13 +214,20 @@ class TestDims:
         assert out == ""
         assert err == "input error: dmax must be nonnegative\n"
 
-    @pytest.mark.parametrize("m, n, dmax, digest", [
-        (3, 3, 9, "18a702caf039df7f3220a85db9c5c941a59b8f77c4b6d0af8945e5e12a1e496c"),
-        (2, 2, 13, "7d8d23e8ee28ce97f01dcc094c799c440396e9ff8efb652faae5c333c103ff03"),
-    ])
-    def test_output_is_pinned(self, capsys, m, n, dmax, digest):
+    PINS = [
+        (3, 3, 3, 9, "18a702caf039df7f3220a85db9c5c941a59b8f77c4b6d0af8945e5e12a1e496c"),
+        (2, 2, 3, 13, "7d8d23e8ee28ce97f01dcc094c799c440396e9ff8efb652faae5c333c103ff03"),
+        # EX, EY and U at p = 5, and a sparse sweep with many dead draws
+        (2, 3, 5, 11, "ec3b1eaea08d2fd0343b85a5fbfa6a1e186e1091595c30579e4a5b35333a5838"),
+        (1, 2, 5, 20, "59a13c95fe26ce6a371dd5edb4ab02fdb235e5fce4bc8ef250523aacf6ff123c"),
+    ]
+
+    # the ids keep the form they had before p was a column; digests are distinct
+    @pytest.mark.parametrize("m, n, p, dmax, digest", PINS, ids=[
+        f"{m}-{n}-{dmax}-{digest}" for m, n, _, dmax, digest in PINS])
+    def test_output_is_pinned(self, capsys, m, n, p, dmax, digest):
         # the sha256 the CI step checks on the command's standard output
-        code, out, _ = run(capsys, "dims", "--m", str(m), "--n", str(n), "--p", "3", "--dmax", str(dmax))
+        code, out, _ = run(capsys, "dims", "--m", str(m), "--n", str(n), "--p", str(p), "--dmax", str(dmax))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import operator
 import os
 import random
@@ -30,7 +31,8 @@ from supersympoly import (
 )
 from supersympoly import genexpr
 from supersympoly.genexpr import _gen_monomial_count, level_symbols, symbol_weight
-from supersympoly.poly_core import _Memo, _unpack
+from supersympoly.generators import generator_poly
+from supersympoly.poly_core import _Memo, _unpack, _width_class
 from supersympoly.selfcheck import random_gen_expr
 
 from helpers import (
@@ -449,9 +451,9 @@ class TestGenSpan:
     def test_non_symmetric_generator_is_refused(self, monkeypatch, cold_tables):
         # an orbit point missing, then every point present with unequal
         # coefficients; rows are built on demand, so the refusal comes
-        # from the first call that builds the broken power, and again
+        # from the first call that packs the broken symbol, and again
         # from every later one.  Each text starts from an empty table
-        # memo, whose chains the patched generator fills.
+        # memo, whose symbols the patched generator fills.
         ring = Ring(2, 1, False, 3)
         for text in ["x1", "x1 + 2*x2"]:
             cold_tables.values.clear()
@@ -814,18 +816,18 @@ def test_concurrent_solves_on_a_fresh_span_match_the_serial_ones():
 def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
     """A span's echelon drops its vector function once the last row is
     built, by ``dimension`` or by a solve that needs it.  The orbit
-    helper, power chains and leader memo stay in the level table: a bounded
-    memo keyed by the level and the width class of the degree, which
-    every span of that class shares, and an evicted table is built anew
-    with equal rows."""
-    chains = collections.Counter()
-    original = genexpr._power_chains
+    helper, packed symbols and monomial memo stay in the level table: a
+    bounded memo keyed by the level and the width class of the degree,
+    which every span of that class shares, and an evicted table is built
+    anew with equal rows."""
+    built = collections.Counter()
+    original = genexpr._OrbitLeaders
 
-    def recording(bound, p, symbol_poly):
-        chains[bound] += 1
-        return original(bound, p, symbol_poly)
+    def recording(ring, bound):
+        built[bound] += 1
+        return original(ring, bound)
 
-    monkeypatch.setattr(genexpr, "_power_chains", recording)
+    monkeypatch.setattr(genexpr, "_OrbitLeaders", recording)
     ring = Ring(2, 2, False, 3)
     span = GenSpan(2, 2, 3, 6)
     vector = weakref.ref(span.echelon._vector)
@@ -841,8 +843,9 @@ def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
 
     assert isinstance(genexpr._TABLES, _Memo) and genexpr._TABLES.maxsize > 0
     assert list(cold_tables.values) == [(ring, 7), (R11, 1)]
-    orbits, power, leaders = table = cold_tables.values[ring, 7]
-    assert leaders and span._orbits is orbits  # the rows' leader terms stay
+    table = cold_tables.values[ring, 7]
+    orbits = table.orbits
+    assert table.symbols and table.vectors and span._orbits is orbits  # the rows' leader terms stay
     # degrees 4 to 7 share the table, 8 starts the next width class
     for d in (4, 5, 7):
         other = GenSpan(2, 2, 3, d)
@@ -850,7 +853,7 @@ def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
         other.dimension
     assert GenSpan(2, 2, 3, 8)._orbits is not orbits
     assert cold_tables.values[ring, 7] is table
-    assert chains == {7: 1, 1: 1, 15: 1}
+    assert built == {7: 1, 1: 1, 15: 1}
 
     # evicted, the table is built anew and the span gets the same rows
     cold_tables.maxsize = 3
@@ -860,7 +863,7 @@ def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
     assert again._orbits is not orbits
     assert again.dimension == span.dimension
     assert _rows(again) == _rows(span)
-    assert chains == {7: 2, 1: 1, 15: 1, 3: 1}
+    assert built == {7: 2, 1: 1, 15: 1, 3: 1}
 
 
 def test_spans_sharing_a_table_draw_concurrently(cold_tables):
@@ -886,24 +889,178 @@ def test_spans_sharing_a_table_draw_concurrently(cold_tables):
     assert len(cold_tables.values) == 1
     for _ in range(3):
         cold_tables.values.clear()
-        barrier = threading.Barrier(len(degrees))
-        got = {}
-
-        def run(d):
-            barrier.wait()
-            got[d] = draw(d)
-
-        threads = [threading.Thread(target=run, args=(d,), daemon=True) for d in degrees]
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            deadline = time.monotonic() + 60
-            for t in threads:
-                t.join(max(0.0, deadline - time.monotonic()))
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(t.is_alive() for t in threads), "the draws did not finish in time"
+        assert _at_once(draw, degrees) == serial
         assert len(cold_tables.values) == 1
-        assert got == serial
+
+
+def _at_once(draw, degrees):
+    """{d: draw(d)}, with one thread per degree, all started together and
+    switching as often as the interpreter allows."""
+    barrier = threading.Barrier(len(degrees))
+    got = {}
+
+    def run(d):
+        barrier.wait()
+        got[d] = draw(d)
+
+    threads = [threading.Thread(target=run, args=(d,), daemon=True) for d in degrees]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads), "the draws did not finish in time"
+    return got
+
+
+def _drop_one(key, j):
+    """The symbol monomial ``key`` with its j-th exponent lowered by one."""
+    symbol, e = key[j]
+    return key[:j] + (((symbol, e - 1),) if e > 1 else ()) + key[j + 1:]
+
+
+def test_live_draws_are_closed_under_division():
+    """The monomials whose draw adds a row are the standard monomials of
+    the expansion map's kernel in lex order, so every one-symbol quotient
+    of one adds a row at its own degree (README "Design notes").  Checked
+    on the tuple-keyed reference alone: its listing, its expansions and
+    its row reduction."""
+    dead_with_a_dead_quotient = 0
+    for p in (3, 5):
+        for m, n in itertools.product(range(4), repeat=2):
+            if m + n == 0:
+                continue
+            dmax = 9 if m + n <= 2 else 8 if m + n <= 3 else 7 if m + n == 4 else 6
+            weights = reference_level_symbols(m, n, p, dmax)
+            live = {}
+            for d in range(dmax + 1):
+                live[d] = set(ReferenceSpan(m, n, p, d).live)
+                for key in reference_enumerate_gen_monomials(m, n, p, d):
+                    quotients = [(_drop_one(key, j), d - weights[s]) for j, (s, _) in enumerate(key)]
+                    if key in live[d]:
+                        assert all(q in live[dq] for q, dq in quotients), (m, n, p, key)
+                    elif any(q not in live[dq] for q, dq in quotients):
+                        dead_with_a_dead_quotient += 1
+    assert dead_with_a_dead_quotient > 100  # the rule has dead draws to skip
+
+
+def _symbol_sizes(ring, key):
+    return [len(generator_poly(kind, idx, ring).terms) for (kind, idx), _ in key]
+
+
+def test_every_vector_is_the_leader_terms_of_its_expansion(cold_spans, cold_tables):
+    """With no memoized lower span the dead-draw rule is idle, and every
+    listed monomial's vector, one product from the vector of a quotient,
+    is the leader part of its reference expansion; the cells include
+    monomials whose cheapest symbols tie."""
+    ties = 0
+    for m, n, p, dmax in [(2, 2, 3, 9), (1, 2, 5, 12), (2, 3, 5, 8)]:
+        ring = Ring(m, n, False, p)
+        for d in range(dmax + 1):
+            span = GenSpan(m, n, p, d)
+            table = cold_tables(ring, _width_class(d))
+            width = table.orbits.width
+            for key in span.monomials:
+                want = {e: c for e, c in reference_expand_key(key, ring).terms.items() if _is_leader(e, m)}
+                assert _unpack(table.vector(key, d), width, ring.nvars, p) == want, key
+                sizes = _symbol_sizes(ring, key)
+                ties += sizes.count(min(sizes, default=0)) > 1
+    assert ties > 0
+
+
+def _draw_spans(m, n, p, top, memoized, members, full):
+    """(rank, rows, certificates) of each degree's span, drawn in
+    ascending degree from ``gen_span`` (so the dead-draw rule reads the
+    lower spans) or top down from cold ``GenSpan``s (so it has none to
+    read); a span in ``full`` is ranked before the next degree's solves."""
+    out = {}
+    for d in (range(top + 1) if memoized else range(top, -1, -1)):
+        span = genexpr.gen_span(m, n, p, d) if memoized else GenSpan(m, n, p, d)
+        certificates = [span.solve(f) for f in members[d]]
+        if d in full:
+            span.dimension
+        out[d] = certificates
+    for d in out:
+        span = genexpr.gen_span(m, n, p, d) if memoized else GenSpan(m, n, p, d)
+        out[d] = (span.dimension, _rows(span), out[d])
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_dead_draw_rule_keeps_rows_ranks_and_certificates(data):
+    """Spans drawn in ascending degree, partly or fully, with the dead-draw
+    rule active give the rows, ranks and certificates of cold spans drawn
+    top down, where the rule is idle, and make no more products."""
+    m, n, p, top = data.draw(st.sampled_from([(2, 2, 3, 11), (1, 2, 5, 14), (2, 3, 5, 9), (1, 1, 3, 12)]))
+    members = {d: _members(data, m, n, p, d) for d in range(top + 1)}
+    full = set(data.draw(st.lists(st.integers(0, top)), label="ranked early"))
+    products = collections.Counter()
+    original = genexpr._OrbitLeaders.mul
+
+    def counting(self, leaders, packed):
+        products[memoized] += 1
+        return original(self, leaders, packed)
+
+    got = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(genexpr._OrbitLeaders, "mul", counting)
+        for memoized in (True, False):
+            for name in ("_SPANS", "_TABLES"):
+                _cold(patch, name)
+            got[memoized] = _draw_spans(m, n, p, top, memoized, members, full)
+    assert got[True] == got[False]
+    for d, (_, _, certificates) in got[True].items():
+        for f, cert in zip(members[d], certificates):
+            assert cert is not None and expand(cert, f.ring) == f
+    assert products[True] <= products[False]
+
+
+def test_dead_draw_rule_skips_products(cold_spans, cold_tables):
+    """Ranked in ascending degree, the (1, 2, 5) spans up to degree 16
+    draw dead monomials whose vectors the rule makes {} with no product;
+    with no memoized span to read, each of them gets its full vector."""
+    ring = Ring(1, 2, False, 5)
+    spans = [genexpr.gen_span(1, 2, 5, d) for d in range(17)]
+    for span in spans:
+        span.dimension
+    skipped = [(d, key) for d, span in enumerate(spans) for key in span.monomials
+               if cold_tables(ring, _width_class(d)).vectors.get(key) == {}]
+    assert len(skipped) > 20
+    for d, key in skipped:
+        assert spans[d]._drew_dead(key)  # the rule skips dead draws only
+    cold_spans.values.clear()
+    cold_tables.values.clear()
+    for d, key in skipped:
+        assert cold_tables(ring, _width_class(d)).vector(key, d) != {}
+
+
+def test_memoized_spans_draw_concurrently_with_the_dead_rule(cold_spans, cold_tables):
+    """Threads that draw memoized spans of neighbouring degrees at once,
+    each reading the others' draw records without their locks, get the
+    ranks, certificates and rows of a serial run."""
+    m, n, p = 1, 2, 5
+    ring = Ring(m, n, False, p)
+    degrees = range(10, 17)
+    rng = random.Random(12)
+    members = {}
+    for d in degrees:
+        keys = enumerate_gen_monomials(m, n, p, d)
+        members[d] = [expand(GenExpr(m, n, p, {key: 1 for key in rng.sample(keys, 2)}), ring)
+                      for _ in range(2)]
+
+    def draw(d):
+        span = genexpr.gen_span(m, n, p, d)
+        certificates = [serialize_gen_expr(span.solve(f)) for f in members[d]]
+        return span.dimension, certificates, _rows(span)
+
+    serial = {d: draw(d) for d in degrees}
+    for _ in range(3):
+        cold_spans.values.clear()
+        cold_tables.values.clear()
+        assert _at_once(draw, degrees) == serial

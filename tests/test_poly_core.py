@@ -421,7 +421,7 @@ def test_echelon_draws_only_what_a_combination_needs(system, data):
 
 def test_echelon_of_no_vectors_has_rank_0():
     ech = FpEchelon(5, 0, None)
-    assert {name for name in dir(ech) if not name.startswith("_")} == {"combination", "rank", "rows"}
+    assert {name for name in dir(ech) if not name.startswith("_")} == {"added", "combination", "rank", "rows"}
     assert ech.rank == 0
     assert ech.combination({}) == {}
     assert ech.combination({0: 1}) is None
