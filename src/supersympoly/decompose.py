@@ -29,6 +29,12 @@ The span also serves two cases the recursion cannot handle itself:
   U[k], whose lift is v_k again), so the v_k certificates also come
   from the span solver, once per (m, n, p, k).
 
+Below the input's membership check, every step runs on leader terms
+(``poly_core._LeaderTerms``), and a peel's cofactor is checked by the
+derivative clause alone; README "Design notes" gives why each step
+keeps leader terms leader terms, and how an expansion enters leader
+form through the checked projection.
+
 ``_decompose(f, 0)`` runs the pure recursion (every degree has at least
 one monomial), which the acceptance suite uses to exercise it.  Every
 certificate is built trusted (``poly_core._clean``), a peeled core's
@@ -52,22 +58,37 @@ from .poly_core import (
     Ring,
     _clean,
     _expand_sum,
+    _leader_part,
+    _LeaderTerms,
     _Memo,
+    _project_leaders,
     _term_key,
     exact_monomial_div,
     homogeneous_components,
     set_xm_zero,
 )
-from .supersym import is_supersymmetric
+from .supersym import _leader_derivative_vanishes, is_supersymmetric
 
 
 def _core_degrees(f: Poly) -> tuple[int, int]:
     """The largest (a, b) such that (x_1...x_m)^a (y_1...y_n)^b divides
-    the nonzero f: the least exponent over the terms in each block."""
+    the nonzero block-symmetric polynomial whose leader terms are f: the
+    least last x field and the least last y field over the leaders, as a
+    leader's last field is its block's least exponent."""
     m, n = f.ring.m, f.ring.n
-    a = min(map(min, map(itemgetter(slice(0, m)), f.terms))) if m else 0
-    b = min(map(min, map(itemgetter(slice(m, m + n)), f.terms))) if n else 0
+    a = min(map(itemgetter(m - 1), f.terms)) if m else 0
+    b = min(map(itemgetter(m + n - 1), f.terms)) if n else 0
     return a, b
+
+
+def _leaders(f: Poly, what: str) -> _LeaderTerms:
+    """The leader terms of the expansion f (``poly_core._project_leaders``),
+    raising InternalInvariantViolation, which names ``what``, unless f
+    is block-symmetric."""
+    lead = _project_leaders(f)
+    if lead is None:
+        raise InternalInvariantViolation(f"{what} is not block-symmetric")
+    return lead
 
 
 def _core_term(ring: Ring, a: int, b: int) -> GenExpr:
@@ -167,7 +188,7 @@ def _decompose(f: Poly, span_limit: int) -> GenExpr:
             f"derivative_vanishes={verdict.derivative_vanishes}"
         )
     total = _clean(ring, {}, GenExpr)
-    for _, comp in homogeneous_components(f):
+    for _, comp in homogeneous_components(_leader_part(f)):
         total = total + _decompose_homogeneous(comp, None, span_limit)
     return total
 
@@ -189,7 +210,9 @@ def _span_solve(f: Poly, degree: int) -> GenExpr:
     return expr
 
 
-def _decompose_homogeneous(f: Poly, parent: tuple | None, span_limit: int) -> GenExpr:
+def _decompose_homogeneous(f: _LeaderTerms, parent: tuple | None, span_limit: int) -> GenExpr:
+    """Certificate of the homogeneous supersymmetric polynomial whose
+    leader terms are f."""
     ring = f.ring
     m, n, p = ring.m, ring.n, ring.p
     degree = f.degree()
@@ -215,7 +238,7 @@ def _decompose_homogeneous(f: Poly, parent: tuple | None, span_limit: int) -> Ge
     else:
         h = _decompose_homogeneous(f0, key, span_limit)
         lifted_poly, lifted_expr = _lift(h, ring)
-        residue = f - lifted_poly
+        residue = f - _leaders(lifted_poly, "the lifted polynomial")
         if not set_xm_zero(residue).is_zero:
             raise InternalInvariantViolation(
                 "lifted expression does not match the restriction"
@@ -233,7 +256,8 @@ def _decompose_homogeneous(f: Poly, parent: tuple | None, span_limit: int) -> Ge
         a_peel = min(a, peel_total)
         b_peel = peel_total - a_peel
         cofactor = exact_monomial_div(residue, core_exponents(ring, a_peel, b_peel))
-        if not is_supersymmetric(cofactor).overall:
+        # block symmetry holds by construction: the cofactor is leader terms
+        if not _leader_derivative_vanishes(cofactor):
             raise InternalInvariantViolation(
                 "core cofactor left the supersymmetric algebra"
             )
@@ -280,15 +304,17 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
     return _expand_sum(h.terms, ring, h.weighted_degree() or 0, symbol_poly), expr_total
 
 
-def _base_one_block(f: Poly) -> GenExpr:
+def _base_one_block(f: _LeaderTerms) -> GenExpr:
     """Levels (m, 0) and (0, n): eliminate over e_r of the one block,
     straight into C symbols.
 
-    The elimination runs in x.  Each step takes the graded-lex leading
-    exponent lam of the work left, a partition because the work is
-    symmetric, writes c * prod_r C[r]^(lam_r - lam_{r+1}) into the
-    certificate and subtracts its expansion, which has the same leading
-    term, as c_r equals e_r(x) at (m, 0).  A level (0, n)
+    The elimination runs in x, on leader terms.  Each step takes the
+    graded-lex leading exponent lam of the work left, a leader and so a
+    partition, writes c * prod_r C[r]^(lam_r - lam_{r+1}) into the
+    certificate and subtracts the leader terms of its expansion, which
+    has the same leading term, as c_r equals e_r(x) at (m, 0); the
+    leading term of a symmetric polynomial is the leader of its orbit,
+    so it stays the leading term of the leader terms.  A level (0, n)
     is the x <-> y swap of (n, 0) (Stembridge 1985): f's terms are the
     same exponent tuples at (n, 0), and each C[r] of that certificate is
     then read as e_r(y), which the generating function
@@ -297,19 +323,15 @@ def _base_one_block(f: Poly) -> GenExpr:
     """
     ring = f.ring
     out = {}  # the certificate's terms
-    work = _clean(Ring(ring.m + ring.n, 0, False, ring.p), f.terms)
+    work = _clean(Ring(ring.m + ring.n, 0, False, ring.p), f.terms, _LeaderTerms)
     c_poly = partial(generator_poly, ring=work.ring)
     while not work.is_zero:
         exps, c = work.leading()
         lam = exps + (0,)  # the ring holds the block alone
-        if any(lam[i] < lam[i + 1] for i in range(len(exps))):
-            raise InternalInvariantViolation(
-                "leading exponent of a symmetric polynomial is not a partition"
-            )
         top = lam.index(0)
         key = tuple((("C", r), lam[r - 1] - lam[r]) for r in range(1, top + 1) if lam[r - 1] > lam[r])
         out[key] = c
-        work = work - _expand_sum({key: c}, work.ring, sum(exps), c_poly)
+        work = work - _leaders(_expand_sum({key: c}, work.ring, sum(exps), c_poly), "a C monomial's expansion")
         # This check also ends the loop: graded-lex leading terms of
         # bounded degree cannot decrease forever.
         if not work.is_zero and _term_key(work.leading()[0]) >= _term_key(exps):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import partial
+from types import MappingProxyType
 
 from .errors import InternalInvariantViolation, PolyParseError
 from .generators import generator_poly
@@ -42,6 +43,7 @@ from .poly_core import (
     _expand_sum,
     _format_terms,
     _int,
+    _LeaderTerms,
     _Memo,
     _OrbitLeaders,
     _parse_terms,
@@ -273,12 +275,15 @@ class GenSpan:
     ``solve`` draws until f's residue holds no term, ``dimension`` draws
     them all, and a member gets the same certificate from a partly drawn
     span as from a full one.  ``solve`` refuses a polynomial that is
-    not block-symmetric before it projects.
+    not block-symmetric before it projects, and takes a
+    ``poly_core._LeaderTerms`` value as the leader terms it holds.
 
     Each vector comes from the level table (``_LevelTable``), one per
     level and width class of the degree, which every span of that class
     shares: one product per draw, or none for a draw that a dead draw
-    of a lower span already makes dead.  The echelon drops its vector
+    of a lower span already makes dead.  Once ``solve`` or
+    ``dimension`` has found a draw dead, its table entry is the one
+    shared empty vector.  The echelon drops its vector
     function with the last row; the level table stays in its bounded
     memo.  The construction is deterministic.  README "Design notes"
     gives the Frobenius, orbit-leader, lazy-draw, shared-table and
@@ -293,13 +298,16 @@ class GenSpan:
             if all(e < p for (kind, _), e in key if kind == "C")
         ]
         self._index = {key: i for i, key in enumerate(monomials)}
-        table = _TABLES(self.ring, _width_class(degree))
+        self._table = table = _TABLES(self.ring, _width_class(degree))
         self._orbits = table.orbits
         self.echelon = FpEchelon(p, len(monomials), lambda i: table.vector(monomials[i], degree))
 
     @property
     def dimension(self) -> int:
-        return self.echelon.rank
+        drawn = len(self.echelon.added)
+        rank = self.echelon.rank
+        self._share_dead(drawn)
+        return rank
 
     def solve(self, f: Poly):
         """GenExpr with expand == f, or None when f is outside the span."""
@@ -307,10 +315,13 @@ class GenSpan:
         degree = self.degree
         if any(sum(exps) != degree for exps in f.terms):
             return None
-        leaders = self._orbits.leader_terms(self._orbits.pack(f.terms))
+        packed = self._orbits.pack(f.terms)
+        leaders = packed if f.__class__ is _LeaderTerms else self._orbits.leader_terms(packed)
         if leaders is None:
             return None
+        drawn = len(self.echelon.added)
         combo = self.echelon.combination(leaders)
+        self._share_dead(drawn)
         if combo is None:
             return None
         return _clean(self.ring, {self.monomials[i]: c for i, c in combo.items()}, GenExpr)
@@ -322,6 +333,15 @@ class GenSpan:
         i = self._index.get(key)
         added = self.echelon.added
         return i is not None and i < len(added) and not added[i]
+
+    def _share_dead(self, start: int):
+        """Write the shared empty vector over the table entry of every
+        dead draw from ``start`` on.  Two callers may sweep at once: each
+        sweeps from where the record stood before its own draws."""
+        added, vectors = self.echelon.added, self._table.vectors
+        for i in range(start, len(added)):
+            if not added[i]:
+                vectors[self.monomials[i]] = _DEAD
 
 
 def _quotient(key: tuple, j: int) -> tuple:
@@ -335,19 +355,20 @@ class _LevelTable:
     ``bound``: the ``poly_core._OrbitLeaders`` helper, each symbol's
     packed expansion and weight, and the leader terms of every monomial
     expanded so far.  Each write stores the one value its key has, or
-    {} for a monomial known to be a dead draw, which makes the same rows
-    (README "Design notes")."""
+    the shared empty ``_DEAD`` for a monomial known to be a dead draw or
+    whose expansion is 0, which makes the same rows (README "Design
+    notes")."""
 
     def __init__(self, ring: Ring, bound: int):
         self.ring = ring
         self.orbits = _OrbitLeaders(ring, bound)
         self.symbols: dict = {}  # symbol -> (packed expansion, weight)
-        self.vectors: dict = {(): {0: 1}}  # monomial -> leader terms, {} if a known dead draw
+        self.vectors: dict = {(): {0: 1}}  # monomial -> leader terms, _DEAD if a known dead draw
 
     def vector(self, key: tuple, degree: int) -> dict[int, int]:
         """Leader coordinates, mod p, of the expansion of ``key``, a
-        monomial of weight ``degree``; {} when it is known to be a dead
-        draw.  The empty key is {0: 1}.
+        monomial of weight ``degree``; empty when it is known to be a
+        dead draw.  The empty key is {0: 1}.
 
         Walk down from ``key``, each time dividing by its symbol with
         the fewest packed terms (the first in canonical order on a tie),
@@ -361,7 +382,7 @@ class _LevelTable:
         vec = vectors.get(key)
         while vec is None:
             if self._known_dead(key, degree, symbols):
-                vec = vectors[key] = {}
+                vec = vectors[key] = _DEAD
                 break
             j = min(range(len(key)), key=lambda j: len(symbols[key[j][0]][0]))
             symbol = key[j][0]
@@ -370,7 +391,7 @@ class _LevelTable:
             vec = vectors.get(key)  # found by symbol^1 at the latest (see _symbol)
         mul = self.orbits.mul
         for key, symbol in reversed(path):
-            vec = vectors[key] = mul(vec, symbols[symbol][0]) if vec else {}
+            vec = vectors[key] = (vec and mul(vec, symbols[symbol][0])) or _DEAD
         return vec
 
     def _known_dead(self, key: tuple, degree: int, symbols: dict) -> bool:
@@ -399,11 +420,14 @@ class _LevelTable:
                     f"{kind}[{idx}] at level ({self.ring.m},{self.ring.n}), p={self.ring.p} "
                     "is not block-symmetric"
                 )
-            self.vectors[((symbol, 1),)] = lead
+            self.vectors[((symbol, 1),)] = lead or _DEAD  # C[r] for r > m is 0 at n = 0
             entry = self.symbols[symbol] = (packed, symbol_weight(*symbol, self.ring))
         return entry
 
 
+# the one empty vector, of every known dead draw and every zero
+# expansion, shared and never mutated
+_DEAD = MappingProxyType({})
 _TABLES = _Memo(_LevelTable, maxsize=512)
 _SPANS = _Memo(GenSpan, maxsize=1024)
 

@@ -40,6 +40,7 @@ from .poly_core import (
     x_var,
     zero,
 )
+from .supersym import _restrictions
 
 
 def partitions_max_parts(total: int, max_parts: int):
@@ -56,14 +57,6 @@ def partitions_max_parts(total: int, max_parts: int):
             prefix.pop()
 
     yield from rec(total, total, max_parts, [])
-
-
-def _restrictions(lam: tuple, size: int) -> list[tuple]:
-    """(a, lam less one part a) for each distinct value a of lam padded
-    with zeros to ``size`` parts: m_lam(x_1..x_size) at x_size = T is the
-    sum of T^a m_(lam less a)(x_1..x_(size-1))."""
-    pairs = [(a, lam[:(at := lam.index(a))] + lam[at + 1:]) for a in sorted(set(lam))]
-    return pairs + [(0, lam)] if len(lam) < size else pairs
 
 
 def as_dimension(m: int, n: int, p: int, d: int) -> int:

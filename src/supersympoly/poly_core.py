@@ -542,13 +542,77 @@ class _OrbitLeaders:
         return memo.setdefault(block, (lead, _orbit_size(fields)))
 
 
-def _orbit_size(parts: list) -> int:
-    """Number of distinct orderings of the sorted list ``parts``."""
+def _orbit_size(parts) -> int:
+    """Number of distinct orderings of ``parts``, sorted either way."""
     size, run = math.factorial(len(parts)), 1
     for a, b in zip(parts, parts[1:]):
         run = run + 1 if a == b else 1
         size //= run
     return size
+
+
+class _LeaderTerms(Poly):
+    """The leader terms of a block-symmetric polynomial of ``ring``: its
+    terms whose x block and whose y block are each nonincreasing, which
+    fix it (``_OrbitLeaders``).  Projection to leaders is linear and
+    commutes with ``set_xm_zero``, with ``exact_monomial_div`` by a core
+    and with ``homogeneous_components``, which all keep this type.  It is
+    never multiplied: a product of leader terms is not the leader terms
+    of the product."""
+
+    __slots__ = ()
+
+
+def _project_leaders(f: Poly) -> _LeaderTerms | None:
+    """f's leader terms, or None unless f is block-symmetric: constant
+    on each orbit, with every orbit point present, as
+    ``_OrbitLeaders.leader_terms`` checks packed keys."""
+    m, terms = f.ring.m, f.terms
+    lead, size = _BlockLeaders(), _OrbitSizes()
+    out, points = {}, 0
+    for exps, c in terms.items():
+        x, y = exps[:m], exps[m:]
+        lx, ly = lead[x], lead[y]
+        if lx == x and ly == y:
+            out[exps] = c
+            points += size[x] * size[y]
+        elif terms.get(lx + ly) != c:
+            return None
+    # the leaders' orbits hold every key, so they hold no other exactly
+    # when their sizes add up to the count
+    return _clean(f.ring, out, _LeaderTerms) if points == len(terms) else None
+
+
+def _leader_part(f: Poly) -> _LeaderTerms:
+    """The terms of f whose x block and y block are each nonincreasing:
+    f's leader terms when f is block-symmetric, which the caller has
+    checked already.  ``_project_leaders`` checks it as it projects."""
+    m, ordered = f.ring.m, _Nonincreasing()
+    return _clean(f.ring, {e: c for e, c in f.terms.items() if ordered[e[:m]] and ordered[e[m:]]}, _LeaderTerms)
+
+
+class _BlockLeaders(dict):
+    """{block: the block sorted nonincreasing}, each block sorted once per call."""
+
+    def __missing__(self, block: tuple) -> tuple:
+        lead = self[block] = tuple(sorted(block, reverse=True))
+        return lead
+
+
+class _OrbitSizes(dict):
+    """{nonincreasing block: its orbit size}, each found once per call."""
+
+    def __missing__(self, block: tuple) -> int:
+        size = self[block] = _orbit_size(block)
+        return size
+
+
+class _Nonincreasing(dict):
+    """{block: whether it is nonincreasing}, each block tested once per call."""
+
+    def __missing__(self, block: tuple) -> bool:
+        ok = self[block] = all(map(operator.ge, block, block[1:]))
+        return ok
 
 
 # -- sparse row reduction -----------------------------------------------
@@ -705,7 +769,7 @@ def set_xm_zero(f: Poly) -> Poly:
     for exps, c in f.terms.items():
         if exps[m - 1] == 0:
             out[exps[: m - 1] + exps[m:]] = c
-    return _clean(target, out)
+    return _clean(target, out, f.__class__)
 
 
 def exact_monomial_div(f: Poly, divisor: Iterable[int]) -> Poly:
@@ -722,7 +786,7 @@ def exact_monomial_div(f: Poly, divisor: Iterable[int]) -> Poly:
     if d and quotients and min(map(min, quotients)) < 0:
         exps = next(e for e, q in zip(f.terms, quotients) if min(q) < 0)
         raise DivisibilityError(f"term with exponents {exps} is not divisible by {d}")
-    return _clean(f.ring, dict(zip(quotients, f.terms.values())))
+    return _clean(f.ring, dict(zip(quotients, f.terms.values())), f.__class__)
 
 
 def homogeneous_components(f: Poly) -> list[tuple[int, Poly]]:
@@ -730,7 +794,7 @@ def homogeneous_components(f: Poly) -> list[tuple[int, Poly]]:
     buckets: dict[int, dict] = {}
     for exps, c in f.terms.items():
         buckets.setdefault(sum(exps), {})[exps] = c
-    return [(d, _clean(f.ring, t)) for d, t in sorted(buckets.items())]
+    return [(d, _clean(f.ring, t, f.__class__)) for d, t in sorted(buckets.items())]
 
 
 # -- text form -----------------------------------------------------------

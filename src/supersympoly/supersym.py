@@ -55,6 +55,41 @@ def is_supersymmetric(f: Poly) -> MembershipVerdict:
     return MembershipVerdict(sym_x, sym_y, deriv, sym_x and sym_y and t_exps <= {0})
 
 
+def _restrictions(lam: tuple, size: int) -> list[tuple]:
+    """(a, lam less one part a) for each distinct value a of lam padded
+    with zeros to ``size`` parts: m_lam(x_1..x_size) at x_size = T is the
+    sum of T^a m_(lam less a)(x_1..x_(size-1)) (README "Design notes").
+    A nonincreasing lam stays nonincreasing less a part."""
+    pairs = [(a, lam[:(at := lam.index(a))] + lam[at + 1:]) for a in sorted(set(lam))]
+    return pairs + [(0, lam)] if len(lam) < size else pairs
+
+
+def _leader_derivative_vanishes(f: Poly) -> bool:
+    """The derivative clause of ``is_supersymmetric`` from the leader
+    terms ``f`` of a block-symmetric polynomial (``poly_core._LeaderTerms``).
+
+    Each leader term is c * m_lam(x) m_mu(y), whose image under
+    x_m = y_n = T is the sum of c * T^(a+b) m_(lam less a)(x') m_(mu less
+    b)(y') over the restriction pairs of both blocks.  Those products
+    with distinct labels and T powers are independent, so the clause
+    holds iff the summed coefficient of every label with a T power
+    outside pZ is 0 mod p.  With one block empty there is no pair and
+    the clause holds."""
+    m, n, p = f.ring.m, f.ring.n, f.ring.p
+    blocks: dict = {}  # block -> its restriction pairs
+    sums: dict = {}
+    for exps, c in f.terms.items():
+        x, y = exps[:m], exps[m:]
+        xs = blocks.get(x) or blocks.setdefault(x, _restrictions(x, m))
+        ys = blocks.get(y) or blocks.setdefault(y, _restrictions(y, n))
+        for a, xr in xs:
+            for b, yr in ys:
+                if (a + b) % p:
+                    key = xr + yr + (a + b,)
+                    sums[key] = sums.get(key, 0) + c
+    return all(c % p == 0 for c in sums.values())
+
+
 def is_strictly_supersymmetric(f: Poly) -> bool:
     """True iff f is supersymmetric and its x_m = y_n = T image does not
     involve T at all.  With one block empty there is no image, and strict

@@ -94,6 +94,12 @@ def orbit_sym(exponents, block, ring):
     return Poly(ring, terms)
 
 
+def is_leader(exps, m):
+    """Exponents sorted nonincreasing inside each block."""
+    x, y = list(exps[:m]), list(exps[m:])
+    return x == sorted(x, reverse=True) and y == sorted(y, reverse=True)
+
+
 def hook_partition_count(d, m, n):
     """Partitions of d whose (m+1)-th part is at most n, the partitions
     inside the (m, n) hook.  In characteristic 0 they count the degree d

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 
 from supersympoly import (
     Block,
+    InternalInvariantViolation,
     NotSupersymmetricError,
     Poly,
     Ring,
@@ -42,10 +43,10 @@ from supersympoly.decompose import (
 from supersympoly.generators import core_exponents
 from supersympoly.genexpr import _gen_monomial_count, gen_span
 from supersympoly.oracle import partitions_max_parts
-from supersympoly.poly_core import _Memo
+from supersympoly.poly_core import _Memo, _project_leaders
 from supersympoly.selfcheck import _roundtrip_inputs, random_gen_expr
 
-from helpers import expansion_cap, gen_exprs, orbit_sym, reference_lift_poly
+from helpers import expansion_cap, gen_exprs, is_leader, orbit_sym, reference_lift_poly
 
 # the module, which the package's ``decompose`` function shadows
 decompose_module = importlib.import_module("supersympoly.decompose")
@@ -65,10 +66,12 @@ class TestFactorCore:
     and the cofactor left by dividing it off."""
 
     def test_mixed_core(self):
-        g = parse_poly("x1 + y1", R21)  # cofactor coprime to both cores
-        f = parse_poly("x1*x2*y1", R21) * g
+        # on leader terms, as the peel reads them; the block-symmetric
+        # cofactor is coprime to both cores
+        g = parse_poly("x1 + x2 + y1", R21)
+        f = _project_leaders(parse_poly("x1*x2*y1", R21) * g)
         assert _core_degrees(f) == (1, 1)
-        assert exact_monomial_div(f, core_exponents(R21, 1, 1)) == g
+        assert exact_monomial_div(f, core_exponents(R21, 1, 1)) == _project_leaders(g)
 
     def test_pure_x_power(self):
         r10 = Ring(1, 0, False, 3)
@@ -238,19 +241,26 @@ def test_benchmark_certificates_are_pinned():
     """Every ``decompose`` certificate of the benchmark's roundtrip and
     core_peel corpora, seeds 1-3, hashes to the digest the CI step pins:
     certificates are text outputs, so a change that keeps them must keep
-    every byte."""
+    every byte.  The path is pinned too: the repr of the trace's five
+    lists (residues, peels, span solves, span-first components and
+    recursion calls) over the same inputs hashes to its own digest."""
     corpus = _benchmark_corpus()
     digest = hashlib.sha256()
     count = 0
-    for workload in ("roundtrip", "core_peel"):
-        for seed in (1, 2, 3):
-            for line in corpus.make_inputs(workload, seed).splitlines():
-                m, n, p, text = line.split(" ", 3)
-                f = parse_poly(text, Ring(int(m), int(n), False, int(p)))
-                digest.update((serialize_gen_expr(decompose(f)) + "\n").encode())
-                count += 1
+    with trace_decomposition() as trace:
+        for workload in ("roundtrip", "core_peel"):
+            for seed in (1, 2, 3):
+                for line in corpus.make_inputs(workload, seed).splitlines():
+                    m, n, p, text = line.split(" ", 3)
+                    f = parse_poly(text, Ring(int(m), int(n), False, int(p)))
+                    digest.update((serialize_gen_expr(decompose(f)) + "\n").encode())
+                    count += 1
     assert count == 3 * (480 + 108)
     assert digest.hexdigest() == "fca875ff17c0891a55245a3224c020789697f39d6a3360e41696b3f9f8bfd4df"
+    path = (trace.residues, trace.peels, trace.span_solves, trace.span_first, trace.calls)
+    assert [len(kind) for kind in path] == [387, 360, 27, 1747, 2180]
+    assert hashlib.sha256(repr(path).encode()).hexdigest() == (
+        "58043dd627f742dfc085963bf2b24d946bd421b7e781314eb59139c55adf3d31")
 
 
 @st.composite
@@ -476,3 +486,44 @@ def test_lift_of_frobenius_powers(p):
     poly, expr = _lift(h, ring)
     assert poly == reference_lift_poly(h, ring)
     assert expand(expr, ring) == poly
+
+
+@pytest.mark.parametrize("break_it", ["drop an orbit point", "change an orbit point"])
+def test_a_lifted_polynomial_that_is_not_block_symmetric_is_refused(monkeypatch, break_it):
+    """The lifted polynomial enters leader form through the checked
+    projection, so a lift that is not block-symmetric is refused with
+    InternalInvariantViolation even where its leader terms are right,
+    not read as the polynomial those leader terms stand for."""
+    real_lift = decompose_module._lift
+    lifts = []
+
+    def broken_lift(h, ring):
+        poly, expr = real_lift(h, ring)
+        off = next((e for e in poly.terms if not is_leader(e, ring.m)), None)
+        if off is None:  # a level with one variable per block: every term is a leader
+            return poly, expr
+        terms = dict(poly.terms)
+        if break_it == "drop an orbit point":
+            del terms[off]
+        else:
+            terms[off] = terms[off] % ring.p + 1
+        lifts.append((poly, Poly(ring, terms)))
+        return lifts[-1][1], expr
+
+    monkeypatch.setattr(decompose_module, "_lift", broken_lift)
+    ring = Ring(2, 1, False, 3)
+    with pytest.raises(InternalInvariantViolation, match="the lifted polynomial is not block-symmetric"):
+        recursion(c_r(2, ring) * c_r(1, ring))
+    poly, broken = lifts[-1]
+    assert {e: c for e, c in broken.terms.items() if is_leader(e, ring.m)} == _project_leaders(poly).terms
+
+
+def test_the_checked_projection_keeps_leaders_and_refuses_the_rest():
+    """``_project_leaders`` returns the leader terms of a block-symmetric
+    polynomial and None for one that misses an orbit point or is not
+    constant on an orbit."""
+    ring = Ring(2, 1, False, 3)
+    f = parse_poly("x1^2*y1 + x2^2*y1 + 2*x1*x2", ring)
+    assert _project_leaders(f).terms == {(2, 0, 1): 1, (1, 1, 0): 2}
+    assert _project_leaders(parse_poly("x1^2*y1 + 2*x1*x2", ring)) is None
+    assert _project_leaders(parse_poly("x1^2*y1 + 2*x2^2*y1", ring)) is None

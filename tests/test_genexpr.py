@@ -39,6 +39,7 @@ from helpers import (
     ReferenceSpan,
     expansion_cap,
     gen_exprs,
+    is_leader,
     reference_enumerate_gen_monomials,
     reference_expand_key,
     reference_level_symbols,
@@ -482,7 +483,7 @@ def test_solve_refuses_a_broken_orbit(data):
     coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(chosen), max_size=len(chosen)))
     ring = Ring(m, n, False, p)
     f = expand(GenExpr(m, n, p, dict(zip(chosen, coeffs))), ring)
-    off_leader = sorted(e for e in f.terms if not _is_leader(e, m))
+    off_leader = sorted(e for e in f.terms if not is_leader(e, m))
     assume(off_leader)
     terms = dict(f.terms)
     e = data.draw(st.sampled_from(off_leader))
@@ -511,12 +512,6 @@ def _tuple_rows(span):
     return out
 
 
-def _is_leader(exps, m):
-    """Exponents sorted nonincreasing inside each block."""
-    x, y = list(exps[:m]), list(exps[m:])
-    return x == sorted(x, reverse=True) and y == sorted(y, reverse=True)
-
-
 def _leader_rows(ref, ring):
     """ReferenceSpan rows in row order, each restricted to orbit leaders.
     Every reference row must be block-symmetric, so the restriction
@@ -525,7 +520,7 @@ def _leader_rows(ref, ring):
     for lead, (rvec, rcombo) in ref.rows.items():
         row = Poly(ring, rvec)
         assert is_symmetric(row, Block.X) and is_symmetric(row, Block.Y)
-        out.append((lead, {e: c for e, c in rvec.items() if _is_leader(e, ring.m)}, rcombo))
+        out.append((lead, {e: c for e, c in rvec.items() if is_leader(e, ring.m)}, rcombo))
     return out
 
 
@@ -966,7 +961,7 @@ def test_every_vector_is_the_leader_terms_of_its_expansion(cold_spans, cold_tabl
             table = cold_tables(ring, _width_class(d))
             width = table.orbits.width
             for key in span.monomials:
-                want = {e: c for e, c in reference_expand_key(key, ring).terms.items() if _is_leader(e, m)}
+                want = {e: c for e, c in reference_expand_key(key, ring).terms.items() if is_leader(e, m)}
                 assert _unpack(table.vector(key, d), width, ring.nvars, p) == want, key
                 sizes = _symbol_sizes(ring, key)
                 ties += sizes.count(min(sizes, default=0)) > 1
@@ -1024,11 +1019,13 @@ def test_dead_draw_rule_keeps_rows_ranks_and_certificates(data):
 def test_dead_draw_rule_skips_products(cold_spans, cold_tables):
     """Ranked in ascending degree, the (1, 2, 5) spans up to degree 16
     draw dead monomials whose vectors the rule makes {} with no product;
-    with no memoized span to read, each of them gets its full vector."""
+    with no memoized span to read, each of them gets its full vector.
+    The spans are ranked through their echelons, which leave the entries
+    of dead draws as they are, so every empty entry is the rule's."""
     ring = Ring(1, 2, False, 5)
     spans = [genexpr.gen_span(1, 2, 5, d) for d in range(17)]
     for span in spans:
-        span.dimension
+        span.echelon.rank
     skipped = [(d, key) for d, span in enumerate(spans) for key in span.monomials
                if cold_tables(ring, _width_class(d)).vectors.get(key) == {}]
     assert len(skipped) > 20
@@ -1038,6 +1035,60 @@ def test_dead_draw_rule_skips_products(cold_spans, cold_tables):
     cold_tables.values.clear()
     for d, key in skipped:
         assert cold_tables(ring, _width_class(d)).vector(key, d) != {}
+
+
+@pytest.mark.parametrize("m, n, p, degrees", [
+    (2, 2, 3, range(13)),
+    # skipped degrees leave walks that meet a known dead quotient below
+    # the monomial they expand
+    (1, 1, 3, (0, 1, 4, 6, 8, 11, 14, 16)),
+    # C[r] for r > 2 expands to 0 at (2, 0)
+    (2, 0, 3, range(12)),
+])
+def test_found_dead_draws_share_one_empty_vector(cold_spans, cold_tables, m, n, p, degrees):
+    """Once ``solve`` or ``dimension`` finds a draw dead, its level-table
+    entry is the one shared, read-only ``_DEAD``, and no other empty
+    vector is stored.  Rows and ranks are those of cold spans drawn top
+    down, whose vectors are built before any lower entry is shared."""
+    ring = Ring(m, n, False, p)
+    rng = random.Random(5)
+    spans = {}
+    for i, d in enumerate(degrees):
+        span = spans[d] = genexpr.gen_span(m, n, p, d)
+        if i % 2:  # a partly drawn span: one solve of a member
+            keys = span.monomials
+            span.solve(expand(GenExpr(m, n, p, {key: 1 for key in rng.sample(keys, min(2, len(keys)))}), ring))
+        else:
+            span.dimension
+    dead = [(d, key) for d, span in spans.items()
+            for key, added in zip(span.monomials, span.echelon.added) if not added]
+    assert len(dead) > 50
+    assert all(spans[d]._table.vectors[key] is genexpr._DEAD for d, key in dead)
+    empty = [vec for table in cold_tables.values.values() for vec in table.vectors.values() if not vec]
+    assert len(empty) >= len(dead) and all(vec is genexpr._DEAD for vec in empty)
+    with pytest.raises(TypeError):
+        genexpr._DEAD[0] = 1
+    drawn = {d: (span.dimension, _rows(span)) for d, span in spans.items()}
+    cold_spans.values.clear()
+    cold_tables.values.clear()
+    assert {d: (span.dimension, _rows(span)) for d in sorted(degrees, reverse=True)
+            for span in [GenSpan(m, n, p, d)]} == drawn
+
+
+def test_concurrent_callers_share_every_dead_draw(cold_spans, cold_tables):
+    """Threads that solve on one memoized span at once while another
+    ranks it leave every dead draw's entry the shared empty vector: each
+    caller sweeps from where the draw record stood before its own call."""
+    m, n, p, d = 1, 2, 5, 16
+    ring = Ring(m, n, False, p)
+    rng = random.Random(3)
+    keys = enumerate_gen_monomials(m, n, p, d)
+    members = [expand(GenExpr(m, n, p, {key: 1 for key in rng.sample(keys, 2)}), ring) for _ in range(5)]
+    span = genexpr.gen_span(m, n, p, d)
+    got = _at_once(lambda i: span.solve(members[i]) if i < len(members) else span.dimension, range(6))
+    assert all(got[i] is not None for i in range(len(members)))
+    dead = [key for key, added in zip(span.monomials, span.echelon.added) if not added]
+    assert dead and all(span._table.vectors[key] is genexpr._DEAD for key in dead)
 
 
 def test_memoized_spans_draw_concurrently_with_the_dead_rule(cold_spans, cold_tables):

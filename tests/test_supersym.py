@@ -6,6 +6,7 @@ from supersympoly import (
     Block,
     Ring,
     c_r,
+    zero,
     d_dT,
     is_p_balanced,
     is_strictly_supersymmetric,
@@ -15,6 +16,9 @@ from supersympoly import (
     sigma_x_p,
     u_k,
 )
+
+from supersympoly.poly_core import _project_leaders
+from supersympoly.supersym import _leader_derivative_vanishes
 
 from helpers import orbit_sym
 
@@ -189,3 +193,34 @@ def test_verdict_matches_the_clauses_computed_apart(p, m, n, data):
         assert verdict.derivative_vanishes
         t_free = True
     assert verdict.strict == (verdict.overall and t_free) == is_strictly_supersymmetric(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_leader_derivative_clause_matches_the_verdict(p, m, n, data):
+    """On a block-symmetric f, a sum of orbit sums m_lam(x) m_mu(y), the
+    derivative clause computed from f's leader terms by the restriction
+    identity is the verdict's, and the orbits of the leader terms expand
+    back to f.  A balanced draw (every x exponent r mod p, every y
+    exponent -r) makes the clause hold, and c_r added on top keeps it,
+    so both outcomes come up."""
+    ring = Ring(m, n, False, p)
+    balanced = data.draw(st.booleans(), label="balanced")
+    f = zero(ring)
+    for _ in range(data.draw(st.integers(1, 3))):
+        r = data.draw(st.integers(0, p - 1))
+        xs = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        ys = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        if balanced:
+            xs, ys = [r + p * e for e in xs], [(-r) % p + p * e for e in ys]
+        else:
+            xs, ys = [r + e for e in xs], [r * e for e in ys]
+        f = f + data.draw(st.integers(1, p - 1)) * orbit_sym(xs, Block.X, ring) * orbit_sym(ys, Block.Y, ring)
+    f = f + data.draw(st.integers(0, p - 1)) * c_r(data.draw(st.integers(1, 3)), ring)
+    leaders = _project_leaders(f)
+    assert leaders is not None
+    assert _leader_derivative_vanishes(leaders) == is_supersymmetric(f).derivative_vanishes
+    back = zero(ring)
+    for exps, c in leaders.terms.items():
+        back = back + c * orbit_sym(exps[:m], Block.X, ring) * orbit_sym(exps[m:], Block.Y, ring)
+    assert back == f

@@ -1,3 +1,4 @@
+import importlib
 import math
 from collections import Counter
 
@@ -18,6 +19,7 @@ from supersympoly import (
     zero,
 )
 from supersympoly.decompose import _base_one_block, _decompose
+from supersympoly.poly_core import _project_leaders
 
 from helpers import orbit_sym
 
@@ -131,10 +133,14 @@ class TestRewriteSymmetric:
         f = parse_poly("y1^2 + y1*y2 + y2^2", Ring(0, 2, False, 3))
         assert serialize_gen_expr(_decompose(f, 0)) == "C[2]"
 
-    def test_rejects_asymmetric(self):
-        # x1 - e_1 = -x2 leads with (0, 1), which is not a partition
-        with pytest.raises(InternalInvariantViolation, match="not a partition"):
-            _base_one_block(parse_poly("x1", R20))
+    def test_rejects_asymmetric(self, monkeypatch):
+        # The work is leader terms, symmetric by construction; what it
+        # subtracts enters leader form checked, so a c_1 broken to x1
+        # at (2, 0) is refused, not read as x1 + x2.
+        decompose_module = importlib.import_module("supersympoly.decompose")
+        monkeypatch.setattr(decompose_module, "generator_poly", lambda kind, idx, ring: parse_poly("x1", ring))
+        with pytest.raises(InternalInvariantViolation, match="a C monomial's expansion is not block-symmetric"):
+            _base_one_block(_project_leaders(elementary(1, Block.X, R20)))
 
 
 def test_newton_style_convolution():
