@@ -27,7 +27,6 @@ from .supersym import (
     is_p_balanced,
     is_strictly_supersymmetric,
     is_supersymmetric,
-    is_symmetric,
 )
 from .generators import (
     KSeq,

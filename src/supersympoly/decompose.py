@@ -31,9 +31,10 @@ The span also serves two cases the recursion cannot handle itself:
 
 Below the input's membership check, every step runs on leader terms
 (``poly_core._LeaderTerms``), and a peel's cofactor is checked by the
-derivative clause alone; README "Design notes" gives why each step
-keeps leader terms leader terms, and how an expansion enters leader
-form through the checked projection.
+derivative clause alone.  The input and every expansion enter leader
+form through one block-symmetry pass, ``poly_core._block_symmetry``;
+README "Design notes" gives why each step keeps leader terms leader
+terms.
 
 ``_decompose(f, 0)`` runs the pure recursion (every degree has at least
 one monomial), which the acceptance suite uses to exercise it.  Every
@@ -56,12 +57,11 @@ from .generators import core_exponents, generator_poly, kseq, v_k
 from .poly_core import (
     Poly,
     Ring,
+    _block_symmetry,
     _clean,
     _expand_sum,
-    _leader_part,
     _LeaderTerms,
     _Memo,
-    _project_leaders,
     _term_key,
     exact_monomial_div,
     homogeneous_components,
@@ -82,11 +82,11 @@ def _core_degrees(f: Poly) -> tuple[int, int]:
 
 
 def _leaders(f: Poly, what: str) -> _LeaderTerms:
-    """The leader terms of the expansion f (``poly_core._project_leaders``),
+    """The leader terms of the expansion f (``poly_core._block_symmetry``),
     raising InternalInvariantViolation, which names ``what``, unless f
     is block-symmetric."""
-    lead = _project_leaders(f)
-    if lead is None:
+    sym_x, sym_y, lead = _block_symmetry(f)
+    if not (sym_x and sym_y):
         raise InternalInvariantViolation(f"{what} is not block-symmetric")
     return lead
 
@@ -167,9 +167,11 @@ def decompose(f: Poly) -> GenExpr:
     """Express a supersymmetric polynomial over the generator symbols.
 
     The result E satisfies expand(E, f.ring) == f; it is a valid
-    representation, not a canonical one.  Raises NotSupersymmetricError
-    for inputs outside the algebra and InternalInvariantViolation if an
-    internal step contradicts the theory (which would indicate a bug).
+    representation, not a canonical one.  The membership check and the
+    input's leader terms come from one block-symmetry pass.  Raises
+    NotSupersymmetricError for inputs outside the algebra and
+    InternalInvariantViolation if an internal step contradicts the
+    theory (which would indicate a bug).
     """
     return _decompose(f, _SPAN_LIMIT)
 
@@ -188,7 +190,7 @@ def _decompose(f: Poly, span_limit: int) -> GenExpr:
             f"derivative_vanishes={verdict.derivative_vanishes}"
         )
     total = _clean(ring, {}, GenExpr)
-    for _, comp in homogeneous_components(_leader_part(f)):
+    for _, comp in homogeneous_components(verdict.leaders):
         total = total + _decompose_homogeneous(comp, None, span_limit)
     return total
 

@@ -554,65 +554,54 @@ def _orbit_size(parts) -> int:
 class _LeaderTerms(Poly):
     """The leader terms of a block-symmetric polynomial of ``ring``: its
     terms whose x block and whose y block are each nonincreasing, which
-    fix it (``_OrbitLeaders``).  Projection to leaders is linear and
-    commutes with ``set_xm_zero``, with ``exact_monomial_div`` by a core
-    and with ``homogeneous_components``, which all keep this type.  It is
-    never multiplied: a product of leader terms is not the leader terms
-    of the product."""
+    fix it (``_OrbitLeaders``), as ``_block_symmetry`` gives them.
+    Projection to leaders is linear and commutes with ``set_xm_zero``,
+    with ``exact_monomial_div`` by a core and with
+    ``homogeneous_components``, which all keep this type.  It is never
+    multiplied: a product of leader terms is not the leader terms of the
+    product."""
 
     __slots__ = ()
 
 
-def _project_leaders(f: Poly) -> _LeaderTerms | None:
-    """f's leader terms, or None unless f is block-symmetric: constant
-    on each orbit, with every orbit point present, as
-    ``_OrbitLeaders.leader_terms`` checks packed keys."""
+def _block_symmetry(f: Poly) -> tuple[bool, bool, _LeaderTerms]:
+    """Whether f is symmetric in x, whether in y, and its terms whose x
+    block and y block are each nonincreasing (its leader terms when both
+    hold), from one pass.  A block is symmetric when each term's twin with
+    that block sorted has the term's coefficient and the orbits of the
+    terms with that block sorted add up to the term count (README
+    "Design notes")."""
     m, terms = f.ring.m, f.terms
-    lead, size = _BlockLeaders(), _OrbitSizes()
-    out, points = {}, 0
+    get, blocks = terms.get, _SortedBlocks()
+    twins_x = twins_y = True
+    points_x = points_y = 0
+    out = {}
     for exps, c in terms.items():
         x, y = exps[:m], exps[m:]
-        lx, ly = lead[x], lead[y]
-        if lx == x and ly == y:
-            out[exps] = c
-            points += size[x] * size[y]
-        elif terms.get(lx + ly) != c:
-            return None
-    # the leaders' orbits hold every key, so they hold no other exactly
-    # when their sizes add up to the count
-    return _clean(f.ring, out, _LeaderTerms) if points == len(terms) else None
+        lx, size_x = blocks[x]
+        ly, size_y = blocks[y]
+        if size_x:
+            points_x += size_x
+        elif twins_x and get(lx + y) != c:
+            twins_x = False
+        if size_y:
+            points_y += size_y
+            if size_x:
+                out[exps] = c
+        elif twins_y and get(x + ly) != c:
+            twins_y = False
+    count = len(terms)
+    return twins_x and points_x == count, twins_y and points_y == count, _clean(f.ring, out, _LeaderTerms)
 
 
-def _leader_part(f: Poly) -> _LeaderTerms:
-    """The terms of f whose x block and y block are each nonincreasing:
-    f's leader terms when f is block-symmetric, which the caller has
-    checked already.  ``_project_leaders`` checks it as it projects."""
-    m, ordered = f.ring.m, _Nonincreasing()
-    return _clean(f.ring, {e: c for e, c in f.terms.items() if ordered[e[:m]] and ordered[e[m:]]}, _LeaderTerms)
-
-
-class _BlockLeaders(dict):
-    """{block: the block sorted nonincreasing}, each block sorted once per call."""
+class _SortedBlocks(dict):
+    """{block: (block, its orbit size) when it is nonincreasing, else
+    (block sorted nonincreasing, 0)}, each block found once per call."""
 
     def __missing__(self, block: tuple) -> tuple:
-        lead = self[block] = tuple(sorted(block, reverse=True))
-        return lead
-
-
-class _OrbitSizes(dict):
-    """{nonincreasing block: its orbit size}, each found once per call."""
-
-    def __missing__(self, block: tuple) -> int:
-        size = self[block] = _orbit_size(block)
-        return size
-
-
-class _Nonincreasing(dict):
-    """{block: whether it is nonincreasing}, each block tested once per call."""
-
-    def __missing__(self, block: tuple) -> bool:
-        ok = self[block] = all(map(operator.ge, block, block[1:]))
-        return ok
+        lead = tuple(sorted(block, reverse=True))
+        found = self[block] = (block, _orbit_size(block)) if lead == block else (lead, 0)
+        return found
 
 
 # -- sparse row reduction -----------------------------------------------

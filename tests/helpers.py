@@ -94,6 +94,22 @@ def orbit_sym(exponents, block, ring):
     return Poly(ring, terms)
 
 
+def reference_is_symmetric(f, block):
+    """Invariance under every adjacent transposition inside the block: the
+    independent reference for ``poly_core._block_symmetry``."""
+    off, size = block_span(f.ring, block)
+    for i in range(size - 1):
+        a, b = off + i, off + i + 1
+        for exps, c in f.terms.items():
+            if exps[a] == exps[b]:
+                continue
+            swapped = list(exps)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            if f.terms.get(tuple(swapped)) != c:
+                return False
+    return True
+
+
 def is_leader(exps, m):
     """Exponents sorted nonincreasing inside each block."""
     x, y = list(exps[:m]), list(exps[m:])

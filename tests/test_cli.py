@@ -76,6 +76,30 @@ class TestCheck:
         flag = "true" if member else "false"
         assert f"overall: {flag}\nstrict: {flag}\n" in out
 
+    @pytest.mark.parametrize("m, n, p, text, code, out", [
+        ("2", "2", "3", "x1*y1 + x2*y1", 1,
+         "symmetric_x: true\nsymmetric_y: false\nderivative_vanishes: false\n"
+         "overall: false\nstrict: false\np_balanced: false\n"),
+        ("2", "2", "3", "x1*y1 + x1*y2", 1,
+         "symmetric_x: false\nsymmetric_y: true\nderivative_vanishes: false\n"
+         "overall: false\nstrict: false\np_balanced: false\n"),
+        ("2", "1", "3", "x1^3 + x2^3 + y1", 1,
+         "symmetric_x: true\nsymmetric_y: true\nderivative_vanishes: false\n"
+         "overall: false\nstrict: false\np_balanced: false\n"),
+        # m_(2,1)(x1, x2, x3) less x3^2*x2: every twin is there, the orbit count is short
+        ("3", "1", "3", "x1^2*x2 + x1^2*x3 + x2^2*x1 + x2^2*x3 + x3^2*x1", 1,
+         "symmetric_x: false\nsymmetric_y: true\nderivative_vanishes: false\n"
+         "overall: false\nstrict: false\np_balanced: false\n"),
+        ("2", "2", "3", "0", 0,
+         "symmetric_x: true\nsymmetric_y: true\nderivative_vanishes: true\n"
+         "overall: true\nstrict: true\np_balanced: true\n"),
+        ("3", "0", "5", "x1^2 + x2^2 + x3^2 + 2*x1*x2*x3", 0,
+         "symmetric_x: true\nsymmetric_y: true\nderivative_vanishes: true\n"
+         "overall: true\nstrict: true\np_balanced: true\n"),
+    ])
+    def test_output_bytes(self, capsys, m, n, p, text, code, out):
+        """The full output and the exit code, for each verdict on the blocks."""
+        assert run(capsys, "check", "--m", m, "--n", n, "--p", p, "--poly", text) == (code, out, "")
 
     def test_membership_is_decided_once(self, capsys, monkeypatch):
         """One verdict, from one psi image, gives every membership line."""

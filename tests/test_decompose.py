@@ -43,7 +43,7 @@ from supersympoly.decompose import (
 from supersympoly.generators import core_exponents
 from supersympoly.genexpr import _gen_monomial_count, gen_span
 from supersympoly.oracle import partitions_max_parts
-from supersympoly.poly_core import _Memo, _project_leaders
+from supersympoly.poly_core import _block_symmetry, _Memo
 from supersympoly.selfcheck import _roundtrip_inputs, random_gen_expr
 
 from helpers import expansion_cap, gen_exprs, is_leader, orbit_sym, reference_lift_poly
@@ -69,9 +69,9 @@ class TestFactorCore:
         # on leader terms, as the peel reads them; the block-symmetric
         # cofactor is coprime to both cores
         g = parse_poly("x1 + x2 + y1", R21)
-        f = _project_leaders(parse_poly("x1*x2*y1", R21) * g)
+        f = _block_symmetry(parse_poly("x1*x2*y1", R21) * g)[2]
         assert _core_degrees(f) == (1, 1)
-        assert exact_monomial_div(f, core_exponents(R21, 1, 1)) == _project_leaders(g)
+        assert exact_monomial_div(f, core_exponents(R21, 1, 1)) == _block_symmetry(g)[2]
 
     def test_pure_x_power(self):
         r10 = Ring(1, 0, False, 3)
@@ -515,15 +515,15 @@ def test_a_lifted_polynomial_that_is_not_block_symmetric_is_refused(monkeypatch,
     with pytest.raises(InternalInvariantViolation, match="the lifted polynomial is not block-symmetric"):
         recursion(c_r(2, ring) * c_r(1, ring))
     poly, broken = lifts[-1]
-    assert {e: c for e, c in broken.terms.items() if is_leader(e, ring.m)} == _project_leaders(poly).terms
+    assert {e: c for e, c in broken.terms.items() if is_leader(e, ring.m)} == _block_symmetry(poly)[2].terms
 
 
 def test_the_checked_projection_keeps_leaders_and_refuses_the_rest():
-    """``_project_leaders`` returns the leader terms of a block-symmetric
-    polynomial and None for one that misses an orbit point or is not
-    constant on an orbit."""
+    """``_block_symmetry`` gives the leader terms of a block-symmetric
+    polynomial, and refuses x symmetry to one that misses an orbit point
+    or is not constant on an orbit."""
     ring = Ring(2, 1, False, 3)
-    f = parse_poly("x1^2*y1 + x2^2*y1 + 2*x1*x2", ring)
-    assert _project_leaders(f).terms == {(2, 0, 1): 1, (1, 1, 0): 2}
-    assert _project_leaders(parse_poly("x1^2*y1 + 2*x1*x2", ring)) is None
-    assert _project_leaders(parse_poly("x1^2*y1 + 2*x2^2*y1", ring)) is None
+    sym_x, sym_y, lead = _block_symmetry(parse_poly("x1^2*y1 + x2^2*y1 + 2*x1*x2", ring))
+    assert sym_x and sym_y and lead.terms == {(2, 0, 1): 1, (1, 1, 0): 2}
+    assert _block_symmetry(parse_poly("x1^2*y1 + 2*x1*x2", ring))[:2] == (False, True)
+    assert _block_symmetry(parse_poly("x1^2*y1 + 2*x2^2*y1", ring))[:2] == (False, True)

@@ -27,7 +27,6 @@ from supersympoly import (
     generated_dimension,
     is_p_balanced,
     is_supersymmetric,
-    is_symmetric,
     kseq,
     parse_poly,
     placed_sym,
@@ -184,8 +183,6 @@ REFUSALS = {
                        "divisor exponent tuple has the wrong length"),
     "membership with T": (lambda: is_supersymmetric(zero(R11T)), "membership applies to polynomials without T"),
     "balance with T": (lambda: is_p_balanced(zero(R11T)), "balance applies to polynomials without T"),
-    "is_symmetric of a block name": (lambda: is_symmetric(parse_poly("x1 + 2*x2", Ring(2, 1, False, 3)), "x"),
-                                     "block must be Block.X or Block.Y, got 'x'"),
     "elementary of a block name": (lambda: elementary(1, "x", Ring(2, 1, False, 3)),
                                    "block must be Block.X or Block.Y, got 'x'"),
 }

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 
 from supersympoly import (
     Block,
+    Poly,
     Ring,
     c_r,
     zero,
@@ -17,10 +18,10 @@ from supersympoly import (
     u_k,
 )
 
-from supersympoly.poly_core import _project_leaders
+from supersympoly.poly_core import _block_symmetry
 from supersympoly.supersym import _leader_derivative_vanishes
 
-from helpers import orbit_sym
+from helpers import is_leader, orbit_sym, reference_is_symmetric
 
 R11 = Ring(1, 1, False, 3)
 
@@ -217,10 +218,39 @@ def test_leader_derivative_clause_matches_the_verdict(p, m, n, data):
             xs, ys = [r + e for e in xs], [r * e for e in ys]
         f = f + data.draw(st.integers(1, p - 1)) * orbit_sym(xs, Block.X, ring) * orbit_sym(ys, Block.Y, ring)
     f = f + data.draw(st.integers(0, p - 1)) * c_r(data.draw(st.integers(1, 3)), ring)
-    leaders = _project_leaders(f)
-    assert leaders is not None
+    sym_x, sym_y, leaders = _block_symmetry(f)
+    assert sym_x and sym_y
     assert _leader_derivative_vanishes(leaders) == is_supersymmetric(f).derivative_vanishes
     back = zero(ring)
     for exps, c in leaders.terms.items():
         back = back + c * orbit_sym(exps[:m], Block.X, ring) * orbit_sym(exps[m:], Block.Y, ring)
     assert back == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_block_symmetry_matches_the_transposition_scan(p, m, n, data):
+    """``_block_symmetry`` against the transposition scan, on sums of
+    orbit sums m_lam(x) m_mu(y), some broken by dropping one term or by
+    changing one coefficient: its verdict on each block is the scan's,
+    and its third value is f's terms at leaders, whatever the verdicts.
+    A dropped term that is no leader leaves every twin in place, so there
+    the orbit count alone decides."""
+    ring = Ring(m, n, False, p)
+    f = zero(ring)
+    for _ in range(data.draw(st.integers(1, 3))):
+        xs = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        ys = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        f = f + data.draw(st.integers(1, p - 1)) * orbit_sym(xs, Block.X, ring) * orbit_sym(ys, Block.Y, ring)
+    break_it = data.draw(st.sampled_from(("keep", "drop a term", "change a coefficient")))
+    if break_it != "keep" and f.terms:
+        terms = dict(f.terms)
+        key = data.draw(st.sampled_from(sorted(terms)))
+        if break_it == "drop a term":
+            del terms[key]
+        else:
+            terms[key] = terms[key] % (p - 1) + 1
+        f = Poly(ring, terms)
+    sym_x, sym_y, leaders = _block_symmetry(f)
+    assert (sym_x, sym_y) == (reference_is_symmetric(f, Block.X), reference_is_symmetric(f, Block.Y))
+    assert leaders.terms == {e: c for e, c in f.terms.items() if is_leader(e, m)}

@@ -12,16 +12,15 @@ from supersympoly import (
     Ring,
     complete,
     elementary,
-    is_symmetric,
     one,
     parse_poly,
     serialize_gen_expr,
     zero,
 )
 from supersympoly.decompose import _base_one_block, _decompose
-from supersympoly.poly_core import _project_leaders
+from supersympoly.poly_core import _block_symmetry
 
-from helpers import orbit_sym
+from helpers import orbit_sym, reference_is_symmetric
 
 R20 = Ring(2, 0, False, 3)
 R22 = Ring(2, 2, False, 3)
@@ -89,7 +88,7 @@ class TestOrbitSymProperties:
         ring = Ring(3, 0, False, 5)
         for exps in [(1,), (2, 1), (1, 1), (3, 1, 1), (2, 2, 1), (4,)]:
             f = orbit_sym(exps, Block.X, ring)
-            assert is_symmetric(f, Block.X)
+            assert reference_is_symmetric(f, Block.X)
             assert set(f.terms.values()) == {1}
             padded = tuple(exps) + (0,) * (3 - len(exps))
             counts = Counter(padded)
@@ -101,15 +100,15 @@ class TestOrbitSymProperties:
 
 class TestIsSymmetric:
     def test_symmetric_sum(self):
-        assert is_symmetric(parse_poly("x1 + x2", R20), Block.X)
+        assert reference_is_symmetric(parse_poly("x1 + x2", R20), Block.X)
 
     def test_single_variable_not(self):
-        assert not is_symmetric(parse_poly("x1", R20), Block.X)
+        assert not reference_is_symmetric(parse_poly("x1", R20), Block.X)
 
     def test_cross_block(self):
         f = parse_poly("x1*y1 + x2*y1", R22)
-        assert is_symmetric(f, Block.X)
-        assert not is_symmetric(f, Block.Y)
+        assert reference_is_symmetric(f, Block.X)
+        assert not reference_is_symmetric(f, Block.Y)
 
 
 class TestRewriteSymmetric:
@@ -140,7 +139,7 @@ class TestRewriteSymmetric:
         decompose_module = importlib.import_module("supersympoly.decompose")
         monkeypatch.setattr(decompose_module, "generator_poly", lambda kind, idx, ring: parse_poly("x1", ring))
         with pytest.raises(InternalInvariantViolation, match="a C monomial's expansion is not block-symmetric"):
-            _base_one_block(_project_leaders(elementary(1, Block.X, R20)))
+            _base_one_block(_block_symmetry(elementary(1, Block.X, R20))[2])
 
 
 def test_newton_style_convolution():
