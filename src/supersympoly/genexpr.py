@@ -280,10 +280,10 @@ class GenSpan:
 
     Each vector comes from the level table (``_LevelTable``), one per
     level and width class of the degree, which every span of that class
-    shares: one product per draw, or none for a draw that a dead draw
-    of a lower span already makes dead.  Once ``solve`` or
-    ``dimension`` has found a draw dead, its table entry is the one
-    shared empty vector.  The echelon drops its vector
+    shares: one product per draw, or none for a draw that a known dead
+    draw makes dead.  The echelon reports each dead draw as it finds it,
+    and the span writes the one shared empty vector over its table
+    entry, the one record of dead draws.  The echelon drops its vector
     function with the last row; the level table stays in its bounded
     memo.  The construction is deterministic.  README "Design notes"
     gives the Frobenius, orbit-leader, lazy-draw, shared-table and
@@ -297,17 +297,16 @@ class GenSpan:
             key for key in enumerate_gen_monomials(m, n, p, degree)
             if all(e < p for (kind, _), e in key if kind == "C")
         ]
-        self._index = {key: i for i, key in enumerate(monomials)}
         self._table = table = _TABLES(self.ring, _width_class(degree))
-        self._orbits = table.orbits
-        self.echelon = FpEchelon(p, len(monomials), lambda i: table.vector(monomials[i], degree))
+
+        def dead(i):
+            table.vectors[monomials[i]] = _DEAD
+
+        self.echelon = FpEchelon(p, len(monomials), lambda i: table.vector(monomials[i], degree), dead)
 
     @property
     def dimension(self) -> int:
-        drawn = len(self.echelon.added)
-        rank = self.echelon.rank
-        self._share_dead(drawn)
-        return rank
+        return self.echelon.rank
 
     def solve(self, f: Poly):
         """GenExpr with expand == f, or None when f is outside the span."""
@@ -315,33 +314,15 @@ class GenSpan:
         degree = self.degree
         if any(sum(exps) != degree for exps in f.terms):
             return None
-        packed = self._orbits.pack(f.terms)
-        leaders = packed if f.__class__ is _LeaderTerms else self._orbits.leader_terms(packed)
+        orbits = self._table.orbits
+        packed = orbits.pack(f.terms)
+        leaders = packed if f.__class__ is _LeaderTerms else orbits.leader_terms(packed)
         if leaders is None:
             return None
-        drawn = len(self.echelon.added)
         combo = self.echelon.combination(leaders)
-        self._share_dead(drawn)
         if combo is None:
             return None
         return _clean(self.ring, {self.monomials[i]: c for i, c in combo.items()}, GenExpr)
-
-    def _drew_dead(self, key: tuple) -> bool:
-        """Whether the echelon has drawn the listed monomial ``key`` and
-        the draw added no row.  It reads the echelon's draw record
-        without its lock: an entry is final once it is there."""
-        i = self._index.get(key)
-        added = self.echelon.added
-        return i is not None and i < len(added) and not added[i]
-
-    def _share_dead(self, start: int):
-        """Write the shared empty vector over the table entry of every
-        dead draw from ``start`` on.  Two callers may sweep at once: each
-        sweeps from where the record stood before its own draws."""
-        added, vectors = self.echelon.added, self._table.vectors
-        for i in range(start, len(added)):
-            if not added[i]:
-                vectors[self.monomials[i]] = _DEAD
 
 
 def _quotient(key: tuple, j: int) -> tuple:
@@ -357,10 +338,12 @@ class _LevelTable:
     expanded so far.  Each write stores the one value its key has, or
     the shared empty ``_DEAD`` for a monomial known to be a dead draw or
     whose expansion is 0, which makes the same rows (README "Design
-    notes")."""
+    notes").  The spans' echelons write ``_DEAD`` over each dead draw's
+    entry as they find it, so the table is the one record of dead
+    draws."""
 
     def __init__(self, ring: Ring, bound: int):
-        self.ring = ring
+        self.ring, self.bound = ring, bound
         self.orbits = _OrbitLeaders(ring, bound)
         self.symbols: dict = {}  # symbol -> (packed expansion, weight)
         self.vectors: dict = {(): {0: 1}}  # monomial -> leader terms, _DEAD if a known dead draw
@@ -373,9 +356,9 @@ class _LevelTable:
         Walk down from ``key``, each time dividing by its symbol with
         the fewest packed terms (the first in canonical order on a tie),
         to a monomial in the memo or one known dead, then multiply back
-        up, one ``mul`` per step.  A monomial is known dead when a
-        one-symbol quotient is a dead draw of the memoized span of its
-        degree, and only if that span has drawn it already."""
+        up, one ``mul`` per step.  A monomial is known dead when one of
+        its one-symbol quotients is ``_DEAD`` in the table of the
+        quotient's width class."""
         vectors = self.vectors
         symbols = {symbol: self._symbol(symbol) for symbol, _ in key}
         path = []
@@ -395,12 +378,17 @@ class _LevelTable:
         return vec
 
     def _known_dead(self, key: tuple, degree: int, symbols: dict) -> bool:
-        """Whether a one-symbol quotient of ``key`` is a dead draw of the
-        memoized span of its degree, as far as that span has drawn."""
-        ring, spans = self.ring, _SPANS.values
+        """Whether a one-symbol quotient of ``key`` is ``_DEAD`` in the
+        table of its degree's class, where its span records it: this
+        table from the class floor up, a memoized lower one below it."""
+        floor, tables = (self.bound + 1) >> 1, {self.bound: self.vectors}
         for j, (symbol, _) in enumerate(key):
-            lower = spans.get((ring.m, ring.n, ring.p, degree - symbols[symbol][1]))
-            if lower is not None and lower._drew_dead(_quotient(key, j)):
+            quotient_degree = degree - symbols[symbol][1]
+            bound = self.bound if quotient_degree >= floor else _width_class(quotient_degree)
+            if bound not in tables:
+                table = _TABLES.values.get((self.ring, bound))
+                tables[bound] = {} if table is None else table.vectors
+            if tables[bound].get(_quotient(key, j)) is _DEAD:
                 return True
         return False
 

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import operator
 import os
@@ -502,7 +503,7 @@ def _tuple_rows(span):
     read as the combination of generator monomials.  Reading
     ``dimension`` first builds every row."""
     span.dimension
-    width, nvars, p = span._orbits.width, span.ring.nvars, span.p
+    width, nvars, p = span._table.orbits.width, span.ring.nvars, span.p
     out = []
     for lead, row in span.echelon.rows.items():
         assert lead >= 0  # a pivot is always a term, never a label
@@ -555,7 +556,7 @@ class TestPackedSpan:
     def test_width_edges(self, d):
         # d = 2^w - 1 fills a w-bit field; d = 2^w needs one more bit.
         span = GenSpan(1, 1, 3, d)
-        assert span._orbits.width == d.bit_length()
+        assert span._table.orbits.width == d.bit_length()
         _assert_matches_reference(1, 1, 3, d)
         f = c_r(d, R11)  # has the term y1^d
         assert expand(span.solve(f), R11) == f
@@ -840,13 +841,13 @@ def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
     assert list(cold_tables.values) == [(ring, 7), (R11, 1)]
     table = cold_tables.values[ring, 7]
     orbits = table.orbits
-    assert table.symbols and table.vectors and span._orbits is orbits  # the rows' leader terms stay
+    assert table.symbols and table.vectors and span._table.orbits is orbits  # the rows' leader terms stay
     # degrees 4 to 7 share the table, 8 starts the next width class
     for d in (4, 5, 7):
         other = GenSpan(2, 2, 3, d)
-        assert other._orbits is orbits
+        assert other._table.orbits is orbits
         other.dimension
-    assert GenSpan(2, 2, 3, 8)._orbits is not orbits
+    assert GenSpan(2, 2, 3, 8)._table.orbits is not orbits
     assert cold_tables.values[ring, 7] is table
     assert built == {7: 1, 1: 1, 15: 1}
 
@@ -855,7 +856,7 @@ def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
     GenSpan(1, 1, 3, 2)
     assert list(cold_tables.values) == [(R11, 1), (ring, 15), (R11, 3)]
     again = GenSpan(2, 2, 3, 6)
-    assert again._orbits is not orbits
+    assert again._table.orbits is not orbits
     assert again.dimension == span.dimension
     assert _rows(again) == _rows(span)
     assert built == {7: 2, 1: 1, 15: 1, 3: 1}
@@ -949,10 +950,10 @@ def _symbol_sizes(ring, key):
 
 
 def test_every_vector_is_the_leader_terms_of_its_expansion(cold_spans, cold_tables):
-    """With no memoized lower span the dead-draw rule is idle, and every
-    listed monomial's vector, one product from the vector of a quotient,
-    is the leader part of its reference expansion; the cells include
-    monomials whose cheapest symbols tie."""
+    """With no span drawn no entry is a dead draw, the dead-draw rule is
+    idle, and every listed monomial's vector, one product from the
+    vector of a quotient, is the leader part of its reference expansion;
+    the cells include monomials whose cheapest symbols tie."""
     ties = 0
     for m, n, p, dmax in [(2, 2, 3, 9), (1, 2, 5, 12), (2, 3, 5, 8)]:
         ring = Ring(m, n, False, p)
@@ -971,8 +972,9 @@ def test_every_vector_is_the_leader_terms_of_its_expansion(cold_spans, cold_tabl
 def _draw_spans(m, n, p, top, memoized, members, full):
     """(rank, rows, certificates) of each degree's span, drawn in
     ascending degree from ``gen_span`` (so the dead-draw rule reads the
-    lower spans) or top down from cold ``GenSpan``s (so it has none to
-    read); a span in ``full`` is ranked before the next degree's solves."""
+    lower spans' dead draws) or top down from cold ``GenSpan``s (so a
+    draw's quotients are drawn after it); a span in ``full`` is ranked
+    before the next degree's solves."""
     out = {}
     for d in (range(top + 1) if memoized else range(top, -1, -1)):
         span = genexpr.gen_span(m, n, p, d) if memoized else GenSpan(m, n, p, d)
@@ -1016,25 +1018,44 @@ def test_dead_draw_rule_keeps_rows_ranks_and_certificates(data):
     assert products[True] <= products[False]
 
 
-def test_dead_draw_rule_skips_products(cold_spans, cold_tables):
+@functools.cache
+def _reference_live(m, n, p, d):
+    """The monomials whose draw adds a row, from the tuple-keyed reference
+    alone: a listed monomial is a dead draw exactly when it is not here."""
+    return frozenset(ReferenceSpan(m, n, p, d).live)
+
+
+def _marked_dead(span):
+    """Whether each listed monomial's level-table entry is ``_DEAD``."""
+    return [span._table.vectors.get(key) is genexpr._DEAD for key in span.monomials]
+
+
+def test_dead_draw_rule_skips_products(monkeypatch, cold_spans, cold_tables):
     """Ranked in ascending degree, the (1, 2, 5) spans up to degree 16
-    draw dead monomials whose vectors the rule makes {} with no product;
-    with no memoized span to read, each of them gets its full vector.
-    The spans are ranked through their echelons, which leave the entries
-    of dead draws as they are, so every empty entry is the rule's."""
-    ring = Ring(1, 2, False, 5)
-    spans = [genexpr.gen_span(1, 2, 5, d) for d in range(17)]
-    for span in spans:
-        span.echelon.rank
-    skipped = [(d, key) for d, span in enumerate(spans) for key in span.monomials
-               if cold_tables(ring, _width_class(d)).vectors.get(key) == {}]
-    assert len(skipped) > 20
-    for d, key in skipped:
-        assert spans[d]._drew_dead(key)  # the rule skips dead draws only
-    cold_spans.values.clear()
-    cold_tables.values.clear()
-    for d, key in skipped:
-        assert cold_tables(ring, _width_class(d)).vector(key, d) != {}
+    make under half the products they make ranked top down, where no
+    quotient of a draw is known dead yet, so each draw gets its full
+    vector.  The ranks are the same, and either way the entries left
+    ``_DEAD`` are those of the reference's dead draws."""
+    m, n, p, top = 1, 2, 5, 16
+    products = collections.Counter()
+    original = genexpr._OrbitLeaders.mul
+
+    def counting(self, leaders, packed):
+        products[ascending] += 1
+        return original(self, leaders, packed)
+
+    monkeypatch.setattr(genexpr._OrbitLeaders, "mul", counting)
+    ranks = {}
+    for ascending in (True, False):
+        cold_spans.values.clear()
+        cold_tables.values.clear()
+        spans = {d: genexpr.gen_span(m, n, p, d) for d in (range(top + 1) if ascending else range(top, -1, -1))}
+        ranks[ascending] = {d: span.echelon.rank for d, span in spans.items()}
+        for d, span in spans.items():
+            live = _reference_live(m, n, p, d)
+            assert _marked_dead(span) == [key not in live for key in span.monomials]
+    assert ranks[True] == ranks[False]
+    assert 0 < 2 * products[True] < products[False]
 
 
 @pytest.mark.parametrize("m, n, p, degrees", [
@@ -1048,20 +1069,25 @@ def test_dead_draw_rule_skips_products(cold_spans, cold_tables):
 def test_found_dead_draws_share_one_empty_vector(cold_spans, cold_tables, m, n, p, degrees):
     """Once ``solve`` or ``dimension`` finds a draw dead, its level-table
     entry is the one shared, read-only ``_DEAD``, and no other empty
-    vector is stored.  Rows and ranks are those of cold spans drawn top
-    down, whose vectors are built before any lower entry is shared."""
+    vector is stored; no entry of a listed monomial that adds a row is
+    ``_DEAD``.  The dead draws are the reference's.  Rows and ranks are
+    those of cold spans drawn top down, whose vectors are built before
+    any lower draw is found dead."""
     ring = Ring(m, n, False, p)
     rng = random.Random(5)
-    spans = {}
+    spans, dead = {}, []
     for i, d in enumerate(degrees):
         span = spans[d] = genexpr.gen_span(m, n, p, d)
-        if i % 2:  # a partly drawn span: one solve of a member
-            keys = span.monomials
+        keys = span.monomials
+        if i % 2:  # a partly drawn span: one solve of a member, drawn up to its last row
             span.solve(expand(GenExpr(m, n, p, {key: 1 for key in rng.sample(keys, min(2, len(keys)))}), ring))
+            drawn = 1 + max((-1 - k for row in span.echelon.rows.values() for k in row if k < 0), default=-1)
         else:
             span.dimension
-    dead = [(d, key) for d, span in spans.items()
-            for key, added in zip(span.monomials, span.echelon.added) if not added]
+            drawn = len(keys)
+        live = _reference_live(m, n, p, d)
+        dead += [(d, key) for key in keys[:drawn] if key not in live]
+        assert not any(marked and key in live for key, marked in zip(keys, _marked_dead(span)))
     assert len(dead) > 50
     assert all(spans[d]._table.vectors[key] is genexpr._DEAD for d, key in dead)
     empty = [vec for table in cold_tables.values.values() for vec in table.vectors.values() if not vec]
@@ -1077,8 +1103,8 @@ def test_found_dead_draws_share_one_empty_vector(cold_spans, cold_tables, m, n, 
 
 def test_concurrent_callers_share_every_dead_draw(cold_spans, cold_tables):
     """Threads that solve on one memoized span at once while another
-    ranks it leave every dead draw's entry the shared empty vector: each
-    caller sweeps from where the draw record stood before its own call."""
+    ranks it leave every dead draw's entry the shared empty vector: the
+    echelon marks each one under its lock as it finds it."""
     m, n, p, d = 1, 2, 5, 16
     ring = Ring(m, n, False, p)
     rng = random.Random(3)
@@ -1087,14 +1113,47 @@ def test_concurrent_callers_share_every_dead_draw(cold_spans, cold_tables):
     span = genexpr.gen_span(m, n, p, d)
     got = _at_once(lambda i: span.solve(members[i]) if i < len(members) else span.dimension, range(6))
     assert all(got[i] is not None for i in range(len(members)))
-    dead = [key for key, added in zip(span.monomials, span.echelon.added) if not added]
+    live = _reference_live(m, n, p, d)
+    dead = [key for key in span.monomials if key not in live]
     assert dead and all(span._table.vectors[key] is genexpr._DEAD for key in dead)
+
+
+def test_dead_draw_rule_reads_the_lower_width_class(monkeypatch, cold_spans, cold_tables):
+    """After ``dimension`` at (2, 2, 3) for degrees 0-15 in ascending
+    order, every quotient of a degree-16 draw lies in the width class
+    8-15, so the rule reads that class's table: the degree-16 span makes
+    under half the products it makes when that table is evicted first,
+    with the same rank and rows."""
+    m, n, p = 2, 2, 3
+    ring = Ring(m, n, False, p)
+    products = collections.Counter()
+    original = genexpr._OrbitLeaders.mul
+
+    def counting(self, leaders, packed):
+        products[evicted] += 1
+        return original(self, leaders, packed)
+
+    got = {}
+    for evicted in (False, True):
+        cold_spans.values.clear()
+        cold_tables.values.clear()
+        for d in range(16):
+            genexpr.gen_span(m, n, p, d).dimension
+        if evicted:
+            del cold_tables.values[ring, 15]
+        with monkeypatch.context() as patch:
+            patch.setattr(genexpr._OrbitLeaders, "mul", counting)
+            span = genexpr.gen_span(m, n, p, 16)
+            got[evicted] = (span.dimension, _rows(span))
+    assert got[False] == got[True]
+    assert 0 < 2 * products[False] < products[True]
 
 
 def test_memoized_spans_draw_concurrently_with_the_dead_rule(cold_spans, cold_tables):
     """Threads that draw memoized spans of neighbouring degrees at once,
-    each reading the others' draw records without their locks, get the
-    ranks, certificates and rows of a serial run."""
+    each reading the dead draws the others mark in the level tables
+    without their locks, get the ranks, certificates and rows of a
+    serial run."""
     m, n, p = 1, 2, 5
     ring = Ring(m, n, False, p)
     degrees = range(10, 17)

@@ -419,9 +419,42 @@ def test_echelon_draws_only_what_a_combination_needs(system, data):
             assert FpEchelon(p, len(drawn) - 1, vecs.__getitem__).combination(vec) is None
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_systems(), st.data())
+def test_echelon_reports_each_dead_draw_once(system, data):
+    """``dead(i)`` is called once for each draw that adds no row, in draw
+    order and before the next draw, and never for a draw that adds one;
+    a draw whose ``vector`` raised is retried and reported once."""
+    p, vecs = system
+    ref, want = ReferenceEchelon(p), []
+    for i, vec in enumerate(vecs):
+        want += [("draw", i)] if ref.add(vec) else [("draw", i), ("dead", i)]
+    fails = data.draw(st.sets(st.integers(0, len(vecs) - 1)), label="raise once") if vecs else set()
+    events = []
+
+    def vector(i):
+        if i in fails:
+            fails.remove(i)
+            raise RuntimeError("a build that fails once")
+        events.append(("draw", i))
+        return vecs[i]
+
+    ech = FpEchelon(p, len(vecs), vector, lambda i: events.append(("dead", i)))
+    target = data.draw(st.dictionaries(st.integers(0, 15), st.integers(1, p - 1), max_size=6))
+    while True:  # a partial draw first, then the rest; each raise spends one failure
+        try:
+            ech.combination(target)
+            rank = ech.rank
+            break
+        except RuntimeError:
+            pass
+    assert events == want
+    assert rank == ref.rank == len(vecs) - sum(kind == "dead" for kind, _ in events)
+
+
 def test_echelon_of_no_vectors_has_rank_0():
     ech = FpEchelon(5, 0, None)
-    assert {name for name in dir(ech) if not name.startswith("_")} == {"added", "combination", "rank", "rows"}
+    assert {name for name in dir(ech) if not name.startswith("_")} == {"combination", "rank", "rows"}
     assert ech.rank == 0
     assert ech.combination({}) == {}
     assert ech.combination({0: 1}) is None
