@@ -31,10 +31,10 @@ The span also serves two cases the recursion cannot handle itself:
 
 Below the input's membership check, every step runs on leader terms
 (``poly_core._LeaderTerms``), and a peel's cofactor is checked by the
-derivative clause alone.  The input and every expansion enter leader
-form through one block-symmetry pass, ``poly_core._block_symmetry``;
-README "Design notes" gives why each step keeps leader terms leader
-terms.
+derivative clause alone.  The input enters leader form through
+``poly_core._block_symmetry`` and every expansion through its checked
+form ``poly_core._leaders``; README "Design notes" gives why each step
+keeps leader terms leader terms.
 
 ``_decompose(f, 0)`` runs the pure recursion (every degree has at least
 one monomial), which the acceptance suite uses to exercise it.  Every
@@ -57,9 +57,9 @@ from .generators import core_exponents, generator_poly, kseq, v_k
 from .poly_core import (
     Poly,
     Ring,
-    _block_symmetry,
     _clean,
     _expand_sum,
+    _leaders,
     _LeaderTerms,
     _Memo,
     _term_key,
@@ -79,16 +79,6 @@ def _core_degrees(f: Poly) -> tuple[int, int]:
     a = min(map(itemgetter(m - 1), f.terms)) if m else 0
     b = min(map(itemgetter(m + n - 1), f.terms)) if n else 0
     return a, b
-
-
-def _leaders(f: Poly, what: str) -> _LeaderTerms:
-    """The leader terms of the expansion f (``poly_core._block_symmetry``),
-    raising InternalInvariantViolation, which names ``what``, unless f
-    is block-symmetric."""
-    sym_x, sym_y, lead = _block_symmetry(f)
-    if not (sym_x and sym_y):
-        raise InternalInvariantViolation(f"{what} is not block-symmetric")
-    return lead
 
 
 def _core_term(ring: Ring, a: int, b: int) -> GenExpr:

@@ -33,16 +33,18 @@ import re
 from functools import partial
 from types import MappingProxyType
 
-from .errors import InternalInvariantViolation, PolyParseError
+from .errors import PolyParseError
 from .generators import generator_poly
 from .poly_core import (
     FpEchelon,
     Poly,
     Ring,
+    _block_symmetry,
     _clean,
     _expand_sum,
     _format_terms,
     _int,
+    _leaders,
     _LeaderTerms,
     _Memo,
     _OrbitLeaders,
@@ -275,7 +277,8 @@ class GenSpan:
     ``solve`` draws until f's residue holds no term, ``dimension`` draws
     them all, and a member gets the same certificate from a partly drawn
     span as from a full one.  ``solve`` refuses a polynomial that is
-    not block-symmetric before it projects, and takes a
+    not block-symmetric (``poly_core._block_symmetry``, the package's
+    one block-symmetry test) before it projects, and takes a
     ``poly_core._LeaderTerms`` value as the leader terms it holds.
 
     Each vector comes from the level table (``_LevelTable``), one per
@@ -314,12 +317,11 @@ class GenSpan:
         degree = self.degree
         if any(sum(exps) != degree for exps in f.terms):
             return None
-        orbits = self._table.orbits
-        packed = orbits.pack(f.terms)
-        leaders = packed if f.__class__ is _LeaderTerms else orbits.leader_terms(packed)
-        if leaders is None:
-            return None
-        combo = self.echelon.combination(leaders)
+        if f.__class__ is not _LeaderTerms:
+            sym_x, sym_y, f = _block_symmetry(f)
+            if not (sym_x and sym_y):
+                return None
+        combo = self.echelon.combination(self._table.orbits.pack(f.terms))
         if combo is None:
             return None
         return _clean(self.ring, {self.monomials[i]: c for i, c in combo.items()}, GenExpr)
@@ -394,22 +396,18 @@ class _LevelTable:
 
     def _symbol(self, symbol: tuple) -> tuple:
         """(packed expansion, weight) of ``symbol``.  The first call
-        checks that the expansion is block-symmetric, raising
-        ``InternalInvariantViolation`` otherwise, so a broken generator
-        cannot hide behind the projection, and stores its leader terms
-        as the monomial symbol^1 before the symbol itself."""
+        takes the expansion's leader terms through the checked
+        projection ``poly_core._leaders``, which raises
+        ``InternalInvariantViolation`` unless it is block-symmetric, so a
+        broken generator cannot hide behind the projection, and stores
+        them as the monomial symbol^1 before the symbol itself."""
         entry = self.symbols.get(symbol)
         if entry is None:
-            packed = self.orbits.pack(generator_poly(*symbol, ring=self.ring).terms)
-            lead = self.orbits.leader_terms(packed)
-            if lead is None:
-                kind, idx = symbol
-                raise InternalInvariantViolation(
-                    f"{kind}[{idx}] at level ({self.ring.m},{self.ring.n}), p={self.ring.p} "
-                    "is not block-symmetric"
-                )
-            self.vectors[((symbol, 1),)] = lead or _DEAD  # C[r] for r > m is 0 at n = 0
-            entry = self.symbols[symbol] = (packed, symbol_weight(*symbol, self.ring))
+            (kind, idx), ring, pack = symbol, self.ring, self.orbits.pack
+            generator = generator_poly(kind, idx, ring=ring)
+            lead = _leaders(generator, f"{kind}[{idx}] at level ({ring.m},{ring.n}), p={ring.p}")
+            self.vectors[((symbol, 1),)] = pack(lead.terms) or _DEAD  # C[r] for r > m is 0 at n = 0
+            entry = self.symbols[symbol] = (pack(generator.terms), symbol_weight(kind, idx, ring))
         return entry
 
 

@@ -122,6 +122,16 @@ def _drops(delta: tuple, ks: KSeq) -> list[tuple]:
     return _restrictions(delta, len(delta))
 
 
+def _image_levels(m: int, n: int, p: int) -> tuple[Ring, Ring]:
+    """The ring of level (m, n) and the ring of its x_m = y_n = T
+    image, level (m-1, n-1) with T; a level with an empty block has no
+    image."""
+    ring = Ring(m, n, False, p)
+    if m < 1 or n < 1:
+        raise ValueError("the x_m = y_n = T image needs m >= 1 and n >= 1")
+    return ring, Ring(m - 1, n - 1, True, p)
+
+
 def _collapses(lhs: Poly, rhs, ring_t: Ring) -> bool:
     """Whether the x_m = y_n = T image of ``lhs`` equals, up to the kernel
     of d/dT, the sum of T^e g over the (e, g) pairs of ``rhs``, every g
@@ -145,7 +155,7 @@ def brace_identity_check(delta: tuple, l: int, j: int, m: int, n: int, ks: KSeq)
     """
     drops, j, l = _drops(delta, ks), _int(j, "j"), _int(l, "l", 0)
     p, k = ks.p, ks.k
-    ring, ring_t = Ring(m, n, False, p), Ring(m - 1, n - 1, True, p)
+    ring, ring_t = _image_levels(m, n, p)
     rhs = [(k, bracket_brace(delta, l, j - 1, ks, ring_t)),
            ((l + 1) * (p - k), bracket_square(delta, j, ks, ring_t)),
            (l * (p - k), bracket_square(delta, j - 1, ks, ring_t))]
@@ -166,7 +176,7 @@ def round_identity_check(delta: tuple, j: int, m: int, n: int, ks: KSeq) -> bool
     """
     drops, j = _drops(delta, ks), _int(j, "j")
     p, k, s = ks.p, ks.k, ks.s
-    ring, ring_t = Ring(m, n, False, p), Ring(m - 1, n - 1, True, p)
+    ring, ring_t = _image_levels(m, n, p)
     rhs = [(k, bracket_round(delta, j - 1, ks, ring_t)),
            (s * (p - k), bracket_square(delta, j, ks, ring_t))]
     for i, smaller in drops:
@@ -180,6 +190,6 @@ def psi_w_check(m: int, n: int, ks: KSeq) -> bool:
     """Check that the image of w under x_m = y_n = T collapses, modulo
     the kernel of d/dT, to (-1)^(s+1) s T^(p-k) [empty, 0] one level down."""
     p, k, s = ks.p, ks.k, ks.s
-    ring, ring_t = Ring(m, n, False, p), Ring(m - 1, n - 1, True, p)
+    ring, ring_t = _image_levels(m, n, p)
     sign = 1 if (s + 1) % 2 == 0 else -1
     return _collapses(w_poly(ks, ring), [(p - k, (sign * s) * bracket_square((), 0, ks, ring_t))], ring_t)

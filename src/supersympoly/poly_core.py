@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .errors import DivisibilityError, PolyParseError, RingMismatchError
+from .errors import DivisibilityError, InternalInvariantViolation, PolyParseError, RingMismatchError
 
 
 def is_odd_prime(p: int) -> bool:
@@ -463,10 +463,11 @@ class _OrbitLeaders:
     S_m x S_n permutes the exponents inside each block.  A leader, the
     tuple sorted nonincreasing inside each block, is the lexicographic
     maximum of its orbit, and a block-symmetric polynomial is fixed by
-    its coefficients on leaders.  The memos live as long as the helper,
-    which the spans of one level and width class share; each write
-    stores the one value its key has, and a leader's orbit size is
-    stored before any key maps to it, so sharing is safe.
+    its coefficients on leaders, which ``_block_symmetry`` checks and
+    gives; the helper only packs and multiplies them.  The memos live as
+    long as the helper, which the spans of one level and width class
+    share; each write stores the one value its key has, and a leader's
+    orbit size is stored before any key maps to it, so sharing is safe.
     """
 
     def __init__(self, ring: Ring, bound: int):
@@ -479,25 +480,8 @@ class _OrbitLeaders:
         self._yblocks: dict[int, tuple] = {}
 
     def pack(self, terms: Mapping[tuple, int]) -> dict[int, int]:
-        """Packed form of a tuple-keyed term dict, for ``leader_terms``."""
+        """Packed form of a tuple-keyed term dict."""
         return _pack(terms, self.width)
-
-    def leader_terms(self, packed: dict) -> dict | None:
-        """The terms of ``packed`` at orbit leaders, or None unless it is
-        block-symmetric: constant on each orbit, with every orbit point
-        present."""
-        leader_of, find = self._leader.get, self._find_leader
-        out = {}
-        for k, c in packed.items():
-            lead = leader_of(k) or find(k)
-            if lead == k:
-                out[k] = c
-            elif packed.get(lead) != c:
-                return None
-        # every key lies in the orbit of a leader in ``out``, so the keys
-        # fill those orbits exactly when their sizes add up to the count
-        orbit = self._orbit
-        return out if sum(orbit[k] for k in out) == len(packed) else None
 
     def mul(self, leaders: dict, full: dict) -> dict[int, int]:
         """Leader terms, mod p, of the product of a block-symmetric
@@ -506,15 +490,16 @@ class _OrbitLeaders:
         terms, summed on the leaders of their keys.  Over Z that sum is
         orbit_size(e) times the product's coefficient at the leader e,
         so it is divided exactly before it is reduced mod p (m! n! may
-        be 0 mod p).  The pair loop folds each pair onto its leader as
-        it goes, so no dict of the full product is built: many pairs
-        share a key, and many keys a leader."""
+        be 0 mod p).  A left key's orbit size is found on first use.
+        The pair loop folds each pair onto its leader as it goes, so no
+        dict of the full product is built: many pairs share a key, and
+        many keys a leader."""
         p, orbit = self.p, self._orbit
         leader_of, find = self._leader.get, self._find_leader
         sums: dict[int, int] = {}
         get = sums.get
         for k1, c1 in leaders.items():
-            c1 *= orbit[k1]
+            c1 *= orbit.get(k1) or orbit[find(k1)]
             for k2, c2 in full.items():
                 k = k1 + k2
                 lead = leader_of(k) or find(k)
@@ -592,6 +577,16 @@ def _block_symmetry(f: Poly) -> tuple[bool, bool, _LeaderTerms]:
             twins_y = False
     count = len(terms)
     return twins_x and points_x == count, twins_y and points_y == count, _clean(f.ring, out, _LeaderTerms)
+
+
+def _leaders(f: Poly, what: str) -> _LeaderTerms:
+    """The leader terms of f (``_block_symmetry``), raising
+    InternalInvariantViolation, which names ``what``, unless f is
+    block-symmetric: the one checked projection."""
+    sym_x, sym_y, lead = _block_symmetry(f)
+    if not (sym_x and sym_y):
+        raise InternalInvariantViolation(f"{what} is not block-symmetric")
+    return lead
 
 
 class _SortedBlocks(dict):

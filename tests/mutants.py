@@ -1,0 +1,208 @@
+"""Mutation harness: each row breaks the package on purpose, in a copy,
+and names the tests that must catch it.
+
+    python tests/mutants.py
+
+A row gives a file under the repository root, an exact snippet of it,
+the snippet's replacement and the test ids that must fail.  For each
+row the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, replaces the snippet there and runs only the row's
+tests, one pytest process at a time, with a fixed Hypothesis seed.  It
+first runs every named test on an unchanged copy, where each must pass.
+It exits nonzero if a named test is not run, fails on the unchanged
+copy or passes on its mutant, or if a snippet is not found exactly
+once.  pytest does not collect this file: its name does not start with
+``test_``.
+
+A row is never deleted or weakened to make the harness pass; a change
+that moves a snippet moves its row with it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+REPORT = "MUTANTS_REPORT"  # the environment variable naming the outcome file
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple
+
+
+POLY_CORE = "src/supersympoly/poly_core.py"
+GENEXPR = "src/supersympoly/genexpr.py"
+ORACLE = "src/supersympoly/oracle.py"
+TUPLE_REFERENCE = "tests/test_genexpr.py::TestPackedSpan::test_matches_tuple_reference"
+
+MUTANTS = [
+    Mutant(
+        "_leaders without its raise", POLY_CORE,
+        '    if not (sym_x and sym_y):\n        raise InternalInvariantViolation(f"{what} is not block-symmetric")\n',
+        "",
+        ("tests/test_decompose.py::test_a_lifted_polynomial_that_is_not_block_symmetric_is_refused[drop an orbit point]",
+         "tests/test_decompose.py::test_a_lifted_polynomial_that_is_not_block_symmetric_is_refused[change an orbit point]",
+         "tests/test_genexpr.py::TestGenSpan::test_non_symmetric_generator_is_refused",
+         "tests/test_symfun.py::TestRewriteSymmetric::test_rejects_asymmetric"),
+    ),
+    Mutant(
+        "solve without its verdict test", GENEXPR,
+        "            if not (sym_x and sym_y):\n                return None\n",
+        "",
+        ("tests/test_genexpr.py::TestGenSpan::test_solve_refuses_leader_aliases",
+         "tests/test_genexpr.py::test_solve_refuses_a_broken_orbit",
+         f"{TUPLE_REFERENCE}[2-1-3-7]",
+         f"{TUPLE_REFERENCE}[3-3-3-6]"),
+    ),
+    Mutant(
+        "_block_symmetry without the orbit count", POLY_CORE,
+        "    return twins_x and points_x == count, twins_y and points_y == count,",
+        "    return twins_x, twins_y,",
+        ("tests/test_supersym.py::test_block_symmetry_matches_the_transposition_scan",
+         "tests/test_decompose.py::test_a_lifted_polynomial_that_is_not_block_symmetric_is_refused[drop an orbit point]",
+         "tests/test_symfun.py::TestRewriteSymmetric::test_rejects_asymmetric",
+         "tests/test_decompose.py::TestDecompose::test_rejects_non_member"),
+    ),
+    Mutant(
+        "mul without the orbit size of an unseen left key", POLY_CORE,
+        "c1 *= orbit.get(k1) or orbit[find(k1)]",
+        "c1 *= orbit[k1]",
+        ("tests/test_poly_core.py::test_orbit_leaders_mul_takes_leaders_it_has_not_seen",
+         f"{TUPLE_REFERENCE}[2-1-3-7]"),
+    ),
+    Mutant(
+        "a span that reports no dead draw", GENEXPR,
+        "lambda i: table.vector(monomials[i], degree), dead)",
+        "lambda i: table.vector(monomials[i], degree))",
+        ("tests/test_genexpr.py::test_dead_draw_rule_skips_products",
+         "tests/test_genexpr.py::test_found_dead_draws_share_one_empty_vector[2-2-3-degrees0]",
+         "tests/test_genexpr.py::test_found_dead_draws_share_one_empty_vector[1-1-3-degrees1]",
+         "tests/test_genexpr.py::test_concurrent_callers_share_every_dead_draw",
+         "tests/test_genexpr.py::test_dead_draw_rule_reads_the_lower_width_class"),
+    ),
+    Mutant(
+        "a dead-draw rule that reads only its own table", GENEXPR,
+        "bound = self.bound if quotient_degree >= floor else _width_class(quotient_degree)",
+        "bound = self.bound",
+        ("tests/test_genexpr.py::test_dead_draw_rule_skips_products",
+         "tests/test_genexpr.py::test_dead_draw_rule_reads_the_lower_width_class"),
+    ),
+    Mutant(
+        "an echelon that reports every draw dead", POLY_CORE,
+        "        if piv < 0:\n            if self._dead is not None:\n                self._dead(i)\n",
+        "        if self._dead is not None:\n            self._dead(i)\n        if piv < 0:\n",
+        ("tests/test_poly_core.py::test_echelon_reports_each_dead_draw_once",
+         "tests/test_genexpr.py::test_dead_draw_rule_skips_products",
+         f"{TUPLE_REFERENCE}[2-2-3-6]"),
+    ),
+    Mutant(
+        "identity checks without the empty-block refusal", ORACLE,
+        '    if m < 1 or n < 1:\n        raise ValueError("the x_m = y_n = T image needs m >= 1 and n >= 1")\n',
+        "",
+        ("tests/test_refusals.py::test_refusal[psi_w_check at m = 0]",
+         "tests/test_refusals.py::test_refusal[brace identity at m = 0]",
+         "tests/test_refusals.py::test_refusal[round identity at n = 0]"),
+    ),
+]
+
+
+# -- the pytest plugin each run loads: it records every test's outcome ------
+
+
+def pytest_runtest_logreport(report):
+    """A test failed if any of its phases failed, else it has the
+    outcome of its call, or of the phase that skipped it."""
+    if (report.failed or report.when == "call" or report.skipped) and _OUTCOMES.get(report.nodeid) != "failed":
+        _OUTCOMES[report.nodeid] = report.outcome
+
+
+def pytest_sessionfinish(session):
+    path = os.environ.get(REPORT)
+    if path:
+        pathlib.Path(path).write_text(json.dumps(_OUTCOMES))
+
+
+_OUTCOMES: dict = {}
+
+
+# -- the harness -------------------------------------------------------------
+
+
+def _copy_tree(dest: pathlib.Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _run(tree: pathlib.Path, tests: tuple) -> dict:
+    """{test id: "passed", "failed" or another outcome} of one pytest
+    process over ``tests`` in ``tree``; an id pytest did not run is
+    missing."""
+    report = tree / "outcomes.json"
+    env = dict(os.environ, PYTHONPATH=f"{tree / 'src'}{os.pathsep}{tree / 'tests'}", **{REPORT: str(report)})
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "mutants",
+         "--hypothesis-seed=0", *tests],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=600,
+    )
+    if not report.exists():
+        print(proc.stdout[-2000:] + proc.stderr[-2000:])
+        return {}
+    return json.loads(report.read_text())
+
+
+def _apply(tree: pathlib.Path, mutant: Mutant) -> bool:
+    path = tree / mutant.path
+    text = path.read_text()
+    if text.count(mutant.snippet) != 1:
+        return False
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+    return True
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        clean = pathlib.Path(tmp) / "clean"
+        _copy_tree(clean)
+        start = time.monotonic()
+        named = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        outcomes = _run(clean, named)
+        for test in named:
+            if outcomes.get(test) != "passed":
+                print(f"unchanged copy: {test} {outcomes.get(test, 'not run')}")
+                bad += 1
+        print(f"unchanged copy: {len(named)} tests [{time.monotonic() - start:.1f}s]")
+        for i, mutant in enumerate(MUTANTS):
+            tree = pathlib.Path(tmp) / f"mutant{i}"
+            _copy_tree(tree)
+            start = time.monotonic()
+            if not _apply(tree, mutant):
+                print(f"MISSING  {mutant.name}: the snippet is not found exactly once in {mutant.path}")
+                bad += 1
+                continue
+            outcomes = _run(tree, mutant.tests)
+            survivors = [t for t in mutant.tests if outcomes.get(t) != "failed"]
+            verdict = "killed  " if not survivors else "SURVIVED"
+            print(f"{verdict} {mutant.name} [{time.monotonic() - start:.1f}s]")
+            for test in survivors:
+                print(f"    {test} {outcomes.get(test, 'not run')}")
+            bad += bool(survivors)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

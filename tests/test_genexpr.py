@@ -452,23 +452,26 @@ class TestGenSpan:
 
     def test_non_symmetric_generator_is_refused(self, monkeypatch, cold_tables):
         # an orbit point missing, then every point present with unequal
-        # coefficients; rows are built on demand, so the refusal comes
-        # from the first call that packs the broken symbol, and again
-        # from every later one.  Each text starts from an empty table
-        # memo, whose symbols the patched generator fills.
-        ring = Ring(2, 1, False, 3)
-        for text in ["x1", "x1 + 2*x2"]:
-            cold_tables.values.clear()
-            bad = parse_poly(text, ring)
-            monkeypatch.setattr(genexpr, "generator_poly", lambda kind, idx, ring: bad)
-            span = GenSpan(2, 1, 3, 1)
-            with pytest.raises(InternalInvariantViolation):
-                span.dimension
-            with pytest.raises(InternalInvariantViolation):
-                span.solve(c_r(1, ring))
-            with pytest.raises(InternalInvariantViolation):
-                span.dimension
-            assert span.echelon.rows == {}
+        # coefficients, in the x block at (2, 1) and in the y block at
+        # (1, 2); rows are built on demand, so the refusal comes from the
+        # first call that packs the broken symbol, and again from every
+        # later one.  Each text starts from an empty table memo, whose
+        # symbols the patched generator fills.
+        for (m, n), texts in [((2, 1), ["x1", "x1 + 2*x2"]), ((1, 2), ["y1", "y1 + 2*y2"])]:
+            ring = Ring(m, n, False, 3)
+            refused = rf"^C\[1\] at level \({m},{n}\), p=3 is not block-symmetric$"
+            for text in texts:
+                cold_tables.values.clear()
+                bad = parse_poly(text, ring)
+                monkeypatch.setattr(genexpr, "generator_poly", lambda kind, idx, ring: bad)
+                span = GenSpan(m, n, 3, 1)
+                with pytest.raises(InternalInvariantViolation, match=refused):
+                    span.dimension
+                with pytest.raises(InternalInvariantViolation, match=refused):
+                    span.solve(c_r(1, ring))
+                with pytest.raises(InternalInvariantViolation, match=refused):
+                    span.dimension
+                assert span.echelon.rows == {}
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,10 +2,11 @@ import operator
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from supersympoly import (
+    Block,
     DivisibilityError,
     Poly,
     PolyParseError,
@@ -24,9 +25,11 @@ from supersympoly import (
     zero,
 )
 from supersympoly.genexpr import _SYMBOL_PIECES, parse_gen_expr, serialize_gen_expr
-from supersympoly.poly_core import FpEchelon, _Memo, _STRAY, _VAR_PIECES, _tokenize
+from supersympoly.poly_core import FpEchelon, _Memo, _OrbitLeaders, _STRAY, _VAR_PIECES, _tokenize
 from helpers import (
     ReferenceEchelon,
+    is_leader,
+    orbit_sym,
     reference_exact_monomial_div,
     reference_mul,
     reference_parse_gen_expr,
@@ -481,6 +484,31 @@ def test_echelon_retries_a_draw_that_raised():
     assert ech.rank == ref.rank == 4
     assert calls == [0, 1, 2, 2, 3, 4]
     assert [(piv, _terms(row)) for piv, row in ech.rows.items()] == list(ref.rows.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_orbit_leaders_mul_takes_leaders_it_has_not_seen(p, m, n, data):
+    """On a fresh ``_OrbitLeaders``, ``mul`` of f's packed leader terms,
+    none of whose orbit sizes the helper has recorded, by g's packed
+    terms is the packed leader terms of f * g, for block-symmetric f and
+    g: sums of orbit sums m_lam(x) m_mu(y)."""
+    ring = Ring(m, n, False, p)
+
+    def block_symmetric():
+        h = zero(ring)
+        for _ in range(data.draw(st.integers(1, 3))):
+            xs = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+            ys = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            h = h + data.draw(st.integers(1, p - 1)) * orbit_sym(xs, Block.X, ring) * orbit_sym(ys, Block.Y, ring)
+        return h
+
+    f, g = block_symmetric(), block_symmetric()
+    assume(f.terms and g.terms)
+    orbits = _OrbitLeaders(ring, f.degree() + g.degree())
+    leaders = orbits.pack({e: c for e, c in f.terms.items() if is_leader(e, m)})
+    product = {e: c for e, c in (f * g).terms.items() if is_leader(e, m)}
+    assert orbits.mul(leaders, orbits.pack(g.terms)) == orbits.pack(product)
 
 
 @st.composite

@@ -31,6 +31,7 @@ from supersympoly import (
     parse_poly,
     placed_sym,
     psi,
+    psi_w_check,
     round_identity_check,
     set_xm_zero,
     sigma_x_p,
@@ -167,6 +168,14 @@ REFUSALS = {
                                           r"delta \(1,\) has entries outside \[1, s-1\] for s=1"),
     "round identity delta beyond s - 1": (lambda: round_identity_check((1,), 0, 1, 1, kseq(3, 1)),
                                           r"delta \(1,\) has entries outside \[1, s-1\] for s=1"),
+    # a level with an empty block has no x_m = y_n = T image; the
+    # refusal names the caller's level, not the image's m - 1 or n - 1
+    "psi_w_check at m = 0": (lambda: psi_w_check(0, 1, kseq(3, 1)),
+                             "the x_m = y_n = T image needs m >= 1 and n >= 1"),
+    "brace identity at m = 0": (lambda: brace_identity_check((), 1, 0, 0, 1, kseq(3, 1)),
+                                "the x_m = y_n = T image needs m >= 1 and n >= 1"),
+    "round identity at n = 0": (lambda: round_identity_check((), 0, 1, 0, kseq(3, 1)),
+                                "the x_m = y_n = T image needs m >= 1 and n >= 1"),
     "unknown generator kind": (lambda: generator_poly("Z", 1, R11), "unknown generator kind 'Z'"),
     "negative symbol exponent": (lambda: GenExpr(1, 1, 3, {((("C", 1), -1),): 1}),
                                  "symbol exponent must be nonnegative"),
