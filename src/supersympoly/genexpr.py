@@ -19,11 +19,11 @@ caller passes only a bound on the degree.
 
 GenSpan row-reduces the expansions of the symbol monomials of one
 weighted degree whose C powers are below p, in orbit-leader
-coordinates; the others add no row.  The spans of one level and width
-class share one table of symbol expansions and monomial leader terms,
-and each draw is one product by a symbol.  It can write any polynomial
-of the spanned space as a GenExpr, tracking the combination exactly
-over F_p.
+coordinates; the others add no row.  The spans of one level below
+degree 256 share one table of symbol expansions and monomial leader
+terms, and each draw is one product by a symbol.  It can write any
+polynomial of the spanned space as a GenExpr, tracking the combination
+exactly over F_p.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .poly_core import (
     _require_ring,
     _set_ring,
     _set_terms,
+    _span_bound,
     _Terms,
-    _width_class,
 )
 
 _KIND_RANK = {"C": 0, "EX": 1, "EY": 2, "U": 3}
@@ -282,15 +282,15 @@ class GenSpan:
     ``poly_core._LeaderTerms`` value as the leader terms it holds.
 
     Each vector comes from the level table (``_LevelTable``), one per
-    level and width class of the degree, which every span of that class
-    shares: one product per draw, or none for a draw that a known dead
-    draw makes dead.  The echelon reports each dead draw as it finds it,
-    and the span writes the one shared empty vector over its table
-    entry, the one record of dead draws.  The echelon drops its vector
-    function with the last row; the level table stays in its bounded
-    memo.  The construction is deterministic.  README "Design notes"
-    gives the Frobenius, orbit-leader, lazy-draw, shared-table and
-    dead-draw arguments.
+    level and ``poly_core._span_bound`` of the degree, so one for every
+    degree below 256: one product per draw, or none for a draw that a
+    known dead draw makes dead.  The echelon reports each dead draw as
+    it finds it, and the span writes the one shared empty vector over
+    its table entry, the one record of dead draws.  The echelon drops
+    its vector function with the last row; the level table stays in its
+    bounded memo.  The construction is deterministic.  README "Design
+    notes" gives the Frobenius, orbit-leader, lazy-draw, shared-table
+    and dead-draw arguments.
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
@@ -300,12 +300,12 @@ class GenSpan:
             key for key in enumerate_gen_monomials(m, n, p, degree)
             if all(e < p for (kind, _), e in key if kind == "C")
         ]
-        self._table = table = _TABLES(self.ring, _width_class(degree))
+        self._table = table = _TABLES(self.ring, _span_bound(degree))
 
         def dead(i):
             table.vectors[monomials[i]] = _DEAD
 
-        self.echelon = FpEchelon(p, len(monomials), lambda i: table.vector(monomials[i], degree), dead)
+        self.echelon = FpEchelon(p, len(monomials), lambda i: table.vector(monomials[i]), dead)
 
     @property
     def dimension(self) -> int:
@@ -335,79 +335,62 @@ def _quotient(key: tuple, j: int) -> tuple:
 
 class _LevelTable:
     """The spans' shared table of level ``ring`` for exponents up to
-    ``bound``: the ``poly_core._OrbitLeaders`` helper, each symbol's
-    packed expansion and weight, and the leader terms of every monomial
-    expanded so far.  Each write stores the one value its key has, or
-    the shared empty ``_DEAD`` for a monomial known to be a dead draw or
-    whose expansion is 0, which makes the same rows (README "Design
-    notes").  The spans' echelons write ``_DEAD`` over each dead draw's
-    entry as they find it, so the table is the one record of dead
-    draws."""
+    ``bound``, ``poly_core._span_bound`` of their degrees: the
+    ``poly_core._OrbitLeaders`` helper, each symbol's packed expansion,
+    and the leader terms of every monomial expanded so far.  Each write
+    stores the one value its key has, or the shared empty ``_DEAD`` for
+    a monomial known to be a dead draw or whose expansion is 0, which
+    makes the same rows (README "Design notes").  The spans' echelons
+    write ``_DEAD`` over each dead draw's entry as they find it, so the
+    table is the one record of dead draws, of every degree it holds."""
 
     def __init__(self, ring: Ring, bound: int):
-        self.ring, self.bound = ring, bound
+        self.ring = ring
         self.orbits = _OrbitLeaders(ring, bound)
-        self.symbols: dict = {}  # symbol -> (packed expansion, weight)
+        self.symbols: dict = {}  # symbol -> packed expansion
         self.vectors: dict = {(): {0: 1}}  # monomial -> leader terms, _DEAD if a known dead draw
 
-    def vector(self, key: tuple, degree: int) -> dict[int, int]:
-        """Leader coordinates, mod p, of the expansion of ``key``, a
-        monomial of weight ``degree``; empty when it is known to be a
-        dead draw.  The empty key is {0: 1}.
+    def vector(self, key: tuple) -> dict[int, int]:
+        """Leader coordinates, mod p, of the expansion of the monomial
+        ``key``; empty when it is known to be a dead draw.  The empty
+        key is {0: 1}.
 
         Walk down from ``key``, each time dividing by its symbol with
         the fewest packed terms (the first in canonical order on a tie),
         to a monomial in the memo or one known dead, then multiply back
         up, one ``mul`` per step.  A monomial is known dead when one of
-        its one-symbol quotients is ``_DEAD`` in the table of the
-        quotient's width class."""
+        its one-symbol quotients is ``_DEAD`` in this table."""
         vectors = self.vectors
         symbols = {symbol: self._symbol(symbol) for symbol, _ in key}
         path = []
         vec = vectors.get(key)
         while vec is None:
-            if self._known_dead(key, degree, symbols):
+            if any(vectors.get(_quotient(key, j)) is _DEAD for j in range(len(key))):
                 vec = vectors[key] = _DEAD
                 break
-            j = min(range(len(key)), key=lambda j: len(symbols[key[j][0]][0]))
-            symbol = key[j][0]
-            path.append((key, symbol))
-            key, degree = _quotient(key, j), degree - symbols[symbol][1]
+            j = min(range(len(key)), key=lambda j: len(symbols[key[j][0]]))
+            path.append((key, key[j][0]))
+            key = _quotient(key, j)
             vec = vectors.get(key)  # found by symbol^1 at the latest (see _symbol)
         mul = self.orbits.mul
         for key, symbol in reversed(path):
-            vec = vectors[key] = (vec and mul(vec, symbols[symbol][0])) or _DEAD
+            vec = vectors[key] = (vec and mul(vec, symbols[symbol])) or _DEAD
         return vec
 
-    def _known_dead(self, key: tuple, degree: int, symbols: dict) -> bool:
-        """Whether a one-symbol quotient of ``key`` is ``_DEAD`` in the
-        table of its degree's class, where its span records it: this
-        table from the class floor up, a memoized lower one below it."""
-        floor, tables = (self.bound + 1) >> 1, {self.bound: self.vectors}
-        for j, (symbol, _) in enumerate(key):
-            quotient_degree = degree - symbols[symbol][1]
-            bound = self.bound if quotient_degree >= floor else _width_class(quotient_degree)
-            if bound not in tables:
-                table = _TABLES.values.get((self.ring, bound))
-                tables[bound] = {} if table is None else table.vectors
-            if tables[bound].get(_quotient(key, j)) is _DEAD:
-                return True
-        return False
-
-    def _symbol(self, symbol: tuple) -> tuple:
-        """(packed expansion, weight) of ``symbol``.  The first call
-        takes the expansion's leader terms through the checked
-        projection ``poly_core._leaders``, which raises
-        ``InternalInvariantViolation`` unless it is block-symmetric, so a
-        broken generator cannot hide behind the projection, and stores
-        them as the monomial symbol^1 before the symbol itself."""
+    def _symbol(self, symbol: tuple) -> dict[int, int]:
+        """Packed expansion of ``symbol``.  The first call takes the
+        expansion's leader terms through the checked projection
+        ``poly_core._leaders``, which raises ``InternalInvariantViolation``
+        unless it is block-symmetric, so a broken generator cannot hide
+        behind the projection, and stores them as the monomial symbol^1
+        before the symbol itself."""
         entry = self.symbols.get(symbol)
         if entry is None:
             (kind, idx), ring, pack = symbol, self.ring, self.orbits.pack
             generator = generator_poly(kind, idx, ring=ring)
             lead = _leaders(generator, f"{kind}[{idx}] at level ({ring.m},{ring.n}), p={ring.p}")
             self.vectors[((symbol, 1),)] = pack(lead.terms) or _DEAD  # C[r] for r > m is 0 at n = 0
-            entry = self.symbols[symbol] = (pack(generator.terms), symbol_weight(kind, idx, ring))
+            entry = self.symbols[symbol] = pack(generator.terms)
         return entry
 
 

@@ -338,10 +338,11 @@ def _field_width(bound: int) -> int:
     return bound.bit_length() or 1
 
 
-def _width_class(degree: int) -> int:
-    """The largest bound with ``degree``'s field width, 2^w - 1: every
-    degree of one class (4-7, 8-15, ...) packs keys the same way."""
-    return (1 << _field_width(degree)) - 1
+def _span_bound(degree: int) -> int:
+    """The exponent bound of a degree-``degree`` span's level table:
+    255 below 256, so every such span of a level packs keys the same
+    way, and the largest bound of the degree's width, 2^w - 1, above."""
+    return max(255, (1 << _field_width(degree)) - 1)
 
 
 def _pack(terms: Mapping[tuple, int], width: int) -> dict[int, int]:
@@ -465,7 +466,7 @@ class _OrbitLeaders:
     maximum of its orbit, and a block-symmetric polynomial is fixed by
     its coefficients on leaders, which ``_block_symmetry`` checks and
     gives; the helper only packs and multiplies them.  The memos live as
-    long as the helper, which the spans of one level and width class
+    long as the helper, which a level's spans of one ``_span_bound``
     share; each write stores the one value its key has, and a leader's
     orbit size is stored before any key maps to it, so sharing is safe.
     """

@@ -5,10 +5,13 @@ and names the tests that must catch it.
 
 A row gives a file under the repository root, an exact snippet of it,
 the snippet's replacement and the test ids that must fail.  For each
-row the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
-temporary directory, replaces the snippet there and runs only the row's
-tests, one pytest process at a time, with a fixed Hypothesis seed.  It
-first runs every named test on an unchanged copy, where each must pass.
+row the script copies ``src/``, ``tests/``, ``perfbench/`` (whose corpus
+the pinned tests read) and ``pyproject.toml`` to a temporary directory,
+replaces the snippet there and runs only the row's tests, one pytest
+process at a time, with a fixed Hypothesis seed.  It first runs every
+named test on an unchanged copy, where each must pass, with Hypothesis's
+default settings; a mutant's run skips the shrink phase, since a failure
+found while generating fails its test whether or not it is shrunk.
 It exits nonzero if a named test is not run, fails on the unchanged
 copy or passes on its mutant, or if a snippet is not found exactly
 once.  pytest does not collect this file: its name does not start with
@@ -30,8 +33,11 @@ import tempfile
 import time
 from typing import NamedTuple
 
+from hypothesis import Phase, settings
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 REPORT = "MUTANTS_REPORT"  # the environment variable naming the outcome file
+NO_SHRINK = "mutant"  # the Hypothesis profile of a mutant's run
 
 
 class Mutant(NamedTuple):
@@ -45,7 +51,11 @@ class Mutant(NamedTuple):
 POLY_CORE = "src/supersympoly/poly_core.py"
 GENEXPR = "src/supersympoly/genexpr.py"
 ORACLE = "src/supersympoly/oracle.py"
+DECOMPOSE = "src/supersympoly/decompose.py"
 TUPLE_REFERENCE = "tests/test_genexpr.py::TestPackedSpan::test_matches_tuple_reference"
+LOWER_DEGREES = "tests/test_genexpr.py::test_dead_draw_rule_reads_the_lower_degrees_in_the_one_table"
+PRODUCT_PINS = "tests/test_decompose.py::test_span_products_per_cold_benchmark_pass_are_pinned"
+TOP_COEFFICIENT = "tests/test_oracle.py::TestGeneratingFunctionCheck::test_a_wrong_top_coefficient_fails"
 
 MUTANTS = [
     Mutant(
@@ -84,20 +94,25 @@ MUTANTS = [
     ),
     Mutant(
         "a span that reports no dead draw", GENEXPR,
-        "lambda i: table.vector(monomials[i], degree), dead)",
-        "lambda i: table.vector(monomials[i], degree))",
+        "lambda i: table.vector(monomials[i]), dead)",
+        "lambda i: table.vector(monomials[i]))",
         ("tests/test_genexpr.py::test_dead_draw_rule_skips_products",
          "tests/test_genexpr.py::test_found_dead_draws_share_one_empty_vector[2-2-3-degrees0]",
          "tests/test_genexpr.py::test_found_dead_draws_share_one_empty_vector[1-1-3-degrees1]",
          "tests/test_genexpr.py::test_concurrent_callers_share_every_dead_draw",
-         "tests/test_genexpr.py::test_dead_draw_rule_reads_the_lower_width_class"),
+         LOWER_DEGREES),
     ),
     Mutant(
-        "a dead-draw rule that reads only its own table", GENEXPR,
-        "bound = self.bound if quotient_degree >= floor else _width_class(quotient_degree)",
-        "bound = self.bound",
-        ("tests/test_genexpr.py::test_dead_draw_rule_skips_products",
-         "tests/test_genexpr.py::test_dead_draw_rule_reads_the_lower_width_class"),
+        "a dead-draw rule that reads only the first quotient", GENEXPR,
+        "is _DEAD for j in range(len(key))",
+        "is _DEAD for j in range(1)",
+        (LOWER_DEGREES, PRODUCT_PINS),
+    ),
+    Mutant(
+        "a span that lists C[r]^p", GENEXPR,
+        'if all(e < p for (kind, _), e in key if kind == "C")',
+        'if all(e <= p for (kind, _), e in key if kind == "C")',
+        (PRODUCT_PINS,),
     ),
     Mutant(
         "an echelon that reports every draw dead", POLY_CORE,
@@ -115,10 +130,24 @@ MUTANTS = [
          "tests/test_refusals.py::test_refusal[brace identity at m = 0]",
          "tests/test_refusals.py::test_refusal[round identity at n = 0]"),
     ),
+    Mutant(
+        "a generating-function check blind to t-degree R", ORACLE,
+        "if e[-1] <= R})",
+        "if e[-1] < R})",
+        (f"{TOP_COEFFICIENT}[1-1-3-4]", f"{TOP_COEFFICIENT}[2-1-5-5]", f"{TOP_COEFFICIENT}[2-2-3-4]"),
+    ),
+    Mutant(
+        "a termination check that lets an equal key through", DECOMPOSE,
+        "if parent is not None and key >= parent:",
+        "if parent is not None and key > parent:",
+        ("tests/test_decompose.py::test_a_parent_key_equal_to_its_own_is_refused",),
+    ),
 ]
 
 
 # -- the pytest plugin each run loads: it records every test's outcome ------
+
+settings.register_profile(NO_SHRINK, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 def pytest_runtest_logreport(report):
@@ -142,20 +171,20 @@ _OUTCOMES: dict = {}
 
 def _copy_tree(dest: pathlib.Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _run(tree: pathlib.Path, tests: tuple) -> dict:
+def _run(tree: pathlib.Path, tests: tuple, *options: str) -> dict:
     """{test id: "passed", "failed" or another outcome} of one pytest
-    process over ``tests`` in ``tree``; an id pytest did not run is
-    missing."""
+    process over ``tests`` in ``tree``, with pytest ``options``; an id
+    pytest did not run is missing."""
     report = tree / "outcomes.json"
     env = dict(os.environ, PYTHONPATH=f"{tree / 'src'}{os.pathsep}{tree / 'tests'}", **{REPORT: str(report)})
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "mutants",
-         "--hypothesis-seed=0", *tests],
+         "--hypothesis-seed=0", *options, *tests],
         cwd=tree, env=env, capture_output=True, text=True, timeout=600,
     )
     if not report.exists():
@@ -194,7 +223,7 @@ def main() -> int:
                 print(f"MISSING  {mutant.name}: the snippet is not found exactly once in {mutant.path}")
                 bad += 1
                 continue
-            outcomes = _run(tree, mutant.tests)
+            outcomes = _run(tree, mutant.tests, f"--hypothesis-profile={NO_SHRINK}")
             survivors = [t for t in mutant.tests if outcomes.get(t) != "failed"]
             verdict = "killed  " if not survivors else "SURVIVED"
             print(f"{verdict} {mutant.name} [{time.monotonic() - start:.1f}s]")

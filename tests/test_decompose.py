@@ -34,15 +34,18 @@ from supersympoly import (
     zero,
 )
 from supersympoly.decompose import (
+    _SPAN_LIMIT,
     _core_degrees,
     _core_term,
     _decompose,
+    _decompose_homogeneous,
     _lift,
     trace_decomposition,
 )
 from supersympoly.generators import core_exponents
+from supersympoly import generators, genexpr
 from supersympoly.genexpr import _gen_monomial_count, gen_span
-from supersympoly.oracle import partitions_max_parts
+from supersympoly.oracle import as_dimension, generated_dimension, partitions_max_parts
 from supersympoly.poly_core import _block_symmetry, _Memo
 from supersympoly.selfcheck import _roundtrip_inputs, random_gen_expr
 
@@ -262,6 +265,60 @@ def test_benchmark_certificates_are_pinned():
     assert hashlib.sha256(repr(path).encode()).hexdigest() == (
         "58043dd627f742dfc085963bf2b24d946bd421b7e781314eb59139c55adf3d31")
 
+
+
+def _cold_memos(patch):
+    """Fresh, empty ``_Memo``s in place of the package's five, as in a
+    new process."""
+    memos = ((genexpr, "_gen_monomial_count"), (genexpr, "_TABLES"), (genexpr, "_SPANS"),
+             (generators, "_GENERATORS"), (decompose_module, "_VK_PAIRS"))
+    for module, name in memos:
+        memo = getattr(module, name)
+        patch.setattr(module, name, _Memo(memo.build, memo.maxsize))
+    patch.setattr(decompose_module, "_gen_monomial_count", genexpr._gen_monomial_count)
+
+
+def test_span_products_per_cold_benchmark_pass_are_pinned():
+    """One seed-1 pass of the benchmark's dims, roundtrip and core_peel
+    corpora, each with every memo cold, makes exactly the pinned number
+    of ``_OrbitLeaders.mul`` products.  A change that keeps rows and
+    certificates but makes more products, or fewer on purpose, moves a
+    pin: the span work is pinned as the certificates are."""
+    corpus = _benchmark_corpus()
+    products = {}
+    original = genexpr._OrbitLeaders.mul
+
+    def counting(self, leaders, full):
+        products[workload] += 1
+        return original(self, leaders, full)
+
+    for workload in ("dims", "roundtrip", "core_peel"):
+        products[workload] = 0
+        with pytest.MonkeyPatch.context() as patch:
+            _cold_memos(patch)
+            patch.setattr(genexpr._OrbitLeaders, "mul", counting)
+            for line in corpus.make_inputs(workload, 1).splitlines():
+                if workload == "dims":
+                    m, n, p, d = map(int, line.split())
+                    as_dimension(m, n, p, d)
+                    generated_dimension(m, n, p, d)
+                else:
+                    m, n, p, text = line.split(" ", 3)
+                    f = parse_poly(text, Ring(int(m), int(n), False, int(p)))
+                    assert verify_decomposition(f, decompose(f))
+    assert products == {"dims": 1010, "roundtrip": 864, "core_peel": 401}
+
+
+def test_a_parent_key_equal_to_its_own_is_refused():
+    """The termination metric (m, degree) must fall strictly on every
+    recursive call: handed a parent key equal to its own, the recursion
+    raises, and handed a larger one it certifies."""
+    ring = Ring(2, 2, False, 3)
+    f = c_r(2, ring) * c_r(1, ring)
+    _, _, leaders = _block_symmetry(f)
+    with pytest.raises(InternalInvariantViolation, match="did not decrease"):
+        _decompose_homogeneous(leaders, (2, 3), _SPAN_LIMIT)
+    assert expand(_decompose_homogeneous(leaders, (2, 4), _SPAN_LIMIT), ring) == f
 
 @st.composite
 def one_block_inputs(draw):

@@ -32,7 +32,7 @@ from supersympoly import (
 from supersympoly import genexpr
 from supersympoly.genexpr import _gen_monomial_count, level_symbols, symbol_weight
 from supersympoly.generators import generator_poly
-from supersympoly.poly_core import _Memo, _unpack, _width_class
+from supersympoly.poly_core import _Memo, _span_bound, _unpack
 from supersympoly.selfcheck import random_gen_expr
 
 from helpers import (
@@ -555,11 +555,19 @@ class TestPackedSpan:
         for d in range(dmax + 1):
             _assert_matches_reference(m, n, p, d)
 
+    def test_span_bound(self):
+        """Every degree below 256 takes the bound 255, 8-bit fields;
+        above it a degree takes the largest bound of its width."""
+        got = {d: _span_bound(d) for d in (0, 7, 8, 15, 16, 255, 256, 511, 512)}
+        assert got == {0: 255, 7: 255, 8: 255, 15: 255, 16: 255, 255: 255, 256: 511, 511: 511, 512: 1023}
+
     @pytest.mark.parametrize("d", [7, 8, 15, 16])
-    def test_width_edges(self, d):
-        # d = 2^w - 1 fills a w-bit field; d = 2^w needs one more bit.
+    def test_width_edges(self, d, cold_tables):
+        # d = 2^w - 1 fills a w-bit field and d = 2^w needs one more,
+        # but every span below degree 256 packs 8-bit fields in one table.
         span = GenSpan(1, 1, 3, d)
-        assert span._table.orbits.width == d.bit_length()
+        assert {GenSpan(1, 1, 3, e)._table for e in (7, 8, 15, 16)} == {span._table}
+        assert list(cold_tables.values) == [(R11, 255)] and span._table.orbits.width == 8
         _assert_matches_reference(1, 1, 3, d)
         f = c_r(d, R11)  # has the term y1^d
         assert expand(span.solve(f), R11) == f
@@ -816,14 +824,14 @@ def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
     """A span's echelon drops its vector function once the last row is
     built, by ``dimension`` or by a solve that needs it.  The orbit
     helper, packed symbols and monomial memo stay in the level table: a
-    bounded memo keyed by the level and the width class of the degree,
-    which every span of that class shares, and an evicted table is built
+    bounded memo keyed by the level and the span bound, which every span
+    of the level below degree 256 shares, and an evicted table is built
     anew with equal rows."""
     built = collections.Counter()
     original = genexpr._OrbitLeaders
 
     def recording(ring, bound):
-        built[bound] += 1
+        built[ring, bound] += 1
         return original(ring, bound)
 
     monkeypatch.setattr(genexpr, "_OrbitLeaders", recording)
@@ -841,37 +849,38 @@ def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
     assert vector() is None
 
     assert isinstance(genexpr._TABLES, _Memo) and genexpr._TABLES.maxsize > 0
-    assert list(cold_tables.values) == [(ring, 7), (R11, 1)]
-    table = cold_tables.values[ring, 7]
+    assert list(cold_tables.values) == [(ring, 255), (R11, 255)]
+    table = cold_tables.values[ring, 255]
     orbits = table.orbits
     assert table.symbols and table.vectors and span._table.orbits is orbits  # the rows' leader terms stay
-    # degrees 4 to 7 share the table, 8 starts the next width class
-    for d in (4, 5, 7):
+    # degrees 4 to 16 share the table, across the edges of their own field widths (8 and 16)
+    for d in range(4, 17):
         other = GenSpan(2, 2, 3, d)
         assert other._table.orbits is orbits
-        other.dimension
-    assert GenSpan(2, 2, 3, 8)._table.orbits is not orbits
-    assert cold_tables.values[ring, 7] is table
-    assert built == {7: 1, 1: 1, 15: 1}
+        if d <= 8:
+            other.dimension
+    assert cold_tables.values[ring, 255] is table
+    assert built == {(ring, 255): 1, (R11, 255): 1}
 
     # evicted, the table is built anew and the span gets the same rows
-    cold_tables.maxsize = 3
-    GenSpan(1, 1, 3, 2)
-    assert list(cold_tables.values) == [(R11, 1), (ring, 15), (R11, 3)]
+    r12 = Ring(1, 2, False, 3)
+    cold_tables.maxsize = 2
+    GenSpan(1, 2, 3, 2)
+    assert list(cold_tables.values) == [(R11, 255), (r12, 255)]
     again = GenSpan(2, 2, 3, 6)
     assert again._table.orbits is not orbits
     assert again.dimension == span.dimension
     assert _rows(again) == _rows(span)
-    assert built == {7: 2, 1: 1, 15: 1, 3: 1}
+    assert built == {(ring, 255): 2, (R11, 255): 1, (r12, 255): 1}
 
 
 def test_spans_sharing_a_table_draw_concurrently(cold_tables):
     """Threads that solve members on, and rank, spans of different
-    degrees of one width class, so with one level table, get the ranks,
+    degrees of one level, so with one level table, get the ranks,
     certificates and rows of a serial run on a fresh table."""
     m, n, p = 2, 2, 3
     ring = Ring(m, n, False, p)
-    degrees = (8, 9, 10, 11, 12, 13)  # one width class, one thread each
+    degrees = (8, 9, 10, 11, 12, 13)  # one level table, one thread each
     rng = random.Random(11)
     members = {}
     for d in degrees:
@@ -962,11 +971,11 @@ def test_every_vector_is_the_leader_terms_of_its_expansion(cold_spans, cold_tabl
         ring = Ring(m, n, False, p)
         for d in range(dmax + 1):
             span = GenSpan(m, n, p, d)
-            table = cold_tables(ring, _width_class(d))
+            table = cold_tables(ring, _span_bound(d))
             width = table.orbits.width
             for key in span.monomials:
                 want = {e: c for e, c in reference_expand_key(key, ring).terms.items() if is_leader(e, m)}
-                assert _unpack(table.vector(key, d), width, ring.nvars, p) == want, key
+                assert _unpack(table.vector(key), width, ring.nvars, p) == want, key
                 sizes = _symbol_sizes(ring, key)
                 ties += sizes.count(min(sizes, default=0)) > 1
     assert ties > 0
@@ -1121,20 +1130,29 @@ def test_concurrent_callers_share_every_dead_draw(cold_spans, cold_tables):
     assert dead and all(span._table.vectors[key] is genexpr._DEAD for key in dead)
 
 
-def test_dead_draw_rule_reads_the_lower_width_class(monkeypatch, cold_spans, cold_tables):
+def test_dead_draw_rule_reads_the_lower_degrees_in_the_one_table(monkeypatch, cold_spans, cold_tables):
     """After ``dimension`` at (2, 2, 3) for degrees 0-15 in ascending
-    order, every quotient of a degree-16 draw lies in the width class
-    8-15, so the rule reads that class's table: the degree-16 span makes
-    under half the products it makes when that table is evicted first,
-    with the same rank and rows."""
+    order, the dead draws of those degrees are marked in the level's one
+    table, which the degree-16 span shares, so the rule reads them
+    there: no degree-16 draw with any one-symbol quotient among them
+    makes a product, and the span makes under half the products it
+    makes when that table is evicted first, with the same rank and
+    rows."""
     m, n, p = 2, 2, 3
     ring = Ring(m, n, False, p)
     products = collections.Counter()
-    original = genexpr._OrbitLeaders.mul
+    original, original_vector = genexpr._OrbitLeaders.mul, genexpr._LevelTable.vector
+    made = {}
 
     def counting(self, leaders, packed):
         products[evicted] += 1
         return original(self, leaders, packed)
+
+    def recording(self, key):
+        before = products[evicted]
+        vec = original_vector(self, key)
+        made[key] = products[evicted] - before
+        return vec
 
     got = {}
     for evicted in (False, True):
@@ -1142,12 +1160,17 @@ def test_dead_draw_rule_reads_the_lower_width_class(monkeypatch, cold_spans, col
         cold_tables.values.clear()
         for d in range(16):
             genexpr.gen_span(m, n, p, d).dimension
+        dead = {key for key, vec in cold_tables.values[ring, 255].vectors.items() if vec is genexpr._DEAD}
         if evicted:
-            del cold_tables.values[ring, 15]
+            del cold_tables.values[ring, 255]
         with monkeypatch.context() as patch:
             patch.setattr(genexpr._OrbitLeaders, "mul", counting)
+            patch.setattr(genexpr._LevelTable, "vector", recording)
             span = genexpr.gen_span(m, n, p, 16)
             got[evicted] = (span.dimension, _rows(span))
+        if not evicted:
+            skipped = [key for key in span.monomials if any(_drop_one(key, j) in dead for j in range(len(key)))]
+            assert len(skipped) > 50 and all(made[key] == 0 for key in skipped)
     assert got[False] == got[True]
     assert 0 < 2 * products[False] < products[True]
 

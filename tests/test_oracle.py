@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from supersympoly import (
@@ -8,12 +10,15 @@ from supersympoly import (
     generated_dimension,
     kseq,
     brace_identity_check,
+    parse_poly,
     round_identity_check,
 )
 from supersympoly import Poly, genexpr, psi
 from supersympoly.oracle import _restrictions, partitions_max_parts
 
 from helpers import hook_partition_count, orbit_sym, reference_as_dimension, symmetric_basis
+
+oracle_module = importlib.import_module("supersympoly.oracle")
 
 
 def _partition_count(total, max_parts):
@@ -177,6 +182,19 @@ class TestGeneratingFunctionCheck:
     def test_truncation_guard(self):
         with pytest.raises(ValueError):
             cr_generating_check(2, 1, 3, 2)
+
+    @pytest.mark.parametrize("m,n,p,R", [(1, 1, 3, 4), (2, 1, 5, 5), (2, 2, 3, 4)])
+    def test_a_wrong_top_coefficient_fails(self, monkeypatch, m, n, p, R):
+        """The check compares t-degree R itself: a c_R that is wrong
+        only there, by x_1^R, makes it fail."""
+        original = oracle_module.c_r
+
+        def wrong_at_top(r, ring):
+            f = original(r, ring)
+            return f + parse_poly(f"x1^{R}", ring) if r == R else f
+
+        monkeypatch.setattr(oracle_module, "c_r", wrong_at_top)
+        assert not cr_generating_check(m, n, p, R)
 
 
 class TestBracketIdentities:
