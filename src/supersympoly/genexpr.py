@@ -19,11 +19,11 @@ caller passes only a bound on the degree.
 
 GenSpan row-reduces the expansions of the symbol monomials of one
 weighted degree whose C powers are below p, in orbit-leader
-coordinates; the others add no row.  The spans of one level below
-degree 256 share one table of symbol expansions and monomial leader
-terms, and each draw is one product by a symbol.  It can write any
-polynomial of the spanned space as a GenExpr, tracking the combination
-exactly over F_p.
+coordinates; the others add no row.  Each level has one table of
+symbol expansions and monomial leader terms, which also holds the
+level's spans, one per degree up to 255, and each draw is one product
+by a symbol.  A span can write any polynomial of the spanned space as a
+GenExpr, tracking the combination exactly over F_p.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .poly_core import (
     _require_ring,
     _set_ring,
     _set_terms,
-    _span_bound,
+    _SPAN_BOUND,
     _Terms,
 )
 
@@ -281,26 +281,28 @@ class GenSpan:
     one block-symmetry test) before it projects, and takes a
     ``poly_core._LeaderTerms`` value as the leader terms it holds.
 
-    Each vector comes from the level table (``_LevelTable``), one per
-    level and ``poly_core._span_bound`` of the degree, so one for every
-    degree below 256: one product per draw, or none for a draw that a
-    known dead draw makes dead.  The echelon reports each dead draw as
-    it finds it, and the span writes the one shared empty vector over
-    its table entry, the one record of dead draws.  The echelon drops
-    its vector function with the last row; the level table stays in its
-    bounded memo.  The construction is deterministic.  README "Design
-    notes" gives the Frobenius, orbit-leader, lazy-draw, shared-table
-    and dead-draw arguments.
+    Each vector comes from the level's table, ``_TABLES(m, n, p)``: one
+    product per draw, or none for a draw that a known dead draw makes
+    dead.  The echelon reports each dead draw as it finds it, and the
+    span writes the one shared empty vector over its table entry, the
+    one record of dead draws.  The echelon drops its vector function
+    with the last row; the table stays in its bounded memo.  A degree
+    above ``poly_core._SPAN_BOUND``, 255, is refused before anything is
+    listed: it lists at least p(256) > 3e14 monomials.  The construction
+    is deterministic.  README "Design notes" gives the Frobenius,
+    orbit-leader, lazy-draw, shared-table and dead-draw arguments.
     """
 
     def __init__(self, m: int, n: int, p: int, degree: int):
         self.ring = Ring(m, n, False, p)
-        self.m, self.n, self.p, self.degree = m, n, p, _int(degree, "degree", 0)
+        if _int(degree, "degree", 0) > _SPAN_BOUND:
+            raise ValueError(f"degree {degree} is above {_SPAN_BOUND}, the largest span degree")
+        self.m, self.n, self.p, self.degree = m, n, p, degree
         self.monomials = monomials = [
             key for key in enumerate_gen_monomials(m, n, p, degree)
             if all(e < p for (kind, _), e in key if kind == "C")
         ]
-        self._table = table = _TABLES(self.ring, _span_bound(degree))
+        self._table = table = _TABLES(m, n, p)
 
         def dead(i):
             table.vectors[monomials[i]] = _DEAD
@@ -334,21 +336,22 @@ def _quotient(key: tuple, j: int) -> tuple:
 
 
 class _LevelTable:
-    """The spans' shared table of level ``ring`` for exponents up to
-    ``bound``, ``poly_core._span_bound`` of their degrees: the
-    ``poly_core._OrbitLeaders`` helper, each symbol's packed expansion,
-    and the leader terms of every monomial expanded so far.  Each write
+    """Everything kept for the level (m, n, p): the ``_OrbitLeaders``
+    helper, each symbol's packed expansion, the leader terms of every
+    monomial expanded so far, and ``spans``, the level's ``GenSpan``
+    memo, with room for every degree, so it never evicts.  Each write
     stores the one value its key has, or the shared empty ``_DEAD`` for
     a monomial known to be a dead draw or whose expansion is 0, which
     makes the same rows (README "Design notes").  The spans' echelons
     write ``_DEAD`` over each dead draw's entry as they find it, so the
     table is the one record of dead draws, of every degree it holds."""
 
-    def __init__(self, ring: Ring, bound: int):
-        self.ring = ring
-        self.orbits = _OrbitLeaders(ring, bound)
+    def __init__(self, m: int, n: int, p: int):
+        self.ring = ring = Ring(m, n, False, p)
+        self.orbits = _OrbitLeaders(ring, _SPAN_BOUND)
         self.symbols: dict = {}  # symbol -> packed expansion
         self.vectors: dict = {(): {0: 1}}  # monomial -> leader terms, _DEAD if a known dead draw
+        self.spans = _Memo(partial(GenSpan, m, n, p), maxsize=_SPAN_BOUND + 1)
 
     def vector(self, key: tuple) -> dict[int, int]:
         """Leader coordinates, mod p, of the expansion of the monomial
@@ -372,9 +375,8 @@ class _LevelTable:
             path.append((key, key[j][0]))
             key = _quotient(key, j)
             vec = vectors.get(key)  # found by symbol^1 at the latest (see _symbol)
-        mul = self.orbits.mul
         for key, symbol in reversed(path):
-            vec = vectors[key] = (vec and mul(vec, symbols[symbol])) or _DEAD
+            vec = vectors[key] = (vec and self.orbits.mul(vec, symbols[symbol])) or _DEAD
         return vec
 
     def _symbol(self, symbol: tuple) -> dict[int, int]:
@@ -398,9 +400,9 @@ class _LevelTable:
 # expansion, shared and never mutated
 _DEAD = MappingProxyType({})
 _TABLES = _Memo(_LevelTable, maxsize=512)
-_SPANS = _Memo(GenSpan, maxsize=1024)
 
 
 def gen_span(m: int, n: int, p: int, degree: int) -> GenSpan:
-    """Memoized GenSpan, built once per key even under concurrent calls."""
-    return _SPANS(m, n, p, degree)
+    """Memoized GenSpan from its level table, built once per key even
+    under concurrent calls."""
+    return _TABLES(m, n, p).spans(degree)

@@ -338,11 +338,9 @@ def _field_width(bound: int) -> int:
     return bound.bit_length() or 1
 
 
-def _span_bound(degree: int) -> int:
-    """The exponent bound of a degree-``degree`` span's level table:
-    255 below 256, so every such span of a level packs keys the same
-    way, and the largest bound of the degree's width, 2^w - 1, above."""
-    return max(255, (1 << _field_width(degree)) - 1)
+# The exponent bound of every level table, 8-bit fields, and so the
+# largest degree a span may have.
+_SPAN_BOUND = 255
 
 
 def _pack(terms: Mapping[tuple, int], width: int) -> dict[int, int]:
@@ -466,9 +464,9 @@ class _OrbitLeaders:
     maximum of its orbit, and a block-symmetric polynomial is fixed by
     its coefficients on leaders, which ``_block_symmetry`` checks and
     gives; the helper only packs and multiplies them.  The memos live as
-    long as the helper, which a level's spans of one ``_span_bound``
-    share; each write stores the one value its key has, and a leader's
-    orbit size is stored before any key maps to it, so sharing is safe.
+    long as the helper, which every span of a level shares; each write
+    stores the one value its key has, and a leader's orbit size is
+    stored before any key maps to it, so sharing is safe.
     """
 
     def __init__(self, ring: Ring, bound: int):

@@ -52,10 +52,13 @@ POLY_CORE = "src/supersympoly/poly_core.py"
 GENEXPR = "src/supersympoly/genexpr.py"
 ORACLE = "src/supersympoly/oracle.py"
 DECOMPOSE = "src/supersympoly/decompose.py"
+SUPERSYM = "src/supersympoly/supersym.py"
+GENERATORS = "src/supersympoly/generators.py"
 TUPLE_REFERENCE = "tests/test_genexpr.py::TestPackedSpan::test_matches_tuple_reference"
 LOWER_DEGREES = "tests/test_genexpr.py::test_dead_draw_rule_reads_the_lower_degrees_in_the_one_table"
 PRODUCT_PINS = "tests/test_decompose.py::test_span_products_per_cold_benchmark_pass_are_pinned"
 TOP_COEFFICIENT = "tests/test_oracle.py::TestGeneratingFunctionCheck::test_a_wrong_top_coefficient_fails"
+NOT_AN_INT = "tests/test_refusals.py::test_a_value_that_is_not_an_int_is_refused"
 
 MUTANTS = [
     Mutant(
@@ -141,6 +144,66 @@ MUTANTS = [
         "if parent is not None and key >= parent:",
         "if parent is not None and key > parent:",
         ("tests/test_decompose.py::test_a_parent_key_equal_to_its_own_is_refused",),
+    ),
+    Mutant(
+        "restrictions without the zero padding", SUPERSYM,
+        "    return pairs + [(0, lam)] if len(lam) < size else pairs\n",
+        "    return pairs\n",
+        ("tests/test_oracle.py::TestAsDimension::test_degree_one",
+         "tests/test_oracle.py::TestAsDimension::test_restriction_identity"),
+    ),
+    Mutant(
+        "as_dimension without its level check", ORACLE,
+        "    Ring(m, n, False, p)  # the level first, then the degree, as in generated_dimension\n",
+        "",
+        ("tests/test_oracle.py::test_bad_level_is_refused[1-1-4]",
+         "tests/test_refusals.py::test_both_dimensions_refuse_a_bad_cell_with_one_message[(1, 1, 3.0, -1)]"),
+    ),
+    Mutant(
+        "bracket_round without its int check of j", GENERATORS,
+        '0 <= t <= M and 0 <= j < N."""\n    M, N = ring.m, ring.n\n    t, j = len(delta), _int(j, "j")\n',
+        '0 <= t <= M and 0 <= j < N."""\n    M, N = ring.m, ring.n\n    t = len(delta)\n',
+        (f"{NOT_AN_INT}[round j]", f"{NOT_AN_INT}[round j, bool]"),
+    ),
+    Mutant(
+        "a packed product with a shared accumulator", POLY_CORE,
+        "def _packed_mul(a: dict, b: dict, acc: dict | None = None)",
+        "def _packed_mul(a: dict, b: dict, acc: dict | None = {})",
+        ("tests/test_poly_core.py::TestMul::test_one_is_identity",
+         "tests/test_poly_core.py::TestMul::test_freshman_dream_cube"),
+    ),
+    Mutant(
+        "a brace identity without its T^(l(p-k)) [delta, j-1] pair", ORACLE,
+        ",\n           (l * (p - k), bracket_square(delta, j - 1, ks, ring_t))]",
+        "]",
+        ("tests/test_oracle.py::TestBracketIdentities::test_brace_example",),
+    ),
+    Mutant(
+        "a round identity without its T^((s-i)(p-k)) [delta-i, j] pair", ORACLE,
+        ",\n                ((s - i) * (p - k), bracket_square(smaller, j, ks, ring_t))]",
+        "]",
+        ("tests/test_oracle.py::TestBracketIdentities::test_round_example",),
+    ),
+    Mutant(
+        "a span with a level table of its own", GENEXPR,
+        "self._table = table = _TABLES(m, n, p)",
+        "self._table = table = _LevelTable(m, n, p)",
+        ("tests/test_genexpr.py::TestPackedSpan::test_width_edges[7]",
+         "tests/test_genexpr.py::test_level_tables_outlive_the_rows",
+         "tests/test_genexpr.py::test_an_evicted_level_takes_its_spans_with_it",
+         LOWER_DEGREES, PRODUCT_PINS),
+    ),
+    Mutant(
+        "a gen_span that skips the level's span memo", GENEXPR,
+        "    return _TABLES(m, n, p).spans(degree)",
+        "    return GenSpan(m, n, p, degree)",
+        ("tests/test_genexpr.py::test_gen_span_single_flight",),
+    ),
+    Mutant(
+        "a span bound refused one degree late", GENEXPR,
+        "if _int(degree, \"degree\", 0) > _SPAN_BOUND:",
+        "if _int(degree, \"degree\", 0) > _SPAN_BOUND + 1:",
+        ("tests/test_genexpr.py::TestPackedSpan::test_span_bound",),
     ),
 ]
 

@@ -268,9 +268,9 @@ def test_benchmark_certificates_are_pinned():
 
 
 def _cold_memos(patch):
-    """Fresh, empty ``_Memo``s in place of the package's five, as in a
-    new process."""
-    memos = ((genexpr, "_gen_monomial_count"), (genexpr, "_TABLES"), (genexpr, "_SPANS"),
+    """Fresh, empty ``_Memo``s in place of the package's four, as in a
+    new process; a cold ``_TABLES`` holds no span either."""
+    memos = ((genexpr, "_gen_monomial_count"), (genexpr, "_TABLES"),
              (generators, "_GENERATORS"), (decompose_module, "_VK_PAIRS"))
     for module, name in memos:
         memo = getattr(module, name)
@@ -281,11 +281,13 @@ def _cold_memos(patch):
 def test_span_products_per_cold_benchmark_pass_are_pinned():
     """One seed-1 pass of the benchmark's dims, roundtrip and core_peel
     corpora, each with every memo cold, makes exactly the pinned number
-    of ``_OrbitLeaders.mul`` products.  A change that keeps rows and
-    certificates but makes more products, or fewer on purpose, moves a
-    pin: the span work is pinned as the certificates are."""
+    of ``_OrbitLeaders.mul`` products, and leaves in the level tables
+    the pinned numbers of spans, of monomials they list and of draws
+    their echelons make.  A change that keeps rows and certificates but
+    does more span work, or less on purpose, moves a pin: the span work
+    is pinned as the certificates are."""
     corpus = _benchmark_corpus()
-    products = {}
+    products, spans = {}, {}
     original = genexpr._OrbitLeaders.mul
 
     def counting(self, leaders, full):
@@ -306,7 +308,12 @@ def test_span_products_per_cold_benchmark_pass_are_pinned():
                     m, n, p, text = line.split(" ", 3)
                     f = parse_poly(text, Ring(int(m), int(n), False, int(p)))
                     assert verify_decomposition(f, decompose(f))
+            built = [span for table in genexpr._TABLES.values.values() for span in table.spans.values.values()]
+            spans[workload] = (len(built), sum(len(span.monomials) for span in built),
+                               sum(span.echelon._drawn for span in built))
     assert products == {"dims": 1010, "roundtrip": 864, "core_peel": 401}
+    # (spans, listed monomials, draws)
+    assert spans == {"dims": (28, 1180, 1180), "roundtrip": (79, 1794, 1202), "core_peel": (19, 379, 332)}
 
 
 def test_a_parent_key_equal_to_its_own_is_refused():

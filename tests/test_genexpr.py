@@ -32,7 +32,7 @@ from supersympoly import (
 from supersympoly import genexpr
 from supersympoly.genexpr import _gen_monomial_count, level_symbols, symbol_weight
 from supersympoly.generators import generator_poly
-from supersympoly.poly_core import _Memo, _span_bound, _unpack
+from supersympoly.poly_core import _Memo, _SPAN_BOUND, _unpack
 from supersympoly.selfcheck import random_gen_expr
 
 from helpers import (
@@ -58,12 +58,9 @@ def _cold(monkeypatch, name):
 
 
 @pytest.fixture
-def cold_spans(monkeypatch):
-    return _cold(monkeypatch, "_SPANS")
-
-
-@pytest.fixture
 def cold_tables(monkeypatch):
+    """A cold ``_TABLES``, so cold level tables and spans: each table
+    holds its level's spans."""
     return _cold(monkeypatch, "_TABLES")
 
 
@@ -410,20 +407,22 @@ class TestGenSpan:
                 f = parse_poly(str(c), ring)
                 assert span.solve(f) == GenExpr(m, n, p, {(): c})
 
-    def test_negative_degree_is_refused(self, cold_spans):
+    def test_negative_degree_is_refused(self, cold_tables):
         with pytest.raises(ValueError, match="degree must be nonnegative"):
             GenSpan(1, 1, 3, -1)
         with pytest.raises(ValueError, match="degree must be nonnegative"):
             genexpr.gen_span(1, 1, 3, -1)
-        assert cold_spans.values == {}
-        assert (1, 1, 3, -1) not in cold_spans.locks
+        spans = cold_tables.values[1, 1, 3].spans  # the level is valid and built
+        assert spans.values == {}
+        assert (-1,) not in spans.locks
 
-    def test_lock_table_keeps_no_finished_key(self, cold_spans):
+    def test_lock_table_keeps_no_finished_key(self, cold_tables):
         genexpr.gen_span(1, 1, 3, 2)
         with pytest.raises(ValueError):
             genexpr.gen_span(1, 1, 3, -1)
-        assert cold_spans.locks == {}
-        assert list(cold_spans.values) == [(1, 1, 3, 2)]
+        spans = cold_tables.values[1, 1, 3].spans
+        assert cold_tables.locks == {} and spans.locks == {}
+        assert list(cold_tables.values) == [(1, 1, 3)] and list(spans.values) == [(2,)]
 
     def test_solve_wrong_degree_is_none(self):
         span = GenSpan(1, 1, 3, 3)
@@ -555,19 +554,37 @@ class TestPackedSpan:
         for d in range(dmax + 1):
             _assert_matches_reference(m, n, p, d)
 
-    def test_span_bound(self):
-        """Every degree below 256 takes the bound 255, 8-bit fields;
-        above it a degree takes the largest bound of its width."""
-        got = {d: _span_bound(d) for d in (0, 7, 8, 15, 16, 255, 256, 511, 512)}
-        assert got == {0: 255, 7: 255, 8: 255, 15: 255, 16: 255, 255: 255, 256: 511, 511: 511, 512: 1023}
+    def test_span_bound(self, monkeypatch, cold_tables):
+        """Every level table packs 8-bit fields, and a span above degree
+        255 is refused at once: before any monomial is listed, so
+        GenSpan and gen_span store nothing.  Degree 255 passes the
+        check: it reaches the listing, which the test stops, so no
+        degree-255 span is built."""
+        assert _SPAN_BOUND == 255
+
+        class Listed(Exception):
+            pass
+
+        def listing(m, n, p, degree):
+            raise Listed(degree)
+
+        monkeypatch.setattr(genexpr, "enumerate_gen_monomials", listing)
+        for build in (GenSpan, genexpr.gen_span):
+            with pytest.raises(ValueError, match=r"^degree 256 is above 255, the largest span degree$"):
+                build(1, 0, 3, 256)
+        spans = cold_tables.values[1, 0, 3].spans
+        assert spans.values == {} and spans.locks == {}
+        assert cold_tables.values[1, 0, 3].orbits.width == 8
+        with pytest.raises(Listed):
+            GenSpan(1, 0, 3, 255)
 
     @pytest.mark.parametrize("d", [7, 8, 15, 16])
     def test_width_edges(self, d, cold_tables):
         # d = 2^w - 1 fills a w-bit field and d = 2^w needs one more,
-        # but every span below degree 256 packs 8-bit fields in one table.
+        # but every span of a level packs 8-bit fields in one table.
         span = GenSpan(1, 1, 3, d)
         assert {GenSpan(1, 1, 3, e)._table for e in (7, 8, 15, 16)} == {span._table}
-        assert list(cold_tables.values) == [(R11, 255)] and span._table.orbits.width == 8
+        assert list(cold_tables.values) == [(1, 1, 3)] and span._table.orbits.width == 8
         _assert_matches_reference(1, 1, 3, d)
         f = c_r(d, R11)  # has the term y1^d
         assert expand(span.solve(f), R11) == f
@@ -636,7 +653,7 @@ class TestPackedExpansion:
         assert expand(cancelled, ring).is_zero
 
 
-def test_gen_span_single_flight(monkeypatch, cold_spans):
+def test_gen_span_single_flight(monkeypatch, cold_tables):
     """Concurrent first calls build each span once and share the object."""
     builds = collections.Counter()
     count_lock = threading.Lock()
@@ -676,7 +693,7 @@ def test_gen_span_single_flight(monkeypatch, cold_spans):
         assert all(got[key] is results[0][key] for key in keys)
 
 
-def test_gen_span_locks_per_key(monkeypatch, cold_spans):
+def test_gen_span_locks_per_key(monkeypatch, cold_tables):
     """A slow build of one key holds up neither calls for another key
     nor, beyond its own build, a second call for the same key."""
     slow_key, fast_key = (1, 1, 3, 5), (1, 1, 3, 4)
@@ -824,9 +841,8 @@ def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
     """A span's echelon drops its vector function once the last row is
     built, by ``dimension`` or by a solve that needs it.  The orbit
     helper, packed symbols and monomial memo stay in the level table: a
-    bounded memo keyed by the level and the span bound, which every span
-    of the level below degree 256 shares, and an evicted table is built
-    anew with equal rows."""
+    bounded memo keyed by the level, which every span of the level
+    shares, and an evicted table is built anew with equal rows."""
     built = collections.Counter()
     original = genexpr._OrbitLeaders
 
@@ -849,8 +865,8 @@ def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
     assert vector() is None
 
     assert isinstance(genexpr._TABLES, _Memo) and genexpr._TABLES.maxsize > 0
-    assert list(cold_tables.values) == [(ring, 255), (R11, 255)]
-    table = cold_tables.values[ring, 255]
+    assert list(cold_tables.values) == [(2, 2, 3), (1, 1, 3)]
+    table = cold_tables.values[2, 2, 3]
     orbits = table.orbits
     assert table.symbols and table.vectors and span._table.orbits is orbits  # the rows' leader terms stay
     # degrees 4 to 16 share the table, across the edges of their own field widths (8 and 16)
@@ -859,19 +875,35 @@ def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
         assert other._table.orbits is orbits
         if d <= 8:
             other.dimension
-    assert cold_tables.values[ring, 255] is table
+    assert cold_tables.values[2, 2, 3] is table
     assert built == {(ring, 255): 1, (R11, 255): 1}
 
     # evicted, the table is built anew and the span gets the same rows
     r12 = Ring(1, 2, False, 3)
     cold_tables.maxsize = 2
     GenSpan(1, 2, 3, 2)
-    assert list(cold_tables.values) == [(R11, 255), (r12, 255)]
+    assert list(cold_tables.values) == [(1, 1, 3), (1, 2, 3)]
     again = GenSpan(2, 2, 3, 6)
     assert again._table.orbits is not orbits
     assert again.dimension == span.dimension
     assert _rows(again) == _rows(span)
     assert built == {(ring, 255): 2, (R11, 255): 1, (r12, 255): 1}
+
+
+def test_an_evicted_level_takes_its_spans_with_it(cold_tables):
+    """A span lives in its level's table, so once the level is evicted
+    ``gen_span`` builds its spans anew in the level's new table: a span
+    it returns never draws from, or marks its dead draws in, a table
+    the level's other spans no longer share."""
+    cold_tables.maxsize = 1
+    first = genexpr.gen_span(1, 1, 3, 5)
+    first.dimension
+    genexpr.gen_span(2, 2, 3, 5).dimension  # evicts the level (1, 1, 3)
+    b5, b6 = genexpr.gen_span(1, 1, 3, 5), genexpr.gen_span(1, 1, 3, 6)
+    assert b5._table is b6._table is GenSpan(1, 1, 3, 4)._table
+    assert b5 is not first and b5.dimension == first.dimension
+    dead = [key for key in b5.monomials if key not in _reference_live(1, 1, 3, 5)]
+    assert dead and all(b6._table.vectors[key] is genexpr._DEAD for key in dead)
 
 
 def test_spans_sharing_a_table_draw_concurrently(cold_tables):
@@ -961,7 +993,7 @@ def _symbol_sizes(ring, key):
     return [len(generator_poly(kind, idx, ring).terms) for (kind, idx), _ in key]
 
 
-def test_every_vector_is_the_leader_terms_of_its_expansion(cold_spans, cold_tables):
+def test_every_vector_is_the_leader_terms_of_its_expansion(cold_tables):
     """With no span drawn no entry is a dead draw, the dead-draw rule is
     idle, and every listed monomial's vector, one product from the
     vector of a quotient, is the leader part of its reference expansion;
@@ -971,7 +1003,7 @@ def test_every_vector_is_the_leader_terms_of_its_expansion(cold_spans, cold_tabl
         ring = Ring(m, n, False, p)
         for d in range(dmax + 1):
             span = GenSpan(m, n, p, d)
-            table = cold_tables(ring, _span_bound(d))
+            table = cold_tables(m, n, p)
             width = table.orbits.width
             for key in span.monomials:
                 want = {e: c for e, c in reference_expand_key(key, ring).terms.items() if is_leader(e, m)}
@@ -1020,8 +1052,7 @@ def test_dead_draw_rule_keeps_rows_ranks_and_certificates(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(genexpr._OrbitLeaders, "mul", counting)
         for memoized in (True, False):
-            for name in ("_SPANS", "_TABLES"):
-                _cold(patch, name)
+            _cold(patch, "_TABLES")
             got[memoized] = _draw_spans(m, n, p, top, memoized, members, full)
     assert got[True] == got[False]
     for d, (_, _, certificates) in got[True].items():
@@ -1042,7 +1073,7 @@ def _marked_dead(span):
     return [span._table.vectors.get(key) is genexpr._DEAD for key in span.monomials]
 
 
-def test_dead_draw_rule_skips_products(monkeypatch, cold_spans, cold_tables):
+def test_dead_draw_rule_skips_products(monkeypatch, cold_tables):
     """Ranked in ascending degree, the (1, 2, 5) spans up to degree 16
     make under half the products they make ranked top down, where no
     quotient of a draw is known dead yet, so each draw gets its full
@@ -1059,7 +1090,6 @@ def test_dead_draw_rule_skips_products(monkeypatch, cold_spans, cold_tables):
     monkeypatch.setattr(genexpr._OrbitLeaders, "mul", counting)
     ranks = {}
     for ascending in (True, False):
-        cold_spans.values.clear()
         cold_tables.values.clear()
         spans = {d: genexpr.gen_span(m, n, p, d) for d in (range(top + 1) if ascending else range(top, -1, -1))}
         ranks[ascending] = {d: span.echelon.rank for d, span in spans.items()}
@@ -1078,7 +1108,7 @@ def test_dead_draw_rule_skips_products(monkeypatch, cold_spans, cold_tables):
     # C[r] for r > 2 expands to 0 at (2, 0)
     (2, 0, 3, range(12)),
 ])
-def test_found_dead_draws_share_one_empty_vector(cold_spans, cold_tables, m, n, p, degrees):
+def test_found_dead_draws_share_one_empty_vector(cold_tables, m, n, p, degrees):
     """Once ``solve`` or ``dimension`` finds a draw dead, its level-table
     entry is the one shared, read-only ``_DEAD``, and no other empty
     vector is stored; no entry of a listed monomial that adds a row is
@@ -1107,13 +1137,12 @@ def test_found_dead_draws_share_one_empty_vector(cold_spans, cold_tables, m, n, 
     with pytest.raises(TypeError):
         genexpr._DEAD[0] = 1
     drawn = {d: (span.dimension, _rows(span)) for d, span in spans.items()}
-    cold_spans.values.clear()
     cold_tables.values.clear()
     assert {d: (span.dimension, _rows(span)) for d in sorted(degrees, reverse=True)
             for span in [GenSpan(m, n, p, d)]} == drawn
 
 
-def test_concurrent_callers_share_every_dead_draw(cold_spans, cold_tables):
+def test_concurrent_callers_share_every_dead_draw(cold_tables):
     """Threads that solve on one memoized span at once while another
     ranks it leave every dead draw's entry the shared empty vector: the
     echelon marks each one under its lock as it finds it."""
@@ -1130,7 +1159,7 @@ def test_concurrent_callers_share_every_dead_draw(cold_spans, cold_tables):
     assert dead and all(span._table.vectors[key] is genexpr._DEAD for key in dead)
 
 
-def test_dead_draw_rule_reads_the_lower_degrees_in_the_one_table(monkeypatch, cold_spans, cold_tables):
+def test_dead_draw_rule_reads_the_lower_degrees_in_the_one_table(monkeypatch, cold_tables):
     """After ``dimension`` at (2, 2, 3) for degrees 0-15 in ascending
     order, the dead draws of those degrees are marked in the level's one
     table, which the degree-16 span shares, so the rule reads them
@@ -1156,13 +1185,12 @@ def test_dead_draw_rule_reads_the_lower_degrees_in_the_one_table(monkeypatch, co
 
     got = {}
     for evicted in (False, True):
-        cold_spans.values.clear()
         cold_tables.values.clear()
         for d in range(16):
             genexpr.gen_span(m, n, p, d).dimension
-        dead = {key for key, vec in cold_tables.values[ring, 255].vectors.items() if vec is genexpr._DEAD}
+        dead = {key for key, vec in cold_tables.values[m, n, p].vectors.items() if vec is genexpr._DEAD}
         if evicted:
-            del cold_tables.values[ring, 255]
+            del cold_tables.values[m, n, p]
         with monkeypatch.context() as patch:
             patch.setattr(genexpr._OrbitLeaders, "mul", counting)
             patch.setattr(genexpr._LevelTable, "vector", recording)
@@ -1175,7 +1203,7 @@ def test_dead_draw_rule_reads_the_lower_degrees_in_the_one_table(monkeypatch, co
     assert 0 < 2 * products[False] < products[True]
 
 
-def test_memoized_spans_draw_concurrently_with_the_dead_rule(cold_spans, cold_tables):
+def test_memoized_spans_draw_concurrently_with_the_dead_rule(cold_tables):
     """Threads that draw memoized spans of neighbouring degrees at once,
     each reading the dead draws the others mark in the level tables
     without their locks, get the ranks, certificates and rows of a
@@ -1197,6 +1225,5 @@ def test_memoized_spans_draw_concurrently_with_the_dead_rule(cold_spans, cold_ta
 
     serial = {d: draw(d) for d in degrees}
     for _ in range(3):
-        cold_spans.values.clear()
         cold_tables.values.clear()
         assert _at_once(draw, degrees) == serial

@@ -156,8 +156,9 @@ def test_negative_degree_is_refused():
         with pytest.raises(ValueError, match="degree must be nonnegative"):
             dimension(1, 1, 3, -1)
     # the refused span build leaves neither a cache entry nor a lock
-    assert (1, 1, 3, -1) not in genexpr._SPANS.values
-    assert (1, 1, 3, -1) not in genexpr._SPANS.locks
+    spans = genexpr._TABLES(1, 1, 3).spans
+    assert (-1,) not in spans.values
+    assert (-1,) not in spans.locks
 
 
 @pytest.mark.parametrize("m, n, p", [
@@ -200,9 +201,13 @@ class TestGeneratingFunctionCheck:
 class TestBracketIdentities:
     def test_brace_example(self):
         assert brace_identity_check((), 1, 0, 2, 1, kseq(3, 1))
+        # false without the right side's T^(l(p-k)) [delta, j-1] pair
+        assert brace_identity_check((), 1, 1, 1, 1, kseq(3, 1))
 
     def test_round_example(self):
         assert round_identity_check((), 0, 1, 1, kseq(3, 1))
+        # false without the right side's T^((s-i)(p-k)) [delta - i, j] pair
+        assert round_identity_check((1,), 0, 1, 1, kseq(3, 2))
 
     def test_collision_cases(self):
         ks = kseq(3, 2)

@@ -119,6 +119,7 @@ class TestMul:
     def test_one_is_identity(self):
         f = parse_poly("x1^2 + 2*y1", R11)
         assert f * one(R11) == f
+        assert one(R11) * f == f
 
     def test_freshman_dream_cube(self):
         f = parse_poly("x1 + y1", R11)
