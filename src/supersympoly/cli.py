@@ -17,7 +17,7 @@ from .errors import InternalInvariantViolation, NotSupersymmetricError, PolyPars
 from .genexpr import serialize_gen_expr
 from .generators import make_v
 from .oracle import as_dimension, generated_dimension
-from .poly_core import Ring, d_dT, parse_poly, poly_to_str, psi
+from .poly_core import _SPAN_BOUND, Ring, d_dT, parse_poly, poly_to_str, psi
 from .supersym import is_p_balanced, is_supersymmetric
 
 EXIT_OK = 0
@@ -83,6 +83,8 @@ def cmd_vk(args) -> int:
 def cmd_dims(args) -> int:
     if args.dmax < 0:
         raise ValueError("dmax must be nonnegative")
+    if args.dmax > _SPAN_BOUND:  # refused before any row: the rows up to it would not finish
+        raise ValueError(f"dmax {args.dmax} is above {_SPAN_BOUND}, the largest span degree")
     m, n, p = args.m, args.n, args.p
     rows = [(d, as_dimension(m, n, p, d), generated_dimension(m, n, p, d))
             for d in range(args.dmax + 1)]

@@ -27,7 +27,7 @@ The span also serves two cases the recursion cannot handle itself:
 * Expressing v_k itself over the generators through the recursion would
   be self referential (its restriction decomposes to the bare symbol
   U[k], whose lift is v_k again), so the v_k certificates also come
-  from the span solver, once per (m, n, p, k).
+  from the span solver, once per k in the level table's ``vk_pairs``.
 
 Below the input's membership check, every step runs on leader terms
 (``poly_core._LeaderTerms``), and a peel's cofactor is checked by the
@@ -52,8 +52,9 @@ from math import prod
 from operator import itemgetter
 
 from .errors import InternalInvariantViolation, NotSupersymmetricError
-from .genexpr import GenExpr, _gen_monomial_count, expand, gen_span
-from .generators import core_exponents, generator_poly, kseq, v_k
+# gen_span and v_k stay bound here: the benchmark's tracer test reads both
+from .genexpr import _TABLES, GenExpr, _span_solve, expand, gen_span
+from .generators import core_exponents, generator_poly, v_k
 from .poly_core import (
     Poly,
     Ring,
@@ -61,7 +62,6 @@ from .poly_core import (
     _expand_sum,
     _leaders,
     _LeaderTerms,
-    _Memo,
     _term_key,
     exact_monomial_div,
     homogeneous_components,
@@ -96,19 +96,9 @@ def _core_term(ring: Ring, a: int, b: int) -> GenExpr:
 
 # -- v_k certificates ---------------------------------------------------------
 
-def _vk_pair(m: int, n: int, p: int, k: int) -> tuple[Poly, GenExpr]:
-    ring = Ring(m, n, False, p)
-    v = v_k(kseq(p, k), ring)
-    return v, _span_solve(v, v.degree())
-
-
-# the pair (v_k, certificate), so ``_lift`` reads the polynomial too
-_VK_PAIRS = _Memo(_vk_pair, maxsize=64)
-
-
 def vk_gen_expr(m: int, n: int, p: int, k: int) -> GenExpr:
     """GenExpr certificate for v_k at level (m, n), solved once."""
-    return _VK_PAIRS(m, n, p, k)[1]
+    return _TABLES(m, n, p).vk_pairs(k)[1]
 
 
 # -- decomposition trace ------------------------------------------------------
@@ -190,18 +180,6 @@ def verify_decomposition(f: Poly, e: GenExpr) -> bool:
     return expand(e, f.ring) == f
 
 
-def _span_solve(f: Poly, degree: int) -> GenExpr:
-    """Certificate of the homogeneous f from the span of its degree."""
-    ring = f.ring
-    expr = gen_span(ring.m, ring.n, ring.p, degree).solve(f)
-    if expr is None:
-        raise InternalInvariantViolation(
-            f"a degree {degree} polynomial at level ({ring.m},{ring.n}), p={ring.p} "
-            "is outside the generator span"
-        )
-    return expr
-
-
 def _decompose_homogeneous(f: _LeaderTerms, parent: tuple | None, span_limit: int) -> GenExpr:
     """Certificate of the homogeneous supersymmetric polynomial whose
     leader terms are f."""
@@ -217,7 +195,7 @@ def _decompose_homogeneous(f: _LeaderTerms, parent: tuple | None, span_limit: in
 
     if degree == 0:
         return _clean(ring, {(): next(iter(f.terms.values()))}, GenExpr)
-    if _gen_monomial_count(m, n, p, degree) <= span_limit:
+    if _TABLES(m, n, p).counts(degree) <= span_limit:
         _trace_event("span_first", (m, n, p, degree))
         return _span_solve(f, degree)
     if m == 0 or n == 0:
@@ -289,9 +267,7 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
         expr_total = expr_total + expr_part
 
     def symbol_poly(kind: str, idx: int) -> Poly:
-        if kind == "U":
-            return _VK_PAIRS(m, n, p, idx)[0]
-        return generator_poly(kind, idx, ring)
+        return _TABLES(m, n, p).vk_pairs(idx)[0] if kind == "U" else generator_poly(kind, idx, ring)
 
     return _expand_sum(h.terms, ring, h.weighted_degree() or 0, symbol_poly), expr_total
 

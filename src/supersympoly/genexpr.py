@@ -21,9 +21,9 @@ GenSpan row-reduces the expansions of the symbol monomials of one
 weighted degree whose C powers are below p, in orbit-leader
 coordinates; the others add no row.  Each level has one table of
 symbol expansions and monomial leader terms, which also holds the
-level's spans, one per degree up to 255, and each draw is one product
-by a symbol.  A span can write any polynomial of the spanned space as a
-GenExpr, tracking the combination exactly over F_p.
+level's spans, engine counts and v_k pairs, and each draw is one
+product by a symbol.  A span can write any polynomial of the spanned
+space as a GenExpr, tracking the combination exactly over F_p.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import re
 from functools import partial
 from types import MappingProxyType
 
-from .errors import PolyParseError
-from .generators import generator_poly
+from .errors import InternalInvariantViolation, PolyParseError
+from .generators import generator_poly, kseq, v_k
 from .poly_core import (
     FpEchelon,
     Poly,
@@ -227,10 +227,6 @@ def _count_gen_monomials(m: int, n: int, p: int, degree: int) -> int:
     return _suffix_counts(weights, degree)[0][degree] if degree >= 0 else 0
 
 
-# ``decompose`` asks the count once per recursion entry, hence the memo
-_gen_monomial_count = _Memo(_count_gen_monomials, maxsize=2048)
-
-
 def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
     """All symbol monomials of exact weighted degree over the symbols of
     ``level_symbols``, in ascending lex order of their exponents in
@@ -338,8 +334,9 @@ def _quotient(key: tuple, j: int) -> tuple:
 class _LevelTable:
     """Everything kept for the level (m, n, p): the ``_OrbitLeaders``
     helper, each symbol's packed expansion, the leader terms of every
-    monomial expanded so far, and ``spans``, the level's ``GenSpan``
-    memo, with room for every degree, so it never evicts.  Each write
+    monomial expanded so far, and the memos ``spans`` (a ``GenSpan``
+    per degree), ``counts`` (the engine's monomial count per degree)
+    and ``vk_pairs`` (v_k and its certificate per k).  Each vector write
     stores the one value its key has, or the shared empty ``_DEAD`` for
     a monomial known to be a dead draw or whose expansion is 0, which
     makes the same rows (README "Design notes").  The spans' echelons
@@ -352,6 +349,8 @@ class _LevelTable:
         self.symbols: dict = {}  # symbol -> packed expansion
         self.vectors: dict = {(): {0: 1}}  # monomial -> leader terms, _DEAD if a known dead draw
         self.spans = _Memo(partial(GenSpan, m, n, p), maxsize=_SPAN_BOUND + 1)
+        self.counts = _Memo(partial(_count_gen_monomials, m, n, p), maxsize=_SPAN_BOUND + 1)
+        self.vk_pairs = _Memo(partial(_vk_pair, ring), maxsize=p - 1)
 
     def vector(self, key: tuple) -> dict[int, int]:
         """Leader coordinates, mod p, of the expansion of the monomial
@@ -406,3 +405,20 @@ def gen_span(m: int, n: int, p: int, degree: int) -> GenSpan:
     """Memoized GenSpan from its level table, built once per key even
     under concurrent calls."""
     return _TABLES(m, n, p).spans(degree)
+
+
+def _span_solve(f: Poly, degree: int) -> GenExpr:
+    """Certificate of the homogeneous f from the span of its degree."""
+    ring = f.ring
+    expr = gen_span(ring.m, ring.n, ring.p, degree).solve(f)
+    if expr is None:
+        raise InternalInvariantViolation(
+            f"a degree {degree} polynomial at level ({ring.m},{ring.n}), p={ring.p} "
+            "is outside the generator span"
+        )
+    return expr
+
+
+def _vk_pair(ring: Ring, k: int) -> tuple[Poly, GenExpr]:
+    v = v_k(kseq(ring.p, k), ring)
+    return v, _span_solve(v, v.degree())

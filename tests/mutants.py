@@ -205,6 +205,25 @@ MUTANTS = [
         "if _int(degree, \"degree\", 0) > _SPAN_BOUND + 1:",
         ("tests/test_genexpr.py::TestPackedSpan::test_span_bound",),
     ),
+    Mutant(
+        "engine counts taken at p = 3", GENEXPR,
+        "partial(_count_gen_monomials, m, n, p)",
+        "partial(_count_gen_monomials, m, n, 3)",
+        ("tests/test_decompose.py::test_benchmark_certificates_are_pinned",),
+    ),
+    Mutant(
+        "a level table that keeps one v_k pair", GENEXPR,
+        "partial(_vk_pair, ring), maxsize=p - 1)",
+        "partial(_vk_pair, ring), maxsize=1)",
+        ("tests/test_decompose.py::TestVkCertificates::test_an_evicted_level_takes_its_v_k_pairs_with_it",),
+    ),
+    Mutant(
+        "a vk_gen_expr that reads the swapped level's table", DECOMPOSE,
+        "    return _TABLES(m, n, p).vk_pairs(k)[1]",
+        "    return _TABLES(n, m, p).vk_pairs(k)[1]",
+        ("tests/test_decompose.py::TestVkCertificates::test_single_flight",
+         "tests/test_decompose.py::test_benchmark_certificates_are_pinned"),
+    ),
 ]
 
 

@@ -238,6 +238,18 @@ class TestDims:
         assert out == ""
         assert err == "input error: dmax must be nonnegative\n"
 
+    def test_dmax_above_the_span_bound_is_an_input_error(self, capsys, monkeypatch):
+        def no_row(m, n, p, d):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr("supersympoly.cli.as_dimension", no_row)
+        code, out, err = run(
+            capsys, "dims", "--m", "1", "--n", "1", "--p", "3", "--dmax", "256"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "input error: dmax 256 is above 255, the largest span degree\n"
+
     PINS = [
         (3, 3, 3, 9, "18a702caf039df7f3220a85db9c5c941a59b8f77c4b6d0af8945e5e12a1e496c"),
         (2, 2, 3, 13, "7d8d23e8ee28ce97f01dcc094c799c440396e9ff8efb652faae5c333c103ff03"),

@@ -44,7 +44,7 @@ from supersympoly.decompose import (
 )
 from supersympoly.generators import core_exponents
 from supersympoly import generators, genexpr
-from supersympoly.genexpr import _gen_monomial_count, gen_span
+from supersympoly.genexpr import gen_span
 from supersympoly.oracle import as_dimension, generated_dimension, partitions_max_parts
 from supersympoly.poly_core import _block_symmetry, _Memo
 from supersympoly.selfcheck import _roundtrip_inputs, random_gen_expr
@@ -267,15 +267,22 @@ def test_benchmark_certificates_are_pinned():
 
 
 
+def _cold_tables(patch):
+    """A fresh, empty ``_TABLES`` in ``genexpr`` and in ``decompose``,
+    which binds it by import; a cold ``_TABLES`` holds no span, count
+    or v_k pair either."""
+    tables = _Memo(genexpr._TABLES.build, genexpr._TABLES.maxsize)
+    patch.setattr(genexpr, "_TABLES", tables)
+    patch.setattr(decompose_module, "_TABLES", tables)
+    return tables
+
+
 def _cold_memos(patch):
-    """Fresh, empty ``_Memo``s in place of the package's four, as in a
-    new process; a cold ``_TABLES`` holds no span either."""
-    memos = ((genexpr, "_gen_monomial_count"), (genexpr, "_TABLES"),
-             (generators, "_GENERATORS"), (decompose_module, "_VK_PAIRS"))
-    for module, name in memos:
-        memo = getattr(module, name)
-        patch.setattr(module, name, _Memo(memo.build, memo.maxsize))
-    patch.setattr(decompose_module, "_gen_monomial_count", genexpr._gen_monomial_count)
+    """Fresh, empty ``_Memo``s in place of the package's two, as in a
+    new process."""
+    _cold_tables(patch)
+    memo = generators._GENERATORS
+    patch.setattr(generators, "_GENERATORS", _Memo(memo.build, memo.maxsize))
 
 
 def test_span_products_per_cold_benchmark_pass_are_pinned():
@@ -287,7 +294,7 @@ def test_span_products_per_cold_benchmark_pass_are_pinned():
     does more span work, or less on purpose, moves a pin: the span work
     is pinned as the certificates are."""
     corpus = _benchmark_corpus()
-    products, spans = {}, {}
+    products, spans, held = {}, {}, {}
     original = genexpr._OrbitLeaders.mul
 
     def counting(self, leaders, full):
@@ -308,12 +315,17 @@ def test_span_products_per_cold_benchmark_pass_are_pinned():
                     m, n, p, text = line.split(" ", 3)
                     f = parse_poly(text, Ring(int(m), int(n), False, int(p)))
                     assert verify_decomposition(f, decompose(f))
-            built = [span for table in genexpr._TABLES.values.values() for span in table.spans.values.values()]
+            tables = genexpr._TABLES.values.values()
+            built = [span for table in tables for span in table.spans.values.values()]
             spans[workload] = (len(built), sum(len(span.monomials) for span in built),
                                sum(span.echelon._drawn for span in built))
+            held[workload] = (sum(len(table.counts.values) for table in tables),
+                              sum(len(table.vk_pairs.values) for table in tables))
     assert products == {"dims": 1010, "roundtrip": 864, "core_peel": 401}
     # (spans, listed monomials, draws)
     assert spans == {"dims": (28, 1180, 1180), "roundtrip": (79, 1794, 1202), "core_peel": (19, 379, 332)}
+    # (engine counts, v_k pairs)
+    assert held == {"dims": (0, 0), "roundtrip": (82, 2), "core_peel": (84, 0)}
 
 
 def test_a_parent_key_equal_to_its_own_is_refused():
@@ -369,11 +381,10 @@ class TestVkCertificates:
     def test_single_flight(self, monkeypatch):
         """A second first call for one key waits for the build under way
         and shares its certificate: v_k is built once."""
-        pairs = decompose_module._VK_PAIRS
-        monkeypatch.setattr(decompose_module, "_VK_PAIRS", _Memo(pairs.build, pairs.maxsize))
+        _cold_tables(monkeypatch)
         started, release = threading.Event(), threading.Event()
         builds = []
-        original = decompose_module.v_k
+        original = genexpr.v_k
 
         def slow_v_k(ks, ring):
             builds.append((ks.k, ring))
@@ -382,7 +393,7 @@ class TestVkCertificates:
                 release.wait(30)
             return original(ks, ring)
 
-        monkeypatch.setattr(decompose_module, "v_k", slow_v_k)
+        monkeypatch.setattr(genexpr, "v_k", slow_v_k)
         results = {}
 
         def call(name):
@@ -403,6 +414,23 @@ class TestVkCertificates:
         assert not first.is_alive() and not second.is_alive()
         assert results["second"] is results["first"]
         assert builds == [(1, Ring(2, 1, False, 3))]
+
+    def test_an_evicted_level_takes_its_v_k_pairs_with_it(self, monkeypatch):
+        """A v_k pair lives in its level's table: once the level is
+        evicted, the certificate is solved anew in a new table, whose
+        engine counts start empty.  A table holds one pair for each
+        0 < k < p."""
+        tables = _cold_tables(monkeypatch)
+        tables.maxsize = 1
+        first = vk_gen_expr(1, 1, 3, 1)
+        vk_gen_expr(2, 1, 3, 1)
+        again = vk_gen_expr(1, 1, 3, 1)
+        assert again is not first
+        assert serialize_gen_expr(again) == serialize_gen_expr(first)
+        assert tables(1, 1, 3).counts.values == {}
+        for k in range(1, 5):
+            vk_gen_expr(1, 1, 5, k)
+        assert len(tables(1, 1, 5).vk_pairs.values) == 4
 
     def test_decompose_vk_round_trip(self):
         for p in (3, 5):
@@ -483,7 +511,7 @@ class TestEnginePolicy:
 
     def test_limit_is_inclusive(self, monkeypatch):
         f = c_r(5, R11)
-        count = _gen_monomial_count(1, 1, 3, 5)
+        count = genexpr._TABLES(1, 1, 3).counts(5)
         assert count == 15
         monkeypatch.setattr(decompose_module, "_SPAN_LIMIT", count)
         trace = self._paths(f)
@@ -497,7 +525,8 @@ class TestEnginePolicy:
         # 119 monomials at degree 10 and 173 at degree 11
         limit = decompose_module._SPAN_LIMIT
         ring = Ring(2, 2, False, 3)
-        assert _gen_monomial_count(2, 2, 3, 10) <= limit < _gen_monomial_count(2, 2, 3, 11)
+        counts = genexpr._TABLES(2, 2, 3).counts
+        assert counts(10) <= limit < counts(11)
         assert self._paths(c_r(10, ring)).span_first == [(2, 2, 3, 10)]
         trace = self._paths(c_r(11, ring))
         assert (2, 2, 3, 11) not in trace.span_first and len(trace.calls) > 1

@@ -30,7 +30,7 @@ from supersympoly import (
     serialize_gen_expr,
 )
 from supersympoly import genexpr
-from supersympoly.genexpr import _gen_monomial_count, level_symbols, symbol_weight
+from supersympoly.genexpr import level_symbols, symbol_weight
 from supersympoly.generators import generator_poly
 from supersympoly.poly_core import _Memo, _SPAN_BOUND, _unpack
 from supersympoly.selfcheck import random_gen_expr
@@ -225,8 +225,8 @@ class TestLevels:
         with pytest.raises(ValueError):
             level_symbols(m, 1, p, 4)
         with pytest.raises(ValueError):
-            _gen_monomial_count(m, 1, p, 2)
-        assert _gen_monomial_count.maxsize  # still behind its memo
+            genexpr._TABLES(m, 1, p).counts(2)
+        assert genexpr._TABLES(1, 1, 3).counts.maxsize  # still behind its level's memo
 
 
 class TestSerialization:
@@ -368,15 +368,17 @@ class TestEnumeration:
 
     def test_count_matches_enumeration(self):
         for cell in self._GRID:
-            assert _gen_monomial_count(*cell) == len(enumerate_gen_monomials(*cell)), cell
+            m, n, p, d = cell
+            assert genexpr._TABLES(m, n, p).counts(d) == len(enumerate_gen_monomials(*cell)), cell
         # (2, 2, 3, 20) has 3880 monomials
-        assert _gen_monomial_count(2, 2, 3, 20) == len(enumerate_gen_monomials(2, 2, 3, 20)) == 3880
+        assert genexpr._TABLES(2, 2, 3).counts(20) == len(enumerate_gen_monomials(2, 2, 3, 20)) == 3880
 
     def test_count_at_a_negative_degree_is_zero(self):
         # the suffix-count table has no column at a negative degree
-        assert _gen_monomial_count(1, 1, 3, -1) == 0 == len(enumerate_gen_monomials(1, 1, 3, -1))
-        assert _gen_monomial_count.values[1, 1, 3, -1] == 0  # kept, though falsy
-        assert _gen_monomial_count(1, 1, 3, -1) == 0
+        counts = genexpr._TABLES(1, 1, 3).counts
+        assert counts(-1) == 0 == len(enumerate_gen_monomials(1, 1, 3, -1))
+        assert counts.values[(-1,)] == 0  # kept, though falsy
+        assert counts(-1) == 0
 
 
 class TestGenSpan:
