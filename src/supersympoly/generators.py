@@ -175,13 +175,19 @@ def complete(j: int, block: Block, ring: Ring) -> Poly:
 
 
 def c_r(r: int, ring: Ring) -> Poly:
-    """sum_{0 <= i <= min(r, m)} (-1)^(r-i) sigma_i(x) h_(r-i)(y)."""
+    """sum_{0 <= i <= min(r, m)} (-1)^(r-i) sigma_i(x) h_(r-i)(y), written
+    from its monomials: no two products of an x monomial of degree i and
+    a y monomial of degree r - i coincide, so each is one term."""
     _int(r, "index", 0)
-    out = zero(ring)
-    for i in range(0, min(r, ring.m) + 1):
-        sign = 1 if (r - i) % 2 == 0 else -1
-        out = out + sign * elementary(i, Block.X, ring) * complete(r - i, Block.Y, ring)
-    return out
+    m, p = ring.m, ring.p
+    terms = {}
+    for i in range(0, min(r, m) + 1):
+        sign = 1 if (r - i) % 2 == 0 else p - 1
+        ys = complete(r - i, Block.Y, ring).terms
+        for ex in elementary(i, Block.X, ring).terms:
+            for ey in ys:
+                terms[ex[:m] + ey[m:]] = sign
+    return _clean(ring, terms)
 
 
 def sigma_x_p(i: int, ring: Ring) -> Poly:

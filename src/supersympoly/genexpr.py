@@ -221,12 +221,6 @@ def _suffix_counts(weights: list[int], degree: int) -> list[list[int]]:
     return ways
 
 
-def _count_gen_monomials(m: int, n: int, p: int, degree: int) -> int:
-    """len(enumerate_gen_monomials(m, n, p, degree)), without the list."""
-    weights = list(level_symbols(m, n, p, degree).values())
-    return _suffix_counts(weights, degree)[0][degree] if degree >= 0 else 0
-
-
 def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
     """All symbol monomials of exact weighted degree over the symbols of
     ``level_symbols``, in ascending lex order of their exponents in
@@ -261,6 +255,14 @@ def enumerate_gen_monomials(m: int, n: int, p: int, degree: int) -> list[tuple]:
     return found
 
 
+def _span_degree(degree: int) -> int:
+    """``degree``, refused unless an int in [0, poly_core._SPAN_BOUND]:
+    the domain of spans and of both dimension functions (``oracle``)."""
+    if _int(degree, "degree", 0) > _SPAN_BOUND:
+        raise ValueError(f"degree {degree} is above {_SPAN_BOUND}, the largest span degree")
+    return degree
+
+
 class GenSpan:
     """Row-reduced span of the symbol monomial expansions at one degree.
 
@@ -291,8 +293,7 @@ class GenSpan:
 
     def __init__(self, m: int, n: int, p: int, degree: int):
         self.ring = Ring(m, n, False, p)
-        if _int(degree, "degree", 0) > _SPAN_BOUND:
-            raise ValueError(f"degree {degree} is above {_SPAN_BOUND}, the largest span degree")
+        _span_degree(degree)
         self.m, self.n, self.p, self.degree = m, n, p, degree
         self.monomials = monomials = [
             key for key in enumerate_gen_monomials(m, n, p, degree)
@@ -334,9 +335,10 @@ def _quotient(key: tuple, j: int) -> tuple:
 class _LevelTable:
     """Everything kept for the level (m, n, p): the ``_OrbitLeaders``
     helper, each symbol's packed expansion, the leader terms of every
-    monomial expanded so far, and the memos ``spans`` (a ``GenSpan``
-    per degree), ``counts`` (the engine's monomial count per degree)
-    and ``vk_pairs`` (v_k and its certificate per k).  Each vector write
+    monomial expanded so far, the memos ``spans`` (a ``GenSpan`` per
+    degree) and ``vk_pairs`` (v_k and its certificate per k), and
+    ``count_row``, the engine's monomial count of each degree up to the
+    largest asked (``counts``).  Each vector write
     stores the one value its key has, or the shared empty ``_DEAD`` for
     a monomial known to be a dead draw or whose expansion is 0, which
     makes the same rows (README "Design notes").  The spans' echelons
@@ -349,8 +351,25 @@ class _LevelTable:
         self.symbols: dict = {}  # symbol -> packed expansion
         self.vectors: dict = {(): {0: 1}}  # monomial -> leader terms, _DEAD if a known dead draw
         self.spans = _Memo(partial(GenSpan, m, n, p), maxsize=_SPAN_BOUND + 1)
-        self.counts = _Memo(partial(_count_gen_monomials, m, n, p), maxsize=_SPAN_BOUND + 1)
+        self.count_row = [1]  # monomials of each weight, see counts
         self.vk_pairs = _Memo(partial(_vk_pair, ring), maxsize=p - 1)
+
+    def counts(self, degree: int) -> int:
+        """len(enumerate_gen_monomials(m, n, p, degree)), without the
+        list: entry ``degree`` of ``count_row``, a coin-change row over
+        the symbol weights, rebuilt up to ``degree`` when it is shorter.
+        Callers that grow it at once each build and read a row of their
+        own, equal where both reach; the one stored last is kept."""
+        if _int(degree, "degree") < 0:
+            return 0
+        row = self.count_row
+        if degree >= len(row):
+            ring, row = self.ring, [1] + [0] * degree
+            for w in level_symbols(ring.m, ring.n, ring.p, degree).values():
+                for r in range(w, degree + 1):
+                    row[r] += row[r - w]
+            self.count_row = row
+        return row[degree]
 
     def vector(self, key: tuple) -> dict[int, int]:
         """Leader coordinates, mod p, of the expansion of the monomial

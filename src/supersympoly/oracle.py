@@ -8,9 +8,10 @@ of the linear map f -> d/dT f(x_m = y_n = T).  It computes that map on
 partition labels alone, with no basis polynomial.
 ``generated_dimension`` measures the span of the generator monomials of
 the same degree by row reduction (``GenSpan``).  The generator property
-predicts the two numbers agree everywhere.  The two computations share
-only the row reduction ``poly_core.FpEchelon``, filled the same way
-from a count and an index -> vector function.  ``GenSpan`` raises
+predicts the two numbers agree everywhere, on their one domain of
+degrees 0 to 255 (``genexpr._span_degree``).  The two computations
+share only the row reduction ``poly_core.FpEchelon``, filled the same
+way from a count and an index -> vector function.  ``GenSpan`` raises
 ``InternalInvariantViolation`` for a generator power that is not
 block-symmetric, so the agreement stays a check of the generators.
 README "Design notes" gives the restriction identity and the rank
@@ -27,7 +28,7 @@ from .generators import (
     c_r,
     w_poly,
 )
-from .genexpr import gen_span
+from .genexpr import _span_degree, gen_span
 from .poly_core import (
     FpEchelon,
     Poly,
@@ -62,12 +63,14 @@ def partitions_max_parts(total: int, max_parts: int):
 def as_dimension(m: int, n: int, p: int, d: int) -> int:
     """Dimension of the degree d piece of the supersymmetric algebra."""
     Ring(m, n, False, p)  # the level first, then the degree, as in generated_dimension
-    _int(d, "degree", 0)
-    ys = [list(partitions_max_parts(dy, n)) for dy in range(d + 1)]
-    pairs = [(lam, mu) for dx in range(d + 1) for lam in partitions_max_parts(dx, m) for mu in ys[d - dx]]
+    _span_degree(d)
+    # each partition's restriction pairs, built once per call
+    xs = [[_restrictions(lam, m) for lam in partitions_max_parts(dx, m)] for dx in range(d + 1)]
+    ys = [[_restrictions(mu, n) for mu in partitions_max_parts(dy, n)] for dy in range(d + 1)]
+    pairs = [(lam, mu) for dx in range(d + 1) for lam in xs[dx] for mu in ys[d - dx]]
     keys: dict = {}  # (lam less a, mu less b) numbered in the order they first appear
     images = [{keys.setdefault((lam_a, mu_b), len(keys)): (a + b) % p
-               for a, lam_a in _restrictions(lam, m) for b, mu_b in _restrictions(mu, n) if (a + b) % p}
+               for a, lam_a in lam for b, mu_b in mu if (a + b) % p}
               for lam, mu in pairs]
     return len(pairs) - FpEchelon(p, len(images), images.__getitem__).rank
 
@@ -75,7 +78,7 @@ def as_dimension(m: int, n: int, p: int, d: int) -> int:
 def generated_dimension(m: int, n: int, p: int, d: int) -> int:
     """Dimension of the span of generator monomial expansions at degree d."""
     Ring(m, n, False, p)  # the level first, then the degree, as in as_dimension
-    return gen_span(m, n, p, _int(d, "degree", 0)).dimension
+    return gen_span(m, n, p, _span_degree(d)).dimension
 
 
 # -- generating function cross-check ------------------------------------------

@@ -6,7 +6,7 @@ from collections import Counter
 
 import hypothesis.strategies as st
 
-from supersympoly import DivisibilityError, GenExpr, Poly, PolyParseError, Ring
+from supersympoly import Block, DivisibilityError, GenExpr, Poly, PolyParseError, Ring, complete, elementary
 from supersympoly.generators import generator_poly, kseq, placed_sym, v_k
 from supersympoly.genexpr import level_symbols, symbol_weight
 from supersympoly.oracle import partitions_max_parts
@@ -57,6 +57,16 @@ def reference_mul(f, g):
             exps = tuple(a + b for a, b in zip(e1, e2))
             out[exps] = (out.get(exps, 0) + c1 * c2) % p
     return Poly(f.ring, out)
+
+
+def reference_c_r(r, ring):
+    """c_r by its definition in Poly arithmetic: the signed sum of the
+    products sigma_i(x) h_(r-i)(y) for 0 <= i <= min(r, m)."""
+    out = Poly(ring, {})
+    for i in range(min(r, ring.m) + 1):
+        sign = 1 if (r - i) % 2 == 0 else -1
+        out = out + sign * elementary(i, Block.X, ring) * complete(r - i, Block.Y, ring)
+    return out
 
 
 def reference_placed(families, block, ring):

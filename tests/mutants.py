@@ -59,6 +59,8 @@ LOWER_DEGREES = "tests/test_genexpr.py::test_dead_draw_rule_reads_the_lower_degr
 PRODUCT_PINS = "tests/test_decompose.py::test_span_products_per_cold_benchmark_pass_are_pinned"
 TOP_COEFFICIENT = "tests/test_oracle.py::TestGeneratingFunctionCheck::test_a_wrong_top_coefficient_fails"
 NOT_AN_INT = "tests/test_refusals.py::test_a_value_that_is_not_an_int_is_refused"
+COUNT_ROW = "tests/test_genexpr.py::TestEnumeration::test_count_row_matches_enumeration"
+C_R_DEFINITION = "tests/test_generators.py::test_c_r_matches_its_definition"
 
 MUTANTS = [
     Mutant(
@@ -153,6 +155,19 @@ MUTANTS = [
          "tests/test_oracle.py::TestAsDimension::test_restriction_identity"),
     ),
     Mutant(
+        "as_dimension restricting each y partition at the x block's size", ORACLE,
+        "[[_restrictions(mu, n) for mu in",
+        "[[_restrictions(mu, m) for mu in",
+        ("tests/test_oracle.py::TestAsDimension::test_agrees_with_the_polynomial_route",),
+    ),
+    Mutant(
+        "c_r with its sign fixed at 1", GENERATORS,
+        "sign = 1 if (r - i) % 2 == 0 else p - 1",
+        "sign = 1",
+        (f"{C_R_DEFINITION}[1-1-3-False]", f"{C_R_DEFINITION}[2-3-7-True]",
+         "tests/test_oracle.py::TestGeneratingFunctionCheck::test_small_levels"),
+    ),
+    Mutant(
         "as_dimension without its level check", ORACLE,
         "    Ring(m, n, False, p)  # the level first, then the degree, as in generated_dimension\n",
         "",
@@ -207,9 +222,16 @@ MUTANTS = [
     ),
     Mutant(
         "engine counts taken at p = 3", GENEXPR,
-        "partial(_count_gen_monomials, m, n, p)",
-        "partial(_count_gen_monomials, m, n, 3)",
+        "level_symbols(ring.m, ring.n, ring.p, degree)",
+        "level_symbols(ring.m, ring.n, 3, degree)",
         ("tests/test_decompose.py::test_benchmark_certificates_are_pinned",),
+    ),
+    Mutant(
+        "a count row summed one degree short", GENEXPR,
+        "                for r in range(w, degree + 1):\n                    row[r] += row[r - w]\n",
+        "                for r in range(w, degree):\n                    row[r] += row[r - w]\n",
+        (f"{COUNT_ROW}[(2, 2, 3)-ascending]", f"{COUNT_ROW}[(3, 2, 5)-largest first]",
+         "tests/test_decompose.py::TestEnginePolicy::test_crossover_at_level_2_2_3"),
     ),
     Mutant(
         "a level table that keeps one v_k pair", GENEXPR,

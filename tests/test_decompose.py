@@ -319,13 +319,13 @@ def test_span_products_per_cold_benchmark_pass_are_pinned():
             built = [span for table in tables for span in table.spans.values.values()]
             spans[workload] = (len(built), sum(len(span.monomials) for span in built),
                                sum(span.echelon._drawn for span in built))
-            held[workload] = (sum(len(table.counts.values) for table in tables),
+            held[workload] = (sum(len(table.count_row) - 1 for table in tables),
                               sum(len(table.vk_pairs.values) for table in tables))
     assert products == {"dims": 1010, "roundtrip": 864, "core_peel": 401}
     # (spans, listed monomials, draws)
     assert spans == {"dims": (28, 1180, 1180), "roundtrip": (79, 1794, 1202), "core_peel": (19, 379, 332)}
-    # (engine counts, v_k pairs)
-    assert held == {"dims": (0, 0), "roundtrip": (82, 2), "core_peel": (84, 0)}
+    # (count row entries past degree 0, v_k pairs)
+    assert held == {"dims": (0, 0), "roundtrip": (100, 2), "core_peel": (224, 0)}
 
 
 def test_a_parent_key_equal_to_its_own_is_refused():
@@ -427,7 +427,7 @@ class TestVkCertificates:
         again = vk_gen_expr(1, 1, 3, 1)
         assert again is not first
         assert serialize_gen_expr(again) == serialize_gen_expr(first)
-        assert tables(1, 1, 3).counts.values == {}
+        assert tables(1, 1, 3).count_row == [1]
         for k in range(1, 5):
             vk_gen_expr(1, 1, 5, k)
         assert len(tables(1, 1, 5).vk_pairs.values) == 4

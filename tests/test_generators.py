@@ -34,7 +34,7 @@ from supersympoly import generators
 from supersympoly.generators import _delta_x_families, generator_poly, placed_sym
 from supersympoly.poly_core import _Memo
 
-from helpers import reference_is_symmetric, reference_mul, reference_placed
+from helpers import reference_c_r, reference_is_symmetric, reference_mul, reference_placed
 
 EMPTY = ()
 
@@ -159,6 +159,22 @@ class TestFamilies:
             u_k(3, Ring(1, 1, False, 3))
         with pytest.raises(ValueError):
             u_k(1, Ring(1, 0, False, 3))
+
+
+@pytest.mark.parametrize("has_t", [False, True])
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(4) for n in range(4)])
+def test_c_r_matches_its_definition(m, n, p, has_t):
+    """c_r, written from its monomials, equals the signed sum of
+    products sigma_i(x) h_(r-i)(y) for 0 <= r <= 12, empty blocks and
+    the T slot included, and its terms are canonical: residues in
+    [1, p) on keys of the ring's length."""
+    ring = Ring(m, n, has_t, p)
+    for r in range(13):
+        f = c_r(r, ring)
+        assert f == reference_c_r(r, ring), r
+        assert all(0 < c < p for c in f.terms.values()), r
+        assert all(type(e) is tuple and len(e) == ring.nvars for e in f.terms), r
 
 
 @pytest.mark.parametrize("p", [3, 5])

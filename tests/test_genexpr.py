@@ -226,7 +226,9 @@ class TestLevels:
             level_symbols(m, 1, p, 4)
         with pytest.raises(ValueError):
             genexpr._TABLES(m, 1, p).counts(2)
-        assert genexpr._TABLES(1, 1, 3).counts.maxsize  # still behind its level's memo
+        table = genexpr._TABLES(1, 1, 3)
+        table.counts(2)
+        assert len(table.count_row) >= 3  # still held in its level's table
 
 
 class TestSerialization:
@@ -374,11 +376,41 @@ class TestEnumeration:
         assert genexpr._TABLES(2, 2, 3).counts(20) == len(enumerate_gen_monomials(2, 2, 3, 20)) == 3880
 
     def test_count_at_a_negative_degree_is_zero(self):
-        # the suffix-count table has no column at a negative degree
-        counts = genexpr._TABLES(1, 1, 3).counts
-        assert counts(-1) == 0 == len(enumerate_gen_monomials(1, 1, 3, -1))
-        assert counts.values[(-1,)] == 0  # kept, though falsy
-        assert counts(-1) == 0
+        # the count row has no entry at a negative degree, and asking for
+        # one leaves the row as it is
+        table = genexpr._LevelTable(1, 1, 3)
+        row = table.count_row
+        assert table.counts(-1) == 0 == len(enumerate_gen_monomials(1, 1, 3, -1))
+        assert table.count_row is row == [1]
+        assert table.counts(-1) == 0
+
+    _ROW_LEVELS = [(1, 1, 3), (2, 2, 3), (3, 2, 5), (0, 2, 3), (2, 0, 5)]
+    _ROW_DEGREES = list(range(-1, 31))
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "largest first"])
+    @pytest.mark.parametrize("level", _ROW_LEVELS, ids=str)
+    def test_count_row_matches_enumeration(self, level, order):
+        """A fresh table's ``counts`` equals the enumerated count at every
+        degree from -1 to 30, whichever order the degrees are asked in,
+        and the row ends as long as the largest degree asked needs."""
+        degrees = {"ascending": self._ROW_DEGREES,
+                   "descending": self._ROW_DEGREES[::-1],
+                   "largest first": [30] + self._ROW_DEGREES[:-1]}[order]
+        table = genexpr._LevelTable(*level)
+        for d in degrees:
+            assert table.counts(d) == len(enumerate_gen_monomials(*level, d)), (level, d)
+        assert len(table.count_row) == 31
+
+    @pytest.mark.parametrize("level", _ROW_LEVELS, ids=str)
+    def test_count_row_under_concurrent_callers(self, level):
+        """Threads that ask one fresh table at once, each for its own
+        degree, so that several grow the row together, get the
+        enumerated counts."""
+        table = genexpr._LevelTable(*level)
+        degrees = [30, 7, 19, 0, 25, -1]
+        got = _at_once(table.counts, degrees)
+        assert got == {d: len(enumerate_gen_monomials(*level, d)) for d in degrees}
+        assert all(table.counts(d) == got[d] for d in degrees)
 
 
 class TestGenSpan:

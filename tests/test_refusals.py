@@ -194,6 +194,11 @@ REFUSALS = {
     "balance with T": (lambda: is_p_balanced(zero(R11T)), "balance applies to polynomials without T"),
     "elementary of a block name": (lambda: elementary(1, "x", Ring(2, 1, False, 3)),
                                    "block must be Block.X or Block.Y, got 'x'"),
+    # the two dimension functions share one domain, degrees 0 to 255
+    "as_dimension above the span bound": (lambda: as_dimension(1, 1, 3, 256),
+                                          "^degree 256 is above 255, the largest span degree$"),
+    "generated_dimension above the span bound": (lambda: generated_dimension(1, 1, 3, 256),
+                                                 "^degree 256 is above 255, the largest span degree$"),
 }
 
 
