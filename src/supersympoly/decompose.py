@@ -269,7 +269,7 @@ def _lift(h: GenExpr, ring: Ring) -> tuple[Poly, GenExpr]:
     def symbol_poly(kind: str, idx: int) -> Poly:
         return _TABLES(m, n, p).vk_pairs(idx)[0] if kind == "U" else generator_poly(kind, idx, ring)
 
-    return _expand_sum(h.terms, ring, h.weighted_degree() or 0, symbol_poly), expr_total
+    return _expand_sum([h.terms], ring, h.weighted_degree() or 0, symbol_poly), expr_total
 
 
 def _base_one_block(f: _LeaderTerms) -> GenExpr:
@@ -299,7 +299,7 @@ def _base_one_block(f: _LeaderTerms) -> GenExpr:
         top = lam.index(0)
         key = tuple((("C", r), lam[r - 1] - lam[r]) for r in range(1, top + 1) if lam[r - 1] > lam[r])
         out[key] = c
-        work = work - _leaders(_expand_sum({key: c}, work.ring, sum(exps), c_poly), "a C monomial's expansion")
+        work = work - _leaders(_expand_sum([{key: c}], work.ring, sum(exps), c_poly), "a C monomial's expansion")
         # This check also ends the loop: graded-lex leading terms of
         # bounded degree cannot decrease forever.
         if not work.is_zero and _term_key(work.leading()[0]) >= _term_key(exps):

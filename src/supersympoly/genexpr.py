@@ -14,8 +14,9 @@ Ring refuses is refused where it enters and two levels do not combine
 (RingMismatchError).
 
 ``expand`` and the lift step of ``decompose`` expand through
-``poly_core``'s power chains, which ``poly_core._expand_sum`` sums; each
-caller passes only a bound on the degree.
+``poly_core``'s power chains, which ``poly_core._expand_sum`` sums in
+Horner order; each caller passes only a bound on the degree, and
+``expand`` up to weight 255 the chains of the level's table.
 
 GenSpan row-reduces the expansions of the symbol monomials of one
 weighted degree whose C powers are below p, in orbit-leader
@@ -40,6 +41,7 @@ from .poly_core import (
     Poly,
     Ring,
     _block_symmetry,
+    _Chains,
     _clean,
     _expand_sum,
     _format_terms,
@@ -165,7 +167,13 @@ class GenExpr(_Terms):
 def expand(e: GenExpr, ring: Ring) -> Poly:
     """Evaluate a GenExpr to the polynomial it denotes."""
     _require_ring(e.ring, ring)
-    return _expand_sum(e.terms, ring, e.weighted_degree() or 0, partial(generator_poly, ring=ring))
+    degrees: dict = {}  # each weighted degree's terms, summed apart
+    for key, c in e.terms.items():
+        degrees.setdefault(_key_weight(key, ring), {})[key] = c
+    bound = max(degrees, default=0)
+    # up to the span bound the level table's chains, packed for it, serve every call
+    chains = _TABLES(ring.m, ring.n, ring.p).chains if bound <= _SPAN_BOUND else None
+    return _expand_sum(degrees.values(), ring, bound, partial(generator_poly, ring=ring), chains)
 
 
 # -- text form ---------------------------------------------------------------
@@ -334,11 +342,12 @@ def _quotient(key: tuple, j: int) -> tuple:
 
 class _LevelTable:
     """Everything kept for the level (m, n, p): the ``_OrbitLeaders``
-    helper, each symbol's packed expansion, the leader terms of every
-    monomial expanded so far, the memos ``spans`` (a ``GenSpan`` per
-    degree) and ``vk_pairs`` (v_k and its certificate per k), and
-    ``count_row``, the engine's monomial count of each degree up to the
-    largest asked (``counts``).  Each vector write
+    helper, each symbol's power chain (``chains``, which ``expand``
+    shares; at power 1 the symbol's packed expansion), the leader
+    terms of every monomial expanded so far, the memos ``spans`` (a
+    ``GenSpan`` per degree) and ``vk_pairs`` (v_k and its certificate
+    per k), and ``count_row``, the engine's monomial count of each
+    degree up to the largest asked (``counts``).  Each vector write
     stores the one value its key has, or the shared empty ``_DEAD`` for
     a monomial known to be a dead draw or whose expansion is 0, which
     makes the same rows (README "Design notes").  The spans' echelons
@@ -348,7 +357,7 @@ class _LevelTable:
     def __init__(self, m: int, n: int, p: int):
         self.ring = ring = Ring(m, n, False, p)
         self.orbits = _OrbitLeaders(ring, _SPAN_BOUND)
-        self.symbols: dict = {}  # symbol -> packed expansion
+        self.chains = _Chains(self._symbol)  # symbol -> its power chain, at 1 its packed expansion
         self.vectors: dict = {(): {0: 1}}  # monomial -> leader terms, _DEAD if a known dead draw
         self.spans = _Memo(partial(GenSpan, m, n, p), maxsize=_SPAN_BOUND + 1)
         self.count_row = [1]  # monomials of each weight, see counts
@@ -356,18 +365,24 @@ class _LevelTable:
 
     def counts(self, degree: int) -> int:
         """len(enumerate_gen_monomials(m, n, p, degree)), without the
-        list: entry ``degree`` of ``count_row``, a coin-change row over
-        the symbol weights, rebuilt up to ``degree`` when it is shorter.
-        Callers that grow it at once each build and read a row of their
-        own, equal where both reach; the one stored last is kept."""
+        list: entry ``degree`` of ``count_row``, extended up to
+        ``degree`` when it is shorter, one entry at a time, each built
+        once.  The row counts the partitions of a weight into symbol
+        weights, so r * a(r) = sum over k <= r of sigma(k) * a(r - k),
+        with sigma(k) the sum of the symbol weights that divide k (the
+        log-derivative of prod 1 / (1 - t^w)).  Callers that grow it at
+        once each extend and read a copy of their own, equal where both
+        reach; the one stored last is kept."""
         if _int(degree, "degree") < 0:
             return 0
         row = self.count_row
         if degree >= len(row):
-            ring, row = self.ring, [1] + [0] * degree
+            ring, row, sigma = self.ring, row[:], [0] * (degree + 1)
             for w in level_symbols(ring.m, ring.n, ring.p, degree).values():
-                for r in range(w, degree + 1):
-                    row[r] += row[r - w]
+                for k in range(w, degree + 1, w):
+                    sigma[k] += w
+            for r in range(len(row), degree + 1):
+                row.append(sum(sigma[k] * row[r - k] for k in range(1, r + 1)) // r)
             self.count_row = row
         return row[degree]
 
@@ -382,7 +397,7 @@ class _LevelTable:
         up, one ``mul`` per step.  A monomial is known dead when one of
         its one-symbol quotients is ``_DEAD`` in this table."""
         vectors = self.vectors
-        symbols = {symbol: self._symbol(symbol) for symbol, _ in key}
+        symbols = {symbol: self.chains[symbol][1] for symbol, _ in key}
         path = []
         vec = vectors.get(key)
         while vec is None:
@@ -398,20 +413,18 @@ class _LevelTable:
         return vec
 
     def _symbol(self, symbol: tuple) -> dict[int, int]:
-        """Packed expansion of ``symbol``.  The first call takes the
+        """Packed expansion of ``symbol``, the start of its chain in
+        ``chains``, which calls this once per symbol.  It takes the
         expansion's leader terms through the checked projection
         ``poly_core._leaders``, which raises ``InternalInvariantViolation``
         unless it is block-symmetric, so a broken generator cannot hide
         behind the projection, and stores them as the monomial symbol^1
-        before the symbol itself."""
-        entry = self.symbols.get(symbol)
-        if entry is None:
-            (kind, idx), ring, pack = symbol, self.ring, self.orbits.pack
-            generator = generator_poly(kind, idx, ring=ring)
-            lead = _leaders(generator, f"{kind}[{idx}] at level ({ring.m},{ring.n}), p={ring.p}")
-            self.vectors[((symbol, 1),)] = pack(lead.terms) or _DEAD  # C[r] for r > m is 0 at n = 0
-            entry = self.symbols[symbol] = pack(generator.terms)
-        return entry
+        before the chain is stored."""
+        (kind, idx), ring, pack = symbol, self.ring, self.orbits.pack
+        generator = generator_poly(kind, idx, ring=ring)
+        lead = _leaders(generator, f"{kind}[{idx}] at level ({ring.m},{ring.n}), p={ring.p}")
+        self.vectors[((symbol, 1),)] = pack(lead.terms) or _DEAD  # C[r] for r > m is 0 at n = 0
+        return pack(generator.terms)
 
 
 # the one empty vector, of every known dead draw and every zero

@@ -254,7 +254,7 @@ class Poly(_Terms):
         if not self.terms or e.__class__ is not int or e < 1:
             return _Terms.__pow__(self, e)  # the exponent check, f^0 and 0^e
         # the one-term sum of f as a symbol to the e: f's power chain
-        return _expand_sum({((("f",), e),): 1}, self.ring, e * self.degree(), lambda _: self)
+        return _expand_sum([{((("f",), e),): 1}], self.ring, e * self.degree(), lambda _: self)
 
     def __repr__(self):
         return f"Poly({self.ring.m},{self.ring.n},p={self.ring.p}: {poly_to_str(self)})"
@@ -272,7 +272,7 @@ def _clean(ring: Ring, terms: dict, cls: type = Poly) -> _Terms:
 
 # -- memos ----------------------------------------------------------------
 
-_MISS = object()  # a cached value may be falsy, such as a count of 0
+_MISS = object()  # no build returns it, so one get tells a miss from any stored value
 _KEY_TYPES = frozenset({int, str, Ring})
 
 
@@ -333,18 +333,22 @@ class _Memo:
 # bound, and ``_field_width`` turns it into a width.
 
 
-def _field_width(bound: int) -> int:
-    """Bits per field that hold every exponent from 0 to ``bound``."""
-    return bound.bit_length() or 1
-
-
 # The exponent bound of every level table, 8-bit fields, and so the
 # largest degree a span may have.
 _SPAN_BOUND = 255
 
 
+def _field_width(bound: int) -> int:
+    """Bits per field that hold every exponent from 0 to ``bound``: 8,
+    one byte, for every bound up to ``_SPAN_BOUND``, so all of them pack
+    alike and bytes do the packing, and the bound's bit length above."""
+    return 8 if bound <= _SPAN_BOUND else bound.bit_length()
+
+
 def _pack(terms: Mapping[tuple, int], width: int) -> dict[int, int]:
     """{packed exponents: coefficient} of a tuple-keyed term dict."""
+    if width == 8:
+        return {int.from_bytes(bytes(exps), "big"): c for exps, c in terms.items()}
     packed = {}
     for exps, c in terms.items():
         key = 0
@@ -403,52 +407,112 @@ def _reduce_mod(acc: dict, p: int) -> dict[int, int]:
 def _unpack(acc: dict, width: int, nvars: int, p: int) -> dict[tuple, int]:
     """Reduce packed coefficients mod p and unpack the nonzero terms to
     exponent tuples, in one pass."""
+    if width == 8:
+        return {tuple(k.to_bytes(nvars, "big")): r for k, c in acc.items() if (r := c % p)}
     mask = (1 << width) - 1
     shifts = range(width * (nvars - 1), -1, -width)
-    out = {}
-    for k, c in acc.items():
-        c %= p
-        if c:
-            out[tuple([(k >> s) & mask for s in shifts])] = c
-    return out
+    return {tuple([(k >> s) & mask for s in shifts]): r for k, c in acc.items() if (r := c % p)}
 
 
 # -- expansion of symbol expressions ---------------------------------------
 
 
-def _expand_sum(terms: dict, ring: Ring, bound: int, symbol_poly) -> Poly:
-    """The sum of ``c * expansion(key)`` over ``terms``, accumulated
-    packed and unpacked once.  A key is a tuple of (symbol, exponent)
-    factors, ``symbol_poly(*symbol)`` is the polynomial a symbol stands
-    for, and ``bound`` is at least the sum of exponent * degree over the
-    factors of every key: the degree of its expansion, as every
-    generator symbol is homogeneous."""
-    p = ring.p
-    power = _power_chains(bound, p, symbol_poly)
+def _expand_sum(sums, ring: Ring, bound: int, symbol_poly, chains: "_Chains | None" = None) -> Poly:
+    """The sum of ``c * expansion(key)`` over the terms of every dict in
+    ``sums``, each dict summed apart in Horner order (``_horner``) into
+    one packed accumulator, unpacked once.  A key is a tuple of
+    (symbol, exponent) factors, ``symbol_poly(*symbol)`` is the
+    polynomial a symbol stands for, and ``bound`` is at least the sum of
+    exponent * degree over the factors of every key: the degree of its
+    expansion, as every generator symbol is homogeneous.  ``chains``, if
+    given, holds the symbols' power chains packed for ``bound`` (a level
+    table's); else each symbol gets a chain for this call alone.
+
+    Horner's rule multiplies a sum of cofactors by a power of a symbol
+    again at each lower exponent, which pays only where the sums' terms
+    meet, so a caller with keys of several degrees passes each degree's
+    keys as a dict of their own: folded as one, the lower degrees'
+    terms would be multiplied again at every step."""
+    p, width = ring.p, _field_width(bound)
+    if chains is None:
+        chains = _Chains(lambda symbol: _pack(symbol_poly(*symbol).terms, width))
+    power = _power_chains(p, chains)
     acc: dict[int, int] = {}
-    for key, c in terms.items():
-        head = {0: c}
-        for factor in key[:-1]:
-            head = _reduce_mod(_packed_mul(head, power(factor)), p)
-        _packed_mul(head, power(key[-1]) if key else {0: 1}, acc)
-    return _clean(ring, _unpack(acc, _field_width(bound), ring.nvars, p))
+    for terms in sums:
+        _horner(terms, power, p, acc)
+    return _clean(ring, _unpack(acc, width, ring.nvars, p))
 
 
-def _power_chains(bound: int, p: int, symbol_poly):
-    """``power((symbol, e))``: the symbol's packed power mod p, from one
-    ``_packed_power`` chain per symbol that lives as long as ``power``.
-    A chain's powers up to e have degree at most e times the symbol's,
-    so a ``bound`` as ``_expand_sum`` takes it holds every chain, and the
-    Frobenius step (keys times p) never carries into the next field."""
-    width = _field_width(bound)
-    chains: dict = {}
+def _horner(terms: dict, power, p: int, acc: dict) -> dict[int, int]:
+    """``acc`` plus the packed sum, coefficients not reduced, of
+    ``c * expansion(key)`` over ``terms``, with ``power((symbol, e))`` a
+    symbol's packed power.
+
+    The symbol in the most keys, s (the first met on a tie), is factored
+    out of them (Ceberio and Kreinovich, SIGSAM Bull. 38, 2004): the
+    cofactors of its terms at each exponent e are summed first, the same
+    way, and those sums are folded from the highest e down, Horner's
+    rule in s, each fold one product by a power of s.  The keys without
+    s are summed in the next turn of the loop, so the recursion goes one
+    level per factor of a key, whatever the number of terms or
+    exponents."""
+    while terms:
+        if len(terms) == 1:  # one key, nothing to share: its factors in turn
+            (key, c), = terms.items()
+            head = {0: c}
+            for factor in reversed(key[1:]):
+                head = _reduce_mod(_packed_mul(head, power(factor)), p)
+            return _packed_mul(head, power(key[0]) if key else {0: 1}, acc)
+        counts: dict = {}
+        for key in terms:
+            for symbol, _ in key:
+                counts[symbol] = counts.get(symbol, 0) + 1
+        top = max(counts, key=counts.__getitem__)
+        groups: dict = {}
+        rest = {}
+        for key, c in terms.items():
+            for j, (symbol, e) in enumerate(key):
+                if symbol == top:
+                    groups.setdefault(e, {})[key[:j] + key[j + 1:]] = c
+                    break
+            else:
+                rest[key] = c
+        fold, above = {}, 0  # the sums at the exponents above e, folded down to s^above
+        for e in sorted(groups, reverse=True):
+            inner = _horner(groups[e], power, p, {})
+            if fold:
+                _packed_mul(fold, power((top, above - e)), inner)
+            fold, above = _reduce_mod(inner, p), e
+        if fold:
+            _packed_mul(fold, power((top, above)), acc)
+        terms = rest
+    return acc
+
+
+class _Chains(dict):
+    """{symbol: its power chain}, a chain being the memo {e: packed
+    power mod p} that ``_packed_power`` grows; a symbol's chain starts
+    on first use as {1: base(symbol)}."""
+
+    def __init__(self, base):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, symbol):
+        chain = self[symbol] = {1: self.base(symbol)}
+        return chain
+
+
+def _power_chains(p: int, chains: _Chains):
+    """``power((symbol, e))``: the symbol's packed power mod p, from its
+    chain in ``chains``.  A chain's powers up to e have degree at most e
+    times the symbol's, so a bound as ``_expand_sum`` takes it holds
+    every power a call asks for, and the Frobenius step (keys times p)
+    never carries into the next field."""
 
     def power(factor: tuple) -> dict[int, int]:
         symbol, e = factor
-        chain = chains.get(symbol)
-        if chain is None:
-            chain = chains[symbol] = {1: _pack(symbol_poly(*symbol).terms, width)}
-        return _packed_power(chain, e, p)
+        return _packed_power(chains[symbol], e, p)
 
     return power
 

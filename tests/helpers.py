@@ -1,5 +1,6 @@
 """Shared strategies and small builders for the test suite."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -174,30 +175,34 @@ def reference_pow(f, e):
     return out
 
 
+def reference_expand_sum(terms, ring, symbol_poly):
+    """The flat accumulator ``poly_core._expand_sum`` was before its
+    Horner order, on exponent tuples: the sum over ``terms`` of c times
+    each key's factors multiplied in turn, ``symbol_poly(kind, index)``
+    to the factor's power, by ``reference_pow`` and ``reference_mul``."""
+    total = Poly(ring, {})
+    for key, c in terms.items():
+        part = Poly(ring, {(0,) * ring.nvars: c})
+        for symbol, e in key:
+            part = reference_mul(part, reference_pow(symbol_poly(*symbol), e))
+        total = total + part
+    return total
+
+
 def reference_expand_key(key, ring):
     """Expansion of a symbol monomial by ``reference_mul`` products."""
-    out = Poly(ring, {(0,) * ring.nvars: 1})
-    for (kind, idx), e in key:
-        out = reference_mul(out, reference_pow(generator_poly(kind, idx, ring), e))
-    return out
+    return reference_expand_sum({key: 1}, ring, functools.partial(generator_poly, ring=ring))
 
 
 def reference_lift_poly(h, ring):
     """The polynomial half of ``decompose._lift`` by its per-term formula:
     each term of the level (m-1, n) expression ``h`` becomes
     v_k^e for every U[k]^e times the expansion of its other symbols at
-    level (m, n), through ``reference_pow`` and ``reference_expand_key``."""
-    total = Poly(ring, {})
-    for key, c in h.terms.items():
-        part = Poly(ring, {(0,) * ring.nvars: c})
-        plain = []
-        for (kind, idx), e in key:
-            if kind == "U":
-                part = reference_mul(part, reference_pow(v_k(kseq(ring.p, idx), ring), e))
-            else:
-                plain.append(((kind, idx), e))
-        total = total + reference_mul(part, reference_expand_key(plain, ring))
-    return total
+    level (m, n), through ``reference_expand_sum``."""
+    def symbol_poly(kind, idx):
+        return v_k(kseq(ring.p, idx), ring) if kind == "U" else generator_poly(kind, idx, ring)
+
+    return reference_expand_sum(h.terms, ring, symbol_poly)
 
 
 def expansion_cap(nvars, p):
@@ -231,6 +236,40 @@ def gen_exprs(draw, m, n, p, cap, max_terms=4):
             e = draw(st.integers(1, min(2 * p + 1, room // w)))
             key.append(((kind, idx), e))
             room -= e * w
+        key = tuple(key)
+        terms[key] = terms.get(key, 0) + draw(st.integers(1, p - 1))
+    return GenExpr(m, n, p, terms)
+
+
+@st.composite
+def byte_edge_exprs(draw):
+    """A GenExpr at a level (m, n) with m, n <= 3 and p in {3, 5}, whose
+    keys all weigh at most 255 or all at least 256, on either side of
+    the edge of the 8-bit fields by less than one heavy symbol's weight
+    (at most 15).  Each of up to five keys is a power of one heavy
+    symbol, a single monomial (U[k], EX[m] or EY[n]), that fills most of
+    its weight, times factors from a pool of one to three light symbols
+    of weight up to ``expansion_cap``: keys share factors, and the light
+    part of a key, of weight at most the cap, keeps the reference
+    expansion small."""
+    p = draw(st.sampled_from((3, 5)))
+    m, n = draw(st.sampled_from([(m, n) for m in range(4) for n in range(4) if m or n]))
+    ring = Ring(m, n, False, p)
+    heavy = ([("EX", m)] if m else []) + ([("EY", n)] + [("U", k) for k in range(1, p)] if n else [])
+    cap = expansion_cap(m + n, p)
+    pool = draw(st.lists(st.sampled_from(list(level_symbols(m, n, p, cap))), min_size=1, max_size=3, unique=True))
+    above = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        room, key = cap, []
+        for symbol in pool:
+            w = symbol_weight(*symbol, ring)
+            if w <= room and draw(st.booleans()):
+                e = draw(st.integers(1, room // w))
+                key.append((symbol, e))
+                room -= e * w
+        symbol = draw(st.sampled_from(heavy))
+        key.append((symbol, (255 - cap + room) // symbol_weight(*symbol, ring) + above))
         key = tuple(key)
         terms[key] = terms.get(key, 0) + draw(st.integers(1, p - 1))
     return GenExpr(m, n, p, terms)

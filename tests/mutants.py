@@ -61,6 +61,8 @@ TOP_COEFFICIENT = "tests/test_oracle.py::TestGeneratingFunctionCheck::test_a_wro
 NOT_AN_INT = "tests/test_refusals.py::test_a_value_that_is_not_an_int_is_refused"
 COUNT_ROW = "tests/test_genexpr.py::TestEnumeration::test_count_row_matches_enumeration"
 C_R_DEFINITION = "tests/test_generators.py::test_c_r_matches_its_definition"
+VERIFY_PAIRS = "tests/test_decompose.py::test_verify_pairs_per_cold_benchmark_pass_are_pinned"
+BYTE_EDGE = "tests/test_poly_core.py::test_products_and_powers_at_the_byte_edge"
 
 MUTANTS = [
     Mutant(
@@ -228,10 +230,30 @@ MUTANTS = [
     ),
     Mutant(
         "a count row summed one degree short", GENEXPR,
-        "                for r in range(w, degree + 1):\n                    row[r] += row[r - w]\n",
-        "                for r in range(w, degree):\n                    row[r] += row[r - w]\n",
+        "sum(sigma[k] * row[r - k] for k in range(1, r + 1)) // r",
+        "sum(sigma[k] * row[r - k] for k in range(1, r)) // r",
         (f"{COUNT_ROW}[(2, 2, 3)-ascending]", f"{COUNT_ROW}[(3, 2, 5)-largest first]",
          "tests/test_decompose.py::TestEnginePolicy::test_crossover_at_level_2_2_3"),
+    ),
+    Mutant(
+        "a flat _expand_sum", POLY_CORE,
+        "    for terms in sums:\n        _horner(terms, power, p, acc)\n",
+        "    for key, c in (item for terms in sums for item in terms.items()):\n        head = {0: c}\n"
+        "        for factor in key[:-1]:\n            head = _reduce_mod(_packed_mul(head, power(factor)), p)\n"
+        "        _packed_mul(head, power(key[-1]) if key else {0: 1}, acc)\n",
+        (VERIFY_PAIRS,),
+    ),
+    Mutant(
+        "an expand that folds every weighted degree as one sum", GENEXPR,
+        "_expand_sum(degrees.values(), ring, bound,",
+        "_expand_sum([e.terms], ring, bound,",
+        ("tests/test_genexpr.py::TestPackedExpansion::test_each_weighted_degree_is_folded_apart",),
+    ),
+    Mutant(
+        "8-bit fields up to 256", POLY_CORE,
+        "return 8 if bound <= _SPAN_BOUND else bound.bit_length()",
+        "return 8 if bound <= _SPAN_BOUND + 1 else bound.bit_length()",
+        (f"{BYTE_EDGE}[1-0-False-256]", f"{BYTE_EDGE}[2-1-False-256]", f"{BYTE_EDGE}[1-1-True-256]"),
     ),
     Mutant(
         "a level table that keeps one v_k pair", GENEXPR,

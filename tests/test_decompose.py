@@ -43,7 +43,7 @@ from supersympoly.decompose import (
     trace_decomposition,
 )
 from supersympoly.generators import core_exponents
-from supersympoly import generators, genexpr
+from supersympoly import generators, genexpr, poly_core
 from supersympoly.genexpr import gen_span
 from supersympoly.oracle import as_dimension, generated_dimension, partitions_max_parts
 from supersympoly.poly_core import _block_symmetry, _Memo
@@ -326,6 +326,38 @@ def test_span_products_per_cold_benchmark_pass_are_pinned():
     assert spans == {"dims": (28, 1180, 1180), "roundtrip": (79, 1794, 1202), "core_peel": (19, 379, 332)}
     # (count row entries past degree 0, v_k pairs)
     assert held == {"dims": (0, 0), "roundtrip": (100, 2), "core_peel": (224, 0)}
+
+
+def test_verify_pairs_per_cold_benchmark_pass_are_pinned(monkeypatch):
+    """One seed-1 pass of the benchmark's roundtrip and core_peel
+    corpora, each with every memo cold, makes exactly the pinned number
+    of ``_packed_mul`` pairs inside ``verify_decomposition``: the
+    Horner-order re-expansion on the level tables' power chains.  Flat,
+    the sum made 72,008 and 156,034 pairs.  A change that keeps every
+    certificate but expands them with more work, or less on purpose,
+    moves a pin."""
+    corpus = _benchmark_corpus()
+    original = poly_core._packed_mul
+    pairs, counting = {}, [False]
+
+    def counted(a, b, acc=None):
+        if counting[0]:
+            pairs[workload] += len(a) * len(b)
+        return original(a, b, acc)
+
+    monkeypatch.setattr(poly_core, "_packed_mul", counted)
+    for workload in ("roundtrip", "core_peel"):
+        pairs[workload] = 0
+        with pytest.MonkeyPatch.context() as patch:
+            _cold_memos(patch)
+            for line in corpus.make_inputs(workload, 1).splitlines():
+                m, n, p, text = line.split(" ", 3)
+                f = parse_poly(text, Ring(int(m), int(n), False, int(p)))
+                e = decompose(f)
+                counting[0] = True
+                assert verify_decomposition(f, e)
+                counting[0] = False
+    assert pairs == {"roundtrip": 50399, "core_peel": 114283}
 
 
 def test_a_parent_key_equal_to_its_own_is_refused():

@@ -10,7 +10,7 @@ import time
 import weakref
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from supersympoly import (
@@ -29,7 +29,7 @@ from supersympoly import (
     parse_poly,
     serialize_gen_expr,
 )
-from supersympoly import genexpr
+from supersympoly import genexpr, poly_core
 from supersympoly.genexpr import level_symbols, symbol_weight
 from supersympoly.generators import generator_poly
 from supersympoly.poly_core import _Memo, _SPAN_BOUND, _unpack
@@ -37,11 +37,13 @@ from supersympoly.selfcheck import random_gen_expr
 
 from helpers import (
     ReferenceSpan,
+    byte_edge_exprs,
     expansion_cap,
     gen_exprs,
     is_leader,
     reference_enumerate_gen_monomials,
     reference_expand_key,
+    reference_expand_sum,
     reference_is_symmetric,
     reference_level_symbols,
 )
@@ -647,10 +649,7 @@ class TestPackedSpan:
 
 
 def _reference_expand(e, ring):
-    total = Poly(ring, {})
-    for key, c in e.terms.items():
-        total = total + c * reference_expand_key(key, ring)
-    return total
+    return reference_expand_sum(e.terms, ring, functools.partial(generator_poly, ring=ring))
 
 
 class TestPackedExpansion:
@@ -677,6 +676,45 @@ class TestPackedExpansion:
             assert _expand_monomial(key, ring) == reference_expand_key(key, ring)
         e = GenExpr(m, n, p, dict(powers))
         assert expand(e, ring) == _reference_expand(e, ring)
+
+    @settings(max_examples=60, deadline=None)
+    @given(byte_edge_exprs())
+    @example(parse_gen_expr("2*EY[1]^85*C[1] + EY[1]^85 + C[3]*EY[1]^84", 0, 1, 3))  # 256
+    @example(parse_gen_expr("EY[1]^85 + C[3]*EY[1]^84 + C[3]^2*EY[1]^83", 0, 1, 3))  # 255
+    @example(parse_gen_expr("C[1]*U[1]^85 + C[1]*U[2]^85 + 2*U[1]^85", 1, 1, 3))  # 256
+    def test_horner_order_matches_the_flat_sum(self, e):
+        """``expand`` in Horner order, on the level table's chains up
+        to weighted degree 255 and on chains of its own above, equals
+        the flat sum of its keys' expansions."""
+        ring = e.ring
+        assert expand(e, ring) == _reference_expand(e, ring)
+
+    def test_a_sum_of_1201_powers_of_one_symbol(self):
+        """Sum over i <= 1200 of C[1]^i at (1, 0, 3), where C[1] is x1:
+        1201 exponents of one symbol fold in one loop, each degree on
+        its own, with no recursion per exponent."""
+        ring = Ring(1, 0, False, 3)
+        e = GenExpr(1, 0, 3, {((("C", 1), i),) if i else (): 1 for i in range(1201)})
+        assert expand(e, ring) == Poly(ring, {(i,): 1 for i in range(1201)})
+
+    def test_each_weighted_degree_is_folded_apart(self, monkeypatch, cold_tables):
+        """Sum over i <= 120 of C[1]^i at (1, 1, 3), where C[1] is
+        x1 - y1: ``expand`` sums each weighted degree apart, in the
+        pinned number of ``_packed_mul`` pairs from a cold level table,
+        its power chain included.  Folded as one sum, every
+        lower degree's terms would be multiplied again at each step:
+        193,721 pairs."""
+        ring = Ring(1, 1, False, 3)
+        e = GenExpr(1, 1, 3, {((("C", 1), i),) if i else (): 1 for i in range(121)})
+        pairs, original = [0], poly_core._packed_mul
+
+        def counted(a, b, acc=None):
+            pairs[0] += len(a) * len(b)
+            return original(a, b, acc)
+
+        monkeypatch.setattr(poly_core, "_packed_mul", counted)
+        assert expand(e, ring) == _reference_expand(e, ring)
+        assert pairs[0] == 3854
 
     def test_constant_and_zero(self):
         ring = Ring(2, 2, False, 5)
@@ -902,7 +940,7 @@ def test_level_tables_outlive_the_rows(monkeypatch, cold_tables):
     assert list(cold_tables.values) == [(2, 2, 3), (1, 1, 3)]
     table = cold_tables.values[2, 2, 3]
     orbits = table.orbits
-    assert table.symbols and table.vectors and span._table.orbits is orbits  # the rows' leader terms stay
+    assert table.chains and table.vectors and span._table.orbits is orbits  # the rows' leader terms stay
     # degrees 4 to 16 share the table, across the edges of their own field widths (8 and 16)
     for d in range(4, 17):
         other = GenSpan(2, 2, 3, d)

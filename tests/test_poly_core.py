@@ -315,6 +315,30 @@ def test_pow_edge_rings(m, n, has_t, p):
         assert f**e == reference_pow(f, e)
 
 
+@pytest.mark.parametrize("top", [255, 256])
+@pytest.mark.parametrize("m,n,has_t", [(1, 0, False), (2, 1, False), (1, 1, True)])
+def test_products_and_powers_at_the_byte_edge(m, n, has_t, top):
+    """Exponent sums of 255 fill an 8-bit field and 256 need a wider one:
+    a product and a power whose largest exponent sum is ``top``, in the
+    first and the last slot, against the tuple reference."""
+    ring = Ring(m, n, has_t, 3)
+    nvars = ring.nvars
+    first, last = (1,) + (0,) * (nvars - 1), (0,) * (nvars - 1) + (1,)
+
+    def mono(exps, k):
+        return tuple(k * a for a in exps)
+
+    f = Poly(ring, {mono(first, 100): 1, mono(last, 100): 2, (1,) * nvars: 1})
+    g = Poly(ring, {mono(first, top - 100): 2, mono(last, top - 100): 1, (0,) * nvars: 1})
+    assert max(map(max, (f * g).terms)) == top
+    assert f * g == reference_mul(f, g)
+    assert g * f == reference_mul(g, f)
+    e = 51 if top == 255 else 16  # f^e has degree e * (top // e) = top
+    h = Poly(ring, {mono(first, top // e): 1, mono(last, top // e): 2, (0,) * nvars: 1})
+    assert max(map(max, (h ** e).terms)) == top
+    assert h ** e == reference_pow(h, e)
+
+
 @settings(max_examples=40, deadline=None)
 @given(ring_and_polys(count=1, min_m=1, min_n=1))
 def test_freshman_dream_general(data):
